@@ -29,7 +29,7 @@ from .curvature import (Curv4, HSCReport, canonical_curvature, chern_curvature,
                         symmetrize, weyl_minus)
 from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,
                      GauduchonError, InvalidSpec, NonFinite,
-                     NonRealConformalFactor, NotPositiveDefinite, ZeroPoint,
-                     ZeroVector)
+                     NonRealConformalFactor, NotHermitian, NotPositiveDefinite,
+                     ZeroPoint, ZeroVector)
 from .wjet import (ScalarField, WJet2, abs2, const, eval_jet, exp, fd_jet,
                    log, parse_field, z, zbar)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import (FrameAtPoint, MetricChart, as_params, chern_torsion,
-                         unitary_frame, _frame_matrix)
+                         unitary_frame, _frame_matrix, _to_frame)
 from .curvature import (Curv4, canonical_curvature, lc_mixed_christoffel,
                         symmetrize)
 from .errors import BaseNotKahler, NonRealConformalFactor
@@ -101,8 +101,8 @@ def f_covariant_hessians(chart: MetricChart, f: ScalarField, t: float, z, frame=
     A -= (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)
     B = jf.ddbar.T.copy()                    # B[l, k] = d_k dbar_l f
     B -= (1.0 - t) * np.einsum("mkl,m->lk", np.conj(C), jf.dbar)
-    H1 = np.einsum("ka,lb,kl->ab", E, E.conj(), A)
-    H2 = np.einsum("lb,ka,lk->ba", E.conj(), E, B)
+    H1 = _to_frame(A, E, E.conj())
+    H2 = _to_frame(B, E.conj(), E)
     return H1, H2
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .wjet import ScalarField, as_point, eval_jet
+from .wjet import ScalarField, WJet2, as_point, eval_jet
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
@@ -95,11 +95,26 @@ class FrameAtPoint:
 
 @dataclass(eq=False)
 class _PointData:
-    z: np.ndarray
-    jets: list            # jets[i][j] = WJet2 of g_{i jbar}
+    """Read-only metric data at one point.  Each jet part is stacked once,
+    derivative axes first and the component pair last: dG[a, i, j] =
+    d_a g_{i jbar}, ddbarG[a, b, i, j] = d_a dbar_b g_{i jbar}, and so on."""
+
     G: np.ndarray
+    dG: np.ndarray
+    dbarG: np.ndarray
+    ddG: np.ndarray
+    ddbarG: np.ndarray
+    dbardbarG: np.ndarray
     ginv: np.ndarray      # ginv[k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
+
+
+def _freeze(data):
+    """Make the array fields of a cached per-point record read-only."""
+    for v in vars(data).values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return data
 
 
 def _as_key(z) -> tuple:
@@ -115,7 +130,10 @@ def _metric_point(chart: MetricChart, zkey: tuple) -> _PointData:
         raise DomainError(f"point {z} outside domain of {chart.label}")
     n = chart.n
     jets = [[eval_jet(chart.g[i][j], z) for j in range(n)] for i in range(n)]
-    G = np.array([[jets[i][j].value for j in range(n)] for i in range(n)], dtype=complex)
+    # Stack each jet part over the components, component pair (i, j) last.
+    G, dG, dbarG, ddG, ddbarG, dbardbarG = (np.ascontiguousarray(np.moveaxis(
+        np.array([[getattr(J, part) for J in row] for row in jets], dtype=complex),
+        (0, 1), (-2, -1))) for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"))
     herm_defect = np.max(np.abs(G - G.conj().T))
     if herm_defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(G))):
         raise NotPositiveDefinite(
@@ -131,18 +149,23 @@ def _metric_point(chart: MetricChart, zkey: tuple) -> _PointData:
     # = delta_ab; conjugation sits on the barred slot.
     E = np.linalg.inv(L.T)
     defect = np.max(np.abs(E.T @ G @ E.conj() - np.eye(n)))
-    assert defect < FRAME_TOL, f"frame unitarity defect {defect:.3e}"
-    return _PointData(z, jets, G, ginv, E)
+    if not defect < FRAME_TOL:
+        raise NotPositiveDefinite(
+            f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}")
+    return _freeze(_PointData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E))
 
 
 def metric_jet(chart: MetricChart, z):
     """Jets of every g_{i jbar} at z, plus the inverse metric there.
 
-    Returns (jets, ginv) with jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.
-    Raises NotPositiveDefinite if the value matrix fails the PD check.
-    """
+    Returns (jets, ginv), read-only views of the cached point data, with
+    jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
+    NotPositiveDefinite if the value matrix fails the PD check."""
     pd = _metric_point(chart, _as_key(z))
-    return pd.jets, pd.ginv
+    parts = (pd.dG, pd.dbarG, pd.ddG, pd.ddbarG, pd.dbardbarG)
+    jets = [[WJet2(complex(pd.G[i, j]), *(a[..., i, j] for a in parts))
+             for j in range(chart.n)] for i in range(chart.n)]
+    return jets, pd.ginv
 
 
 def metric_values(chart: MetricChart, z) -> np.ndarray:
@@ -169,27 +192,21 @@ def _frame_matrix(chart: MetricChart, z, frame) -> np.ndarray:
     return np.asarray(frame, dtype=complex)
 
 
-def _coordinate_torsion(pd: _PointData):
-    """Coordinate torsion T^k_ij and first-derivative data used by both the
-    torsion and its dbar covariant derivative."""
-    n = len(pd.z)
-    # dG[a, i, j] = d_a g_{i jbar},  dbarG[a, i, j] = dbar_a g_{i jbar}
-    dG = np.empty((n, n, n), dtype=complex)
-    dbarG = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            dG[:, i, j] = pd.jets[i][j].d
-            dbarG[:, i, j] = pd.jets[i][j].dbar
-    # Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}
-    Gamma = np.einsum("kl,ijl->kij", pd.ginv, dG)
-    T = 0.5 * (Gamma - Gamma.transpose(0, 2, 1))
-    return T, dG, dbarG
+def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
+    """Frame change out[a, b, ...] = sum X[i, j, ...] mats[0][i, a]
+    mats[1][j, b] ..., one matrix per axis: E on unbarred lower slots,
+    conj(E) on barred slots, inv(E)^T on upper slots.  Each step is one
+    matmul on the leading axis that puts the new axis last, so a rank-r
+    change costs r matmuls rather than one O(n^(2r)) sum."""
+    for M in mats:
+        X = (X.reshape(X.shape[0], -1).T @ M).reshape(X.shape[1:] + M.shape[1:])
+    return X
 
 
-def _frame_torsion(T_coord: np.ndarray, E: np.ndarray) -> np.ndarray:
-    Einv = np.linalg.inv(E)
-    T = np.einsum("ck,kij,ia,jb->cab", Einv, T_coord, E, E)
-    return 0.5 * (T - T.transpose(0, 2, 1))   # exact antisymmetry
+def _coordinate_torsion(pd: _PointData) -> np.ndarray:
+    """Coordinate torsion T^k_ij from Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}."""
+    Gamma = np.einsum("kl,ijl->kij", pd.ginv, pd.dG)
+    return 0.5 * (Gamma - Gamma.transpose(0, 2, 1))
 
 
 def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -197,9 +214,10 @@ def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
 
     Exactly antisymmetric in (j, k).  Defaults to the Cholesky frame.
     """
-    pd = _metric_point(chart, _as_key(z))
-    T_coord, _, _ = _coordinate_torsion(pd)
-    return _frame_torsion(T_coord, _frame_matrix(chart, z, frame))
+    E = _frame_matrix(chart, z, frame)
+    T = _to_frame(_coordinate_torsion(_metric_point(chart, _as_key(z))),
+                  np.linalg.inv(E).T, E, E)
+    return 0.5 * (T - T.transpose(0, 2, 1))   # exact antisymmetry
 
 
 def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -211,22 +229,14 @@ def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
     result is then frame-transformed as a (1,3)-tensor.
     """
     pd = _metric_point(chart, _as_key(z))
-    n = len(pd.z)
-    _, dG, dbarG = _coordinate_torsion(pd)
-    # ddbarG[a, b, i, j] = d_a dbar_b g_{i jbar}
-    ddbarG = np.empty((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            ddbarG[:, :, i, j] = pd.jets[i][j].ddbar
     # dbar_l g^{k qbar} = - g^{k bbar} (dbar_l g_{a bbar}) g^{a qbar}
-    dginv = -np.einsum("kb,lab,aq->lkq", pd.ginv, dbarG, pd.ginv)
+    dginv = -np.einsum("kb,lab,aq->lkq", pd.ginv, pd.dbarG, pd.ginv)
     # dbar_l Gamma^k_ij = (dbar_l g^{k qbar}) d_i g_{j qbar} + g^{k qbar} d_i dbar_l g_{j qbar}
-    dGamma = np.einsum("lkq,ijq->kijl", dginv, dG) \
-        + np.einsum("kq,iljq->kijl", pd.ginv, ddbarG)
+    dGamma = np.einsum("lkq,ijq->kijl", dginv, pd.dG) \
+        + np.einsum("kq,iljq->kijl", pd.ginv, pd.ddbarG)
     TD_coord = 0.5 * (dGamma - dGamma.transpose(0, 2, 1, 3))
     E = _frame_matrix(chart, z, frame)
-    Einv = np.linalg.inv(E)
-    TD = np.einsum("aj,jikl,ib,kc,ld->abcd", Einv, TD_coord, E, E, E.conj())
+    TD = _to_frame(TD_coord, np.linalg.inv(E).T, E, E, E.conj())
     return 0.5 * (TD - TD.transpose(0, 2, 1, 3))
 
 
@@ -239,12 +249,7 @@ def gamma_theta2(chart: MetricChart, z, frame=None):
     theta2[j, i, k] multiplies phi^k and equals conj(T^k_ij); its phibar part
     vanishes on integrable charts.
     """
-    n = chart.n
     T = chern_torsion(chart, z, frame)
-    gamma = np.zeros((n, n, 2 * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            gamma[j, i, :n] = T[j, i, :]
-            gamma[j, i, n:] = -np.conj(T[i, j, :])
+    gamma = np.concatenate([T, -np.conj(T).transpose(1, 0, 2)], axis=2)
     theta2 = np.transpose(np.conj(T), (2, 1, 0))  # theta2[j,i,k] = conj(T[k,i,j])
     return gamma, theta2

@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .connection import (MetricChart, as_params, chern_torsion, metric_values,
-                         torsion_cov_deriv, _as_key, _frame_matrix,
-                         _metric_point)
-from .errors import DimensionError, ZeroVector
+                         torsion_cov_deriv, _as_key, _frame_matrix, _freeze,
+                         _metric_point, _to_frame)
+from .errors import DimensionError, NotHermitian, ZeroVector
 
 
 @dataclass(eq=False)
@@ -57,19 +57,9 @@ def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}), frame-transformed.
     """
     pd = _metric_point(chart, _as_key(z))
-    n = chart.n
-    dG = np.empty((n, n, n), dtype=complex)
-    dbarG = np.empty((n, n, n), dtype=complex)
-    ddbarG = np.empty((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            dG[:, i, j] = pd.jets[i][j].d
-            dbarG[:, i, j] = pd.jets[i][j].dbar
-            ddbarG[:, :, i, j] = pd.jets[i][j].ddbar
-    R = -ddbarG + np.einsum("ab,kib,laj->klij", pd.ginv, dG, dbarG)
+    R = -pd.ddbarG + np.einsum("ab,kib,laj->klij", pd.ginv, pd.dG, pd.dbarG)
     E = _frame_matrix(chart, z, frame)
-    Rf = np.einsum("ka,lb,ic,jd,klij->abcd", E, E.conj(), E, E.conj(), R)
-    return Curv4(Rf, connection="chern")
+    return Curv4(_to_frame(R, E, E.conj(), E, E.conj()), connection="chern")
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +83,12 @@ def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
     M = np.zeros((N, N), dtype=complex)
     dM = np.zeros((N, N, N), dtype=complex)     # dM[a, b, c] = d_a M[b, c]
     ddM = np.zeros((N, N, N, N), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            J = pd.jets[i][j]
-            M[i, n + j] = J.value
-            dM[:n, i, n + j] = J.d
-            dM[n:, i, n + j] = J.dbar
-            ddM[:n, :n, i, n + j] = J.dd
-            ddM[:n, n:, i, n + j] = J.ddbar
-            ddM[n:, :n, i, n + j] = J.ddbar.T
-            ddM[n:, n:, i, n + j] = J.dbardbar
+    M[:n, n:] = pd.G
+    dM[:, :n, n:] = np.concatenate([pd.dG, pd.dbarG])     # d_a, then dbar_a
+    ddM[:n, :n, :n, n:] = pd.ddG
+    ddM[:n, n:, :n, n:] = pd.ddbarG
+    ddM[n:, :n, :n, n:] = pd.ddbarG.transpose(1, 0, 2, 3)
+    ddM[n:, n:, :n, n:] = pd.dbardbarG
     # The metric tensor is symmetric: mirror the (unbarred, barred) block.
     M = M + M.T
     dM = dM + dM.transpose(0, 2, 1)
@@ -125,7 +111,7 @@ def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
     Rup = X - Y + P - Q
     Riem = np.einsum("abcd,af->cdbf", Rup, M)
     s_g = float(np.real(np.einsum("ac,bd,abdc->", Minv, Minv, Riem)))
-    return _LCData(M, Minv, Gamma, Riem, s_g)
+    return _freeze(_LCData(M, Minv, Gamma, Riem, s_g))
 
 
 def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
@@ -133,10 +119,9 @@ def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     Riemann tensor of the underlying Riemannian metric."""
     lc = _lc_point(chart, _as_key(z))
     n = chart.n
-    block = lc.Riem[:n, n:, :n, n:]
     E = _frame_matrix(chart, z, frame)
-    Rf = np.einsum("ka,lb,ic,jd,klij->abcd", E, E.conj(), E, E.conj(), block)
-    return Curv4(Rf, connection="levi-civita")
+    return Curv4(_to_frame(lc.Riem[:n, n:, :n, n:], E, E.conj(), E, E.conj()),
+                 connection="levi-civita")
 
 
 def lc_full(chart: MetricChart, z) -> np.ndarray:
@@ -215,8 +200,8 @@ def hsc(C, eta) -> float:
     if norm2 < 1e-30:
         raise ZeroVector("hsc needs a nonzero direction")
     val = np.einsum("klij,k,l,i,j->", R, eta, np.conj(eta), eta, np.conj(eta))
-    scale = max(1.0, abs(val))
-    assert abs(val.imag) <= 1e-9 * scale, f"hsc contraction not real: {val}"
+    if not abs(val.imag) <= 1e-9 * max(1.0, abs(val)):
+        raise NotHermitian(f"hsc contraction is not real: {val}")
     return float(val.real) / norm2**2
 
 

@@ -22,6 +22,10 @@ class NotPositiveDefinite(GauduchonError):
     """The metric value matrix failed the Hermitian positive-definite check."""
 
 
+class NotHermitian(GauduchonError):
+    """A tensor lacks the Hermitian symmetry that makes a contraction real."""
+
+
 class ZeroVector(GauduchonError):
     """A direction vector required to be nonzero was (numerically) zero."""
 

@@ -80,6 +80,25 @@ def test_suite_config_validation_errors():
                                "checks": ["bogus"]})
 
 
+BAD_TOLERANCES = ["abc", "-1", "0", "nan", "inf", "", None, 0, float("nan")]
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_suite_config_rejects_bad_tolerance_values(value):
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
+                               "tolerances": {"constancy": value}})
+
+
+def test_suite_config_stores_tolerances_as_floats():
+    config = SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
+                                    "tolerances": {"constancy": "1e-3"}})
+    assert config.tolerances == {"constancy": 1e-3}
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
+                               "tolerances": [["constancy", 1e-3]]})
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point
 
@@ -131,6 +150,18 @@ def test_cli_tol_override_flips_result(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["suite", cfg, "--no-timestamp", "--tol", "constancy=10.0",
                  "--out", out]) == 0
+
+
+@pytest.mark.parametrize("item", ["constancy=abc", "constancy=-1",
+                                  "constancy=0", "constancy=nan",
+                                  "constancy=inf", "bogus=1e-3", "constancy"])
+def test_cli_bad_tol_exit_2(tmp_path, item):
+    cfg = write_json(tmp_path, "cfg.json", {
+        "chart": {"chart": "euclidean", "n": 2}, "sample_count": 2,
+        "checks": ["constancy"]})
+    assert main(["suite", cfg, "--no-timestamp", "--tol", item,
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -244,3 +275,19 @@ def test_cli_hsc_matches_reference(tmp_path, capsys):
         assert rec["c"] == pytest.approx(gd.admissible_hsc_reference(spec, p),
                                          abs=1e-9)
         assert rec["hsc_max"] - rec["hsc_min"] < 1e-9
+
+
+def test_hsc_payload_builds_each_curvature_once(monkeypatch):
+    import gauduchon.cli as cli
+    import gauduchon.curvature as curvature
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gd.canonical_curvature(*args, **kwargs)
+
+    # Both modules bind the name; count calls made through either.
+    monkeypatch.setattr(cli, "canonical_curvature", counting)
+    monkeypatch.setattr(curvature, "canonical_curvature", counting)
+    payload = cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
+    assert len(calls) == len(payload["per_point"]) == 4

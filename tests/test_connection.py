@@ -50,6 +50,19 @@ def test_metric_inverse_contract(catalog_charts):
             np.testing.assert_allclose(ginv @ G.T, np.eye(chart.n), atol=1e-12)
 
 
+def test_cached_point_data_is_read_only(adm):
+    p = [0.6 + 0.1j, -0.3j]
+    before = gd.chern_torsion(adm, p)
+    jets, ginv = gd.metric_jet(adm, p)
+    with pytest.raises(ValueError):
+        ginv[0, 0] = 42.0
+    with pytest.raises(ValueError):
+        jets[0][1].d[0] = 42.0
+    with pytest.raises(ValueError):
+        jets[1][1].ddbar[0, 0] = 42.0
+    np.testing.assert_array_equal(gd.chern_torsion(adm, p), before)
+
+
 def test_not_positive_definite_is_structured():
     bad = gd.inline_chart(2, [["(sub (mul z1 zbar1) 0.5)", "0"], ["0", "1"]],
                           label="indefinite")
@@ -168,7 +181,7 @@ def _fd_cov_deriv(chart, p, h=1e-4):
     from gauduchon.connection import _coordinate_torsion, _metric_point, _as_key
 
     def coord_torsion(q):
-        return _coordinate_torsion(_metric_point(chart, _as_key(q)))[0]
+        return _coordinate_torsion(_metric_point(chart, _as_key(q)))
 
     n = chart.n
     TDc = np.zeros((n, n, n, n), dtype=complex)

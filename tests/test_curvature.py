@@ -3,7 +3,7 @@ import pytest
 
 import gauduchon as gd
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
-from gauduchon.errors import DimensionError, ZeroVector
+from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
 
 from conftest import pts_of
 
@@ -207,6 +207,13 @@ def test_hsc_scale_invariance(hopf):
 def test_hsc_zero_vector_raises(flat):
     with pytest.raises(ZeroVector):
         gd.hsc(gd.lc_curvature(flat, [0.3, 0.4]), [0, 0])
+
+
+def test_hsc_non_hermitian_tensor_raises():
+    rng = np.random.default_rng(11)
+    R = rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4)
+    with pytest.raises(NotHermitian):
+        gd.hsc(R, [1.0, 0.5j])
 
 
 def test_hsc_admissible_reference_value(adm, adm_spec):
