@@ -33,8 +33,8 @@ from .conformal import (commutation_residual, delta_canonical_predicted,
                         delta_direct, rescale, torsion_transform_residual)
 from .connection import chern_torsion, metric_jet, unitary_frame
 from .curvature import (canonical_curvature, chern_curvature, constancy_residual,
-                        curv4_rows, gauduchon_curvature, hsc, lc_curvature,
-                        selfdual_residual, symmetrize, weyl_minus)
+                        constancy_table, curv4_rows, gauduchon_curvature, hsc,
+                        lc_curvature, selfdual_residual, symmetrize, weyl_minus)
 from .catalog import circle_residual
 from .errors import ConfigError, GauduchonError
 from .wjet import abs2, eval_jet, fd_jet, z, zbar
@@ -74,6 +74,21 @@ def check_tolerance(name: str, value) -> float:
     return v
 
 
+def _as_int(what: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_sampling(samples: int, seed: int):
+    """Reject a sample count or an RNG seed that cannot draw points."""
+    if samples < 1:
+        raise ConfigError("samples must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class SuiteConfig:
     chart: dict
@@ -96,7 +111,7 @@ class SuiteConfig:
             grid = [(float(t), float(s)) for t, s in grid]
         except (TypeError, ValueError):
             raise ConfigError("params_grid must be a list of [t, s] pairs") from None
-        count = int(raw.get("sample_count", 50))
+        count = _as_int("sample_count", raw.get("sample_count", 50))
         if count < 1:
             raise ConfigError("sample_count must be >= 1")
         tol = raw.get("tolerances", {})
@@ -105,11 +120,13 @@ class SuiteConfig:
         tol = {name: check_tolerance(name, v) for name, v in tol.items()}
         checks = raw.get("checks")
         if checks is not None:
+            if not isinstance(checks, list):
+                raise ConfigError("checks must be a list of check names or null")
             bad = [c for c in checks if c not in DEFAULT_TOLERANCES]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
         return SuiteConfig(chart=raw["chart"], params_grid=grid,
-                           sample_count=count, seed=int(raw.get("seed", 0)),
+                           sample_count=count, seed=_as_int("seed", raw.get("seed", 0)),
                            tolerances=tol, checks=checks,
                            output=raw.get("output"))
 
@@ -210,6 +227,7 @@ def _jet_rel_err(f, pt) -> float:
 def run_suite(config: SuiteConfig) -> Report:
     """Run the selected verification battery; failures are recorded, not
     raised."""
+    _check_sampling(config.sample_count, config.seed)
     try:
         chart = make_chart(config.chart)
     except GauduchonError as exc:
@@ -226,14 +244,16 @@ def run_suite(config: SuiteConfig) -> Report:
         return selected is None or name in selected
 
     def add(name, residuals, tolerance, params=None, value=None, detail="",
-            t0=None, points=None):
+            t0=None, points=None, wall_time_s=None):
         rmax, rmean = _stats(residuals)
+        if t0 is not None:
+            wall_time_s = time.perf_counter() - t0
         records.append(Record(
             name=name, chart=chart.label, params=params,
             points=points if points is not None else len(pts),
             residual_max=rmax, residual_mean=rmean, tolerance=tolerance,
             passed=bool(rmax <= tolerance), value=value, detail=detail,
-            wall_time_s=(time.perf_counter() - t0) if t0 is not None else None))
+            wall_time_s=wall_time_s))
 
     if want("wjet_oracle"):
         t0 = time.perf_counter()
@@ -313,17 +333,16 @@ def run_suite(config: SuiteConfig) -> Report:
                 res.append(abs(hsc(C, eta) - hsc(S, eta)))
         add("hsc_symmetrize", res, tol["hsc_symmetrize"], t0=t0, points=len(small))
 
-    if want("constancy"):
-        for (t, s) in config.params_grid:
-            t0 = time.perf_counter()
-            cs, res = [], []
-            for p in pts:
-                c, r = constancy_residual(canonical_curvature(chart, (t, s), p))
-                cs.append(c)
-                res.append(r)
-            add("constancy", res, tol["constancy"], params=(t, s),
-                value=float(np.mean(cs)), t0=t0,
-                detail=f"c in [{min(cs):.6g}, {max(cs):.6g}]; "
+    if want("constancy") and config.params_grid:
+        # One table for the whole grid; each record gets an equal share of
+        # its wall time.
+        t0 = time.perf_counter()
+        cs, res = constancy_table(chart, config.params_grid, pts)
+        share = (time.perf_counter() - t0) / len(config.params_grid)
+        for (t, s), c, r in zip(config.params_grid, cs, res):
+            add("constancy", r, tol["constancy"], params=(t, s),
+                value=float(np.mean(c)), wall_time_s=share,
+                detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
                        f"circle_residual={circle_residual(t, s):.6g}")
 
     if want("kahler_families"):
@@ -388,7 +407,11 @@ def parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range {text!r} must be a:b:n")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(f"range {text!r} must be a:b:n with numbers a, b "
+                          f"and an integer n") from None
     if n < 2:
         raise ConfigError("range resolution must be >= 2")
     return a, b, n
@@ -402,20 +425,16 @@ def scan_ts(chart_spec: dict, t_range, s_range, samples: int = 20, seed: int = 0
     cell.
     """
     chart = make_chart(chart_spec)
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    _check_sampling(samples, seed)
     ta, tb, tn = t_range
     sa, sb, sn = s_range
     if int(tn) < 2 or int(sn) < 2:
         raise ConfigError("scan resolution must be >= 2 per axis")
     pts = sample_points(chart, samples, np.random.default_rng(seed))
-    rows = []
-    for t in np.linspace(ta, tb, tn):
-        for s in np.linspace(sa, sb, sn):
-            worst = max(constancy_residual(canonical_curvature(chart, (t, s), p))[1]
-                        for p in pts)
-            rows.append((float(t), float(s), float(worst),
-                         float(circle_residual(t, s))))
+    cells = [(t, s) for t in np.linspace(ta, tb, tn) for s in np.linspace(sa, sb, sn)]
+    _, res = constancy_table(chart, cells, pts)
+    rows = [(float(t), float(s), float(worst), float(circle_residual(t, s)))
+            for (t, s), worst in zip(cells, res.max(axis=1))]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -469,6 +488,7 @@ def curv_csv(payload: dict) -> str:
 def hsc_payload(chart_spec: dict, t: float, s: float, samples: int,
                 seed: int, directions: int = 8) -> dict:
     chart = make_chart(chart_spec)
+    _check_sampling(samples, seed)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
     per_point = []

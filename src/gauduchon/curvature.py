@@ -148,23 +148,43 @@ def lc_mixed_christoffel(chart: MetricChart, z) -> np.ndarray:
 # Gauduchon and canonical families (assembled from LC + torsion)
 
 
+def canonical_weights(params) -> np.ndarray:
+    """Weights (1, p, p^2 - 2p, s^2 - 1), p = t - t s, of the four
+    `canonical_basis` tensors in the curvature of D^t_s."""
+    pr = as_params(params)
+    p = pr.p
+    return np.array([1.0, p, p * p - 2 * p, pr.s * pr.s - 1])
+
+
+def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
+    """The four tensors B[m, k, l, i, j] whose `canonical_weights` combination
+    is the curvature of D^t_s at z:
+
+    B[0] = R_{k lbar i jbar} (Levi-Civita),
+    B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
+    B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
+    B[3] = conj(T^k_rj) T^l_ir.
+    """
+    R = lc_curvature(chart, z, frame).R
+    T = chern_torsion(chart, z, frame)
+    TD = torsion_cov_deriv(chart, z, frame)
+    term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
+    term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
+        - np.einsum("jrk,irl->klij", T, np.conj(T))
+    term3 = np.einsum("krj,lir->klij", np.conj(T), T)
+    return np.stack([R, term1, term2, term3])
+
+
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
     """Curvature of the canonical connection D^t_s.
 
     R^D_{k lbar i jbar} = R_{k lbar i jbar} + p (T^j_{ik,lbar}
     + conj(T^i_{jl,kbar})) + (p^2 - 2p)(T^r_ik conj(T^r_jl)
-    - T^j_rk conj(T^i_rl)) + (s^2 - 1) conj(T^k_rj) T^l_ir,  p = t - t s.
+    - T^j_rk conj(T^i_rl)) + (s^2 - 1) conj(T^k_rj) T^l_ir,  p = t - t s,
+    i.e. the `canonical_weights` combination of the `canonical_basis`.
     """
     pr = as_params(params)
-    R = lc_curvature(chart, z, frame).R
-    T = chern_torsion(chart, z, frame)
-    TD = torsion_cov_deriv(chart, z, frame)
-    p, s = pr.p, pr.s
-    term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
-    term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
-        - np.einsum("jrk,irl->klij", T, np.conj(T))
-    term3 = np.einsum("krj,lir->klij", np.conj(T), T)
-    RD = R + p * term1 + (p * p - 2 * p) * term2 + (s * s - 1) * term3
+    RD = np.tensordot(canonical_weights(pr), canonical_basis(chart, z, frame), 1)
     return Curv4(RD, connection=f"canonical(t={pr.t:g}, s={pr.s:g})")
 
 
@@ -179,16 +199,21 @@ def gauduchon_curvature(chart: MetricChart, t: float, z, frame=None) -> Curv4:
 # Symmetrization, HSC, constancy
 
 
+def _symmetrized(R: np.ndarray) -> np.ndarray:
+    """Symmetrization of the last four axes of R (leading axes stack
+    tensors)."""
+    # Two nested pair-symmetrizations keep the i<->k and j<->l symmetries
+    # exact (a flat 4-term sum would round differently across permutations).
+    S = R + np.einsum("...kjil->...ijkl", R)
+    return 0.25 * (S + np.einsum("...ilkj->...ijkl", S))
+
+
 def symmetrize(C) -> Curv4:
     """Symmetrization Rhat_{i jbar k lbar} = (R_{i jbar k lbar}
     + R_{k jbar i lbar} + R_{i lbar k jbar} + R_{k lbar i jbar}) / 4."""
-    R = tensor_of(C)
-    # Two nested pair-symmetrizations keep the i<->k and j<->l symmetries
-    # exact (a flat 4-term sum would round differently across permutations).
-    S = R + np.einsum("kjil->ijkl", R)
-    Rh = 0.25 * (S + np.einsum("ilkj->ijkl", S))
     name = C.connection if isinstance(C, Curv4) else ""
-    return Curv4(Rh, connection=f"sym({name})" if name else "sym")
+    return Curv4(_symmetrized(tensor_of(C)),
+                 connection=f"sym({name})" if name else "sym")
 
 
 def hsc(C, eta) -> float:
@@ -217,34 +242,55 @@ class HSCReport:
 
 def hsc_report(chart: MetricChart, params, points) -> HSCReport:
     """Constancy scan of the canonical curvature over the given points."""
-    rows = []
-    for p in points:
-        c, res = constancy_residual(canonical_curvature(chart, params, p))
-        rows.append((np.asarray(p, dtype=complex), c, res))
-    return HSCReport(
-        c_mean=float(np.mean([r[1] for r in rows])),
-        residual_max=float(max(r[2] for r in rows)),
-        rows=rows)
+    c, res = constancy_table(chart, [params], points)
+    rows = [(np.asarray(p, dtype=complex), float(cp), float(rp))
+            for p, cp, rp in zip(points, c[0], res[0])]
+    return HSCReport(c_mean=float(np.mean(c)), residual_max=float(res.max()),
+                     rows=rows)
+
+
+def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
+    """Constancy estimates of the tensors W @ Rh, Rh a stack of symmetrized
+    tensors (m, n, n, n, n) and W an (r, m) weight matrix.
+
+    c is the normalized diagonal average 2/(n(n+1)) sum_{k,i} Re Rh[k,k,i,i]
+    (exact whenever constancy holds), the target is c/2 (delta delta
+    + delta delta) and the residual is the max-norm of Rhat - target.  All
+    three are linear in Rh, so c comes from the stack's diagonal sums and
+    every row needs one pass over the n^4 components.  Returns (c, residual),
+    each of length r.
+    """
+    n = Rh.shape[-1]
+    flat = Rh.reshape(len(Rh), -1)
+    eye = np.eye(n)
+    dd = np.einsum("kl,ij->klij", eye, eye).ravel()
+    unit = 0.5 * (dd + np.einsum("kj,il->klij", eye, eye).ravel())
+    c = W @ (flat.real @ dd) * (2.0 / (n * (n + 1)))
+    residual = np.max(np.abs(W @ flat - c[:, None] * unit), axis=1)
+    return c, residual
 
 
 def constancy_residual(C) -> tuple[float, float]:
-    """Estimate (c, residual) of pointwise HSC constancy.
+    """Estimate (c, residual) of pointwise HSC constancy of one tensor; see
+    `_constancy_fit`."""
+    c, residual = _constancy_fit(np.ones((1, 1)), _symmetrized(tensor_of(C))[None])
+    return float(c[0]), float(residual[0])
 
-    c is the normalized diagonal average of the symmetrized tensor (exact
-    whenever constancy holds); residual is the max-norm of
-    Rhat - c/2 (delta delta + delta delta).
+
+def constancy_table(chart: MetricChart, params_list, points):
+    """Constancy estimates of D^t_s for every (t, s) in params_list at every
+    point: arrays c[cell, point] and residual[cell, point].
+
+    Each point's `canonical_basis` is built and symmetrized once; every cell
+    is then one row of a weight matrix applied to it, so the cost grows with
+    the points, not with cells x points.
     """
-    Rh = symmetrize(C).R
-    n = Rh.shape[0]
-    total = 0.0
-    for i in range(n):
-        for k in range(i, n):
-            total += 2.0 * Rh[i, i, k, k].real / (1.0 + (i == k))
-    c = 2.0 * total / (n * (n + 1))
-    eye = np.eye(n)
-    target = 0.5 * c * (np.einsum("kl,ij->klij", eye, eye)
-                        + np.einsum("kj,il->klij", eye, eye))
-    residual = float(np.max(np.abs(Rh - target)))
+    W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
+    c = np.empty((len(W), len(points)))
+    residual = np.empty_like(c)
+    for j, p in enumerate(points):
+        c[:, j], residual[:, j] = _constancy_fit(
+            W, _symmetrized(canonical_basis(chart, p)))
     return c, residual
 
 

@@ -133,6 +133,15 @@ def test_cli_suite_timestamp_fields(tmp_path):
     assert all("wall_time_s" in r for r in report["records"])
 
 
+def test_constancy_records_share_the_table_wall_time():
+    config = SuiteConfig.from_dict({
+        "chart": {"chart": "hopf_standard", "n": 2},
+        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [0.0, 0.0]],
+        "sample_count": 3, "checks": ["constancy"]})
+    times = [r.wall_time_s for r in run_suite(config).records]
+    assert len(times) == 3 and times[0] > 0 and len(set(times)) == 1
+
+
 def test_cli_suite_failure_exit_code(tmp_path):
     cfg = write_json(tmp_path, "cfg.json", {
         "chart": {"chart": "hopf_standard", "n": 2},
@@ -162,6 +171,38 @@ def test_cli_bad_tol_exit_2(tmp_path, item):
     assert main(["suite", cfg, "--no-timestamp", "--tol", item,
                  "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
+
+
+BAD_INPUTS = [
+    ("scan", ["--t=a:1:2", "--s=0:1:2"]),
+    ("scan", ["--t=0:b:2", "--s=0:1:2"]),
+    ("scan", ["--t=0:1:x", "--s=0:1:2"]),
+    ("scan", ["--t=0:1:2", "--s=0:1:2.5"]),
+    ("scan", ["--t=0:1:2", "--s=0:1:2", "--seed=-1"]),
+    ("suite", {"sample_count": "abc"}),
+    ("suite", {"seed": "x"}),
+    ("suite", {"seed": None}),
+    ("suite", {"seed": -1}),
+    ("suite", {"checks": "constancy"}),
+    ("hsc", ["--t", "3", "--samples", "0"]),
+    ("hsc", ["--t", "3", "--seed=-1"]),
+]
+
+
+@pytest.mark.parametrize("command,bad", BAD_INPUTS)
+def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, command, bad):
+    """main() reports "config error" only for a ConfigError; any other
+    exception would escape it and fail the test."""
+    if command == "suite":
+        raw = {"chart": {"chart": "euclidean", "n": 2}, "sample_count": 2, **bad}
+        argv = ["suite", write_json(tmp_path, "cfg.json", raw)]
+    else:
+        chart = write_json(tmp_path, "chart.json", {"chart": "euclidean", "n": 2})
+        argv = [command, "--chart", chart, *bad]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_2(tmp_path):
