@@ -32,5 +32,5 @@ from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,
                      GauduchonError, InvalidSpec, NonFinite,
                      NonRealConformalFactor, NotHermitian, NotPositiveDefinite,
                      ZeroPoint, ZeroVector)
-from .wjet import (ScalarField, WJet2, abs2, const, eval_jet, exp, fd_jet,
+from .wjet import (ScalarField, WJet2, abs2, const, eval_jet, eval_jets, exp, fd_jet,
                    log, parse_field, z, zbar)

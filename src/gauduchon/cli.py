@@ -31,7 +31,8 @@ from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import make_chart, sample_points
 from .conformal import (commutation_residual, delta_canonical_predicted,
                         delta_direct, rescale, torsion_transform_residual)
-from .connection import chern_torsion, metric_jet, unitary_frame
+from .connection import (chern_torsion, metric_jet, unitary_frame, _as_key,
+                         _metric_points)
 from .curvature import (canonical_curvature, chern_curvature, constancy_residual,
                         constancy_table, curv4_rows, gauduchon_curvature, hsc,
                         lc_curvature, selfdual_residual, symmetrize, weyl_minus)
@@ -75,6 +76,10 @@ def check_tolerance(name: str, value) -> float:
 
 
 def _as_int(what: str, value) -> int:
+    """An integer config value: an int, an integral float such as 3.0 or a
+    string of digits.  Booleans and fractions are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -239,6 +244,9 @@ def run_suite(config: SuiteConfig) -> Report:
     small = pts[:min(len(pts), 10)]
     records: list[Record] = []
     selected = config.checks
+    if selected is None or set(selected) - {"wjet_oracle"}:
+        # Every check but the jet oracle reads the points' metric data.
+        _metric_points(chart, [_as_key(p) for p in pts])
 
     def want(name: str) -> bool:
         return selected is None or name in selected
@@ -491,6 +499,7 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int,
     _check_sampling(samples, seed)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
+    _metric_points(chart, [_as_key(p) for p in pts])
     per_point = []
     for p in pts:
         C = canonical_curvature(chart, (t, s), p)

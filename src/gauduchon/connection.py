@@ -16,14 +16,15 @@ coefficient exactly 1.
 
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
-from .wjet import ScalarField, WJet2, as_point, eval_jet
+from .wjet import ScalarField, WJet2, as_point, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
@@ -107,6 +108,7 @@ class _PointData:
     dbardbarG: np.ndarray
     ginv: np.ndarray      # ginv[k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
+    lc: object = None     # curvature._LCData, built on first use
 
 
 def _freeze(data):
@@ -121,38 +123,87 @@ def _as_key(z) -> tuple:
     return tuple(complex(c) for c in as_point(z))
 
 
-@lru_cache(maxsize=2048)
+# Points kept per chart; the least recently used point goes first.
+POINT_STORE_SIZE = 2048
+# chart -> {point key: _PointData}.  Weak keys: a chart's points go with it.
+_STORE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _metric_points(chart: MetricChart, keys) -> list[_PointData]:
+    """Point data of `chart` at each point key, from the chart's store.
+
+    All misses are evaluated in one batch walk over the chart's component
+    trees and checked point by point.  If any point fails (outside the
+    domain, at an expression guard, not Hermitian positive definite), the
+    error is raised and nothing of the batch is stored."""
+    store = _STORE.get(chart)
+    if store is None:
+        store = _STORE[chart] = OrderedDict()
+    found = {}
+    for key in keys:
+        pd = store.get(key)
+        if pd is not None:
+            store.move_to_end(key)
+        found[key] = pd
+    missing = [key for key, pd in found.items() if pd is None]
+    if missing:
+        found.update(zip(missing, _point_batch(chart, missing)))
+        for key in missing:
+            store[key] = found[key]
+        while len(store) > POINT_STORE_SIZE:
+            store.popitem(last=False)
+    return [found[key] for key in keys]
+
+
 def _metric_point(chart: MetricChart, zkey: tuple) -> _PointData:
-    z = np.array(zkey, dtype=complex)
-    if len(z) != chart.n:
-        raise DomainError(f"point of dim {len(z)} on chart of dim {chart.n}")
-    if chart.domain is not None and not chart.domain(z):
-        raise DomainError(f"point {z} outside domain of {chart.label}")
-    n = chart.n
-    jets = [[eval_jet(chart.g[i][j], z) for j in range(n)] for i in range(n)]
+    store = _STORE.get(chart)
+    pd = store.get(zkey) if store is not None else None
+    if pd is None:
+        return _metric_points(chart, [zkey])[0]
+    store.move_to_end(zkey)
+    return pd
+
+
+def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
+    for key in keys:
+        if len(key) != chart.n:
+            raise DomainError(f"point of dim {len(key)} on chart of dim {chart.n}")
+    Z = np.array(keys, dtype=complex)
+    if chart.domain is not None:
+        for z in Z:
+            if not chart.domain(z):
+                raise DomainError(f"point {z} outside domain of {chart.label}")
+    n, P = chart.n, len(Z)
+    jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
     # Stack each jet part over the components, component pair (i, j) last.
-    G, dG, dbarG, ddG, ddbarG, dbardbarG = (np.ascontiguousarray(np.moveaxis(
-        np.array([[getattr(J, part) for J in row] for row in jets], dtype=complex),
-        (0, 1), (-2, -1))) for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"))
-    herm_defect = np.max(np.abs(G - G.conj().T))
-    if herm_defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(G))):
-        raise NotPositiveDefinite(
-            f"metric of {chart.label} is not Hermitian at {z} (defect {herm_defect:.2e})")
-    Gh = 0.5 * (G + G.conj().T)
-    eigmin = float(np.linalg.eigvalsh(Gh).min())
-    if eigmin <= 0:
-        raise NotPositiveDefinite(
-            f"metric of {chart.label} has smallest eigenvalue {eigmin:.3e} at {z}")
-    ginv = np.linalg.inv(G).T
+    G, dG, dbarG, ddG, ddbarG, dbardbarG = (
+        np.stack([getattr(J, part) for J in jets], axis=-1).reshape(
+            (P,) + getattr(jets[0], part).shape[1:] + (n, n))
+        for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"))
+    GH = G.conj().transpose(0, 2, 1)
+    herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
+    Gh = 0.5 * (G + GH)
+    eigmin = np.linalg.eigvalsh(Gh).min(axis=1)
+    for z, defect, scale, lam in zip(Z, herm_defect, np.max(np.abs(G), axis=(1, 2)),
+                                     eigmin):
+        if defect > HERMITIAN_TOL * max(1.0, scale):
+            raise NotPositiveDefinite(
+                f"metric of {chart.label} is not Hermitian at {z} (defect {defect:.2e})")
+        if lam <= 0:
+            raise NotPositiveDefinite(
+                f"metric of {chart.label} has smallest eigenvalue {lam:.3e} at {z}")
+    ginv = np.linalg.inv(G).transpose(0, 2, 1)
     L = np.linalg.cholesky(Gh)          # G = L L^H, deterministic, no pivoting
     # Unitarity of a (1,0) frame means g(e_a, ebar_b) = (E^T G conj(E))[a,b]
     # = delta_ab; conjugation sits on the barred slot.
-    E = np.linalg.inv(L.T)
-    defect = np.max(np.abs(E.T @ G @ E.conj() - np.eye(n)))
-    if not defect < FRAME_TOL:
-        raise NotPositiveDefinite(
-            f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}")
-    return _freeze(_PointData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E))
+    E = np.linalg.inv(L.transpose(0, 2, 1))
+    defects = np.max(np.abs(E.transpose(0, 2, 1) @ G @ E.conj() - np.eye(n)), axis=(1, 2))
+    for z, defect in zip(Z, defects):
+        if not defect < FRAME_TOL:
+            raise NotPositiveDefinite(
+                f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}")
+    return [_freeze(_PointData(*parts)) for parts in
+            zip(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)]
 
 
 def metric_jet(chart: MetricChart, z):

@@ -18,13 +18,12 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .connection import (MetricChart, as_params, chern_torsion, metric_values,
                          torsion_cov_deriv, _as_key, _frame_matrix, _freeze,
-                         _metric_point, _to_frame)
+                         _metric_point, _metric_points, _to_frame)
 from .errors import DimensionError, NotHermitian, ZeroVector
 
 
@@ -75,10 +74,18 @@ class _LCData:
     s_g: float
 
 
-@lru_cache(maxsize=2048)
 def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
+    """Levi-Civita data at a point, kept with the point's metric data."""
     pd = _metric_point(chart, zkey)
-    n = chart.n
+    if pd.lc is None:
+        pd.lc = _freeze(_lc_data(pd))
+    return pd.lc
+
+
+def _lc_data(pd) -> _LCData:
+    """Complexified metric, Christoffel symbols, Riemann tensor and scalar
+    curvature from one point's stacked metric jets."""
+    n = pd.G.shape[0]
     N = 2 * n
     M = np.zeros((N, N), dtype=complex)
     dM = np.zeros((N, N, N), dtype=complex)     # dM[a, b, c] = d_a M[b, c]
@@ -95,23 +102,28 @@ def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
     ddM = ddM + ddM.transpose(0, 1, 3, 2)
     Minv = np.linalg.inv(M)
 
+    # Each contraction below is one matmul over its summed axis; an
+    # unoptimized einsum would loop over every index combination.
     S = dM + dM.transpose(2, 1, 0) - dM.transpose(1, 0, 2)
-    Gamma = 0.5 * np.einsum("ad,bdc->abc", Minv, S)
+    Sd = S.transpose(1, 0, 2).reshape(N, N * N)           # Sd[d, (b, c)] = S[b, d, c]
+    Gamma = 0.5 * (Minv @ Sd).reshape(N, N, N)            # Gamma^a_bc
 
     dS = ddM + ddM.transpose(0, 3, 2, 1) - ddM.transpose(0, 2, 1, 3)
-    dMinv = -np.einsum("ab,ebc,cd->ead", Minv, dM, Minv)
-    dGamma = 0.5 * (np.einsum("ead,bdc->eabc", dMinv, S)
-                    + np.einsum("ad,ebdc->eabc", Minv, dS))
+    dMinv = -(Minv @ dM @ Minv)                           # dMinv[e] = d_e Minv
+    dGamma = 0.5 * ((dMinv.reshape(N * N, N) @ Sd).reshape(N, N, N, N)
+                    + (Minv @ dS.transpose(0, 2, 1, 3).reshape(N, N, N * N))
+                    .reshape(N, N, N, N))                 # dGamma[e, a, b, c]
 
     # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a
     X = np.einsum("cadb->abcd", dGamma)
     Y = np.einsum("dacb->abcd", dGamma)
-    P = np.einsum("ace,edb->abcd", Gamma, Gamma)
-    Q = np.einsum("ade,ecb->abcd", Gamma, Gamma)
-    Rup = X - Y + P - Q
-    Riem = np.einsum("abcd,af->cdbf", Rup, M)
+    # GG[a, x, y, b] = Gamma^a_xe Gamma^e_yb; P[a,b,c,d] = GG[a,c,d,b] and
+    # Q[a,b,c,d] = GG[a,d,c,b].
+    GG = (Gamma.reshape(N * N, N) @ Gamma.reshape(N, N * N)).reshape(N, N, N, N)
+    Rup = X - Y + GG.transpose(0, 3, 1, 2) - GG.transpose(0, 3, 2, 1)
+    Riem = np.tensordot(Rup, M, axes=(0, 0)).transpose(1, 2, 0, 3)
     s_g = float(np.real(np.einsum("ac,bd,abdc->", Minv, Minv, Riem)))
-    return _freeze(_LCData(M, Minv, Gamma, Riem, s_g))
+    return _LCData(M, Minv, Gamma, Riem, s_g)
 
 
 def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
@@ -281,11 +293,13 @@ def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    Each point's `canonical_basis` is built and symmetrized once; every cell
+    The points' metric jets come from one batch walk.  Each point's
+    `canonical_basis` is built and symmetrized once; every cell
     is then one row of a weight matrix applied to it, so the cost grows with
     the points, not with cells x points.
     """
     W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
+    _metric_points(chart, [_as_key(p) for p in points])
     c = np.empty((len(W), len(points)))
     residual = np.empty_like(c)
     for j, p in enumerate(points):

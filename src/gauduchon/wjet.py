@@ -3,8 +3,10 @@
 Fields are immutable expression trees over the primitives {constant, z_i,
 zbar_i}, closed under +, -, *, /, integer powers, exp and log.  `eval_jet`
 propagates the full second-order Wirtinger jet (value, d, dbar, dd, ddbar,
-dbardbar) exactly through the tree; `fd_jet` is an independent central
-finite-difference oracle in the 2n underlying real coordinates.
+dbardbar) exactly through the tree; `eval_jets` does the same for several
+trees at a batch of points in one walk, evaluating each shared node once.
+`fd_jet` is an independent central finite-difference oracle in the 2n
+underlying real coordinates.
 
 Conventions: z_i = x_i + 1j*y_i, d_i = (d/dx_i - 1j d/dy_i)/2 and
 dbar_i = (d/dx_i + 1j d/dy_i)/2.  z and zbar are independent variables, so
@@ -36,6 +38,42 @@ def as_point(z) -> np.ndarray:
     return z
 
 
+def _col(a) -> np.ndarray:
+    """A value (scalar or batch (P,)) as a column that broadcasts over one
+    trailing axis."""
+    return np.asarray(a)[..., None]
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Outer product over the last axis, rowwise over any batch axis."""
+    return x[..., None] * y[..., None, :]
+
+
+def _first_row(bad) -> int | None:
+    """First batch row where the mask `bad` (batch axis first) holds; None
+    for an unbatched mask."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0:
+        return None
+    return int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+
+
+def _refuse(err: Exception, row: int | None):
+    """Raise err, tagged with the batch row it concerns so that the batch
+    walk can name the offending point."""
+    err.row = row
+    raise err
+
+
+def _guard(u, what: str):
+    """Refuse arguments of log, 1/x and negative powers with |u| < GUARD."""
+    small = np.abs(u) < GUARD
+    if np.any(small):
+        row = _first_row(small)
+        bad = abs(u if row is None else u[row])
+        _refuse(DomainError(f"{what} = {bad:.3e}"), row)
+
+
 @dataclass(eq=False)
 class WJet2:
     """Value of a scalar field plus all Wirtinger partials through order 2.
@@ -43,6 +81,10 @@ class WJet2:
     d[i] = d_i f, dbar[i] = dbar_i f, dd[i,j] = d_i d_j f,
     ddbar[i,j] = d_i dbar_j f, dbardbar[i,j] = dbar_i dbar_j f.
     dd and dbardbar are exactly symmetric by construction.
+
+    A jet may carry a leading batch axis of P points: value (P,), d and
+    dbar (P, n), the second-order parts (P, n, n).  The arithmetic is
+    rowwise and broadcasts, so batched and unbatched jets combine.
     """
 
     value: complex
@@ -54,28 +96,30 @@ class WJet2:
 
     @property
     def n(self) -> int:
-        return self.d.shape[0]
+        return self.d.shape[-1]
 
     @staticmethod
-    def constant(c: complex, n: int) -> "WJet2":
-        return WJet2(complex(c), np.zeros(n, complex), np.zeros(n, complex),
-                     np.zeros((n, n), complex), np.zeros((n, n), complex),
-                     np.zeros((n, n), complex))
+    def constant(c: complex, n: int, batch: tuple = ()) -> "WJet2":
+        value = np.full(batch, complex(c)) if batch else complex(c)
+        return WJet2(value, np.zeros(batch + (n,), complex),
+                     np.zeros(batch + (n,), complex),
+                     np.zeros(batch + (n, n), complex),
+                     np.zeros(batch + (n, n), complex),
+                     np.zeros(batch + (n, n), complex))
 
     @staticmethod
     def coordinate(i: int, z: np.ndarray) -> "WJet2":
-        n = len(z)
-        j = WJet2.constant(z[i], n)
-        j.d = j.d.copy()
-        j.d[i] = 1.0
+        """Jet of z_i at the point z, or rowwise at a batch z of shape (P, n)."""
+        j = WJet2.constant(0.0, z.shape[-1], z.shape[:-1])
+        j.value = z[..., i]
+        j.d[..., i] = 1.0
         return j
 
     @staticmethod
     def conj_coordinate(i: int, z: np.ndarray) -> "WJet2":
-        n = len(z)
-        j = WJet2.constant(np.conj(z[i]), n)
-        j.dbar = j.dbar.copy()
-        j.dbar[i] = 1.0
+        j = WJet2.constant(0.0, z.shape[-1], z.shape[:-1])
+        j.value = np.conj(z[..., i])
+        j.dbar[..., i] = 1.0
         return j
 
     def _lift(self, other) -> "WJet2":
@@ -101,45 +145,51 @@ class WJet2:
     def __rsub__(self, other):
         return (-self) + self._lift(other)
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        a, b = self.value, o.value
+    def __mul__(self, o):
+        if not isinstance(o, WJet2):
+            # A constant factor has no derivatives: scale every part.
+            c = complex(o)
+            return WJet2(c * self.value, c * self.d, c * self.dbar, c * self.dd,
+                         c * self.ddbar, c * self.dbardbar)
+        a, b = _col(self.value), _col(o.value)
+        A, B = a[..., None], b[..., None]
         # dd/dbardbar stay exactly symmetric: cross terms are added as
         # X + X.T so the float sums commute entrywise.
-        cross = np.outer(self.d, o.d)
-        crossb = np.outer(self.dbar, o.dbar)
+        cross = _outer(self.d, o.d)
+        crossb = _outer(self.dbar, o.dbar)
         return WJet2(
-            a * b,
+            self.value * o.value,
             self.d * b + a * o.d,
             self.dbar * b + a * o.dbar,
-            (self.dd * b + a * o.dd) + (cross + cross.T),
-            self.ddbar * b + np.outer(self.d, o.dbar) + np.outer(o.d, self.dbar)
-            + a * o.ddbar,
-            (self.dbardbar * b + a * o.dbardbar) + (crossb + crossb.T),
+            (self.dd * B + A * o.dd) + (cross + cross.swapaxes(-1, -2)),
+            self.ddbar * B + _outer(self.d, o.dbar) + _outer(o.d, self.dbar)
+            + A * o.ddbar,
+            (self.dbardbar * B + A * o.dbardbar) + (crossb + crossb.swapaxes(-1, -2)),
         )
 
     __rmul__ = __mul__
 
     def compose(self, h0: complex, h1: complex, h2: complex) -> "WJet2":
         """Chain rule for a scalar function h applied to this jet, given
-        h(value), h'(value), h''(value)."""
+        h(value), h'(value), h''(value) (rowwise in a batch)."""
         # Vectorized complex multiply is not bit-commutative, so outer(d, d)
         # needs explicit symmetrization to keep dd exactly symmetric.
-        X = np.outer(self.d, self.d)
-        Xb = np.outer(self.dbar, self.dbar)
+        X = _outer(self.d, self.d)
+        Xb = _outer(self.dbar, self.dbar)
+        g1 = _col(h1)
+        G1, G2 = g1[..., None], _col(h2)[..., None]
         return WJet2(
             h0,
-            h1 * self.d,
-            h1 * self.dbar,
-            h2 * (0.5 * (X + X.T)) + h1 * self.dd,
-            h2 * np.outer(self.d, self.dbar) + h1 * self.ddbar,
-            h2 * (0.5 * (Xb + Xb.T)) + h1 * self.dbardbar,
+            g1 * self.d,
+            g1 * self.dbar,
+            G2 * (0.5 * (X + X.swapaxes(-1, -2))) + G1 * self.dd,
+            G2 * _outer(self.d, self.dbar) + G1 * self.ddbar,
+            G2 * (0.5 * (Xb + Xb.swapaxes(-1, -2))) + G1 * self.dbardbar,
         )
 
     def reciprocal(self) -> "WJet2":
         u = self.value
-        if abs(u) < GUARD:
-            raise DomainError(f"division guard: |denominator| = {abs(u):.3e}")
+        _guard(u, "division guard: |denominator|")
         return self.compose(1.0 / u, -1.0 / u**2, 2.0 / u**3)
 
     def __truediv__(self, other):
@@ -154,27 +204,35 @@ class WJet2:
 
     def log(self) -> "WJet2":
         u = self.value
-        if abs(u) < GUARD:
-            raise DomainError(f"log guard: |argument| = {abs(u):.3e}")
+        _guard(u, "log guard: |argument|")
         return self.compose(np.log(u), 1.0 / u, -1.0 / u**2)
 
     def __pow__(self, k: int) -> "WJet2":
         if not isinstance(k, (int, np.integer)):
             raise TypeError("jet powers must be integers")
         u = self.value
-        if k < 0 and abs(u) < GUARD:
-            raise DomainError(f"negative power guard: |base| = {abs(u):.3e}")
+        if k < 0:
+            _guard(u, "negative power guard: |base|")
         if k == 0:
-            return WJet2.constant(1.0, self.n)
-        return self.compose(u**k, k * u ** (k - 1), k * (k - 1) * u ** (k - 2))
+            return WJet2.constant(1.0, self.n, np.shape(u))
+        # k = 1 has h'' = 0; u**(k - 2) would divide by a zero base.
+        h2 = k * (k - 1) * u ** (k - 2) if k != 1 else 0.0
+        return self.compose(u**k, k * u ** (k - 1), h2)
 
     def check_finite(self) -> "WJet2":
         for block in (self.d, self.dbar, self.dd, self.ddbar, self.dbardbar):
             if not np.all(np.isfinite(block)):
-                raise NonFinite("jet component overflowed")
-        if not np.isfinite(self.value):
-            raise NonFinite("field value overflowed")
+                _refuse(NonFinite("jet component overflowed"),
+                        _first_row(~np.isfinite(block)))
+        if not np.all(np.isfinite(self.value)):
+            _refuse(NonFinite("field value overflowed"),
+                    _first_row(~np.isfinite(self.value)))
         return self
+
+    def row(self, p: int) -> "WJet2":
+        """The unbatched jet of batch row p (views)."""
+        return WJet2(self.value[p], self.d[p], self.dbar[p], self.dd[p],
+                     self.ddbar[p], self.dbardbar[p])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +285,8 @@ class ScalarField:
     def _value(self, z: np.ndarray) -> complex:
         raise NotImplementedError
 
-    def _jet(self, z: np.ndarray) -> WJet2:
+    def _jet(self, walk: "_BatchWalk") -> WJet2:
+        """Batched jet of this node at walk.Z; children come from walk(...)."""
         raise NotImplementedError
 
     def serialize(self) -> str:
@@ -251,8 +310,8 @@ class Const(ScalarField):
     def _value(self, z):
         return self.value
 
-    def _jet(self, z):
-        return WJet2.constant(self.value, len(z))
+    def _jet(self, walk):
+        return WJet2.constant(self.value, walk.n, walk.batch)
 
     def serialize(self):
         return _num_str(self.value)
@@ -267,10 +326,10 @@ class Coord(ScalarField):
             raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {len(z)}")
         return z[self.i]
 
-    def _jet(self, z):
-        if self.i >= len(z):
-            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {len(z)}")
-        return WJet2.coordinate(self.i, z)
+    def _jet(self, walk):
+        if self.i >= walk.n:
+            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {walk.n}")
+        return WJet2.coordinate(self.i, walk.Z)
 
     def serialize(self):
         return f"z{self.i + 1}"
@@ -285,10 +344,10 @@ class CoordBar(ScalarField):
             raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {len(z)}")
         return np.conj(z[self.i])
 
-    def _jet(self, z):
-        if self.i >= len(z):
-            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {len(z)}")
-        return WJet2.conj_coordinate(self.i, z)
+    def _jet(self, walk):
+        if self.i >= walk.n:
+            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {walk.n}")
+        return WJet2.conj_coordinate(self.i, walk.Z)
 
     def serialize(self):
         return f"zbar{self.i + 1}"
@@ -302,8 +361,8 @@ class Add(ScalarField):
     def _value(self, z):
         return self.a._value(z) + self.b._value(z)
 
-    def _jet(self, z):
-        return self.a._jet(z) + self.b._jet(z)
+    def _jet(self, walk):
+        return walk(self.a) + walk(self.b)
 
     def serialize(self):
         return f"(add {self.a.serialize()} {self.b.serialize()})"
@@ -317,8 +376,8 @@ class Sub(ScalarField):
     def _value(self, z):
         return self.a._value(z) - self.b._value(z)
 
-    def _jet(self, z):
-        return self.a._jet(z) - self.b._jet(z)
+    def _jet(self, walk):
+        return walk(self.a) - walk(self.b)
 
     def serialize(self):
         return f"(sub {self.a.serialize()} {self.b.serialize()})"
@@ -332,8 +391,10 @@ class Mul(ScalarField):
     def _value(self, z):
         return self.a._value(z) * self.b._value(z)
 
-    def _jet(self, z):
-        return self.a._jet(z) * self.b._jet(z)
+    def _jet(self, walk):
+        if isinstance(self.a, Const):
+            return walk(self.b) * self.a.value
+        return walk(self.a) * walk(self.b)
 
     def serialize(self):
         return f"(mul {self.a.serialize()} {self.b.serialize()})"
@@ -350,8 +411,10 @@ class Div(ScalarField):
             raise DomainError(f"division guard: |denominator| = {abs(d):.3e}")
         return self.a._value(z) / d
 
-    def _jet(self, z):
-        return self.a._jet(z) / self.b._jet(z)
+    def _jet(self, walk):
+        if isinstance(self.a, Const):
+            return walk(self.b).reciprocal() * self.a.value
+        return walk(self.a) / walk(self.b)
 
     def serialize(self):
         return f"(div {self.a.serialize()} {self.b.serialize()})"
@@ -364,8 +427,8 @@ class Neg(ScalarField):
     def _value(self, z):
         return -self.a._value(z)
 
-    def _jet(self, z):
-        return -self.a._jet(z)
+    def _jet(self, walk):
+        return -walk(self.a)
 
     def serialize(self):
         return f"(neg {self.a.serialize()})"
@@ -382,8 +445,8 @@ class Pow(ScalarField):
             raise DomainError(f"negative power guard: |base| = {abs(v):.3e}")
         return v**self.k
 
-    def _jet(self, z):
-        return self.a._jet(z) ** self.k
+    def _jet(self, walk):
+        return walk(self.a) ** self.k
 
     def serialize(self):
         return f"(pow {self.a.serialize()} {self.k})"
@@ -396,8 +459,8 @@ class Exp(ScalarField):
     def _value(self, z):
         return np.exp(self.a._value(z))
 
-    def _jet(self, z):
-        return self.a._jet(z).exp()
+    def _jet(self, walk):
+        return walk(self.a).exp()
 
     def serialize(self):
         return f"(exp {self.a.serialize()})"
@@ -413,8 +476,8 @@ class Log(ScalarField):
             raise DomainError(f"log guard: |argument| = {abs(v):.3e}")
         return np.log(v)
 
-    def _jet(self, z):
-        return self.a._jet(z).log()
+    def _jet(self, walk):
+        return walk(self.a).log()
 
     def serialize(self):
         return f"(log {self.a.serialize()})"
@@ -456,12 +519,58 @@ def abs2(n: int) -> ScalarField:
 # Evaluation
 
 
+class _BatchWalk:
+    """One walk over expression trees at a batch of points Z (P, n).  Each
+    distinct node, matched by identity, is evaluated once: the catalog
+    charts share one tree across the diagonal and one Const(0) across the
+    off-diagonal entries."""
+
+    def __init__(self, Z: np.ndarray):
+        self.Z = Z
+        self.n = Z.shape[1]
+        self.batch = Z.shape[:1]
+        self._memo: dict[int, WJet2] = {}
+
+    def __call__(self, node: ScalarField) -> WJet2:
+        jet = self._memo.get(id(node))
+        if jet is None:
+            jet = self._memo[id(node)] = node._jet(self)
+        return jet
+
+
+def eval_jets(fields, points) -> list[WJet2]:
+    """Exact jets of each field at each of P points, from one walk over the
+    fields' trees.  Every returned jet carries the batch axis: value (P,),
+    d (P, n), dd (P, n, n) and so on; a field listed twice gets the same
+    jet object.  The domain, guard and finiteness checks hold per point;
+    their errors name the offending point."""
+    Z = np.asarray(points, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
+        raise DimensionError(f"points must be a (P, n) array, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise NonFinite(f"chart point {Z[_first_row(~np.isfinite(Z))]} has "
+                        "non-finite coordinates")
+    for field in fields:
+        if field.domain is not None:
+            for pt in Z:
+                if not field.domain(pt):
+                    raise DomainError(f"point {pt} outside field domain")
+    walk = _BatchWalk(Z)
+    try:
+        jets = [walk(field) for field in fields]
+        for jet in {id(j): j for j in jets}.values():
+            jet.check_finite()
+    except (DomainError, NonFinite) as exc:
+        row = getattr(exc, "row", None)
+        if row is None:
+            raise
+        raise type(exc)(f"{exc} at point {Z[row]}") from None
+    return jets
+
+
 def eval_jet(field: ScalarField, z) -> WJet2:
     """Exact second-order Wirtinger jet of `field` at the point z."""
-    pt = as_point(z)
-    if field.domain is not None and not field.domain(pt):
-        raise DomainError(f"point {pt} outside field domain")
-    return field._jet(pt).check_finite()
+    return eval_jets([field], as_point(z)[None])[0].row(0)
 
 
 def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:

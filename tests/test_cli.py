@@ -90,6 +90,25 @@ def test_suite_config_rejects_bad_tolerance_values(value):
                                "tolerances": {"constancy": value}})
 
 
+def test_suite_config_takes_integral_counts_and_seeds():
+    config = SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
+                                    "sample_count": 3.0, "seed": "4"})
+    assert (config.sample_count, config.seed) == (3, 4)
+    assert type(config.sample_count) is int and type(config.seed) is int
+
+
+def test_jet_oracle_alone_reads_no_metric_data():
+    """The suite fills the metric store up front only for checks that read
+    it, so the jet oracle still runs on a chart that is nowhere positive."""
+    config = SuiteConfig.from_dict({
+        "chart": {"chart": "inline", "n": 2,
+                  "g": [["(sub (mul z1 zbar1) 2)", "0"], ["0", "1"]]},
+        "sample_count": 3, "checks": ["wjet_oracle"]})
+    report = run_suite(config)
+    assert [r.name for r in report.records] == ["wjet_oracle"]
+    assert report.all_passed
+
+
 def test_suite_config_stores_tolerances_as_floats():
     config = SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
                                     "tolerances": {"constancy": "1e-3"}})
@@ -186,6 +205,10 @@ BAD_INPUTS = [
     ("suite", {"checks": "constancy"}),
     ("hsc", ["--t", "3", "--samples", "0"]),
     ("hsc", ["--t", "3", "--seed=-1"]),
+    ("suite", {"sample_count": 2.7}),
+    ("suite", {"sample_count": True}),
+    ("suite", {"seed": 1.5}),
+    ("suite", {"seed": False}),
 ]
 
 

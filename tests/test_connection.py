@@ -3,7 +3,7 @@ import pytest
 
 import gauduchon as gd
 from gauduchon.connection import ConnectionParams, metric_values
-from gauduchon.errors import NotPositiveDefinite
+from gauduchon.errors import DomainError, NotPositiveDefinite
 
 from conftest import pts_of
 
@@ -61,6 +61,73 @@ def test_cached_point_data_is_read_only(adm):
     with pytest.raises(ValueError):
         jets[1][1].ddbar[0, 0] = 42.0
     np.testing.assert_array_equal(gd.chern_torsion(adm, p), before)
+
+
+def test_store_lets_dropped_charts_go():
+    import gc
+    import weakref
+
+    from gauduchon.connection import _STORE
+
+    chart = gd.hopf_chart(2)
+    gd.chern_torsion(chart, [0.6, 0.2j])
+    gd.lc_curvature(chart, [0.6, 0.2j])
+    assert chart in _STORE
+    held = len(_STORE)
+    ref = weakref.ref(chart)
+    del chart
+    gc.collect()
+    assert ref() is None and len(_STORE) <= held - 1
+
+
+def test_store_keeps_at_most_its_bound_per_chart():
+    from gauduchon.connection import POINT_STORE_SIZE, _STORE, _metric_points
+
+    chart = gd.euclidean_chart(1)
+    keys = [(complex(0.01 * k),) for k in range(POINT_STORE_SIZE + 5)]
+    pds = _metric_points(chart, keys)
+    assert len(pds) == len(keys) and all(pd.G.shape == (1, 1) for pd in pds)
+    store = _STORE[chart]
+    assert len(store) == POINT_STORE_SIZE
+    assert keys[0] not in store and keys[-1] in store
+    # a hit moves the point to the back of the eviction order
+    _metric_points(chart, [keys[5]])
+    _metric_points(chart, [(-1.0,)])
+    assert keys[5] in store and keys[6] not in store
+
+
+_GOOD = [[0.9, 0.1j], [-0.8, 0.7]]
+
+
+@pytest.mark.parametrize("chart,bad,err", [
+    (gd.hopf_chart(2), [0.0, 0.0], DomainError),
+    (gd.inline_chart(2, [["(div 1 (mul z1 zbar1))", "0"], ["0", "1"]]), [0.0, 0.5],
+     DomainError),
+    (gd.inline_chart(2, [["(sub (mul z1 zbar1) 0.5)", "0"], ["0", "1"]]), [0.1, 0.2],
+     NotPositiveDefinite),
+])
+def test_bad_point_in_batch_raises_and_stores_nothing(chart, bad, err):
+    from gauduchon.connection import _STORE, _as_key, _metric_point, _metric_points
+
+    with pytest.raises(err):
+        _metric_point(chart, _as_key(bad))
+    keys = [_as_key(p) for p in (_GOOD[0], bad, _GOOD[1])]
+    with pytest.raises(err):
+        _metric_points(chart, keys)
+    assert not any(k in _STORE.get(chart, {}) for k in keys)
+    assert len(_metric_points(chart, [keys[0], keys[2]])) == 2
+
+
+def test_batch_filled_point_data_is_read_only(adm):
+    from gauduchon.connection import _as_key, _metric_points
+    from gauduchon.curvature import _lc_point
+
+    keys = [_as_key(p) for p in pts_of(adm, 3, 11)]
+    for key, pd in zip(keys, _metric_points(adm, keys)):
+        lc = _lc_point(adm, key)
+        for arr in [*vars(pd).values(), *vars(lc).values()]:
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable
 
 
 def test_not_positive_definite_is_structured():

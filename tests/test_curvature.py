@@ -69,6 +69,55 @@ def test_lc_against_real_coordinate_oracle(hopf, fsb):
             assert d < 1e-5, chart.label
 
 
+def _seed_lc(pd, n):
+    """The Levi-Civita data by the original unoptimized einsum formulas:
+    (Gamma, Riem, s_g) from the stacked metric jets of a point."""
+    N = 2 * n
+    M = np.zeros((N, N), dtype=complex)
+    dM = np.zeros((N, N, N), dtype=complex)
+    ddM = np.zeros((N, N, N, N), dtype=complex)
+    M[:n, n:] = pd.G
+    dM[:, :n, n:] = np.concatenate([pd.dG, pd.dbarG])
+    ddM[:n, :n, :n, n:] = pd.ddG
+    ddM[:n, n:, :n, n:] = pd.ddbarG
+    ddM[n:, :n, :n, n:] = pd.ddbarG.transpose(1, 0, 2, 3)
+    ddM[n:, n:, :n, n:] = pd.dbardbarG
+    M = M + M.T
+    dM = dM + dM.transpose(0, 2, 1)
+    ddM = ddM + ddM.transpose(0, 1, 3, 2)
+    Minv = np.linalg.inv(M)
+    S = dM + dM.transpose(2, 1, 0) - dM.transpose(1, 0, 2)
+    Gamma = 0.5 * np.einsum("ad,bdc->abc", Minv, S)
+    dS = ddM + ddM.transpose(0, 3, 2, 1) - ddM.transpose(0, 2, 1, 3)
+    dMinv = -np.einsum("ab,ebc,cd->ead", Minv, dM, Minv)
+    dGamma = 0.5 * (np.einsum("ead,bdc->eabc", dMinv, S)
+                    + np.einsum("ad,ebdc->eabc", Minv, dS))
+    X = np.einsum("cadb->abcd", dGamma)
+    Y = np.einsum("dacb->abcd", dGamma)
+    P = np.einsum("ace,edb->abcd", Gamma, Gamma)
+    Q = np.einsum("ade,ecb->abcd", Gamma, Gamma)
+    Riem = np.einsum("abcd,af->cdbf", X - Y + P - Q, M)
+    s_g = float(np.real(np.einsum("ac,bd,abdc->", Minv, Minv, Riem)))
+    return Gamma, Riem, s_g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_lc_contractions_match_einsum_reference(n):
+    from gauduchon.connection import _as_key, _metric_point
+    from gauduchon.curvature import _lc_point
+
+    spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
+    for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
+        for p in pts_of(chart, 2, n):
+            key = _as_key(p)
+            lc = _lc_point(chart, key)
+            Gamma, Riem, s_g = _seed_lc(_metric_point(chart, key), n)
+            scale = maxabs(Riem)
+            assert maxabs(lc.Riem - Riem) <= 1e-13 * scale
+            assert maxabs(lc.Gamma - Gamma) <= 1e-13 * maxabs(Gamma)
+            assert abs(lc.s_g - s_g) <= 1e-13 * max(1.0, abs(s_g))
+
+
 def test_lc_riemann_symmetries(hopf, adm):
     """Pair symmetry and first Bianchi of the full complexified tensor."""
     for chart in (hopf, adm):
