@@ -22,49 +22,34 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
-from .catalog import make_chart, sample_points
+from .catalog import circle_residual, make_chart, sample_points
 from .conformal import (commutation_residual, delta_canonical_predicted,
                         delta_direct, rescale, torsion_transform_residual)
-from .connection import (chern_torsion, metric_jet, unitary_frame, _as_key,
-                         _metric_points)
-from .curvature import (canonical_curvature, chern_curvature, constancy_residual,
-                        constancy_table, curv4_rows, gauduchon_curvature, hsc,
-                        lc_curvature, selfdual_residual, symmetrize, weyl_minus)
-from .catalog import circle_residual
+from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
+                         _as_key, _metric_points)
+from .curvature import (canonical_basis, canonical_curvature, canonical_weights,
+                        chern_curvature, constancy_residual, constancy_table,
+                        curv4_rows, gauduchon_curvature, hsc, lc_curvature,
+                        selfdual_residual, symmetrize, weyl_minus)
 from .errors import ConfigError, GauduchonError
 from .wjet import abs2, eval_jet, fd_jet, z, zbar
 
-DEFAULT_TOLERANCES = {
-    "wjet_oracle": 1e-5,
-    "metric_inverse": 1e-12,
-    "frame_unitarity": 1e-12,
-    "torsion_antisymmetry": 0.0,
-    "torsion_tensoriality": 1e-10,
-    "hermitian_symmetry": 1e-10,
-    "interpolation": 1e-10,
-    "hsc_symmetrize": 1e-10,
-    "constancy": 1e-7,
-    "kahler_families": 1e-9,
-    "conformal_torsion": 1e-8,
-    "commutation": 1e-8,
-    "conformal_delta": 1e-7,
-    "selfdual_weyl": 1e-6,
-}
-
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
+HSC_DIRECTIONS = 8
 
 
 def check_tolerance(name: str, value) -> float:
     """Validate one tolerance override: a known check name and a finite
     positive number.  Returns the value as a float."""
-    if name not in DEFAULT_TOLERANCES:
+    if name not in CHECKS:
         raise ConfigError(f"unknown tolerance name {name!r}")
     try:
         v = float(value)
@@ -94,6 +79,12 @@ def _check_sampling(samples: int, seed: int):
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def _check_finite(what: str, *values: float):
+    """Reject a NaN or infinite t or s: no connection has such parameters."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} must be finite, got {values}")
+
+
 @dataclass
 class SuiteConfig:
     chart: dict
@@ -102,7 +93,6 @@ class SuiteConfig:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     checks: list | None = None
-    output: str | None = None
     timestamp: bool = True
 
     @staticmethod
@@ -116,6 +106,7 @@ class SuiteConfig:
             grid = [(float(t), float(s)) for t, s in grid]
         except (TypeError, ValueError):
             raise ConfigError("params_grid must be a list of [t, s] pairs") from None
+        _check_finite("params_grid entries", *(v for ts in grid for v in ts))
         count = _as_int("sample_count", raw.get("sample_count", 50))
         if count < 1:
             raise ConfigError("sample_count must be >= 1")
@@ -127,46 +118,32 @@ class SuiteConfig:
         if checks is not None:
             if not isinstance(checks, list):
                 raise ConfigError("checks must be a list of check names or null")
-            bad = [c for c in checks if c not in DEFAULT_TOLERANCES]
+            bad = [c for c in checks if c not in CHECKS]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
         return SuiteConfig(chart=raw["chart"], params_grid=grid,
                            sample_count=count, seed=_as_int("seed", raw.get("seed", 0)),
-                           tolerances=tol, checks=checks,
-                           output=raw.get("output"))
+                           tolerances=tol, checks=checks)
 
 
 @dataclass
 class Record:
     name: str
     chart: str
-    params: tuple | None
     points: int
     residual_max: float
     residual_mean: float
     tolerance: float
     passed: bool
+    params: tuple | None = None
     value: float | None = None
     detail: str = ""
     wall_time_s: float | None = None
 
     def as_dict(self, seed: int, timestamp: bool) -> dict:
-        out = {
-            "name": self.name,
-            "chart": self.chart,
-            "params": list(self.params) if self.params is not None else None,
-            "points": self.points,
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "value": self.value,
-            "detail": self.detail,
-            "seed": seed,
-            "conventions_version": CONVENTIONS_VERSION,
-        }
-        if timestamp and self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
+        out = asdict(self) | {"seed": seed, "conventions_version": CONVENTIONS_VERSION}
+        if not timestamp or self.wall_time_s is None:
+            del out["wall_time_s"]
         return out
 
 
@@ -205,11 +182,6 @@ class Report:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _stats(values) -> tuple[float, float]:
-    arr = np.asarray(list(values), dtype=float)
-    return float(arr.max()), float(arr.mean())
-
-
 def _conformal_factors(n: int):
     fs = [0.1 * (z(0) + zbar(0)), 0.05 * abs2(n)]
     if n >= 2:
@@ -229,72 +201,67 @@ def _jet_rel_err(f, pt) -> float:
     return num / scale
 
 
-def run_suite(config: SuiteConfig) -> Report:
-    """Run the selected verification battery; failures are recorded, not
-    raised."""
-    _check_sampling(config.sample_count, config.seed)
-    try:
-        chart = make_chart(config.chart)
-    except GauduchonError as exc:
-        raise ConfigError(str(exc)) from exc
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(config.tolerances)
-    rng = np.random.default_rng(config.seed)
-    pts = sample_points(chart, config.sample_count, rng)
-    small = pts[:min(len(pts), 10)]
-    records: list[Record] = []
-    selected = config.checks
-    if selected is None or set(selected) - {"wjet_oracle"}:
-        # Every check but the jet oracle reads the points' metric data.
-        _metric_points(chart, [_as_key(p) for p in pts])
+class _Suite:
+    """One suite run: the chart, its sample points (`small` and `cpts` are
+    the first 10 and 5), the RNG the checks draw from in table order, the
+    tolerances and the (t, s) grid.  A check returns one row per record:
+    residuals and point count, plus `params`, `value`, `detail` or a record
+    `tolerance` where those vary; none where the check does not apply."""
 
-    def want(name: str) -> bool:
-        return selected is None or name in selected
+    def __init__(self, config: SuiteConfig, chart: MetricChart):
+        self.chart = chart
+        self.grid = config.params_grid
+        self.tol = {name: tol for name, (tol, _) in CHECKS.items()} | config.tolerances
+        self.rng = np.random.default_rng(config.seed)
+        self.pts = sample_points(chart, config.sample_count, self.rng)
+        self.small = self.pts[:10]
+        self.cpts = self.pts[:5]
 
-    def add(name, residuals, tolerance, params=None, value=None, detail="",
-            t0=None, points=None, wall_time_s=None):
-        rmax, rmean = _stats(residuals)
-        if t0 is not None:
-            wall_time_s = time.perf_counter() - t0
-        records.append(Record(
-            name=name, chart=chart.label, params=params,
-            points=points if points is not None else len(pts),
-            residual_max=rmax, residual_mean=rmean, tolerance=tolerance,
-            passed=bool(rmax <= tolerance), value=value, detail=detail,
-            wall_time_s=wall_time_s))
+    @cached_property
+    def pairs(self) -> list:
+        """One conformal pair per factor, shared by the checks that compare
+        a rescaled chart; each fills its first 5 points in one walk."""
+        pairs = [rescale(self.chart, f, check_points=self.cpts)
+                 for f in _conformal_factors(self.chart.n)]
+        for pair in pairs:
+            _metric_points(pair.rescaled, [_as_key(p) for p in self.cpts])
+        return pairs
 
-    if want("wjet_oracle"):
-        t0 = time.perf_counter()
-        res = [_jet_rel_err(chart.g[i][j], p)
-               for p in small for i in range(chart.n) for j in range(chart.n)]
-        add("wjet_oracle", res, tol["wjet_oracle"], t0=t0, points=len(small),
-            detail="eval_jet vs fd_jet on metric components, relative")
+    def _gauduchon_family(self, p) -> list:
+        """R of nab^t for each t in HERMITIAN_T: `canonical_weights` rows on
+        one `canonical_basis`, the same sum `gauduchon_curvature` forms."""
+        B = canonical_basis(self.chart, p)
+        return [np.tensordot(canonical_weights((t, 0.0)), B, 1) for t in HERMITIAN_T]
 
-    if want("metric_inverse"):
-        t0 = time.perf_counter()
+    def wjet_oracle(self) -> list:
+        res = [_jet_rel_err(f, p)
+               for p in self.small for components in self.chart.g for f in components]
+        return [dict(residuals=res, points=len(self.small),
+                     detail="eval_jet vs fd_jet on metric components, relative")]
+
+    def metric_inverse(self) -> list:
+        chart = self.chart
         res = [np.max(np.abs(metric_jet(chart, p)[1] @ unitary_frame(chart, p).G.T
-                             - np.eye(chart.n))) for p in pts]
-        add("metric_inverse", res, tol["metric_inverse"], t0=t0)
+                             - np.eye(chart.n))) for p in self.pts]
+        return [dict(residuals=res, points=len(self.pts))]
 
-    if want("frame_unitarity"):
-        t0 = time.perf_counter()
+    def frame_unitarity(self) -> list:
         res = []
-        for p in pts:
-            fr = unitary_frame(chart, p)
-            res.append(np.max(np.abs(fr.E.T @ fr.G @ fr.E.conj() - np.eye(chart.n))))
-        add("frame_unitarity", res, tol["frame_unitarity"], t0=t0)
+        for p in self.pts:
+            fr = unitary_frame(self.chart, p)
+            res.append(np.max(np.abs(fr.E.T @ fr.G @ fr.E.conj() - np.eye(self.chart.n))))
+        return [dict(residuals=res, points=len(self.pts))]
 
-    if want("torsion_antisymmetry"):
-        t0 = time.perf_counter()
-        res = [np.max(np.abs(chern_torsion(chart, p)
-                             + chern_torsion(chart, p).transpose(0, 2, 1)))
-               for p in pts]
-        add("torsion_antisymmetry", res, tol["torsion_antisymmetry"], t0=t0)
+    def torsion_antisymmetry(self) -> list:
+        res = [np.max(np.abs(chern_torsion(self.chart, p)
+                             + chern_torsion(self.chart, p).transpose(0, 2, 1)))
+               for p in self.pts]
+        return [dict(residuals=res, points=len(self.pts))]
 
-    if want("torsion_tensoriality"):
-        t0 = time.perf_counter()
+    def torsion_tensoriality(self) -> list:
+        chart, rng = self.chart, self.rng
         res = []
-        for p in small:
+        for p in self.small:
             fr = unitary_frame(chart, p)
             Q, _ = np.linalg.qr(rng.standard_normal((chart.n, chart.n))
                                 + 1j * rng.standard_normal((chart.n, chart.n)))
@@ -302,23 +269,17 @@ def run_suite(config: SuiteConfig) -> Report:
             Trot = chern_torsion(chart, p, fr.rotated(Q))
             pred = np.einsum("ck,kij,ia,jb->cab", Q.conj().T, T, Q, Q)
             res.append(np.max(np.abs(Trot - pred)))
-        add("torsion_tensoriality", res, tol["torsion_tensoriality"], t0=t0,
-            points=len(small))
+        return [dict(residuals=res, points=len(self.small))]
 
-    if want("hermitian_symmetry"):
-        t0 = time.perf_counter()
-        res = []
-        for p in small:
-            for t in HERMITIAN_T:
-                R = gauduchon_curvature(chart, t, p).R
-                res.append(np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R)))))
-        add("hermitian_symmetry", res, tol["hermitian_symmetry"], t0=t0,
-            points=len(small))
+    def hermitian_symmetry(self) -> list:
+        res = [np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R))))
+               for p in self.small for R in self._gauduchon_family(p)]
+        return [dict(residuals=res, points=len(self.small))]
 
-    if want("interpolation"):
-        t0 = time.perf_counter()
+    def interpolation(self) -> list:
+        chart = self.chart
         res = []
-        for p in small:
+        for p in self.small:
             res.append(np.max(np.abs(gauduchon_curvature(chart, 1.0, p).R
                                      - chern_curvature(chart, p).R)))
             for t in T_GRID:
@@ -328,82 +289,122 @@ def run_suite(config: SuiteConfig) -> Report:
                 res.append(np.max(np.abs(
                     canonical_curvature(chart, (t, 1.0), p).R
                     - lc_curvature(chart, p).R)))
-        add("interpolation", res, tol["interpolation"], t0=t0, points=len(small))
+        return [dict(residuals=res, points=len(self.small))]
 
-    if want("hsc_symmetrize"):
-        t0 = time.perf_counter()
+    def hsc_symmetrize(self) -> list:
+        n = self.chart.n
         res = []
-        for p in small:
-            C = canonical_curvature(chart, (2.0, 0.5), p)
+        for p in self.small:
+            C = canonical_curvature(self.chart, (2.0, 0.5), p)
             S = symmetrize(C)
             for _ in range(4):
-                eta = rng.standard_normal(chart.n) + 1j * rng.standard_normal(chart.n)
+                eta = self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
                 res.append(abs(hsc(C, eta) - hsc(S, eta)))
-        add("hsc_symmetrize", res, tol["hsc_symmetrize"], t0=t0, points=len(small))
+        return [dict(residuals=res, points=len(self.small))]
 
-    if want("constancy") and config.params_grid:
-        # One table for the whole grid; each record gets an equal share of
-        # its wall time.
-        t0 = time.perf_counter()
-        cs, res = constancy_table(chart, config.params_grid, pts)
-        share = (time.perf_counter() - t0) / len(config.params_grid)
-        for (t, s), c, r in zip(config.params_grid, cs, res):
-            add("constancy", r, tol["constancy"], params=(t, s),
-                value=float(np.mean(c)), wall_time_s=share,
-                detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
-                       f"circle_residual={circle_residual(t, s):.6g}")
+    def constancy(self) -> list:
+        if not self.grid:
+            return []
+        cs, res = constancy_table(self.chart, self.grid, self.pts)
+        return [dict(residuals=r, points=len(self.pts), params=(t, s),
+                     value=float(np.mean(c)),
+                     detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
+                            f"circle_residual={circle_residual(t, s):.6g}")
+                for (t, s), c, r in zip(self.grid, cs, res)]
 
-    if want("kahler_families"):
-        t0 = time.perf_counter()
-        tors = max(float(np.max(np.abs(chern_torsion(chart, p)))) for p in small)
-        if tors < 1e-10:
-            res = []
-            for p in small:
-                Rc = chern_curvature(chart, p).R
-                for t in HERMITIAN_T:
-                    res.append(np.max(np.abs(gauduchon_curvature(chart, t, p).R - Rc)))
-            add("kahler_families", res, tol["kahler_families"], t0=t0,
-                points=len(small), detail="all Gauduchon curvatures equal Chern")
-
-    if want("conformal_torsion") or want("commutation") or want("conformal_delta"):
-        factors = _conformal_factors(chart.n)
-        cpts = pts[:min(len(pts), 5)]
-        if want("conformal_torsion"):
-            t0 = time.perf_counter()
-            res = []
-            for f in factors:
-                pair = rescale(chart, f, check_points=cpts)
-                res += [torsion_transform_residual(pair, p) for p in cpts]
-            add("conformal_torsion", res, tol["conformal_torsion"], t0=t0,
-                points=len(cpts))
-        if want("commutation"):
-            t0 = time.perf_counter()
-            res = [commutation_residual(chart, f, t, p)
-                   for f in factors for t in (1.0, 3.0) for p in cpts]
-            add("commutation", res, tol["commutation"], t0=t0, points=len(cpts))
-        if want("conformal_delta"):
-            t0 = time.perf_counter()
-            res = []
-            for f in factors[:2]:
-                pair = rescale(chart, f, check_points=cpts)
-                for (t, s) in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]:
-                    for p in cpts[:3]:
-                        d = np.max(np.abs(delta_canonical_predicted(pair, (t, s), p).R
-                                          - delta_direct(pair, (t, s), p).R))
-                        res.append(d)
-            add("conformal_delta", res, tol["conformal_delta"], t0=t0, points=3)
-
-    if want("selfdual_weyl") and chart.n == 2:
-        t0 = time.perf_counter()
+    def kahler_families(self) -> list:
+        chart = self.chart
+        tors = max(float(np.max(np.abs(chern_torsion(chart, p)))) for p in self.small)
+        if not tors < 1e-10:
+            return []
         res = []
-        for p in small:
-            sd = max(selfdual_residual(chart, p))
-            w = float(np.linalg.norm(weyl_minus(chart, p), 2))
-            res.append(0.0 if (sd < 1e-8) == (w < tol["selfdual_weyl"]) else 1.0)
-        add("selfdual_weyl", res, 0.0, t0=t0, points=len(small),
-            detail=f"disagreements between component self-duality residuals "
-                   f"< 1e-8 and ||W_-|| < {tol['selfdual_weyl']:g}")
+        for p in self.small:
+            Rc = chern_curvature(chart, p).R
+            res += [np.max(np.abs(R - Rc)) for R in self._gauduchon_family(p)]
+        return [dict(residuals=res, points=len(self.small),
+                     detail="all Gauduchon curvatures equal Chern")]
 
+    def conformal_torsion(self) -> list:
+        res = [torsion_transform_residual(pair, p)
+               for pair in self.pairs for p in self.cpts]
+        return [dict(residuals=res, points=len(self.cpts))]
+
+    def commutation(self) -> list:
+        res = [commutation_residual(self.chart, f, t, p)
+               for f in _conformal_factors(self.chart.n) for t in (1.0, 3.0)
+               for p in self.cpts]
+        return [dict(residuals=res, points=len(self.cpts))]
+
+    def conformal_delta(self) -> list:
+        cpts = self.pts[:3]
+        res = [np.max(np.abs(delta_canonical_predicted(pair, ts, p).R
+                             - delta_direct(pair, ts, p).R))
+               for pair in self.pairs[:2] for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]
+               for p in cpts]
+        return [dict(residuals=res, points=len(cpts))]
+
+    def selfdual_weyl(self) -> list:
+        if self.chart.n != 2:
+            return []
+        limit = self.tol["selfdual_weyl"]
+        res = []
+        for p in self.small:
+            sd = max(selfdual_residual(self.chart, p))
+            w = float(np.linalg.norm(weyl_minus(self.chart, p), 2))
+            res.append(0.0 if (sd < 1e-8) == (w < limit) else 1.0)
+        return [dict(residuals=res, points=len(self.small), tolerance=0.0,
+                     detail=f"disagreements between component self-duality residuals "
+                            f"< 1e-8 and ||W_-|| < {limit:g}")]
+
+
+# The suite's checks in report order: name -> (default tolerance, check).
+CHECKS = {
+    "wjet_oracle": (1e-5, _Suite.wjet_oracle),
+    "metric_inverse": (1e-12, _Suite.metric_inverse),
+    "frame_unitarity": (1e-12, _Suite.frame_unitarity),
+    "torsion_antisymmetry": (0.0, _Suite.torsion_antisymmetry),
+    "torsion_tensoriality": (1e-10, _Suite.torsion_tensoriality),
+    "hermitian_symmetry": (1e-10, _Suite.hermitian_symmetry),
+    "interpolation": (1e-10, _Suite.interpolation),
+    "hsc_symmetrize": (1e-10, _Suite.hsc_symmetrize),
+    "constancy": (1e-7, _Suite.constancy),
+    "kahler_families": (1e-9, _Suite.kahler_families),
+    "conformal_torsion": (1e-8, _Suite.conformal_torsion),
+    "commutation": (1e-8, _Suite.commutation),
+    "conformal_delta": (1e-7, _Suite.conformal_delta),
+    "selfdual_weyl": (1e-6, _Suite.selfdual_weyl),
+}
+
+
+def run_suite(config: SuiteConfig) -> Report:
+    """Run the selected checks in table order; failures are recorded, not
+    raised.  Each check is timed once and its records share that time
+    equally."""
+    _check_sampling(config.sample_count, config.seed)
+    try:
+        chart = make_chart(config.chart)
+    except GauduchonError as exc:
+        raise ConfigError(str(exc)) from exc
+    run = _Suite(config, chart)
+    selected = config.checks
+    if selected is None or set(selected) - {"wjet_oracle"}:
+        # Every check but the jet oracle reads the points' metric data.
+        _metric_points(chart, [_as_key(p) for p in run.pts])
+    records: list[Record] = []
+    for name, (_, check) in CHECKS.items():
+        if selected is not None and name not in selected:
+            continue
+        t0 = time.perf_counter()
+        rows = check(run)
+        share = (time.perf_counter() - t0) / max(len(rows), 1)
+        for row in rows:
+            res = np.asarray(row.pop("residuals"), dtype=float)
+            tolerance = row.pop("tolerance", run.tol[name])
+            records.append(Record(name=name, chart=chart.label,
+                                  residual_max=float(res.max()),
+                                  residual_mean=float(res.mean()), tolerance=tolerance,
+                                  passed=bool(res.max() <= tolerance), wall_time_s=share,
+                                  **row))
     return Report(config=config, records=records)
 
 
@@ -422,6 +423,7 @@ def parse_range(text: str) -> tuple[float, float, int]:
                           f"and an integer n") from None
     if n < 2:
         raise ConfigError("range resolution must be >= 2")
+    _check_finite(f"range {text!r} ends", a, b)
     return a, b, n
 
 
@@ -470,6 +472,7 @@ def parse_point(text: str) -> np.ndarray:
 
 
 def curv_payload(chart_spec: dict, t: float, s: float, point: np.ndarray) -> dict:
+    _check_finite("t and s", t, s)
     chart = make_chart(chart_spec)
     C = canonical_curvature(chart, (t, s), point)
     return {
@@ -493,10 +496,10 @@ def curv_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hsc_payload(chart_spec: dict, t: float, s: float, samples: int,
-                seed: int, directions: int = 8) -> dict:
+def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -> dict:
     chart = make_chart(chart_spec)
     _check_sampling(samples, seed)
+    _check_finite("t and s", t, s)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
     _metric_points(chart, [_as_key(p) for p in pts])
@@ -505,7 +508,7 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int,
         C = canonical_curvature(chart, (t, s), p)
         c, res = constancy_residual(C)
         hs = []
-        for _ in range(directions):
+        for _ in range(HSC_DIRECTIONS):
             eta = rng.standard_normal(chart.n) + 1j * rng.standard_normal(chart.n)
             eta /= np.linalg.norm(eta)     # uniform on the unit sphere
             hs.append(hsc(C, eta))
@@ -524,7 +527,7 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int,
         "params": [t, s],
         "seed": seed,
         "samples": samples,
-        "directions": directions,
+        "directions": HSC_DIRECTIONS,
         "c_mean": float(np.mean(cs)),
         "c_spread": float(max(cs) - min(cs)),
         "residual_max": float(max(r["residual"] for r in per_point)),
@@ -576,20 +579,16 @@ def main(argv=None) -> int:
     p_scan.add_argument("--out")
 
     p_curv = sub.add_parser("curv", help="dump a curvature tensor at a point")
-    p_curv.add_argument("--chart", required=True)
-    p_curv.add_argument("--t", type=float, required=True)
-    p_curv.add_argument("--s", type=float, default=0.0)
+    p_hsc = sub.add_parser("hsc", help="sample holomorphic sectional curvature")
+    for p in (p_curv, p_hsc):
+        p.add_argument("--chart", required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--s", type=float, default=0.0)
+        p.add_argument("--out")
     p_curv.add_argument("--point", required=True, metavar="re,im;re,im")
     p_curv.add_argument("--format", choices=("json", "csv"), default="json")
-    p_curv.add_argument("--out")
-
-    p_hsc = sub.add_parser("hsc", help="sample holomorphic sectional curvature")
-    p_hsc.add_argument("--chart", required=True)
-    p_hsc.add_argument("--t", type=float, required=True)
-    p_hsc.add_argument("--s", type=float, default=0.0)
     p_hsc.add_argument("--samples", type=int, default=20)
     p_hsc.add_argument("--seed", type=int, default=0)
-    p_hsc.add_argument("--out")
 
     args = parser.parse_args(argv)
     try:
@@ -604,7 +603,7 @@ def main(argv=None) -> int:
                 config.tolerances[name] = check_tolerance(name, val)
             config.timestamp = not args.no_timestamp
             report = run_suite(config)
-            _write_out(report.to_json(), args.out or config.output)
+            _write_out(report.to_json(), args.out)
             return 0 if report.all_passed else 1
         if args.command == "scan":
             rows = scan_ts(_load_json(args.chart), parse_range(args.t),

@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
+from gauduchon import cli
 from gauduchon.cli import SuiteConfig, run_suite, scan_ts
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
@@ -171,6 +172,16 @@ def test_suite_constancy_records_match_per_cell():
         assert abs(rec.value - float(np.mean(c_ref))) <= 1e-12
         assert abs(rec.residual_max - float(max(res_ref))) <= 1e-12
         assert rec.passed == bool(rec.residual_max <= rec.tolerance)
+
+
+def test_suite_gauduchon_family_matches_gauduchon_curvature():
+    """The suite forms nab^t at every HERMITIAN_T from one basis per point;
+    each tensor is exactly the one `gauduchon_curvature` returns."""
+    config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 3, "seed": 5})
+    run = cli._Suite(config, CHARTS["admissible"])
+    for p in run.pts:
+        for t, R in zip(cli.HERMITIAN_T, run._gauduchon_family(p), strict=True):
+            np.testing.assert_array_equal(R, gd.gauduchon_curvature(run.chart, t, p).R)
 
 
 def test_hsc_report_matches_per_cell():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
-from gauduchon.cli import (SuiteConfig, main, parse_point, parse_range,
+from gauduchon.cli import (CHECKS, SuiteConfig, main, parse_point, parse_range,
                            run_suite, scan_csv, scan_ts)
 from gauduchon.errors import ConfigError
 
@@ -61,6 +61,61 @@ def test_suite_hopf_lichnerowicz_fails_constancy():
     assert not report.all_passed
     rec = report.records[0]
     assert rec.name == "constancy" and rec.residual_max > 1e-2
+
+
+# fs_bergman is Kähler and of dimension 2, so every check applies to it.
+FS_BERGMAN_SUITE = {"chart": {"chart": "fs_bergman"},
+                    "params_grid": [[-1.0, 0.0], [3.0, 0.0]],
+                    "sample_count": 4, "seed": 2}
+
+
+@pytest.fixture(scope="module")
+def fs_bergman_records():
+    return run_suite(SuiteConfig.from_dict(FS_BERGMAN_SUITE)).records
+
+
+def test_full_suite_lists_records_in_table_order(fs_bergman_records):
+    names = [r.name for r in fs_bergman_records]
+    assert list(dict.fromkeys(names)) == list(CHECKS) == [
+        "wjet_oracle", "metric_inverse", "frame_unitarity", "torsion_antisymmetry",
+        "torsion_tensoriality", "hermitian_symmetry", "interpolation",
+        "hsc_symmetrize", "constancy", "kahler_families", "conformal_torsion",
+        "commutation", "conformal_delta", "selfdual_weyl"]
+    assert names == sorted(names, key=list(CHECKS).index)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_each_check_alone_gives_exactly_its_records(fs_bergman_records, name):
+    config = SuiteConfig.from_dict({**FS_BERGMAN_SUITE, "checks": [name]})
+    records = run_suite(config).records
+    default = 0.0 if name == "selfdual_weyl" else CHECKS[name][0]
+    assert records
+    assert all(r.name == name and r.tolerance == default for r in records)
+    assert ([(r.params, r.points) for r in records]
+            == [(r.params, r.points) for r in fs_bergman_records if r.name == name])
+
+
+def test_conformal_delta_counts_the_points_it_uses():
+    for samples, used in [(2, 2), (4, 3)]:
+        config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": samples,
+                                        "checks": ["conformal_delta"]})
+        assert [r.points for r in run_suite(config).records] == [used]
+
+
+def test_suite_rescales_each_conformal_factor_once(monkeypatch):
+    import gauduchon.cli as cli
+    factors = []
+
+    def counting(chart, f, **kwargs):
+        factors.append(f)
+        return gd.rescale(chart, f, **kwargs)
+
+    monkeypatch.setattr(cli, "rescale", counting)
+    config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 5,
+                                    "checks": ["conformal_torsion", "conformal_delta"]})
+    assert [r.name for r in run_suite(config).records] == ["conformal_torsion",
+                                                             "conformal_delta"]
+    assert len(factors) == 3          # n = 2: three factors, each rescaled once
 
 
 def test_suite_config_validation_errors():
@@ -209,6 +264,13 @@ BAD_INPUTS = [
     ("suite", {"sample_count": True}),
     ("suite", {"seed": 1.5}),
     ("suite", {"seed": False}),
+    ("suite", {"params_grid": [[float("nan"), 0.0]]}),
+    ("suite", {"params_grid": [[1.0, float("inf")]]}),
+    ("scan", ["--t=nan:1:2", "--s=0:1:2"]),
+    ("scan", ["--t=0:1:2", "--s=0:inf:2"]),
+    ("curv", ["--t", "inf", "--point", "1,0;0,0"]),
+    ("hsc", ["--t", "nan"]),
+    ("hsc", ["--t", "3", "--s=-inf"]),
 ]
 
 
