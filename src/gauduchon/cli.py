@@ -34,12 +34,12 @@ from .conformal import (commutation_residual, delta_canonical_predicted,
                         delta_direct, rescale, torsion_transform_residual)
 from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
                          _as_key, _metric_points)
-from .curvature import (canonical_basis, canonical_curvature, canonical_weights,
-                        chern_curvature, constancy_residual, constancy_table,
-                        curv4_rows, gauduchon_curvature, hsc, lc_curvature,
-                        selfdual_residual, symmetrize, weyl_minus)
+from .curvature import (canonical_basis, canonical_bases, canonical_curvature,
+                        canonical_weights, chern_curvature, constancy_residual,
+                        constancy_table, curv4_rows, gauduchon_curvature, hsc,
+                        lc_curvature, selfdual_residual, symmetrize, weyl_minus)
 from .errors import ConfigError, GauduchonError
-from .wjet import abs2, eval_jet, fd_jet, z, zbar
+from .wjet import abs2, eval_jets, fd_jet, z, zbar
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
@@ -85,6 +85,10 @@ def _check_finite(what: str, *values: float):
         raise ConfigError(f"{what} must be finite, got {values}")
 
 
+# The keys a suite config may hold; any other key is refused.
+CONFIG_KEYS = ("chart", "params_grid", "sample_count", "seed", "tolerances", "checks")
+
+
 @dataclass
 class SuiteConfig:
     chart: dict
@@ -101,6 +105,10 @@ class SuiteConfig:
             raise ConfigError("suite config must be a JSON object")
         if "chart" not in raw:
             raise ConfigError("suite config needs a 'chart' spec")
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown suite config keys {unknown}; "
+                              f"known keys are {list(CONFIG_KEYS)}")
         grid = raw.get("params_grid", [[1.0, 0.0]])
         try:
             grid = [(float(t), float(s)) for t, s in grid]
@@ -189,8 +197,9 @@ def _conformal_factors(n: int):
     return fs
 
 
-def _jet_rel_err(f, pt) -> float:
-    je = eval_jet(f, pt)
+def _jet_rel_err(je, f, pt) -> float:
+    """Relative difference of the exact jet je of f at pt from its
+    finite-difference jet."""
     jf = fd_jet(f, pt)
     num, scale = 0.0, 1.0
     for name in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
@@ -229,13 +238,16 @@ class _Suite:
 
     def _gauduchon_family(self, p) -> list:
         """R of nab^t for each t in HERMITIAN_T: `canonical_weights` rows on
-        one `canonical_basis`, the same sum `gauduchon_curvature` forms."""
+        the point's stored `canonical_basis`, the same sum
+        `gauduchon_curvature` forms."""
         B = canonical_basis(self.chart, p)
         return [np.tensordot(canonical_weights((t, 0.0)), B, 1) for t in HERMITIAN_T]
 
     def wjet_oracle(self) -> list:
-        res = [_jet_rel_err(f, p)
-               for p in self.small for components in self.chart.g for f in components]
+        fields = [f for components in self.chart.g for f in components]
+        jets = eval_jets(fields, self.small)
+        res = [_jet_rel_err(jet.row(j), f, p)
+               for j, p in enumerate(self.small) for f, jet in zip(fields, jets)]
         return [dict(residuals=res, points=len(self.small),
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
@@ -253,9 +265,8 @@ class _Suite:
         return [dict(residuals=res, points=len(self.pts))]
 
     def torsion_antisymmetry(self) -> list:
-        res = [np.max(np.abs(chern_torsion(self.chart, p)
-                             + chern_torsion(self.chart, p).transpose(0, 2, 1)))
-               for p in self.pts]
+        res = [np.max(np.abs(T + T.transpose(0, 2, 1)))
+               for T in (chern_torsion(self.chart, p) for p in self.pts)]
         return [dict(residuals=res, points=len(self.pts))]
 
     def torsion_tensoriality(self) -> list:
@@ -272,12 +283,14 @@ class _Suite:
         return [dict(residuals=res, points=len(self.small))]
 
     def hermitian_symmetry(self) -> list:
+        canonical_bases(self.chart, self.small)
         res = [np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R))))
                for p in self.small for R in self._gauduchon_family(p)]
         return [dict(residuals=res, points=len(self.small))]
 
     def interpolation(self) -> list:
         chart = self.chart
+        canonical_bases(chart, self.small)
         res = []
         for p in self.small:
             res.append(np.max(np.abs(gauduchon_curvature(chart, 1.0, p).R
@@ -293,6 +306,7 @@ class _Suite:
 
     def hsc_symmetrize(self) -> list:
         n = self.chart.n
+        canonical_bases(self.chart, self.small)
         res = []
         for p in self.small:
             C = canonical_curvature(self.chart, (2.0, 0.5), p)
@@ -317,6 +331,7 @@ class _Suite:
         tors = max(float(np.max(np.abs(chern_torsion(chart, p)))) for p in self.small)
         if not tors < 1e-10:
             return []
+        canonical_bases(chart, self.small)
         res = []
         for p in self.small:
             Rc = chern_curvature(chart, p).R
@@ -423,7 +438,6 @@ def parse_range(text: str) -> tuple[float, float, int]:
                           f"and an integer n") from None
     if n < 2:
         raise ConfigError("range resolution must be >= 2")
-    _check_finite(f"range {text!r} ends", a, b)
     return a, b, n
 
 
@@ -438,6 +452,7 @@ def scan_ts(chart_spec: dict, t_range, s_range, samples: int = 20, seed: int = 0
     _check_sampling(samples, seed)
     ta, tb, tn = t_range
     sa, sb, sn = s_range
+    _check_finite("scan range ends", ta, tb, sa, sb)
     if int(tn) < 2 or int(sn) < 2:
         raise ConfigError("scan resolution must be >= 2 per axis")
     pts = sample_points(chart, samples, np.random.default_rng(seed))
@@ -502,7 +517,7 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     _check_finite("t and s", t, s)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
-    _metric_points(chart, [_as_key(p) for p in pts])
+    canonical_bases(chart, pts)
     per_point = []
     for p in pts:
         C = canonical_curvature(chart, (t, s), p)

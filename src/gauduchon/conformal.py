@@ -199,10 +199,11 @@ def delta_gauduchon_predicted(pair: ConformalPair, t: float, z, frame=None) -> C
 
 
 def delta_direct(pair: ConformalPair, params, z) -> Curv4:
-    """Measured e^2f Rtilde^D - R^D in paired frames."""
+    """Measured e^2f Rtilde^D - R^D in paired frames; the base side is the
+    base's stored Cholesky-frame curvature."""
     pr = as_params(params)
-    fb, fr = paired_frames(pair, z)
-    Rb = canonical_curvature(pair.base, pr, z, fb).R
+    _, fr = paired_frames(pair, z)
+    Rb = canonical_curvature(pair.base, pr, z).R
     Rt = canonical_curvature(pair.rescaled, pr, z, fr).R
     e2f = float(np.exp(2 * pair.f(z).real))
     return Curv4(e2f * Rt - Rb, connection=f"delta direct(t={pr.t:g}, s={pr.s:g})")
@@ -246,10 +247,11 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
 
 
 def delta_direct_symmetrized(pair: ConformalPair, params, z) -> Curv4:
-    """Measured e^2f sym(Rtilde^D) - sym(R^D) in paired frames."""
+    """Measured e^2f sym(Rtilde^D) - sym(R^D) in paired frames, the base side
+    from the base's stored Cholesky-frame curvature."""
     pr = as_params(params)
-    fb, fr = paired_frames(pair, z)
-    Rb = symmetrize(canonical_curvature(pair.base, pr, z, fb)).R
+    _, fr = paired_frames(pair, z)
+    Rb = symmetrize(canonical_curvature(pair.base, pr, z)).R
     Rt = symmetrize(canonical_curvature(pair.rescaled, pr, z, fr)).R
     e2f = float(np.exp(2 * pair.f(z).real))
     return Curv4(e2f * Rt - Rb, connection="delta direct sym")

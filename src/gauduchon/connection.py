@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError, NonFinite, NotPositiveDefinite
 from .wjet import ScalarField, WJet2, as_point, eval_jets
 
 HERMITIAN_TOL = 1e-9
@@ -109,6 +109,7 @@ class _PointData:
     ginv: np.ndarray      # ginv[k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
     lc: object = None     # curvature._LCData, built on first use
+    basis: np.ndarray | None = None   # curvature.canonical_basis in the frame E
 
 
 def _freeze(data):
@@ -119,7 +120,21 @@ def _freeze(data):
     return data
 
 
+def _stack(pds) -> _PointData:
+    """Several points' metric data in one record, every array with a leading
+    point axis; the batched tensor code takes this form.  One point's record
+    is a view of its arrays."""
+    names = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E")
+    if len(pds) == 1:
+        return _PointData(*(getattr(pds[0], name)[None] for name in names))
+    return _PointData(*(np.stack([getattr(pd, name) for pd in pds]) for name in names))
+
+
 def _as_key(z) -> tuple:
+    """Store key of a point.  A 1-D complex array is taken as it is; the
+    store's batch fill checks its size and finiteness."""
+    if isinstance(z, np.ndarray) and z.ndim == 1 and z.size and z.dtype == complex:
+        return tuple(z.tolist())
     return tuple(complex(c) for c in as_point(z))
 
 
@@ -156,12 +171,7 @@ def _metric_points(chart: MetricChart, keys) -> list[_PointData]:
 
 
 def _metric_point(chart: MetricChart, zkey: tuple) -> _PointData:
-    store = _STORE.get(chart)
-    pd = store.get(zkey) if store is not None else None
-    if pd is None:
-        return _metric_points(chart, [zkey])[0]
-    store.move_to_end(zkey)
-    return pd
+    return _metric_points(chart, [zkey])[0]
 
 
 def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
@@ -169,6 +179,8 @@ def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
         if len(key) != chart.n:
             raise DomainError(f"point of dim {len(key)} on chart of dim {chart.n}")
     Z = np.array(keys, dtype=complex)
+    if not np.all(np.isfinite(Z)):
+        raise NonFinite("chart point has non-finite coordinates")
     if chart.domain is not None:
         for z in Z:
             if not chart.domain(z):
@@ -244,20 +256,46 @@ def _frame_matrix(chart: MetricChart, z, frame) -> np.ndarray:
 
 
 def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
-    """Frame change out[a, b, ...] = sum X[i, j, ...] mats[0][i, a]
-    mats[1][j, b] ..., one matrix per axis: E on unbarred lower slots,
-    conj(E) on barred slots, inv(E)^T on upper slots.  Each step is one
-    matmul on the leading axis that puts the new axis last, so a rank-r
-    change costs r matmuls rather than one O(n^(2r)) sum."""
+    """Frame change out[..., a, b, ...] = sum X[..., i, j, ...] mats[0][..., i, a]
+    mats[1][..., j, b] ..., one matrix per slot: E on unbarred lower slots,
+    conj(E) on barred slots, inv(E)^T on upper slots.  Leading axes of the
+    matrices (a point axis) are batch axes that X shares.  Each step is one
+    matmul on the first slot that puts the new axis last, so a rank-r change
+    costs r matmuls rather than one O(n^(2r)) sum."""
     for M in mats:
-        X = (X.reshape(X.shape[0], -1).T @ M).reshape(X.shape[1:] + M.shape[1:])
+        lead = M.shape[:-2]
+        X = (np.swapaxes(X.reshape(lead + (M.shape[-2], -1)), -1, -2) @ M).reshape(
+            lead + X.shape[len(lead) + 1:] + M.shape[-1:])
     return X
 
 
-def _coordinate_torsion(pd: _PointData) -> np.ndarray:
-    """Coordinate torsion T^k_ij from Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}."""
-    Gamma = np.einsum("kl,ijl->kij", pd.ginv, pd.dG)
-    return 0.5 * (Gamma - Gamma.transpose(0, 2, 1))
+def _frame_torsion(b: _PointData, E: np.ndarray) -> np.ndarray:
+    """Chern torsion T[p, i, j, k] = T^i_jk of stacked points (see `_stack`)
+    in the frames E[p], from the coordinate torsion of
+    Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k)."""
+    P, n = b.ginv.shape[:2]
+    Gamma = (b.ginv @ b.dG.reshape(P, n * n, n).transpose(0, 2, 1)).reshape(P, n, n, n)
+    T = _to_frame(0.5 * (Gamma - Gamma.transpose(0, 1, 3, 2)),
+                  np.linalg.inv(E).transpose(0, 2, 1), E, E)
+    return 0.5 * (T - T.transpose(0, 1, 3, 2))
+
+
+def _frame_torsion_dbar(b: _PointData, E: np.ndarray) -> np.ndarray:
+    """TD[p, j, i, k, l] = T^j_{ik,lbar} of stacked points in the frames E[p].
+    The Chern connection has no mixed coordinate Christoffel symbols, so in
+    coordinates this is dbar_l of the torsion, transformed as a (1,3)-tensor."""
+    P, n = b.ginv.shape[:2]
+    ginv = b.ginv[:, None]
+    # dbar_l g^{k qbar} = - g^{k bbar} (dbar_l g_{a bbar}) g^{a qbar}: dginv[p, l, k, q]
+    dginv = -(ginv @ b.dbarG.transpose(0, 1, 3, 2) @ ginv)
+    # dbar_l Gamma^k_ij = (dbar_l g^{k qbar}) d_i g_{j qbar} + g^{k qbar} d_i dbar_l g_{j qbar}
+    dG = b.dG.reshape(P, n * n, n).transpose(0, 2, 1)
+    dGamma = (dginv.reshape(P, n * n, n) @ dG).reshape(P, n, n, n, n).transpose(0, 2, 3, 4, 1) \
+        + (b.ginv @ b.ddbarG.reshape(P, n ** 3, n).transpose(0, 2, 1)) \
+        .reshape(P, n, n, n, n).transpose(0, 1, 2, 4, 3)
+    TD = _to_frame(0.5 * (dGamma - dGamma.transpose(0, 1, 3, 2, 4)),
+                   np.linalg.inv(E).transpose(0, 2, 1), E, E, E.conj())
+    return 0.5 * (TD - TD.transpose(0, 1, 3, 2, 4))
 
 
 def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -265,30 +303,15 @@ def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
 
     Exactly antisymmetric in (j, k).  Defaults to the Cholesky frame.
     """
-    E = _frame_matrix(chart, z, frame)
-    T = _to_frame(_coordinate_torsion(_metric_point(chart, _as_key(z))),
-                  np.linalg.inv(E).T, E, E)
-    return 0.5 * (T - T.transpose(0, 2, 1))   # exact antisymmetry
+    b = _stack([_metric_point(chart, _as_key(z))])
+    return _frame_torsion(b, _frame_matrix(chart, z, frame)[None])[0]
 
 
 def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
-    """Chern-covariant dbar derivative of the torsion.
-
-    Returns TD[j, i, k, l] = T^j_{ik, lbar} in the given unitary frame.  In
-    holomorphic coordinates the Chern connection has no mixed Christoffel
-    symbols, so the coordinate components are plain dbar_l derivatives; the
-    result is then frame-transformed as a (1,3)-tensor.
-    """
-    pd = _metric_point(chart, _as_key(z))
-    # dbar_l g^{k qbar} = - g^{k bbar} (dbar_l g_{a bbar}) g^{a qbar}
-    dginv = -np.einsum("kb,lab,aq->lkq", pd.ginv, pd.dbarG, pd.ginv)
-    # dbar_l Gamma^k_ij = (dbar_l g^{k qbar}) d_i g_{j qbar} + g^{k qbar} d_i dbar_l g_{j qbar}
-    dGamma = np.einsum("lkq,ijq->kijl", dginv, pd.dG) \
-        + np.einsum("kq,iljq->kijl", pd.ginv, pd.ddbarG)
-    TD_coord = 0.5 * (dGamma - dGamma.transpose(0, 2, 1, 3))
-    E = _frame_matrix(chart, z, frame)
-    TD = _to_frame(TD_coord, np.linalg.inv(E).T, E, E, E.conj())
-    return 0.5 * (TD - TD.transpose(0, 2, 1, 3))
+    """Chern-covariant dbar derivative TD[j, i, k, l] = T^j_{ik, lbar} of the
+    torsion in the given unitary frame (see `_frame_torsion_dbar`)."""
+    b = _stack([_metric_point(chart, _as_key(z))])
+    return _frame_torsion_dbar(b, _frame_matrix(chart, z, frame)[None])[0]
 
 
 def gamma_theta2(chart: MetricChart, z, frame=None):

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (MetricChart, as_params, chern_torsion, metric_values,
-                         torsion_cov_deriv, _as_key, _frame_matrix, _freeze,
-                         _metric_point, _metric_points, _to_frame)
+# chern_torsion is re-exported: code outside the package (the benchmark's
+# tracer tests) reaches it through this module.
+from .connection import (MetricChart, as_params, chern_torsion, metric_values, _as_key,
+                         _frame_matrix, _frame_torsion, _frame_torsion_dbar, _freeze,
+                         _metric_point, _metric_points, _stack, _to_frame)
 from .errors import DimensionError, NotHermitian, ZeroVector
 
 
@@ -67,8 +69,6 @@ def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
 
 @dataclass(eq=False)
 class _LCData:
-    M: np.ndarray        # complexified metric, (2n, 2n)
-    Minv: np.ndarray
     Gamma: np.ndarray    # Gamma[a, b, c] = Gamma^a_bc
     Riem: np.ndarray     # Riem[c, d, b, f] = R(d_c, d_d, d_b, d_f)
     s_g: float
@@ -77,53 +77,72 @@ class _LCData:
 def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
     """Levi-Civita data at a point, kept with the point's metric data."""
     pd = _metric_point(chart, zkey)
-    if pd.lc is None:
-        pd.lc = _freeze(_lc_data(pd))
+    _lc_fill([pd])
     return pd.lc
 
 
-def _lc_data(pd) -> _LCData:
-    """Complexified metric, Christoffel symbols, Riemann tensor and scalar
-    curvature from one point's stacked metric jets."""
-    n = pd.G.shape[0]
+# Entries of one (2n)^4 array in a Levi-Civita batch.  Larger batches ran
+# slower than point by point at n = 4 and 6, the time going to fresh memory
+# for their large temporaries, so they are split.
+LC_BATCH_ENTRIES = 2**14
+
+
+def _lc_fill(pds):
+    """Give every point record that lacks it its Levi-Civita data, built in
+    batches of up to LC_BATCH_ENTRIES / (2n)^4 points."""
+    todo = list({id(pd): pd for pd in pds if pd.lc is None}.values())
+    step = max(1, LC_BATCH_ENTRIES // (2 * pds[0].G.shape[0]) ** 4)
+    for i in range(0, len(todo), step):
+        lc = _freeze(_lc_data(_stack(todo[i:i + step])))
+        for j, pd in enumerate(todo[i:i + step]):
+            pd.lc = _LCData(lc.Gamma[j], lc.Riem[j], float(lc.s_g[j]))
+
+
+def _lc_data(b) -> _LCData:
+    """Christoffel symbols, Riemann tensor and scalar curvature of the
+    complexified metric of stacked points (see `connection._stack`), each
+    with the leading point axis."""
+    P, n = b.G.shape[:2]
     N = 2 * n
-    M = np.zeros((N, N), dtype=complex)
-    dM = np.zeros((N, N, N), dtype=complex)     # dM[a, b, c] = d_a M[b, c]
-    ddM = np.zeros((N, N, N, N), dtype=complex)
-    M[:n, n:] = pd.G
-    dM[:, :n, n:] = np.concatenate([pd.dG, pd.dbarG])     # d_a, then dbar_a
-    ddM[:n, :n, :n, n:] = pd.ddG
-    ddM[:n, n:, :n, n:] = pd.ddbarG
-    ddM[n:, :n, :n, n:] = pd.ddbarG.transpose(1, 0, 2, 3)
-    ddM[n:, n:, :n, n:] = pd.dbardbarG
+    M = np.zeros((P, N, N), dtype=complex)
+    dM = np.zeros((P, N, N, N), dtype=complex)     # dM[p, a, b, c] = d_a M[b, c]
+    ddM = np.zeros((P, N, N, N, N), dtype=complex)
+    M[:, :n, n:] = b.G
+    dM[:, :, :n, n:] = np.concatenate([b.dG, b.dbarG], axis=1)    # d_a, then dbar_a
+    ddM[:, :n, :n, :n, n:] = b.ddG
+    ddM[:, :n, n:, :n, n:] = b.ddbarG
+    ddM[:, n:, :n, :n, n:] = b.ddbarG.transpose(0, 2, 1, 3, 4)
+    ddM[:, n:, n:, :n, n:] = b.dbardbarG
     # The metric tensor is symmetric: mirror the (unbarred, barred) block.
-    M = M + M.T
-    dM = dM + dM.transpose(0, 2, 1)
-    ddM = ddM + ddM.transpose(0, 1, 3, 2)
+    M = M + M.transpose(0, 2, 1)
+    dM = dM + dM.transpose(0, 1, 3, 2)
+    ddM = ddM + ddM.transpose(0, 1, 2, 4, 3)
     Minv = np.linalg.inv(M)
 
     # Each contraction below is one matmul over its summed axis; an
     # unoptimized einsum would loop over every index combination.
-    S = dM + dM.transpose(2, 1, 0) - dM.transpose(1, 0, 2)
-    Sd = S.transpose(1, 0, 2).reshape(N, N * N)           # Sd[d, (b, c)] = S[b, d, c]
-    Gamma = 0.5 * (Minv @ Sd).reshape(N, N, N)            # Gamma^a_bc
+    S = dM + dM.transpose(0, 3, 2, 1) - dM.transpose(0, 2, 1, 3)
+    Sd = S.transpose(0, 2, 1, 3).reshape(P, N, N * N)    # Sd[p, d, (b, c)] = S[p, b, d, c]
+    Gamma = 0.5 * (Minv @ Sd).reshape(P, N, N, N)        # Gamma^a_bc
 
-    dS = ddM + ddM.transpose(0, 3, 2, 1) - ddM.transpose(0, 2, 1, 3)
-    dMinv = -(Minv @ dM @ Minv)                           # dMinv[e] = d_e Minv
-    dGamma = 0.5 * ((dMinv.reshape(N * N, N) @ Sd).reshape(N, N, N, N)
-                    + (Minv @ dS.transpose(0, 2, 1, 3).reshape(N, N, N * N))
-                    .reshape(N, N, N, N))                 # dGamma[e, a, b, c]
+    dS = ddM + ddM.transpose(0, 1, 4, 3, 2) - ddM.transpose(0, 1, 3, 2, 4)
+    dMinv = -(Minv[:, None] @ dM @ Minv[:, None])        # dMinv[p, e] = d_e Minv
+    dGamma = 0.5 * ((dMinv.reshape(P, N * N, N) @ Sd).reshape(P, N, N, N, N)
+                    + (Minv[:, None] @ dS.transpose(0, 1, 3, 2, 4).reshape(P, N, N, N * N))
+                    .reshape(P, N, N, N, N))             # dGamma[p, e, a, b, c]
 
     # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a
-    X = np.einsum("cadb->abcd", dGamma)
-    Y = np.einsum("dacb->abcd", dGamma)
+    X = np.einsum("...cadb->...abcd", dGamma)
+    Y = np.einsum("...dacb->...abcd", dGamma)
     # GG[a, x, y, b] = Gamma^a_xe Gamma^e_yb; P[a,b,c,d] = GG[a,c,d,b] and
     # Q[a,b,c,d] = GG[a,d,c,b].
-    GG = (Gamma.reshape(N * N, N) @ Gamma.reshape(N, N * N)).reshape(N, N, N, N)
-    Rup = X - Y + GG.transpose(0, 3, 1, 2) - GG.transpose(0, 3, 2, 1)
-    Riem = np.tensordot(Rup, M, axes=(0, 0)).transpose(1, 2, 0, 3)
-    s_g = float(np.real(np.einsum("ac,bd,abdc->", Minv, Minv, Riem)))
-    return _LCData(M, Minv, Gamma, Riem, s_g)
+    GG = (Gamma.reshape(P, N * N, N) @ Gamma.reshape(P, N, N * N)).reshape(P, N, N, N, N)
+    Rup = X - Y + GG.transpose(0, 1, 4, 2, 3) - GG.transpose(0, 1, 4, 3, 2)
+    # Riem[p, c, d, b, f] = sum_a Rup[p, a, b, c, d] M[p, a, f]
+    Riem = (Rup.reshape(P, N, N ** 3).transpose(0, 2, 1) @ M).reshape(P, N, N, N, N) \
+        .transpose(0, 2, 3, 1, 4)
+    s_g = np.real(np.einsum("pac,pbd,pabdc->p", Minv, Minv, Riem))
+    return _LCData(Gamma, Riem, s_g)
 
 
 def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
@@ -168,6 +187,40 @@ def canonical_weights(params) -> np.ndarray:
     return np.array([1.0, p, p * p - 2 * p, pr.s * pr.s - 1])
 
 
+def _basis_stack(pds, E=None) -> np.ndarray:
+    """Stacked `canonical_basis` B[p] of point records pds in the frames
+    E[p], by default each point's Cholesky frame: the four tensors of every
+    point from one pass with a leading point axis."""
+    _lc_fill(pds)
+    b = _stack(pds)
+    E = b.E if E is None else E
+    n = E.shape[-1]
+    Ec = E.conj()
+    Riem = np.stack([pd.lc.Riem[:n, n:, :n, n:] for pd in pds])
+    T = _frame_torsion(b, E)
+    TD = _frame_torsion_dbar(b, E)
+    Tc = np.conj(T)
+    term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
+    term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
+        - np.einsum("...jrk,...irl->...klij", T, Tc)
+    term3 = np.einsum("...krj,...lir->...klij", Tc, T)
+    return np.stack([_to_frame(Riem, E, Ec, E, Ec), term1, term2, term3], axis=1)
+
+
+def canonical_bases(chart: MetricChart, points) -> list[np.ndarray]:
+    """`canonical_basis(chart, p)` for every point p, each built once: the
+    points whose basis is not yet stored get theirs in one batched pass, and
+    it is kept, read-only, with the point's data in the chart's store."""
+    pds = _metric_points(chart, [_as_key(p) for p in points])
+    todo = list({id(pd): pd for pd in pds if pd.basis is None}.values())
+    if todo:
+        B = _basis_stack(todo)
+        B.setflags(write=False)
+        for pd, Bp in zip(todo, B):
+            pd.basis = Bp
+    return [pd.basis for pd in pds]
+
+
 def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     """The four tensors B[m, k, l, i, j] whose `canonical_weights` combination
     is the curvature of D^t_s at z:
@@ -176,25 +229,21 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
+
+    In the Cholesky frame (frame=None) this is the point's stored basis, a
+    read-only array built once (see `canonical_bases`); in an explicit
+    frame it is computed afresh from the same batched code and not stored.
     """
-    R = lc_curvature(chart, z, frame).R
-    T = chern_torsion(chart, z, frame)
-    TD = torsion_cov_deriv(chart, z, frame)
-    term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
-    term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
-        - np.einsum("jrk,irl->klij", T, np.conj(T))
-    term3 = np.einsum("krj,lir->klij", np.conj(T), T)
-    return np.stack([R, term1, term2, term3])
+    if frame is None:
+        return canonical_bases(chart, [z])[0]
+    pd = _metric_point(chart, _as_key(z))
+    return _basis_stack([pd], _frame_matrix(chart, z, frame)[None])[0]
 
 
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
-    """Curvature of the canonical connection D^t_s.
-
-    R^D_{k lbar i jbar} = R_{k lbar i jbar} + p (T^j_{ik,lbar}
-    + conj(T^i_{jl,kbar})) + (p^2 - 2p)(T^r_ik conj(T^r_jl)
-    - T^j_rk conj(T^i_rl)) + (s^2 - 1) conj(T^k_rj) T^l_ir,  p = t - t s,
-    i.e. the `canonical_weights` combination of the `canonical_basis`.
-    """
+    """Curvature R^D = R + p B[1] + (p^2 - 2p) B[2] + (s^2 - 1) B[3],
+    p = t - t s, of the canonical connection D^t_s: the `canonical_weights`
+    combination of the `canonical_basis` B."""
     pr = as_params(params)
     RD = np.tensordot(canonical_weights(pr), canonical_basis(chart, z, frame), 1)
     return Curv4(RD, connection=f"canonical(t={pr.t:g}, s={pr.s:g})")
@@ -293,18 +342,17 @@ def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    The points' metric jets come from one batch walk.  Each point's
-    `canonical_basis` is built and symmetrized once; every cell
-    is then one row of a weight matrix applied to it, so the cost grows with
-    the points, not with cells x points.
+    The points' stored bases come from `canonical_bases` (the missing ones
+    from one batched pass) and are symmetrized together; every cell is then
+    one row of a weight matrix applied to a point's symmetrized basis, so
+    the cost grows with the points, not with cells x points.
     """
     W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
-    _metric_points(chart, [_as_key(p) for p in points])
+    Rh = _symmetrized(np.stack(canonical_bases(chart, points)))
     c = np.empty((len(W), len(points)))
     residual = np.empty_like(c)
-    for j, p in enumerate(points):
-        c[:, j], residual[:, j] = _constancy_fit(
-            W, _symmetrized(canonical_basis(chart, p)))
+    for j, Rh_j in enumerate(Rh):
+        c[:, j], residual[:, j] = _constancy_fit(W, Rh_j)
     return c, residual
 
 

@@ -164,6 +164,28 @@ def test_jet_oracle_alone_reads_no_metric_data():
     assert report.all_passed
 
 
+def test_suite_config_refuses_unknown_keys():
+    with pytest.raises(ConfigError, match="sample_cout"):
+        SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
+                               "sample_cout": 3})
+
+
+def test_jet_oracle_matches_pointwise_jets():
+    """The oracle's exact jets come from one batch walk; its residuals are
+    the ones single-point `eval_jet` calls give, to the bit."""
+    from gauduchon.cli import _jet_rel_err
+
+    config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 12,
+                                    "seed": 7, "checks": ["wjet_oracle"]})
+    [rec] = run_suite(config).records
+    chart = gd.make_chart(ADM_SPEC)
+    pts = gd.sample_points(chart, 12, np.random.default_rng(7))[:10]
+    res = np.array([_jet_rel_err(gd.eval_jet(f, p), f, p)
+                    for p in pts for row in chart.g for f in row])
+    assert (rec.points, rec.residual_max, rec.residual_mean) == \
+        (10, float(res.max()), float(res.mean()))
+
+
 def test_suite_config_stores_tolerances_as_floats():
     config = SuiteConfig.from_dict({"chart": {"chart": "euclidean", "n": 2},
                                     "tolerances": {"constancy": "1e-3"}})
@@ -271,6 +293,9 @@ BAD_INPUTS = [
     ("curv", ["--t", "inf", "--point", "1,0;0,0"]),
     ("hsc", ["--t", "nan"]),
     ("hsc", ["--t", "3", "--s=-inf"]),
+    ("suite", {"sample_cout": 3}),
+    ("suite", {"tolerance": {"constancy": 1}}),
+    ("suite", {"output": "report.json"}),
 ]
 
 
@@ -346,6 +371,10 @@ def test_cli_scan_command(tmp_path):
 def test_scan_ts_validates_resolution():
     with pytest.raises(ConfigError):
         scan_ts({"chart": "euclidean", "n": 2}, (0, 1, 1), (0, 1, 3), samples=2)
+    for t_range, s_range in [((float("nan"), 1, 2), (0, 1, 2)),
+                             ((0, 1, 2), (0, float("inf"), 2))]:
+        with pytest.raises(ConfigError, match="finite"):
+            scan_ts({"chart": "euclidean", "n": 2}, t_range, s_range, samples=2)
     with pytest.raises(ConfigError):
         scan_ts({"chart": "euclidean", "n": 2}, (0, 1, 3), (0, 1, 3), samples=0)
 

@@ -3,7 +3,7 @@ import pytest
 
 import gauduchon as gd
 from gauduchon.connection import ConnectionParams, metric_values
-from gauduchon.errors import DomainError, NotPositiveDefinite
+from gauduchon.errors import DimensionError, DomainError, NonFinite, NotPositiveDefinite
 
 from conftest import pts_of
 
@@ -116,6 +116,31 @@ def test_bad_point_in_batch_raises_and_stores_nothing(chart, bad, err):
         _metric_points(chart, keys)
     assert not any(k in _STORE.get(chart, {}) for k in keys)
     assert len(_metric_points(chart, [keys[0], keys[2]])) == 2
+
+
+def test_store_key_fast_path_gives_the_same_key():
+    from gauduchon.connection import _as_key
+    from gauduchon.wjet import as_point
+
+    for z in ([0.9, 0.1j], np.array([0.3 - 0.2j, -0.0 + 1e-300j]), np.array([2.5 + 0j]),
+              (1, 2j, -3.5)):
+        key = _as_key(np.asarray(z, dtype=complex))
+        assert key == tuple(complex(c) for c in as_point(z)) == _as_key(z)
+        assert all(type(c) is complex for c in key)
+
+
+@pytest.mark.parametrize("bad,err", [
+    (np.array([np.nan + 0j, 0.5]), NonFinite),
+    ([0.5, np.inf], NonFinite),
+    (np.array([0.5 + 0j, 0.2, 0.1]), DomainError),
+    ([0.5, 0.2, 0.1], DomainError),
+    (np.array([[0.5 + 0j, 0.2]]), DimensionError),
+])
+def test_bad_point_raises_whatever_its_type(hopf, bad, err):
+    with pytest.raises(err):
+        gd.chern_torsion(hopf, bad)
+    with pytest.raises(err):
+        gd.canonical_bases(hopf, [bad])
 
 
 def test_batch_filled_point_data_is_read_only(adm):
@@ -245,10 +270,9 @@ def test_cov_deriv_kahler_vanishes(kahler_charts):
 def _fd_cov_deriv(chart, p, h=1e-4):
     """FD oracle: dbar_l of the coordinate torsion (the Chern connection has
     no mixed coordinate Christoffels), then frame-transformed."""
-    from gauduchon.connection import _coordinate_torsion, _metric_point, _as_key
-
     def coord_torsion(q):
-        return _coordinate_torsion(_metric_point(chart, _as_key(q)))
+        # the identity matrix as the frame leaves the coordinate torsion
+        return gd.chern_torsion(chart, q, np.eye(chart.n))
 
     n = chart.n
     TDc = np.zeros((n, n, n, n), dtype=complex)
