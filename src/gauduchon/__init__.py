@@ -14,7 +14,7 @@ from .catalog import (CATALOG_TAGS, HopfSpec, admissible_chart,
                       fs_bergman_chart, fubini_study_chart, hopf_chart,
                       hopf_spec, hopf_t3_reference, inline_chart, make_chart,
                       sample_points, validate_admissible, xi_field)
-from .conformal import (ConformalPair, commutation_residual,
+from .conformal import (ConformalPair, FactorAt, commutation_residual,
                         delta_canonical_predicted, delta_direct,
                         delta_direct_symmetrized, delta_gauduchon_predicted,
                         delta_kahler_predicted, f_covariant_hessians,

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
-from .conformal import (commutation_residual, delta_canonical_predicted,
-                        delta_direct, rescale, torsion_transform_residual)
+from .conformal import FactorAt, rescale
 from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
                          _as_key, _metric_points)
 from .curvature import (canonical_basis, canonical_bases, canonical_curvature,
@@ -340,23 +339,20 @@ class _Suite:
                      detail="all Gauduchon curvatures equal Chern")]
 
     def conformal_torsion(self) -> list:
-        res = [torsion_transform_residual(pair, p)
-               for pair in self.pairs for p in self.cpts]
-        return [dict(residuals=res, points=len(self.cpts))]
+        res = [pair.at(self.cpts).torsion_residuals() for pair in self.pairs]
+        return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
 
     def commutation(self) -> list:
-        res = [commutation_residual(self.chart, f, t, p)
-               for f in _conformal_factors(self.chart.n) for t in (1.0, 3.0)
-               for p in self.cpts]
-        return [dict(residuals=res, points=len(self.cpts))]
+        ats = [FactorAt(self.chart, f, self.cpts) for f in _conformal_factors(self.chart.n)]
+        res = [at.commutation_residuals(t) for at in ats for t in (1.0, 3.0)]
+        return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
 
     def conformal_delta(self) -> list:
         cpts = self.pts[:3]
-        res = [np.max(np.abs(delta_canonical_predicted(pair, ts, p).R
-                             - delta_direct(pair, ts, p).R))
-               for pair in self.pairs[:2] for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]
-               for p in cpts]
-        return [dict(residuals=res, points=len(cpts))]
+        res = [np.max(np.abs(at.delta_predicted(ts) - at.delta_direct(ts)), axis=(1, 2, 3, 4))
+               for at in (pair.at(cpts) for pair in self.pairs[:2])
+               for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]]
+        return [dict(residuals=np.concatenate(res), points=len(cpts))]
 
     def selfdual_weyl(self) -> list:
         if self.chart.n != 2:

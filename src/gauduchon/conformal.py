@@ -10,20 +10,26 @@ derivatives of f are taken with respect to the Gauduchon connection of the
 base at the parameter the formula dictates (t for the t-family delta, p for
 the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
+
+The laws run on stacked points (`FactorAt`): one jet walk of f per point
+set, and one batched `canonical_basis` pass for the rescaled side of the
+deltas, weighted per (t, s).  The per-point functions are its P = 1 calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .connection import (FrameAtPoint, MetricChart, as_params, chern_torsion,
-                         unitary_frame, _frame_matrix, _to_frame)
-from .curvature import (Curv4, canonical_curvature, lc_mixed_christoffel,
-                        symmetrize)
+from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _as_key,
+                         _frame_matrix, _frame_torsion, _metric_points, _stack,
+                         _to_frame)
+from .curvature import (Curv4, canonical_bases, canonical_weights, symmetrize,
+                        _basis_stack, _lc_fill, _symmetrized)
 from .errors import BaseNotKahler, NonRealConformalFactor
-from .wjet import Const, Exp, Mul, ScalarField, eval_jet
+from .wjet import Const, Exp, Mul, ScalarField, eval_jets
 
 REAL_TOL = 1e-12
 KAHLER_TOL = 1e-10
@@ -37,6 +43,10 @@ class ConformalPair:
     base: MetricChart
     f: ScalarField
     rescaled: MetricChart
+
+    def at(self, points) -> "FactorAt":
+        """The pair's factor at the points, in their Cholesky frames."""
+        return FactorAt(self.base, self.f, points, rescaled=self.rescaled)
 
 
 def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalPair:
@@ -75,13 +85,142 @@ def paired_frames(pair: ConformalPair, z, base_frame=None):
     return base_frame, resc
 
 
+class FactorAt:
+    """A real conformal factor f on `chart` at P points in unitary frames
+    E[p] (the Cholesky frames unless `frames` is given), every array with a
+    leading point axis: one `eval_jets` walk gives `jet`, `value`, the frame
+    gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and grad2 = f_r f_rbar;
+    T is the base's Chern torsion.  `rescaled` is the chart e^2f g of the laws
+    that compare with it, in the paired frames Et = e^-f E."""
+
+    def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
+                 rescaled: MetricChart | None = None):
+        self.chart, self.rescaled = chart, rescaled
+        self.keys = [_as_key(p) for p in points]
+        self.jet = eval_jets([f], np.array(self.keys, dtype=complex))[0]
+        self.value = self.jet.value.real
+        self.pds = _metric_points(chart, self.keys)
+        self.cholesky = frames is None
+        b = _stack(self.pds)
+        self.E = b.E if frames is None else frames
+        self.Et = np.exp(-self.value)[:, None, None] * self.E
+        self.T = _frame_torsion(b, self.E)
+        self.fr = np.einsum("pia,pi->pa", self.E, self.jet.d)
+        self.frbar = np.einsum("pia,pi->pa", self.E.conj(), self.jet.dbar)
+        # (P, 1, 1, 1, 1), to scale stacked four-tensors; matmul rounds as np.dot
+        self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """C[p, m, l, k] = Gamma^m_{lbar k}, the coordinate coefficients of the
+        (1,0) part of nab^LC_{dbar_l} d_k, from the stored Levi-Civita data."""
+        _lc_fill(self.pds)
+        n = self.chart.n
+        return np.stack([pd.lc.Gamma[:n, n:, :n] for pd in self.pds])
+
+    def hessians(self, t: float):
+        """`f_covariant_hessians` at each point."""
+        jf, C, E = self.jet, self.C, self.E
+        A = jf.ddbar - (1.0 - t) * np.einsum("pmlk,pm->pkl", C, jf.d)
+        B = jf.ddbar.transpose(0, 2, 1) \
+            - (1.0 - t) * np.einsum("pmkl,pm->plk", np.conj(C), jf.dbar)
+        return _to_frame(A, E, E.conj()), _to_frame(B, E.conj(), E)
+
+    def commutation_residuals(self, t: float) -> np.ndarray:
+        """`commutation_residual` at each point."""
+        H1, H2 = self.hessians(t)
+        rhs = (1.0 - t) * (np.einsum("pr,pjrk->pjk", self.frbar, self.T)
+                           - np.einsum("pr,pkrj->pjk", self.fr, np.conj(self.T)))
+        return np.max(np.abs(H2 - H1.transpose(0, 2, 1) - rhs), axis=(1, 2))
+
+    def torsion_residuals(self) -> np.ndarray:
+        """`torsion_transform_residual` at each point."""
+        eye = np.eye(self.chart.n)
+        pred = self.T + np.einsum("pj,ik->pijk", self.fr, eye) \
+            - np.einsum("pk,ij->pijk", self.fr, eye)
+        pred *= np.exp(-self.value)[:, None, None, None]
+        direct = _frame_torsion(_stack(_metric_points(self.rescaled, self.keys)), self.Et)
+        return np.max(np.abs(direct - pred), axis=(1, 2, 3))
+
+    def delta_predicted(self, params) -> np.ndarray:
+        """`delta_canonical_predicted` at each point."""
+        pr = as_params(params)
+        p, s = pr.p, pr.s
+        T, fr, frbar, grad2 = self.T, self.fr, self.frbar, self.grad2
+        Tc = np.conj(T)
+        H1, _ = self.hessians(p)
+        eye = np.eye(self.chart.n)
+        dd = np.einsum("jk,il->klij", eye, eye)
+        D = -2 * p * np.einsum("pkl,ij->pklij", H1, eye)
+        D = D + 2 * p * (1 - p) * np.einsum("pr,pkrl,ij->pklij", fr, Tc, eye)
+        D = D - (1 - p) * (np.einsum("pil,jk->pklij", H1, eye)
+                           + np.einsum("pkj,il->pklij", H1, eye))
+        D = D + (1 - p) ** 2 * (
+            np.einsum("pi,pkjl->pklij", fr, Tc)
+            - np.einsum("pr,pjrk,il->pklij", frbar, T, eye)
+            + np.einsum("pr,pkrj,il->pklij", fr, Tc, eye)
+            + np.einsum("pj,plik->pklij", frbar, T)
+            - grad2 * dd
+            + np.einsum("pi,pj,kl->pklij", fr, frbar, eye))
+        if s != 0.0:
+            s2 = s * s
+            D = D + s2 * (np.einsum("pi,pl,jk->pklij", fr, frbar, eye)
+                          + np.einsum("pj,pk,il->pklij", frbar, fr, eye)
+                          - np.einsum("pi,pj,kl->pklij", fr, frbar, eye)
+                          - grad2 * dd)
+            D = D + s2 * (np.einsum("pi,pklj->pklij", fr, Tc)
+                          - np.einsum("pj,plik->pklij", frbar, T)
+                          - np.einsum("pr,plri,jk->pklij", frbar, T, eye)
+                          - np.einsum("pr,pkrj,il->pklij", fr, Tc, eye))
+        return D
+
+    def delta_kahler(self, params) -> np.ndarray:
+        """`delta_kahler_predicted` at each point.  Its sums are 4 sym(f_{k lbar}
+        d_ij), 4 sym(f_i f_jbar d_kl) and 2 sym(d_kl d_ij), so the delta is
+        sym(-2 f_{k lbar} d_ij + C f_i f_jbar d_kl - C f_r f_rbar d_kl d_ij)."""
+        tors = np.max(np.abs(self.T), axis=(1, 2, 3))
+        bad = np.flatnonzero(tors > KAHLER_TOL)
+        if bad.size:
+            raise BaseNotKahler(f"base chart {self.chart.label} has torsion "
+                                f"{tors[bad[0]]:.2e} at {np.array(self.keys[bad[0]])}")
+        pr = as_params(params)
+        coeff = (pr.p - 1.0) ** 2 + pr.s**2
+        H1, _ = self.hessians(pr.p)
+        eye = np.eye(self.chart.n)
+        X = -2 * np.einsum("pkl,ij->pklij", H1, eye) \
+            + coeff * (np.einsum("pi,pj,kl->pklij", self.fr, self.frbar, eye)
+                       - self.grad2 * np.einsum("kl,ij->klij", eye, eye))
+        return _symmetrized(X)
+
+    @cached_property
+    def bases(self):
+        """`canonical_basis` stacks (base, rescaled), each (P, 4, n, n, n, n):
+        the base's in the frames E (the stored ones in Cholesky frames), the
+        rescaled chart's in the paired frames Et from one batched pass."""
+        base = (np.stack(canonical_bases(self.chart, self.keys)) if self.cholesky
+                else _basis_stack(self.pds, self.E))
+        return base, _basis_stack(_metric_points(self.rescaled, self.keys), self.Et)
+
+    def delta_direct(self, params) -> np.ndarray:
+        """`delta_direct` at each point, in the frames E and Et."""
+        w = canonical_weights(params)
+        base, resc = self.bases
+        e2f = np.exp(2 * self.value)[:, None, None, None, None]
+        return e2f * np.tensordot(w, resc, (0, 1)) - np.tensordot(w, base, (0, 1))
+
+
+def _at_point(chart: MetricChart, f: ScalarField, z, frame=None) -> FactorAt:
+    """The P = 1 `FactorAt` of the per-point functions."""
+    frames = None if frame is None else _frame_matrix(chart, z, frame)[None]
+    return FactorAt(chart, f, [z], frames)
+
+
 def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):
     """(f_a, f_abar) = frame components of df: f_a = e_a f,
     f_abar = ebar_a f."""
     chart = pair_or_chart.base if isinstance(pair_or_chart, ConformalPair) else pair_or_chart
-    E = _frame_matrix(chart, z, frame)
-    jf = eval_jet(f, z)
-    return E.T @ jf.d, E.conj().T @ jf.dbar
+    F = _at_point(chart, f, z, frame)
+    return F.fr[0], F.frbar[0]
 
 
 def f_covariant_hessians(chart: MetricChart, f: ScalarField, t: float, z, frame=None):
@@ -94,44 +233,21 @@ def f_covariant_hessians(chart: MetricChart, f: ScalarField, t: float, z, frame=
     mixed Christoffel symbols, so only the Lichnerowicz share (1 - t)
     contributes.
     """
-    E = _frame_matrix(chart, z, frame)
-    jf = eval_jet(f, z)
-    C = lc_mixed_christoffel(chart, z)       # C[m, l, k] = Gamma^m_{lbar k}
-    A = jf.ddbar.copy()                      # A[k, l] = d_k dbar_l f
-    A -= (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)
-    B = jf.ddbar.T.copy()                    # B[l, k] = d_k dbar_l f
-    B -= (1.0 - t) * np.einsum("mkl,m->lk", np.conj(C), jf.dbar)
-    H1 = _to_frame(A, E, E.conj())
-    H2 = _to_frame(B, E.conj(), E)
-    return H1, H2
+    H1, H2 = _at_point(chart, f, z, frame).hessians(t)
+    return H1[0], H2[0]
 
 
 def commutation_residual(chart: MetricChart, f: ScalarField, t: float, z) -> float:
     """Max-norm residual over (j, k) of the commutation rule
     f_{jbar k} - f_{k jbar} = (1 - t)(f_rbar T^j_rk - f_r conj(T^k_rj))."""
-    frame = unitary_frame(chart, z)
-    H1, H2 = f_covariant_hessians(chart, f, t, z, frame)
-    fr, frbar = frame_gradient(chart, f, z, frame)
-    T = chern_torsion(chart, z, frame)
-    rhs = (1.0 - t) * (np.einsum("r,jrk->jk", frbar, T)
-                       - np.einsum("r,krj->jk", fr, np.conj(T)))
-    lhs = H2 - H1.T                           # lhs[j, k] = f_{jbar k} - f_{k jbar}
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(_at_point(chart, f, z).commutation_residuals(t)[0])
 
 
 def torsion_transform_residual(pair: ConformalPair, z) -> float:
     """Max-norm of (direct torsion of the rescaled chart) minus the predicted
     Ttilde^i_jk = e^-f (T^i_jk + f_j delta_ik - f_k delta_ij), in paired
     frames."""
-    fb, fr = paired_frames(pair, z)
-    T = chern_torsion(pair.base, z, fb)
-    fj, _ = frame_gradient(pair, pair.f, z, fb)
-    n = pair.base.n
-    eye = np.eye(n)
-    pred = T + np.einsum("j,ik->ijk", fj, eye) - np.einsum("k,ij->ijk", fj, eye)
-    pred *= np.exp(-pair.f(z).real)
-    direct = chern_torsion(pair.rescaled, z, fr)
-    return float(np.max(np.abs(direct - pred)))
+    return float(pair.at([z]).torsion_residuals()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -154,39 +270,7 @@ def delta_canonical_predicted(pair: ConformalPair, params, z, frame=None) -> Cur
     with f-subscripts covariant with respect to nab^p of the base, p = t - ts.
     """
     pr = as_params(params)
-    p, s = pr.p, pr.s
-    base = pair.base
-    if frame is None:
-        frame = unitary_frame(base, z)
-    T = chern_torsion(base, z, frame)
-    Tc = np.conj(T)
-    fr, frbar = frame_gradient(pair, pair.f, z, frame)
-    H1, _ = f_covariant_hessians(base, pair.f, p, z, frame)
-    n = base.n
-    eye = np.eye(n)
-    grad2 = float(np.real(np.dot(fr, frbar)))
-
-    D = -2 * p * np.einsum("kl,ij->klij", H1, eye)
-    D = D + 2 * p * (1 - p) * np.einsum("r,krl,ij->klij", fr, Tc, eye)
-    D = D - (1 - p) * (np.einsum("il,jk->klij", H1, eye)
-                       + np.einsum("kj,il->klij", H1, eye))
-    D = D + (1 - p) ** 2 * (
-        np.einsum("i,kjl->klij", fr, Tc)
-        - np.einsum("r,jrk,il->klij", frbar, T, eye)
-        + np.einsum("r,krj,il->klij", fr, Tc, eye)
-        + np.einsum("j,lik->klij", frbar, T)
-        - grad2 * np.einsum("jk,il->klij", eye, eye)
-        + np.einsum("i,j,kl->klij", fr, frbar, eye))
-    if s != 0.0:
-        s2 = s * s
-        D = D + s2 * (np.einsum("i,l,jk->klij", fr, frbar, eye)
-                      + np.einsum("j,k,il->klij", frbar, fr, eye)
-                      - np.einsum("i,j,kl->klij", fr, frbar, eye)
-                      - grad2 * np.einsum("jk,il->klij", eye, eye))
-        D = D + s2 * (np.einsum("i,klj->klij", fr, Tc)
-                      - np.einsum("j,lik->klij", frbar, T)
-                      - np.einsum("r,lri,jk->klij", frbar, T, eye)
-                      - np.einsum("r,krj,il->klij", fr, Tc, eye))
+    D = _at_point(pair.base, pair.f, z, frame).delta_predicted(pr)[0]
     return Curv4(D, connection=f"delta canonical(t={pr.t:g}, s={pr.s:g})")
 
 
@@ -202,11 +286,8 @@ def delta_direct(pair: ConformalPair, params, z) -> Curv4:
     """Measured e^2f Rtilde^D - R^D in paired frames; the base side is the
     base's stored Cholesky-frame curvature."""
     pr = as_params(params)
-    _, fr = paired_frames(pair, z)
-    Rb = canonical_curvature(pair.base, pr, z).R
-    Rt = canonical_curvature(pair.rescaled, pr, z, fr).R
-    e2f = float(np.exp(2 * pair.f(z).real))
-    return Curv4(e2f * Rt - Rb, connection=f"delta direct(t={pr.t:g}, s={pr.s:g})")
+    return Curv4(pair.at([z]).delta_direct(pr)[0],
+                 connection=f"delta direct(t={pr.t:g}, s={pr.s:g})")
 
 
 def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
@@ -221,37 +302,13 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
     Raises BaseNotKahler when the base torsion at z exceeds 1e-10.
     """
     pr = as_params(params)
-    base = pair.base
-    frame = unitary_frame(base, z)
-    T = chern_torsion(base, z, frame)
-    if float(np.max(np.abs(T))) > KAHLER_TOL:
-        raise BaseNotKahler(
-            f"base chart {base.label} has torsion {np.max(np.abs(T)):.2e} at {z}")
-    coeff = (pr.p - 1.0) ** 2 + pr.s**2
-    fr, frbar = frame_gradient(pair, pair.f, z, frame)
-    H1, _ = f_covariant_hessians(base, pair.f, pr.p, z, frame)
-    n = base.n
-    eye = np.eye(n)
-    grad2 = float(np.real(np.dot(fr, frbar)))
-    D = -0.5 * (np.einsum("il,jk->klij", H1, eye)
-                + np.einsum("kl,ij->klij", H1, eye)
-                + np.einsum("ij,kl->klij", H1, eye)
-                + np.einsum("kj,il->klij", H1, eye))
-    D = D + 0.25 * coeff * (np.einsum("i,j,kl->klij", fr, frbar, eye)
-                            + np.einsum("k,j,il->klij", fr, frbar, eye)
-                            + np.einsum("i,l,kj->klij", fr, frbar, eye)
-                            + np.einsum("k,l,ij->klij", fr, frbar, eye))
-    D = D - 0.5 * coeff * grad2 * (np.einsum("kl,ij->klij", eye, eye)
-                                   + np.einsum("kj,il->klij", eye, eye))
-    return Curv4(D, connection=f"delta kahler sym(t={pr.t:g}, s={pr.s:g})")
+    return Curv4(pair.at([z]).delta_kahler(pr)[0],
+                 connection=f"delta kahler sym(t={pr.t:g}, s={pr.s:g})")
 
 
 def delta_direct_symmetrized(pair: ConformalPair, params, z) -> Curv4:
     """Measured e^2f sym(Rtilde^D) - sym(R^D) in paired frames, the base side
     from the base's stored Cholesky-frame curvature."""
-    pr = as_params(params)
-    _, fr = paired_frames(pair, z)
-    Rb = symmetrize(canonical_curvature(pair.base, pr, z)).R
-    Rt = symmetrize(canonical_curvature(pair.rescaled, pr, z, fr)).R
-    e2f = float(np.exp(2 * pair.f(z).real))
-    return Curv4(e2f * Rt - Rb, connection="delta direct sym")
+    C = symmetrize(delta_direct(pair, params, z))
+    C.connection = "delta direct sym"
+    return C

@@ -26,7 +26,7 @@ import numpy as np
 from .connection import (MetricChart, as_params, chern_torsion, metric_values, _as_key,
                          _frame_matrix, _frame_torsion, _frame_torsion_dbar, _freeze,
                          _metric_point, _metric_points, _stack, _to_frame)
-from .errors import DimensionError, NotHermitian, ZeroVector
+from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
 
 
 @dataclass(eq=False)
@@ -164,15 +164,6 @@ def lc_full(chart: MetricChart, z) -> np.ndarray:
 def scalar_curvature(chart: MetricChart, z) -> float:
     """Riemannian scalar curvature of the realified metric."""
     return _lc_point(chart, _as_key(z)).s_g
-
-
-def lc_mixed_christoffel(chart: MetricChart, z) -> np.ndarray:
-    """Coordinate coefficients C[m, l, k] of the (1,0) part of
-    nab^LC_{dbar_l} d_k (used for covariant derivatives of conformal
-    factors)."""
-    lc = _lc_point(chart, _as_key(z))
-    n = chart.n
-    return lc.Gamma[:n, n:, :n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +336,11 @@ def constancy_table(chart: MetricChart, params_list, points):
     The points' stored bases come from `canonical_bases` (the missing ones
     from one batched pass) and are symmetrized together; every cell is then
     one row of a weight matrix applied to a point's symmetrized basis, so
-    the cost grows with the points, not with cells x points.
+    the cost grows with the points, not with cells x points.  An empty
+    params_list gives empty arrays; an empty point list raises ConfigError.
     """
+    if len(points) == 0:
+        raise ConfigError("constancy_table needs at least one point; the point list is empty")
     W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
     Rh = _symmetrized(np.stack(canonical_bases(chart, points)))
     c = np.empty((len(W), len(points)))

@@ -149,6 +149,17 @@ def test_constancy_table_matches_per_cell():
         np.testing.assert_allclose(res[row], res_ref, rtol=0, atol=1e-12)
 
 
+def test_constancy_table_edges():
+    """No cells give empty arrays; no points is a typed error naming the
+    empty point list."""
+    chart = CHARTS["admissible"]
+    pts = gd.sample_points(chart, 2, np.random.default_rng(6))
+    c, res = gd.constancy_table(chart, [], pts)
+    assert c.shape == res.shape == (0, 2)
+    with pytest.raises(gd.ConfigError, match="point list is empty"):
+        gd.constancy_table(chart, [(-1.0, 0.0)], [])
+
+
 def test_scan_matches_per_cell():
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 3, np.random.default_rng(1))

@@ -3,6 +3,7 @@ bit-equal to a per-point build, read-only and held by the chart's store."""
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
+import gauduchon.cli as cli
+import gauduchon.conformal as conformal
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig, run_suite
@@ -129,6 +132,7 @@ def counting(monkeypatch):
         return build(pds, E)
 
     monkeypatch.setattr(curvature, "_basis_stack", counted)
+    monkeypatch.setattr(conformal, "_basis_stack", counted)
     return builds
 
 
@@ -145,15 +149,45 @@ def test_stored_basis_respects_the_store_bound(monkeypatch):
     assert [len(pds) for pds, _ in builds] == [5, 1]
 
 
+def suite_adm2_config():
+    """The bench's suite_adm2 config."""
+    return SuiteConfig.from_dict({
+        "chart": ADM_SPEC, "sample_count": 40,
+        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
+
+
 def test_suite_builds_each_cholesky_basis_once(monkeypatch):
     """The bench's suite_adm2 config: every (chart, point) gets at most one
     Cholesky-frame basis; the rest are the rescaled-side explicit frames of
-    `conformal_delta` (2 factors x 3 (t, s) x 3 points)."""
+    `conformal_delta`, one batched pass per conformal pair over its 3
+    points."""
     builds = counting(monkeypatch)
-    config = SuiteConfig.from_dict({
-        "chart": ADM_SPEC, "sample_count": 40,
-        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
-    assert run_suite(config).all_passed
+    assert run_suite(suite_adm2_config()).all_passed
     cholesky = [id(pd) for pds, stored in builds if stored for pd in pds]
     assert len(cholesky) == len(set(cholesky)) == 40
-    assert sum(len(pds) for pds, stored in builds if not stored) == 18
+    assert [len(pds) for pds, stored in builds if not stored] == [3, 3]
+
+
+def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
+    """The bench's suite_adm2 config: each conformal check takes one
+    `eval_jets` walk per conformal factor over all of its points."""
+    current = [None]
+    for name, (tol, check) in list(cli.CHECKS.items()):
+        def run_check(suite, name=name, check=check):
+            current[0] = name
+            return check(suite)
+        monkeypatch.setitem(cli.CHECKS, name, (tol, run_check))
+    walks, sizes = Counter(), set()
+    walk = conformal.eval_jets
+
+    def counted(fields, points):
+        walks[current[0], tuple(map(id, fields))] += 1
+        sizes.add((current[0], len(points)))
+        return walk(fields, points)
+
+    monkeypatch.setattr(conformal, "eval_jets", counted)
+    assert run_suite(suite_adm2_config()).all_passed
+    assert set(walks.values()) == {1}
+    assert Counter(name for name, _ in walks) == {
+        "conformal_torsion": 3, "commutation": 3, "conformal_delta": 2}
+    assert sizes == {("conformal_torsion", 5), ("commutation", 5), ("conformal_delta", 3)}

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
+import gauduchon.connection as connection
+import gauduchon.curvature as curvature
+from gauduchon.cli import _conformal_factors
+from gauduchon.conformal import frame_gradient
 from gauduchon.connection import metric_values
 from gauduchon.errors import BaseNotKahler, NonRealConformalFactor
 
@@ -258,3 +263,96 @@ def test_selfdual_conformal_invariance(flat, fsb):
         for p in pts_of(sample_chart, 5, 20):
             assert max(gd.selfdual_residual(base, p)) < 1e-8
             assert max(gd.selfdual_residual(pair.rescaled, p)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched factor laws
+
+
+SPECS = {"hopf2": {"chart": "hopf_standard", "n": 2},
+         "hopf3": {"chart": "hopf_standard", "n": 3},
+         "admissible": {"chart": "admissible", "n": 2, "a": 0.5,
+                        "multipliers": [[0.5, 0], [0.5, 0]],
+                        "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}}
+
+
+def per_point_laws(pair, t, params, z):
+    """Frame gradient, Hessians at t, torsion-law and commutation residuals
+    and the predicted and direct canonical deltas at one point, from the
+    per-point formulas in plain numpy (2-D matmuls and unbatched einsums)."""
+    chart, f, n = pair.base, pair.f, pair.base.n
+    E = gd.unitary_frame(chart, z).E
+    jf = gd.eval_jet(f, z)
+    fr, frbar = E.T @ jf.d, E.conj().T @ jf.dbar
+    C = curvature._lc_point(chart, connection._as_key(z)).Gamma[:n, n:, :n]
+
+    def hessians(t):
+        A = jf.ddbar - (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)
+        B = jf.ddbar.T - (1.0 - t) * np.einsum("mkl,m->lk", np.conj(C), jf.dbar)
+        return E.T @ A @ E.conj(), E.conj().T @ B @ E
+
+    H1, H2 = hessians(t)
+    T = gd.chern_torsion(chart, z)
+    Tc = np.conj(T)
+    eye = np.eye(n)
+    c = np.exp(-f(z).real)
+    pred = c * (T + np.einsum("j,ik->ijk", fr, eye) - np.einsum("k,ij->ijk", fr, eye))
+    torsion = np.max(np.abs(gd.chern_torsion(pair.rescaled, z, c * E) - pred))
+    rhs = (1.0 - t) * (np.einsum("r,jrk->jk", frbar, T) - np.einsum("r,krj->jk", fr, Tc))
+    commutation = np.max(np.abs(H2 - H1.T - rhs))
+
+    pr = gd.ConnectionParams(*params)
+    p, s2 = pr.p, pr.s ** 2
+    Hp, _ = hessians(p)
+    grad2 = np.real(np.dot(fr, frbar))
+    dd = np.einsum("jk,il->klij", eye, eye)
+    D = (-2 * p * np.einsum("kl,ij->klij", Hp, eye)
+         + 2 * p * (1 - p) * np.einsum("r,krl,ij->klij", fr, Tc, eye)
+         - (1 - p) * (np.einsum("il,jk->klij", Hp, eye) + np.einsum("kj,il->klij", Hp, eye))
+         + (1 - p) ** 2 * (np.einsum("i,kjl->klij", fr, Tc)
+                           - np.einsum("r,jrk,il->klij", frbar, T, eye)
+                           + np.einsum("r,krj,il->klij", fr, Tc, eye)
+                           + np.einsum("j,lik->klij", frbar, T) - grad2 * dd
+                           + np.einsum("i,j,kl->klij", fr, frbar, eye))
+         + s2 * (np.einsum("i,l,jk->klij", fr, frbar, eye)
+                 + np.einsum("j,k,il->klij", frbar, fr, eye)
+                 - np.einsum("i,j,kl->klij", fr, frbar, eye) - grad2 * dd)
+         + s2 * (np.einsum("i,klj->klij", fr, Tc) - np.einsum("j,lik->klij", frbar, T)
+                 - np.einsum("r,lri,jk->klij", frbar, T, eye)
+                 - np.einsum("r,krj,il->klij", fr, Tc, eye)))
+    direct = (np.exp(2 * f(z).real) * gd.canonical_curvature(pair.rescaled, pr, z, c * E).R
+              - gd.canonical_curvature(chart, pr, z).R)
+    return [fr, frbar, H1, H2, torsion, commutation, D, direct]
+
+
+def assert_close(got, want):
+    """Equal within 1e-13 of max|want|, the scale taken as at least 1 for
+    the residuals, whose own size is rounding."""
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(SPECS)), count=st.integers(1, 5),
+       which=st.integers(0, 2), t=st.floats(-3.0, 3.0), s=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_factor_laws_equal_per_point(name, count, which, t, s, seed):
+    """The batched laws at P points equal the P = 1 public functions, and
+    those equal the per-point formulas."""
+    chart = gd.make_chart(SPECS[name])
+    factors = _conformal_factors(chart.n)
+    f = factors[which % len(factors)]
+    pts = gd.sample_points(chart, count, np.random.default_rng(seed))
+    pair = gd.rescale(chart, f, check_points=pts)
+    at = pair.at(pts)
+    assert at.E.shape[0] == count
+    batched = [at.fr, at.frbar, *at.hessians(t), at.torsion_residuals(),
+               at.commutation_residuals(t), at.delta_predicted((t, s)), at.delta_direct((t, s))]
+    for j, p in enumerate(pts):
+        one = [*frame_gradient(chart, f, p), *gd.f_covariant_hessians(chart, f, t, p),
+               gd.torsion_transform_residual(pair, p), gd.commutation_residual(chart, f, t, p),
+               gd.delta_canonical_predicted(pair, (t, s), p).R,
+               gd.delta_direct(pair, (t, s), p).R]
+        for b, o, ref in zip(batched, one, per_point_laws(pair, t, (t, s), p), strict=True):
+            assert_close(b[j], o)
+            assert_close(o, ref)
