@@ -22,10 +22,10 @@ from .conformal import (ConformalPair, FactorAt, commutation_residual,
 from .connection import (ConnectionParams, FrameAtPoint, MetricChart,
                          chern_torsion, gamma_theta2, metric_jet,
                          torsion_cov_deriv, unitary_frame)
-from .curvature import (Curv4, HSCReport, canonical_bases, canonical_basis,
+from .curvature import (Curv4, canonical_bases, canonical_basis,
                         canonical_curvature, canonical_weights, chern_curvature, constancy_residual,
                         constancy_table, curv4_rows, gauduchon_curvature,
-                        hsc, hsc_report, lc_curvature, lc_curvature_fd, lc_full,
+                        hsc, lc_curvature, lc_curvature_fd, lc_full,
                         scalar_curvature, scalar_curvature_fd, selfdual_residual,
                         symmetrize, weyl_minus)
 from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,

@@ -43,14 +43,9 @@ def _ball_sampler(n: int, rmin: float = 0.1, rmax: float = 0.9):
 
 
 def _annulus_sampler(n: int, a: float):
-    rmin, rmax = a + 0.05, 0.95
-    if rmin >= rmax:
+    if a + 0.05 >= 0.95:
         raise InvalidSpec(f"annulus a={a} leaves no safe sampling region")
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        r = rng.uniform(rmin, rmax)
-        return r * _sphere_direction(rng, n)
-    return sample
+    return _ball_sampler(n, a + 0.05, 0.95)
 
 
 def _polydisk_sampler(n: int, rmax: float = 0.9):

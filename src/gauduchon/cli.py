@@ -30,11 +30,10 @@ import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
-from .conformal import FactorAt, rescale
+from .conformal import KAHLER_TOL, rescale
 from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
                          _as_key, _metric_points)
-from .curvature import (canonical_basis, canonical_bases, canonical_curvature,
-                        canonical_weights, chern_curvature, constancy_residual,
+from .curvature import (canonical_bases, canonical_curvature, chern_curvature,
                         constancy_table, curv4_rows, gauduchon_curvature, hsc,
                         lc_curvature, selfdual_residual, symmetrize, weyl_minus)
 from .errors import ConfigError, GauduchonError
@@ -228,25 +227,24 @@ class _Suite:
     @cached_property
     def pairs(self) -> list:
         """One conformal pair per factor, shared by the checks that compare
-        a rescaled chart; each fills its first 5 points in one walk."""
-        pairs = [rescale(self.chart, f, check_points=self.cpts)
-                 for f in _conformal_factors(self.chart.n)]
-        for pair in pairs:
-            _metric_points(pair.rescaled, [_as_key(p) for p in self.cpts])
-        return pairs
+        a rescaled chart."""
+        return [rescale(self.chart, f, check_points=self.cpts)
+                for f in _conformal_factors(self.chart.n)]
 
-    def _gauduchon_family(self, p) -> list:
-        """R of nab^t for each t in HERMITIAN_T: `canonical_weights` rows on
-        the point's stored `canonical_basis`, the same sum
-        `gauduchon_curvature` forms."""
-        B = canonical_basis(self.chart, p)
-        return [np.tensordot(canonical_weights((t, 0.0)), B, 1) for t in HERMITIAN_T]
+    @cached_property
+    def factors(self) -> list:
+        """Each pair's factor at the first 5 points, shared by
+        `conformal_torsion` and `commutation`."""
+        return [pair.at(self.cpts) for pair in self.pairs]
 
     def wjet_oracle(self) -> list:
+        # The catalog charts share trees between components: each distinct
+        # tree gets one exact and one finite-difference jet per point.
         fields = [f for components in self.chart.g for f in components]
-        jets = eval_jets(fields, self.small)
-        res = [_jet_rel_err(jet.row(j), f, p)
-               for j, p in enumerate(self.small) for f, jet in zip(fields, jets)]
+        trees = list({id(f): f for f in fields}.values())
+        err = {id(f): [_jet_rel_err(jet.row(j), f, p) for j, p in enumerate(self.small)]
+               for f, jet in zip(trees, eval_jets(trees, self.small))}
+        res = [err[id(f)][j] for j in range(len(self.small)) for f in fields]
         return [dict(residuals=res, points=len(self.small),
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
@@ -283,8 +281,8 @@ class _Suite:
 
     def hermitian_symmetry(self) -> list:
         canonical_bases(self.chart, self.small)
-        res = [np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R))))
-               for p in self.small for R in self._gauduchon_family(p)]
+        Rs = [gauduchon_curvature(self.chart, t, p).R for p in self.small for t in HERMITIAN_T]
+        res = [np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R)))) for R in Rs]
         return [dict(residuals=res, points=len(self.small))]
 
     def interpolation(self) -> list:
@@ -328,23 +326,23 @@ class _Suite:
     def kahler_families(self) -> list:
         chart = self.chart
         tors = max(float(np.max(np.abs(chern_torsion(chart, p)))) for p in self.small)
-        if not tors < 1e-10:
+        if not tors < KAHLER_TOL:
             return []
         canonical_bases(chart, self.small)
         res = []
         for p in self.small:
             Rc = chern_curvature(chart, p).R
-            res += [np.max(np.abs(R - Rc)) for R in self._gauduchon_family(p)]
+            res += [np.max(np.abs(gauduchon_curvature(chart, t, p).R - Rc))
+                    for t in HERMITIAN_T]
         return [dict(residuals=res, points=len(self.small),
                      detail="all Gauduchon curvatures equal Chern")]
 
     def conformal_torsion(self) -> list:
-        res = [pair.at(self.cpts).torsion_residuals() for pair in self.pairs]
+        res = [at.torsion_residuals() for at in self.factors]
         return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
 
     def commutation(self) -> list:
-        ats = [FactorAt(self.chart, f, self.cpts) for f in _conformal_factors(self.chart.n)]
-        res = [at.commutation_residuals(t) for at in ats for t in (1.0, 3.0)]
+        res = [at.commutation_residuals(t) for at in self.factors for t in (1.0, 3.0)]
         return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
 
     def conformal_delta(self) -> list:
@@ -513,11 +511,10 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     _check_finite("t and s", t, s)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
-    canonical_bases(chart, pts)
+    cs, residuals = constancy_table(chart, [(t, s)], pts)
     per_point = []
-    for p in pts:
+    for p, c, res in zip(pts, cs[0], residuals[0]):
         C = canonical_curvature(chart, (t, s), p)
-        c, res = constancy_residual(C)
         hs = []
         for _ in range(HSC_DIRECTIONS):
             eta = rng.standard_normal(chart.n) + 1j * rng.standard_normal(chart.n)
@@ -525,12 +522,11 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
             hs.append(hsc(C, eta))
         per_point.append({
             "point": [[v.real, v.imag] for v in p],
-            "c": c,
-            "residual": res,
+            "c": float(c),
+            "residual": float(res),
             "hsc_min": min(hs),
             "hsc_max": max(hs),
         })
-    cs = [r["c"] for r in per_point]
     return {
         "schema_version": SCHEMA_VERSION,
         "conventions_version": CONVENTIONS_VERSION,
@@ -540,8 +536,8 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
         "samples": samples,
         "directions": HSC_DIRECTIONS,
         "c_mean": float(np.mean(cs)),
-        "c_spread": float(max(cs) - min(cs)),
-        "residual_max": float(max(r["residual"] for r in per_point)),
+        "c_spread": float(cs.max() - cs.min()),
+        "residual_max": float(residuals.max()),
         "per_point": per_point,
     }
 

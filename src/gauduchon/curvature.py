@@ -282,25 +282,6 @@ def hsc(C, eta) -> float:
     return float(val.real) / norm2**2
 
 
-@dataclass(eq=False)
-class HSCReport:
-    """Constancy scan summary: mean estimated constant, worst residual and a
-    per-point table of (point, c, residual)."""
-
-    c_mean: float
-    residual_max: float
-    rows: list
-
-
-def hsc_report(chart: MetricChart, params, points) -> HSCReport:
-    """Constancy scan of the canonical curvature over the given points."""
-    c, res = constancy_table(chart, [params], points)
-    rows = [(np.asarray(p, dtype=complex), float(cp), float(rp))
-            for p, cp, rp in zip(points, c[0], res[0])]
-    return HSCReport(c_mean=float(np.mean(c)), residual_max=float(res.max()),
-                     rows=rows)
-
-
 def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
     """Constancy estimates of the tensors W @ Rh, Rh a stack of symmetrized
     tensors (m, n, n, n, n) and W an (r, m) weight matrix.

@@ -5,8 +5,9 @@ zbar_i}, closed under +, -, *, /, integer powers, exp and log.  `eval_jet`
 propagates the full second-order Wirtinger jet (value, d, dbar, dd, ddbar,
 dbardbar) exactly through the tree; `eval_jets` does the same for several
 trees at a batch of points in one walk, evaluating each shared node once.
-`fd_jet` is an independent central finite-difference oracle in the 2n
-underlying real coordinates.
+Jet arithmetic happens only in that walk, on jets of one batch.  `fd_jet`
+is an independent central finite-difference oracle in the 2n underlying
+real coordinates.
 
 Conventions: z_i = x_i + 1j*y_i, d_i = (d/dx_i - 1j d/dy_i)/2 and
 dbar_i = (d/dx_i + 1j d/dy_i)/2.  z and zbar are independent variables, so
@@ -84,7 +85,7 @@ class WJet2:
 
     A jet may carry a leading batch axis of P points: value (P,), d and
     dbar (P, n), the second-order parts (P, n, n).  The arithmetic is
-    rowwise and broadcasts, so batched and unbatched jets combine.
+    rowwise: it combines two jets of one walk, or scales a jet by a number.
     """
 
     value: complex
@@ -122,28 +123,17 @@ class WJet2:
         j.dbar[..., i] = 1.0
         return j
 
-    def _lift(self, other) -> "WJet2":
-        if isinstance(other, WJet2):
-            return other
-        return WJet2.constant(complex(other), self.n)
-
-    def __add__(self, other):
-        o = self._lift(other)
+    def __add__(self, o):
         return WJet2(self.value + o.value, self.d + o.d, self.dbar + o.dbar,
                      self.dd + o.dd, self.ddbar + o.ddbar,
                      self.dbardbar + o.dbardbar)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return WJet2(-self.value, -self.d, -self.dbar, -self.dd, -self.ddbar,
                      -self.dbardbar)
 
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._lift(other)
+    def __sub__(self, o):
+        return self + (-o)
 
     def __mul__(self, o):
         if not isinstance(o, WJet2):
@@ -166,8 +156,6 @@ class WJet2:
             + A * o.ddbar,
             (self.dbardbar * B + A * o.dbardbar) + (crossb + crossb.swapaxes(-1, -2)),
         )
-
-    __rmul__ = __mul__
 
     def compose(self, h0: complex, h1: complex, h2: complex) -> "WJet2":
         """Chain rule for a scalar function h applied to this jet, given
@@ -192,11 +180,8 @@ class WJet2:
         _guard(u, "division guard: |denominator|")
         return self.compose(1.0 / u, -1.0 / u**2, 2.0 / u**3)
 
-    def __truediv__(self, other):
-        return self * self._lift(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.reciprocal()
+    def __truediv__(self, o):
+        return self * o.reciprocal()
 
     def exp(self) -> "WJet2":
         e = np.exp(self.value)

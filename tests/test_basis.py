@@ -9,8 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
-from gauduchon import cli
-from gauduchon.cli import SuiteConfig, run_suite, scan_ts
+from gauduchon.cli import SuiteConfig, hsc_payload, run_suite, scan_ts
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
@@ -185,21 +184,17 @@ def test_suite_constancy_records_match_per_cell():
         assert rec.passed == bool(rec.residual_max <= rec.tolerance)
 
 
-def test_suite_gauduchon_family_matches_gauduchon_curvature():
-    """The suite forms nab^t at every HERMITIAN_T from one basis per point;
-    each tensor is exactly the one `gauduchon_curvature` returns."""
-    config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 3, "seed": 5})
-    run = cli._Suite(config, CHARTS["admissible"])
-    for p in run.pts:
-        for t, R in zip(cli.HERMITIAN_T, run._gauduchon_family(p), strict=True):
-            np.testing.assert_array_equal(R, gd.gauduchon_curvature(run.chart, t, p).R)
-
-
-def test_hsc_report_matches_per_cell():
+def test_hsc_payload_matches_per_cell():
+    """`hsc` takes every point's (c, residual) from one constancy table;
+    they are the per-point constancy of its canonical curvature."""
     chart = CHARTS["admissible"]
     pts = gd.sample_points(chart, 3, np.random.default_rng(8))
-    rep = gd.hsc_report(chart, (3.0, 0.0), pts)
-    c_ref, res_ref = per_cell(chart, (3.0, 0.0), pts)
-    assert [r[1] for r in rep.rows] == pytest.approx(list(c_ref), abs=1e-12)
-    assert [r[2] for r in rep.rows] == pytest.approx(list(res_ref), abs=1e-12)
-    assert rep.residual_max == pytest.approx(max(res_ref), abs=1e-12)
+    payload = hsc_payload(ADM_SPEC, 0.5, 1.0, samples=3, seed=8)
+    c_ref, res_ref = per_cell(chart, (0.5, 1.0), pts)
+    rows = payload["per_point"]
+    assert [r["point"] for r in rows] == [[[v.real, v.imag] for v in p] for p in pts]
+    np.testing.assert_allclose([r["c"] for r in rows], c_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose([r["residual"] for r in rows], res_ref, rtol=0, atol=1e-12)
+    assert payload["c_mean"] == pytest.approx(np.mean(c_ref), rel=0, abs=1e-12)
+    assert payload["c_spread"] == pytest.approx(np.ptp(c_ref), rel=0, abs=1e-12)
+    assert payload["residual_max"] == pytest.approx(max(res_ref), rel=0, abs=1e-12)

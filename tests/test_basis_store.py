@@ -169,8 +169,10 @@ def test_suite_builds_each_cholesky_basis_once(monkeypatch):
 
 
 def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
-    """The bench's suite_adm2 config: each conformal check takes one
-    `eval_jets` walk per conformal factor over all of its points."""
+    """The bench's suite_adm2 config: `conformal_torsion` takes one
+    `eval_jets` walk per conformal factor over its 5 points, `commutation`
+    reuses those walks and `conformal_delta` walks its two factors at its
+    3 points."""
     current = [None]
     for name, (tol, check) in list(cli.CHECKS.items()):
         def run_check(suite, name=name, check=check):
@@ -188,6 +190,32 @@ def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
     monkeypatch.setattr(conformal, "eval_jets", counted)
     assert run_suite(suite_adm2_config()).all_passed
     assert set(walks.values()) == {1}
-    assert Counter(name for name, _ in walks) == {
-        "conformal_torsion": 3, "commutation": 3, "conformal_delta": 2}
-    assert sizes == {("conformal_torsion", 5), ("commutation", 5), ("conformal_delta", 3)}
+    assert Counter(name for name, _ in walks) == Counter(
+        {"conformal_torsion": 3, "commutation": 0, "conformal_delta": 2})
+    assert sizes == {("conformal_torsion", 5), ("conformal_delta", 3)}
+
+
+def test_suite_oracle_takes_one_fd_jet_per_tree_and_point(monkeypatch):
+    """The bench's suite_adm2 config: the admissible chart's four metric
+    components are two distinct trees, so `wjet_oracle` takes 2 x 10
+    `fd_jet`s, and its record is the one the formula over every (point,
+    component) pair gives."""
+    calls = []
+    fd_jet = cli.fd_jet
+
+    def counted(f, z):
+        calls.append(f)
+        return fd_jet(f, z)
+
+    monkeypatch.setattr(cli, "fd_jet", counted)
+    [rec] = [r for r in run_suite(suite_adm2_config()).records if r.name == "wjet_oracle"]
+    assert len(calls) == 20
+    chart = gd.make_chart(ADM_SPEC)
+    pts = gd.sample_points(chart, 40, np.random.default_rng(0))[:10]
+    fields = [f for row in chart.g for f in row]
+    assert len({id(f) for f in fields}) == 2
+    jets = gd.eval_jets(fields, pts)
+    res = np.array([cli._jet_rel_err(jet.row(j), f, p)
+                    for j, p in enumerate(pts) for f, jet in zip(fields, jets)])
+    assert (rec.points, rec.residual_max, rec.residual_mean, rec.passed) == \
+        (10, float(res.max()), float(res.mean()), True)

@@ -1,13 +1,25 @@
-"""The committed `--no-timestamp` suite report of the benchmark's suite_adm2
-config (admissible n=2 chart, the four circle points, 40 samples) at seed 0.
+"""Committed outputs of the benchmark's three commands at seed 0, so a
+change that moves a reported number beyond rounding shows here:
 
-The report is regenerated from its own chart, grid, sample count and seed.
-Every non-numeric field must match exactly and every number within 1e-12
-absolute plus 1e-12 relative, so a change that moves a reported number
-beyond rounding shows here.  A deliberate change regenerates the file with
+- `suite_adm2_seed0.json`: the `--no-timestamp` suite report of the
+  suite_adm2 config (admissible n=2 chart, the four circle points, 40
+  samples);
+- `scan_adm2_seed0.csv`: the scan of that chart over the 13 x 11 grid
+  t in [-2, 4], s in [-2.5, 2.5] with 4 samples;
+- `hsc_hopf6_seed0.json`: the hsc payload of the standard Hopf chart at
+  n=6, (t, s) = (3, 0), with 3 samples.
+
+Each output is regenerated from its own command.  Every non-numeric field
+must match exactly and every number within 1e-12 absolute plus 1e-12
+relative.  A deliberate change regenerates the files with
 
     PYTHONPATH=src python -m gauduchon.cli suite CONFIG --no-timestamp \
         --seed 0 --out tests/data/suite_adm2_seed0.json
+    PYTHONPATH=src python -m gauduchon.cli scan --chart ADM_CHART \
+        --t=-2:4:13 --s=-2.5:2.5:11 --samples 4 --seed 0 \
+        --out tests/data/scan_adm2_seed0.csv
+    PYTHONPATH=src python -m gauduchon.cli hsc --chart HOPF6_CHART --t 3 \
+        --s 0 --samples 3 --seed 0 --out tests/data/hsc_hopf6_seed0.json
 
 and says so in CHANGES.md.
 """
@@ -18,7 +30,11 @@ from pathlib import Path
 
 from gauduchon.cli import main
 
-PINNED = Path(__file__).parent / "data" / "suite_adm2_seed0.json"
+DATA = Path(__file__).parent / "data"
+PINNED = DATA / "suite_adm2_seed0.json"
+SCAN_PINNED = DATA / "scan_adm2_seed0.csv"
+HSC_PINNED = DATA / "hsc_hopf6_seed0.json"
+SCAN_ARGS = ["--t=-2:4:13", "--s=-2.5:2.5:11", "--samples", "4", "--seed", "0"]
 
 
 def mismatches(want, got, path="report"):
@@ -53,3 +69,30 @@ def test_suite_report_matches_the_pinned_one(tmp_path):
     assert main(["suite", str(cfg), "--no-timestamp", "--seed", str(pinned["seed"]),
                  "--out", str(out)]) == 0
     assert mismatches(pinned, json.loads(out.read_text())) == []
+
+
+def csv_rows(text):
+    """The header, then every row as a list of numbers."""
+    header, *rows = text.splitlines()
+    return [header] + [[float(v) for v in row.split(",")] for row in rows]
+
+
+def test_scan_output_matches_the_pinned_one(tmp_path):
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(json.loads(PINNED.read_text())["chart"]))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--chart", str(chart), *SCAN_ARGS, "--out", str(out)]) == 0
+    assert mismatches(csv_rows(SCAN_PINNED.read_text()), csv_rows(out.read_text()),
+                      "scan") == []
+
+
+def test_hsc_output_matches_the_pinned_one(tmp_path):
+    pinned = json.loads(HSC_PINNED.read_text())
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(pinned["chart"]))
+    out = tmp_path / "hsc.json"
+    t, s = pinned["params"]
+    assert main(["hsc", "--chart", str(chart), "--t", repr(t), "--s", repr(s),
+                 "--samples", str(pinned["samples"]), "--seed", str(pinned["seed"]),
+                 "--out", str(out)]) == 0
+    assert mismatches(pinned, json.loads(out.read_text()), "hsc") == []
