@@ -20,7 +20,7 @@ import numpy as np
 from .connection import MetricChart
 from .conformal import rescale
 from .curvature import Curv4
-from .errors import DomainError, InvalidSpec, ZeroPoint
+from .errors import ConfigError, DomainError, InvalidSpec, ZeroPoint, _as_int
 from .wjet import Const, ScalarField, abs2, parse_field, z, zbar
 
 ISO_TOL = 1e-12
@@ -235,31 +235,65 @@ def inline_chart(n: int, components, label: str = "inline") -> MetricChart:
 # fs_bergman, fubini_study, complex_hyperbolic, conformal, inline.
 
 
-def _complex_of(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+def _spec_n(spec: dict) -> int:
+    """The spec's dimension n: a positive integer by the rule of `_as_int`."""
+    try:
+        n = _as_int("n", spec.get("n", 2))
+    except ConfigError as exc:
+        raise InvalidSpec(str(exc)) from None
+    if n < 1:
+        raise InvalidSpec(f"n must be a positive integer, got {n}")
+    return n
+
+
+def _real_of(what: str, v) -> float:
+    """A finite real number of a spec; booleans are refused."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(v, bool) or not math.isfinite(x):
+        raise InvalidSpec(f"{what} must be a finite number, got {v!r}")
+    return x
+
+
+def _complex_of(what: str, v) -> complex:
+    """A complex number of a spec: a real number or an [re, im] pair."""
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(_real_of(what, v[0]), _real_of(what, v[1]))
+    if isinstance(v, complex) and np.isfinite(v):
+        return v
+    return complex(_real_of(what, v))
+
+
+def _rows(what: str, v, n: int):
+    """A list of exactly n entries of a spec."""
+    if not isinstance(v, (list, tuple)) or len(v) != n:
+        raise InvalidSpec(f"{what} must be a list of {n} entries, got {v!r}")
+    return v
 
 
 def make_chart(spec: dict) -> MetricChart:
-    """Build a catalog chart from its JSON-schema dict."""
+    """Build a catalog chart from its JSON-schema dict.  A malformed spec
+    raises InvalidSpec."""
     if not isinstance(spec, dict) or "chart" not in spec:
         raise InvalidSpec("chart spec must be a dict with a 'chart' tag")
     tag = spec["chart"]
-    n = int(spec.get("n", 2))
+    n = _spec_n(spec)
     if tag == "euclidean":
         return euclidean_chart(n)
     if tag == "hopf_standard":
-        return hopf_chart(n, float(spec.get("a", 0.5)))
+        return hopf_chart(n, _real_of("a", spec.get("a", 0.5)))
     if tag == "admissible":
         mult = spec.get("multipliers")
         if mult is not None:
-            mult = tuple(_complex_of(m) for m in mult)
+            mult = tuple(_complex_of("multipliers", m) for m in _rows("multipliers", mult, n))
         A = spec.get("A")
         if A is not None:
-            A = [[_complex_of(v) for v in row] for row in A]
-        hs = hopf_spec(n, float(spec.get("a", 0.5)), mult, A,
-                       float(spec.get("c0", 1.0)))
+            A = [[_complex_of("A", v) for v in _rows("a row of A", row, n)]
+                 for row in _rows("A", A, n)]
+        hs = hopf_spec(n, _real_of("a", spec.get("a", 0.5)), mult, A,
+                       _real_of("c0", spec.get("c0", 1.0)))
         return admissible_chart(hs)
     if tag == "fs_bergman":
         return fs_bergman_chart()
@@ -270,12 +304,16 @@ def make_chart(spec: dict) -> MetricChart:
     if tag == "conformal":
         if "base" not in spec or "f" not in spec:
             raise InvalidSpec("conformal chart spec needs 'base' and 'f'")
+        if not isinstance(spec["f"], str):
+            raise InvalidSpec(f"conformal f must be an expression string, got {spec['f']!r}")
         base = make_chart(spec["base"])
-        f = parse_field(spec["f"])
-        return rescale(base, f).rescaled
+        return rescale(base, parse_field(spec["f"])).rescaled
     if tag == "inline":
         if "g" not in spec:
             raise InvalidSpec("inline chart spec needs 'g'")
+        for row in _rows("g", spec["g"], n):
+            if not all(isinstance(c, str) for c in _rows("a row of g", row, n)):
+                raise InvalidSpec(f"g must hold expression strings, got {row!r}")
         return inline_chart(n, spec["g"], label=spec.get("label", "inline"))
     raise InvalidSpec(f"unknown chart tag {tag!r}")
 

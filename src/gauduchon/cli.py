@@ -32,11 +32,11 @@ from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, rescale
 from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
-                         _as_key, _metric_points)
+                         _metric_points)
 from .curvature import (canonical_bases, canonical_curvature, chern_curvature,
                         constancy_table, curv4_rows, gauduchon_curvature, hsc,
                         lc_curvature, selfdual_residual, symmetrize, weyl_minus)
-from .errors import ConfigError, GauduchonError
+from .errors import ConfigError, GauduchonError, _as_int
 from .wjet import abs2, eval_jets, fd_jet, z, zbar
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -56,17 +56,6 @@ def check_tolerance(name: str, value) -> float:
     if not (np.isfinite(v) and v > 0):
         raise ConfigError(f"tolerance {name} must be finite and positive, got {value!r}")
     return v
-
-
-def _as_int(what: str, value) -> int:
-    """An integer config value: an int, an integral float such as 3.0 or a
-    string of digits.  Booleans and fractions are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_sampling(samples: int, seed: int):
@@ -122,8 +111,8 @@ class SuiteConfig:
         tol = {name: check_tolerance(name, v) for name, v in tol.items()}
         checks = raw.get("checks")
         if checks is not None:
-            if not isinstance(checks, list):
-                raise ConfigError("checks must be a list of check names or null")
+            if not isinstance(checks, list) or not checks:
+                raise ConfigError("checks must be a non-empty list of check names or null")
             bad = [c for c in checks if c not in CHECKS]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
@@ -225,17 +214,11 @@ class _Suite:
         self.cpts = self.pts[:5]
 
     @cached_property
-    def pairs(self) -> list:
-        """One conformal pair per factor, shared by the checks that compare
-        a rescaled chart."""
-        return [rescale(self.chart, f, check_points=self.cpts)
-                for f in _conformal_factors(self.chart.n)]
-
-    @cached_property
     def factors(self) -> list:
-        """Each pair's factor at the first 5 points, shared by
-        `conformal_torsion` and `commutation`."""
-        return [pair.at(self.cpts) for pair in self.pairs]
+        """Each conformal pair's factor at the first 5 points, shared by the
+        three conformal checks."""
+        return [rescale(self.chart, f, check_points=self.cpts).at(self.cpts)
+                for f in _conformal_factors(self.chart.n)]
 
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
@@ -346,11 +329,12 @@ class _Suite:
         return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
 
     def conformal_delta(self) -> list:
-        cpts = self.pts[:3]
-        res = [np.max(np.abs(at.delta_predicted(ts) - at.delta_direct(ts)), axis=(1, 2, 3, 4))
-               for at in (pair.at(cpts) for pair in self.pairs[:2])
-               for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]]
-        return [dict(residuals=np.concatenate(res), points=len(cpts))]
+        # The law is checked at the first 3 of the shared factors' 5 points.
+        k = len(self.pts[:3])
+        res = [np.max(np.abs(at.delta_predicted(ts) - at.delta_direct(ts)),
+                      axis=(1, 2, 3, 4))[:k]
+               for at in self.factors[:2] for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]]
+        return [dict(residuals=np.concatenate(res), points=k)]
 
     def selfdual_weyl(self) -> list:
         if self.chart.n != 2:
@@ -398,7 +382,7 @@ def run_suite(config: SuiteConfig) -> Report:
     selected = config.checks
     if selected is None or set(selected) - {"wjet_oracle"}:
         # Every check but the jet oracle reads the points' metric data.
-        _metric_points(chart, [_as_key(p) for p in run.pts])
+        _metric_points(chart, run.pts)
     records: list[Record] = []
     for name, (_, check) in CHECKS.items():
         if selected is not None and name not in selected:

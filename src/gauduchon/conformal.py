@@ -23,13 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _as_key,
-                         _frame_matrix, _frame_torsion, _metric_points, _stack,
-                         _to_frame)
+from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _frame_E,
+                         _frame_torsion, _metric_points, _stack, _to_frame)
 from .curvature import (Curv4, canonical_bases, canonical_weights, symmetrize,
                         _basis_stack, _lc_fill, _symmetrized)
 from .errors import BaseNotKahler, NonRealConformalFactor
-from .wjet import Const, Exp, Mul, ScalarField, eval_jets
+from .wjet import Const, Exp, Mul, ScalarField, as_point, eval_jets
 
 REAL_TOL = 1e-12
 KAHLER_TOL = 1e-10
@@ -86,20 +85,20 @@ def paired_frames(pair: ConformalPair, z, base_frame=None):
 
 
 class FactorAt:
-    """A real conformal factor f on `chart` at P points in unitary frames
-    E[p] (the Cholesky frames unless `frames` is given), every array with a
-    leading point axis: one `eval_jets` walk gives `jet`, `value`, the frame
-    gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and grad2 = f_r f_rbar;
-    T is the base's Chern torsion.  `rescaled` is the chart e^2f g of the laws
-    that compare with it, in the paired frames Et = e^-f E."""
+    """A real conformal factor f on `chart` at the (P, n) array `points` in
+    unitary frames E[p] (the Cholesky frames unless `frames` is given), every
+    array with a leading point axis: one `eval_jets` walk gives `jet`, `value`,
+    the frame gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and
+    grad2 = f_r f_rbar; T is the base's Chern torsion.  `rescaled` is the chart
+    e^2f g of the laws that compare with it, in the paired frames Et = e^-f E."""
 
     def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
                  rescaled: MetricChart | None = None):
         self.chart, self.rescaled = chart, rescaled
-        self.keys = [_as_key(p) for p in points]
-        self.jet = eval_jets([f], np.array(self.keys, dtype=complex))[0]
+        self.points = np.array([as_point(p) for p in points])
+        self.jet = eval_jets([f], self.points)[0]
         self.value = self.jet.value.real
-        self.pds = _metric_points(chart, self.keys)
+        self.pds = _metric_points(chart, self.points)
         self.cholesky = frames is None
         b = _stack(self.pds)
         self.E = b.E if frames is None else frames
@@ -114,9 +113,8 @@ class FactorAt:
     def C(self) -> np.ndarray:
         """C[p, m, l, k] = Gamma^m_{lbar k}, the coordinate coefficients of the
         (1,0) part of nab^LC_{dbar_l} d_k, from the stored Levi-Civita data."""
-        _lc_fill(self.pds)
         n = self.chart.n
-        return np.stack([pd.lc.Gamma[:n, n:, :n] for pd in self.pds])
+        return np.stack([lc.Gamma[:n, n:, :n] for lc in _lc_fill(self.pds)])
 
     def hessians(self, t: float):
         """`f_covariant_hessians` at each point."""
@@ -139,7 +137,7 @@ class FactorAt:
         pred = self.T + np.einsum("pj,ik->pijk", self.fr, eye) \
             - np.einsum("pk,ij->pijk", self.fr, eye)
         pred *= np.exp(-self.value)[:, None, None, None]
-        direct = _frame_torsion(_stack(_metric_points(self.rescaled, self.keys)), self.Et)
+        direct = _frame_torsion(_stack(_metric_points(self.rescaled, self.points)), self.Et)
         return np.max(np.abs(direct - pred), axis=(1, 2, 3))
 
     def delta_predicted(self, params) -> np.ndarray:
@@ -182,7 +180,7 @@ class FactorAt:
         bad = np.flatnonzero(tors > KAHLER_TOL)
         if bad.size:
             raise BaseNotKahler(f"base chart {self.chart.label} has torsion "
-                                f"{tors[bad[0]]:.2e} at {np.array(self.keys[bad[0]])}")
+                                f"{tors[bad[0]]:.2e} at {self.points[bad[0]]}")
         pr = as_params(params)
         coeff = (pr.p - 1.0) ** 2 + pr.s**2
         H1, _ = self.hessians(pr.p)
@@ -197,9 +195,9 @@ class FactorAt:
         """`canonical_basis` stacks (base, rescaled), each (P, 4, n, n, n, n):
         the base's in the frames E (the stored ones in Cholesky frames), the
         rescaled chart's in the paired frames Et from one batched pass."""
-        base = (np.stack(canonical_bases(self.chart, self.keys)) if self.cholesky
+        base = (np.stack(canonical_bases(self.chart, self.points)) if self.cholesky
                 else _basis_stack(self.pds, self.E))
-        return base, _basis_stack(_metric_points(self.rescaled, self.keys), self.Et)
+        return base, _basis_stack(_metric_points(self.rescaled, self.points), self.Et)
 
     def delta_direct(self, params) -> np.ndarray:
         """`delta_direct` at each point, in the frames E and Et."""
@@ -211,7 +209,7 @@ class FactorAt:
 
 def _at_point(chart: MetricChart, f: ScalarField, z, frame=None) -> FactorAt:
     """The P = 1 `FactorAt` of the per-point functions."""
-    frames = None if frame is None else _frame_matrix(chart, z, frame)[None]
+    frames = None if frame is None else _frame_E(frame)[None]
     return FactorAt(chart, f, [z], frames)
 
 

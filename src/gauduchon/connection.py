@@ -144,13 +144,14 @@ POINT_STORE_SIZE = 2048
 _STORE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _metric_points(chart: MetricChart, keys) -> list[_PointData]:
-    """Point data of `chart` at each point key, from the chart's store.
+def _metric_points(chart: MetricChart, points) -> list[_PointData]:
+    """Point data of `chart` at each point, from the chart's store.
 
     All misses are evaluated in one batch walk over the chart's component
     trees and checked point by point.  If any point fails (outside the
     domain, at an expression guard, not Hermitian positive definite), the
     error is raised and nothing of the batch is stored."""
+    keys = [_as_key(z) for z in points]
     store = _STORE.get(chart)
     if store is None:
         store = _STORE[chart] = OrderedDict()
@@ -170,8 +171,16 @@ def _metric_points(chart: MetricChart, keys) -> list[_PointData]:
     return [found[key] for key in keys]
 
 
-def _metric_point(chart: MetricChart, zkey: tuple) -> _PointData:
-    return _metric_points(chart, [zkey])[0]
+def _frame_E(frame) -> np.ndarray:
+    """Matrix of an explicit frame: a FrameAtPoint or the matrix itself."""
+    return frame.E if isinstance(frame, FrameAtPoint) else np.asarray(frame, dtype=complex)
+
+
+def _point(chart: MetricChart, z, frame=None) -> tuple[_PointData, np.ndarray]:
+    """Point data of `chart` at z, from one store lookup, and the matrix of
+    `frame` there: the point's Cholesky frame when frame is None."""
+    pd = _metric_points(chart, [z])[0]
+    return pd, pd.E if frame is None else _frame_E(frame)
 
 
 def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
@@ -224,7 +233,7 @@ def metric_jet(chart: MetricChart, z):
     Returns (jets, ginv), read-only views of the cached point data, with
     jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
     NotPositiveDefinite if the value matrix fails the PD check."""
-    pd = _metric_point(chart, _as_key(z))
+    pd, _ = _point(chart, z)
     parts = (pd.dG, pd.dbarG, pd.ddG, pd.ddbarG, pd.dbardbarG)
     jets = [[WJet2(complex(pd.G[i, j]), *(a[..., i, j] for a in parts))
              for j in range(chart.n)] for i in range(chart.n)]
@@ -243,16 +252,8 @@ def metric_values(chart: MetricChart, z) -> np.ndarray:
 
 def unitary_frame(chart: MetricChart, z) -> FrameAtPoint:
     """Deterministic pointwise unitary frame from the Cholesky factor of G."""
-    pd = _metric_point(chart, _as_key(z))
-    return FrameAtPoint(pd.E.copy(), pd.G.copy())
-
-
-def _frame_matrix(chart: MetricChart, z, frame) -> np.ndarray:
-    if frame is None:
-        return _metric_point(chart, _as_key(z)).E
-    if isinstance(frame, FrameAtPoint):
-        return frame.E
-    return np.asarray(frame, dtype=complex)
+    pd, E = _point(chart, z)
+    return FrameAtPoint(E.copy(), pd.G.copy())
 
 
 def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
@@ -303,15 +304,15 @@ def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
 
     Exactly antisymmetric in (j, k).  Defaults to the Cholesky frame.
     """
-    b = _stack([_metric_point(chart, _as_key(z))])
-    return _frame_torsion(b, _frame_matrix(chart, z, frame)[None])[0]
+    pd, E = _point(chart, z, frame)
+    return _frame_torsion(_stack([pd]), E[None])[0]
 
 
 def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
     """Chern-covariant dbar derivative TD[j, i, k, l] = T^j_{ik, lbar} of the
     torsion in the given unitary frame (see `_frame_torsion_dbar`)."""
-    b = _stack([_metric_point(chart, _as_key(z))])
-    return _frame_torsion_dbar(b, _frame_matrix(chart, z, frame)[None])[0]
+    pd, E = _point(chart, z, frame)
+    return _frame_torsion_dbar(_stack([pd]), E[None])[0]
 
 
 def gamma_theta2(chart: MetricChart, z, frame=None):

@@ -23,9 +23,9 @@ import numpy as np
 
 # chern_torsion is re-exported: code outside the package (the benchmark's
 # tracer tests) reaches it through this module.
-from .connection import (MetricChart, as_params, chern_torsion, metric_values, _as_key,
-                         _frame_matrix, _frame_torsion, _frame_torsion_dbar, _freeze,
-                         _metric_point, _metric_points, _stack, _to_frame)
+from .connection import (MetricChart, as_params, chern_torsion, metric_values, _frame_E,
+                         _frame_torsion, _frame_torsion_dbar, _freeze, _metric_points,
+                         _point, _stack, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
 
 
@@ -57,9 +57,8 @@ def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     Coordinate formula R_{k lbar i jbar} = -d_k dbar_l g_{i jbar}
     + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}), frame-transformed.
     """
-    pd = _metric_point(chart, _as_key(z))
+    pd, E = _point(chart, z, frame)
     R = -pd.ddbarG + np.einsum("ab,kib,laj->klij", pd.ginv, pd.dG, pd.dbarG)
-    E = _frame_matrix(chart, z, frame)
     return Curv4(_to_frame(R, E, E.conj(), E, E.conj()), connection="chern")
 
 
@@ -74,28 +73,22 @@ class _LCData:
     s_g: float
 
 
-def _lc_point(chart: MetricChart, zkey: tuple) -> _LCData:
-    """Levi-Civita data at a point, kept with the point's metric data."""
-    pd = _metric_point(chart, zkey)
-    _lc_fill([pd])
-    return pd.lc
-
-
 # Entries of one (2n)^4 array in a Levi-Civita batch.  Larger batches ran
 # slower than point by point at n = 4 and 6, the time going to fresh memory
 # for their large temporaries, so they are split.
 LC_BATCH_ENTRIES = 2**14
 
 
-def _lc_fill(pds):
-    """Give every point record that lacks it its Levi-Civita data, built in
-    batches of up to LC_BATCH_ENTRIES / (2n)^4 points."""
+def _lc_fill(pds) -> list[_LCData]:
+    """The point records' Levi-Civita data, kept with them; those that lack
+    it get theirs in batches of up to LC_BATCH_ENTRIES / (2n)^4 points."""
     todo = list({id(pd): pd for pd in pds if pd.lc is None}.values())
     step = max(1, LC_BATCH_ENTRIES // (2 * pds[0].G.shape[0]) ** 4)
     for i in range(0, len(todo), step):
         lc = _freeze(_lc_data(_stack(todo[i:i + step])))
         for j, pd in enumerate(todo[i:i + step]):
             pd.lc = _LCData(lc.Gamma[j], lc.Riem[j], float(lc.s_g[j]))
+    return [pd.lc for pd in pds]
 
 
 def _lc_data(b) -> _LCData:
@@ -148,9 +141,9 @@ def _lc_data(b) -> _LCData:
 def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     """Mixed components R(e_k, ebar_l, e_i, ebar_j) of the complexified
     Riemann tensor of the underlying Riemannian metric."""
-    lc = _lc_point(chart, _as_key(z))
+    pd, E = _point(chart, z, frame)
+    lc = _lc_fill([pd])[0]
     n = chart.n
-    E = _frame_matrix(chart, z, frame)
     return Curv4(_to_frame(lc.Riem[:n, n:, :n, n:], E, E.conj(), E, E.conj()),
                  connection="levi-civita")
 
@@ -158,12 +151,12 @@ def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
 def lc_full(chart: MetricChart, z) -> np.ndarray:
     """Full complexified Riemann tensor in the Wirtinger coordinate frame
     (2n axes each: 0..n-1 unbarred, n..2n-1 barred)."""
-    return _lc_point(chart, _as_key(z)).Riem.copy()
+    return _lc_fill(_metric_points(chart, [z]))[0].Riem.copy()
 
 
 def scalar_curvature(chart: MetricChart, z) -> float:
     """Riemannian scalar curvature of the realified metric."""
-    return _lc_point(chart, _as_key(z)).s_g
+    return _lc_fill(_metric_points(chart, [z]))[0].s_g
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +175,11 @@ def _basis_stack(pds, E=None) -> np.ndarray:
     """Stacked `canonical_basis` B[p] of point records pds in the frames
     E[p], by default each point's Cholesky frame: the four tensors of every
     point from one pass with a leading point axis."""
-    _lc_fill(pds)
     b = _stack(pds)
     E = b.E if E is None else E
     n = E.shape[-1]
     Ec = E.conj()
-    Riem = np.stack([pd.lc.Riem[:n, n:, :n, n:] for pd in pds])
+    Riem = np.stack([lc.Riem[:n, n:, :n, n:] for lc in _lc_fill(pds)])
     T = _frame_torsion(b, E)
     TD = _frame_torsion_dbar(b, E)
     Tc = np.conj(T)
@@ -202,7 +194,7 @@ def canonical_bases(chart: MetricChart, points) -> list[np.ndarray]:
     """`canonical_basis(chart, p)` for every point p, each built once: the
     points whose basis is not yet stored get theirs in one batched pass, and
     it is kept, read-only, with the point's data in the chart's store."""
-    pds = _metric_points(chart, [_as_key(p) for p in points])
+    pds = _metric_points(chart, points)
     todo = list({id(pd): pd for pd in pds if pd.basis is None}.values())
     if todo:
         B = _basis_stack(todo)
@@ -227,8 +219,8 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     """
     if frame is None:
         return canonical_bases(chart, [z])[0]
-    pd = _metric_point(chart, _as_key(z))
-    return _basis_stack([pd], _frame_matrix(chart, z, frame)[None])[0]
+    pd, E = _point(chart, z, frame)
+    return _basis_stack([pd], E[None])[0]
 
 
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
@@ -412,9 +404,11 @@ def _real_christoffel(chart: MetricChart, x: np.ndarray, h: float) -> np.ndarray
     return 0.5 * np.einsum("ad,bdc->abc", Ginv, S)
 
 
-def _real_riemann(chart: MetricChart, x: np.ndarray, h: float):
+def _real_riemann(chart: MetricChart, z, h: float):
     """Riemann tensor R[c,d,b,f] = R(d_c, d_d, d_b, d_f) of the realified
-    metric, by central finite differences of real Christoffel symbols."""
+    metric at z, by central differences of real Christoffel symbols in x = (Re z, Im z)."""
+    pt = np.asarray(z, dtype=complex)
+    x = np.concatenate([pt.real, pt.imag])
     m = 2 * chart.n
     G0 = _real_metric(chart, x)
     Gamma0 = _real_christoffel(chart, x, h)
@@ -438,11 +432,9 @@ def lc_curvature_fd(chart: MetricChart, z, frame=None, h: float = 1e-4) -> Curv4
     """Independent Levi-Civita oracle: Christoffel symbols of the realified
     metric by finite differences in the 2n real coordinates, complexified
     against the unitary frame."""
-    pt = np.asarray(z, dtype=complex)
     n = chart.n
-    x = np.concatenate([pt.real, pt.imag])
-    Riem, _ = _real_riemann(chart, x, h)
-    E = _frame_matrix(chart, z, frame)
+    Riem, _ = _real_riemann(chart, z, h)
+    E = _point(chart, z)[1] if frame is None else _frame_E(frame)
     # e_a = sum_m E[m,a] (dx_m - i dy_m)/2,  ebar_a its conjugate
     w = np.zeros((2 * n, n), dtype=complex)
     w[:n] = 0.5 * E
@@ -454,9 +446,7 @@ def lc_curvature_fd(chart: MetricChart, z, frame=None, h: float = 1e-4) -> Curv4
 
 def scalar_curvature_fd(chart: MetricChart, z, h: float = 1e-4) -> float:
     """Scalar curvature from the real-coordinate finite-difference oracle."""
-    pt = np.asarray(z, dtype=complex)
-    x = np.concatenate([pt.real, pt.imag])
-    Riem, G0 = _real_riemann(chart, x, h)
+    Riem, G0 = _real_riemann(chart, z, h)
     Ginv = np.linalg.inv(G0)
     return float(np.einsum("ac,bd,abdc->", Ginv, Ginv, Riem))
 

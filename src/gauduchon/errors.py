@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of its
+config and chart-spec values."""
 
 
 class GauduchonError(Exception):
@@ -49,3 +50,14 @@ class InvalidSpec(GauduchonError):
 
 class ConfigError(GauduchonError):
     """A CLI/suite configuration failed to parse or validate."""
+
+
+def _as_int(what: str, value) -> int:
+    """An integer config value: an int, an integral float such as 3.0 or a
+    string of digits.  Booleans and fractions are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None

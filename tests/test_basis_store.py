@@ -90,7 +90,7 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     chart = gd.make_chart(SPECS[name])
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     bases = gd.canonical_bases(chart, pts)
-    pds = connection._metric_points(chart, [connection._as_key(p) for p in pts])
+    pds = connection._metric_points(chart, pts)
     for B, pd in zip(bases, pds, strict=True):
         np.testing.assert_array_equal(B, per_point_basis(pd))
     # an explicit frame is built from the same code, one point at a time
@@ -107,7 +107,7 @@ def test_stored_basis_is_read_only_and_reused():
         assert gd.canonical_basis(chart, p) is B
         with pytest.raises(ValueError):
             B[0, 0, 0, 0, 0] = 1.0
-        lc = curvature._lc_point(chart, connection._as_key(p))
+        [lc] = curvature._lc_fill(connection._metric_points(chart, [p]))
         assert not any(a.flags.writeable for a in (lc.Gamma, lc.Riem))
 
 
@@ -159,20 +159,80 @@ def suite_adm2_config():
 def test_suite_builds_each_cholesky_basis_once(monkeypatch):
     """The bench's suite_adm2 config: every (chart, point) gets at most one
     Cholesky-frame basis; the rest are the rescaled-side explicit frames of
-    `conformal_delta`, one batched pass per conformal pair over its 3
-    points."""
+    `conformal_delta`, one batched pass for each of its two shared factors
+    over their 5 points."""
     builds = counting(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
     cholesky = [id(pd) for pds, stored in builds if stored for pd in pds]
     assert len(cholesky) == len(set(cholesky)) == 40
-    assert [len(pds) for pds, stored in builds if not stored] == [3, 3]
+    assert [len(pds) for pds, stored in builds if not stored] == [5, 5]
+
+
+def counting_lookups(monkeypatch):
+    """Record the points of every store lookup, in every module that makes
+    one."""
+    lookups = []
+    lookup = connection._metric_points
+
+    def counted(chart, points):
+        lookups.append(len(points))
+        return lookup(chart, points)
+
+    for module in (connection, curvature, conformal, cli):
+        if getattr(module, "_metric_points", None) is lookup:
+            monkeypatch.setattr(module, "_metric_points", counted)
+    return lookups
+
+
+FRAMED_READERS = {
+    "chern_torsion": gd.chern_torsion,
+    "torsion_cov_deriv": gd.torsion_cov_deriv,
+    "chern_curvature": gd.chern_curvature,
+    "lc_curvature": gd.lc_curvature,
+    "canonical_basis": gd.canonical_basis,
+    "canonical_curvature": lambda chart, p, fr: gd.canonical_curvature(chart, (2.0, 0.5), p, fr),
+    "gauduchon_curvature": lambda chart, p, fr: gd.gauduchon_curvature(chart, 2.0, p, fr),
+    "gamma_theta2": gd.gamma_theta2,
+    "lc_curvature_fd": gd.lc_curvature_fd,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAMED_READERS))
+@pytest.mark.parametrize("frame", ["cholesky", "explicit"])
+def test_per_point_reader_makes_one_store_lookup(monkeypatch, name, frame):
+    """Each per-point reader looks its point up once, in the Cholesky frame
+    and in an explicit one; the finite-difference oracle needs no lookup
+    for an explicit frame."""
+    chart = gd.make_chart(ADM_SPEC)
+    p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
+    fr = gd.unitary_frame(chart, p) if frame == "explicit" else None
+    lookups = counting_lookups(monkeypatch)
+    FRAMED_READERS[name](chart, p, fr)
+    assert lookups == ([] if name == "lc_curvature_fd" and fr is not None else [1])
+
+
+@pytest.mark.parametrize("reader", [gd.metric_jet, gd.unitary_frame, gd.lc_full,
+                                    gd.scalar_curvature])
+def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
+    chart = gd.make_chart(ADM_SPEC)
+    p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
+    lookups = counting_lookups(monkeypatch)
+    reader(chart, p)
+    assert lookups == [1]
+
+
+def test_suite_makes_at_most_555_store_lookups(monkeypatch):
+    """The bench's suite_adm2 config: 555 lookups, where a per-point read
+    that looked its point up twice made 697."""
+    lookups = counting_lookups(monkeypatch)
+    assert run_suite(suite_adm2_config()).all_passed
+    assert len(lookups) <= 555
 
 
 def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
     """The bench's suite_adm2 config: `conformal_torsion` takes one
-    `eval_jets` walk per conformal factor over its 5 points, `commutation`
-    reuses those walks and `conformal_delta` walks its two factors at its
-    3 points."""
+    `eval_jets` walk per conformal factor over its 5 points, and
+    `commutation` and `conformal_delta` reuse those walks."""
     current = [None]
     for name, (tol, check) in list(cli.CHECKS.items()):
         def run_check(suite, name=name, check=check):
@@ -191,8 +251,8 @@ def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
     assert run_suite(suite_adm2_config()).all_passed
     assert set(walks.values()) == {1}
     assert Counter(name for name, _ in walks) == Counter(
-        {"conformal_torsion": 3, "commutation": 0, "conformal_delta": 2})
-    assert sizes == {("conformal_torsion", 5), ("conformal_delta", 3)}
+        {"conformal_torsion": 3, "commutation": 0, "conformal_delta": 0})
+    assert sizes == {("conformal_torsion", 5)}
 
 
 def test_suite_oracle_takes_one_fd_jet_per_tree_and_point(monkeypatch):

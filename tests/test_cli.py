@@ -8,7 +8,7 @@ import pytest
 import gauduchon as gd
 from gauduchon.cli import (CHECKS, SuiteConfig, main, parse_point, parse_range,
                            run_suite, scan_csv, scan_ts)
-from gauduchon.errors import ConfigError
+from gauduchon.errors import ConfigError, InvalidSpec
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
@@ -296,6 +296,7 @@ BAD_INPUTS = [
     ("suite", {"sample_cout": 3}),
     ("suite", {"tolerance": {"constancy": 1}}),
     ("suite", {"output": "report.json"}),
+    ("suite", {"checks": []}),
 ]
 
 
@@ -312,6 +313,37 @@ def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, command, bad):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+BAD_SPECS = [
+    {"chart": "euclidean", "n": "x"},
+    {"chart": "euclidean", "n": 0},
+    {"chart": "euclidean", "n": 2.5},
+    {"chart": "hopf_standard", "n": 2, "a": "x"},
+    {**ADM_SPEC, "a": "x"},
+    {**ADM_SPEC, "c0": True},
+    {**ADM_SPEC, "A": [[1]]},
+    {**ADM_SPEC, "multipliers": 0.5},
+    {**ADM_SPEC, "multipliers": [[0.5, 0, 1], [0.5, 0]]},
+    {"chart": "inline", "n": 2, "g": [["1"]]},
+    {"chart": "inline", "n": 2, "g": [[1, 0], [0, 1]]},
+    {"chart": "inline", "n": 2, "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    {"chart": "conformal", "base": {"chart": "euclidean", "n": 2}, "f": 3},
+]
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+def test_malformed_chart_spec_exits_2(tmp_path, capsys, spec):
+    """A malformed spec is an InvalidSpec, never a Python error that would
+    escape main() as exit 1, nor silently truncated."""
+    with pytest.raises(InvalidSpec):
+        gd.make_chart(spec)
+    chart = write_json(tmp_path, "chart.json", spec)
+    out = tmp_path / "out"
+    argv = ["hsc", "--chart", chart, "--t", "1", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error")
     assert not out.exists()
 
 

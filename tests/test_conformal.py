@@ -284,7 +284,8 @@ def per_point_laws(pair, t, params, z):
     E = gd.unitary_frame(chart, z).E
     jf = gd.eval_jet(f, z)
     fr, frbar = E.T @ jf.d, E.conj().T @ jf.dbar
-    C = curvature._lc_point(chart, connection._as_key(z)).Gamma[:n, n:, :n]
+    [lc] = curvature._lc_fill(connection._metric_points(chart, [z]))
+    C = lc.Gamma[:n, n:, :n]
 
     def hessians(t):
         A = jf.ddbar - (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)

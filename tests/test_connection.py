@@ -107,25 +107,27 @@ _GOOD = [[0.9, 0.1j], [-0.8, 0.7]]
      NotPositiveDefinite),
 ])
 def test_bad_point_in_batch_raises_and_stores_nothing(chart, bad, err):
-    from gauduchon.connection import _STORE, _as_key, _metric_point, _metric_points
+    from gauduchon.connection import _STORE, _metric_points, _point
 
     with pytest.raises(err):
-        _metric_point(chart, _as_key(bad))
-    keys = [_as_key(p) for p in (_GOOD[0], bad, _GOOD[1])]
+        _point(chart, bad)
     with pytest.raises(err):
-        _metric_points(chart, keys)
-    assert not any(k in _STORE.get(chart, {}) for k in keys)
-    assert len(_metric_points(chart, [keys[0], keys[2]])) == 2
+        _metric_points(chart, [_GOOD[0], bad, _GOOD[1]])
+    assert not _STORE.get(chart)
+    assert len(_metric_points(chart, [_GOOD[0], _GOOD[1]])) == 2
 
 
 def test_store_key_fast_path_gives_the_same_key():
-    from gauduchon.connection import _as_key
+    from gauduchon.connection import _STORE, _metric_points
     from gauduchon.wjet import as_point
 
     for z in ([0.9, 0.1j], np.array([0.3 - 0.2j, -0.0 + 1e-300j]), np.array([2.5 + 0j]),
               (1, 2j, -3.5)):
-        key = _as_key(np.asarray(z, dtype=complex))
-        assert key == tuple(complex(c) for c in as_point(z)) == _as_key(z)
+        chart = gd.euclidean_chart(len(z))
+        one, other = _metric_points(chart, [np.asarray(z, dtype=complex), z])
+        assert one is other
+        [key] = _STORE[chart]
+        assert key == tuple(complex(c) for c in as_point(z))
         assert all(type(c) is complex for c in key)
 
 
@@ -144,12 +146,11 @@ def test_bad_point_raises_whatever_its_type(hopf, bad, err):
 
 
 def test_batch_filled_point_data_is_read_only(adm):
-    from gauduchon.connection import _as_key, _metric_points
-    from gauduchon.curvature import _lc_point
+    from gauduchon.connection import _metric_points
+    from gauduchon.curvature import _lc_fill
 
-    keys = [_as_key(p) for p in pts_of(adm, 3, 11)]
-    for key, pd in zip(keys, _metric_points(adm, keys)):
-        lc = _lc_point(adm, key)
+    pds = _metric_points(adm, pts_of(adm, 3, 11))
+    for pd, lc in zip(pds, _lc_fill(pds)):
         for arr in [*vars(pd).values(), *vars(lc).values()]:
             if isinstance(arr, np.ndarray):
                 assert not arr.flags.writeable

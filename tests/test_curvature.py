@@ -103,15 +103,15 @@ def _seed_lc(pd, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_lc_contractions_match_einsum_reference(n):
-    from gauduchon.connection import _as_key, _metric_point
-    from gauduchon.curvature import _lc_point
+    from gauduchon.connection import _point
+    from gauduchon.curvature import _lc_fill
 
     spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
     for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
         for p in pts_of(chart, 2, n):
-            key = _as_key(p)
-            lc = _lc_point(chart, key)
-            Gamma, Riem, s_g = _seed_lc(_metric_point(chart, key), n)
+            pd, _ = _point(chart, p)
+            [lc] = _lc_fill([pd])
+            Gamma, Riem, s_g = _seed_lc(pd, n)
             scale = maxabs(Riem)
             assert maxabs(lc.Riem - Riem) <= 1e-13 * scale
             assert maxabs(lc.Gamma - Gamma) <= 1e-13 * maxabs(Gamma)

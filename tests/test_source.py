@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gauduchon"
@@ -14,3 +15,16 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src: {found}"
+
+
+def test_only_connection_knows_the_point_store():
+    # Other modules hand points to `_metric_points` or `_point`; how the
+    # store keys and holds them is connection.py's business.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        private = () if path.name == "connection.py" else ("_as_key", "_STORE")
+        for name in (*private, "_metric_point", "_frame_matrix", "_lc_point"):
+            if re.search(rf"\b{name}\b", text):
+                found.append(f"{path.name}: {name}")
+    assert not found, f"point store internals named outside connection.py: {found}"
