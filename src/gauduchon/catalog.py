@@ -273,12 +273,32 @@ def _rows(what: str, v, n: int):
     return v
 
 
+# The keys each chart tag reads besides "chart".  A conformal chart has its
+# base's dimension; fs_bergman has n = 2 only.
+SPEC_KEYS = {
+    "euclidean": ("n",),
+    "hopf_standard": ("n", "a"),
+    "admissible": ("n", "a", "multipliers", "A", "c0"),
+    "fs_bergman": ("n",),
+    "fubini_study": ("n",),
+    "complex_hyperbolic": ("n",),
+    "conformal": ("base", "f"),
+    "inline": ("n", "g", "label"),
+}
+
+
 def make_chart(spec: dict) -> MetricChart:
-    """Build a catalog chart from its JSON-schema dict.  A malformed spec
-    raises InvalidSpec."""
+    """Build a catalog chart from its JSON-schema dict.  A malformed spec,
+    or one with a key its tag does not read, raises InvalidSpec."""
     if not isinstance(spec, dict) or "chart" not in spec:
         raise InvalidSpec("chart spec must be a dict with a 'chart' tag")
     tag = spec["chart"]
+    if not isinstance(tag, str) or tag not in SPEC_KEYS:
+        raise InvalidSpec(f"unknown chart tag {tag!r}")
+    extra = [k for k in spec if k != "chart" and k not in SPEC_KEYS[tag]]
+    if extra:
+        raise InvalidSpec(f"{tag} chart spec does not take {', '.join(map(repr, extra))}; "
+                          f"its keys are {', '.join(map(repr, ('chart',) + SPEC_KEYS[tag]))}")
     n = _spec_n(spec)
     if tag == "euclidean":
         return euclidean_chart(n)
@@ -296,6 +316,8 @@ def make_chart(spec: dict) -> MetricChart:
                        _real_of("c0", spec.get("c0", 1.0)))
         return admissible_chart(hs)
     if tag == "fs_bergman":
+        if n != 2:
+            raise InvalidSpec(f"fs_bergman has n = 2, got {n}")
         return fs_bergman_chart()
     if tag == "fubini_study":
         return fubini_study_chart(n)
@@ -308,14 +330,13 @@ def make_chart(spec: dict) -> MetricChart:
             raise InvalidSpec(f"conformal f must be an expression string, got {spec['f']!r}")
         base = make_chart(spec["base"])
         return rescale(base, parse_field(spec["f"])).rescaled
-    if tag == "inline":
-        if "g" not in spec:
-            raise InvalidSpec("inline chart spec needs 'g'")
-        for row in _rows("g", spec["g"], n):
-            if not all(isinstance(c, str) for c in _rows("a row of g", row, n)):
-                raise InvalidSpec(f"g must hold expression strings, got {row!r}")
-        return inline_chart(n, spec["g"], label=spec.get("label", "inline"))
-    raise InvalidSpec(f"unknown chart tag {tag!r}")
+    # The tag is "inline".
+    if "g" not in spec:
+        raise InvalidSpec("inline chart spec needs 'g'")
+    for row in _rows("g", spec["g"], n):
+        if not all(isinstance(c, str) for c in _rows("a row of g", row, n)):
+            raise InvalidSpec(f"g must hold expression strings, got {row!r}")
+    return inline_chart(n, spec["g"], label=spec.get("label", "inline"))
 
 
 CATALOG_TAGS = ("euclidean", "hopf_standard", "admissible", "fs_bergman",

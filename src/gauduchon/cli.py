@@ -31,8 +31,7 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, rescale
-from .connection import (MetricChart, chern_torsion, metric_jet, unitary_frame,
-                         _metric_points)
+from .connection import MetricChart, chern_torsion, unitary_frame, _metric_points
 from .curvature import (canonical_bases, canonical_curvature, chern_curvature,
                         constancy_table, curv4_rows, gauduchon_curvature, hsc,
                         lc_curvature, selfdual_residual, symmetrize, weyl_minus)
@@ -232,9 +231,9 @@ class _Suite:
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
     def metric_inverse(self) -> list:
-        chart = self.chart
-        res = [np.max(np.abs(metric_jet(chart, p)[1] @ unitary_frame(chart, p).G.T
-                             - np.eye(chart.n))) for p in self.pts]
+        eye = np.eye(self.chart.n)
+        res = [np.max(np.abs(pd.ginv @ pd.G.T - eye))
+               for pd in _metric_points(self.chart, self.pts)]
         return [dict(residuals=res, points=len(self.pts))]
 
     def frame_unitarity(self) -> list:

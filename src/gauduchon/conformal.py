@@ -61,11 +61,12 @@ def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalP
             check_points = [chart.sampler(rng) for _ in range(8)]
         else:
             check_points = []
-    for pt in check_points:
-        v = f(pt)
-        if abs(v.imag) > REAL_TOL * max(1.0, abs(v)):
-            raise NonRealConformalFactor(
-                f"conformal factor has imaginary part {v.imag:.3e} at {pt}")
+    if len(check_points):
+        v = f._value(np.array([as_point(pt) for pt in check_points]))
+        bad = np.flatnonzero(np.abs(v.imag) > REAL_TOL * np.maximum(1.0, np.abs(v)))
+        if bad.size:
+            raise NonRealConformalFactor(f"conformal factor has imaginary part "
+                                         f"{v[bad[0]].imag:.3e} at {check_points[bad[0]]}")
     scale = Exp(Mul(Const(2.0), f))
     g = tuple(tuple(Mul(scale, chart.g[i][j]) for j in range(chart.n))
               for i in range(chart.n))
@@ -110,6 +111,12 @@ class FactorAt:
         self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
 
     @cached_property
+    def rescaled_pds(self) -> list:
+        """The rescaled chart's point records at the points, from one lookup
+        shared by the torsion law and the deltas."""
+        return _metric_points(self.rescaled, self.points)
+
+    @cached_property
     def C(self) -> np.ndarray:
         """C[p, m, l, k] = Gamma^m_{lbar k}, the coordinate coefficients of the
         (1,0) part of nab^LC_{dbar_l} d_k, from the stored Levi-Civita data."""
@@ -137,7 +144,7 @@ class FactorAt:
         pred = self.T + np.einsum("pj,ik->pijk", self.fr, eye) \
             - np.einsum("pk,ij->pijk", self.fr, eye)
         pred *= np.exp(-self.value)[:, None, None, None]
-        direct = _frame_torsion(_stack(_metric_points(self.rescaled, self.points)), self.Et)
+        direct = _frame_torsion(_stack(self.rescaled_pds), self.Et)
         return np.max(np.abs(direct - pred), axis=(1, 2, 3))
 
     def delta_predicted(self, params) -> np.ndarray:
@@ -197,7 +204,7 @@ class FactorAt:
         rescaled chart's in the paired frames Et from one batched pass."""
         base = (np.stack(canonical_bases(self.chart, self.points)) if self.cholesky
                 else _basis_stack(self.pds, self.E))
-        return base, _basis_stack(_metric_points(self.rescaled, self.points), self.Et)
+        return base, _basis_stack(self.rescaled_pds, self.Et)
 
     def delta_direct(self, params) -> np.ndarray:
         """`delta_direct` at each point, in the frames E and Et."""

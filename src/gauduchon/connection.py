@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonFinite, NotPositiveDefinite
-from .wjet import ScalarField, WJet2, as_point, eval_jets
+from .wjet import WJet2, as_point, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
@@ -36,7 +36,7 @@ class ConnectionParams:
 
     s = 0 is the Gauduchon line; (t, s) = (1, 0), (-1, 0), (0, 0) are the
     Chern, Strominger and Lichnerowicz connections, s = 1 is Levi-Civita.
-    p and b are always derived, never stored.
+    p is always derived, never stored.
     """
 
     t: float
@@ -45,10 +45,6 @@ class ConnectionParams:
     @property
     def p(self) -> float:
         return self.t - self.t * self.s
-
-    @property
-    def b(self) -> float:
-        return self.p**2 - 2 * self.p - 1 + self.s**2
 
 
 def as_params(params) -> ConnectionParams:
@@ -73,9 +69,6 @@ class MetricChart:
     label: str = "chart"
     domain: Callable[[np.ndarray], bool] | None = None
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
-
-    def component(self, i: int, j: int) -> ScalarField:
-        return self.g[i][j]
 
     def __repr__(self):
         return f"<MetricChart {self.label} n={self.n}>"
@@ -241,13 +234,18 @@ def metric_jet(chart: MetricChart, z):
 
 
 def metric_values(chart: MetricChart, z) -> np.ndarray:
-    """Value matrix G without derivative propagation (used by FD oracles)."""
-    pt = as_point(z)
-    if chart.domain is not None and not chart.domain(pt):
-        raise DomainError(f"point {pt} outside domain of {chart.label}")
-    n = chart.n
-    return np.array([[chart.g[i][j]._value(pt) for j in range(n)] for i in range(n)],
-                    dtype=complex)
+    """Value matrix G at a point, or G[p] at each point of a stack z[p]
+    (one `_value` walk per component), without derivative propagation:
+    the finite-difference oracles' metric."""
+    Z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(np.isfinite(Z)):
+        raise NonFinite("chart point has non-finite coordinates")
+    if chart.domain is not None:
+        for pt in Z.reshape(-1, Z.shape[-1]):
+            if not chart.domain(pt):
+                raise DomainError(f"point {pt} outside domain of {chart.label}")
+    G = np.array([[g._value(Z) for g in row] for row in chart.g], dtype=complex)
+    return np.moveaxis(G, (0, 1), (-2, -1))
 
 
 def unitary_frame(chart: MetricChart, z) -> FrameAtPoint:

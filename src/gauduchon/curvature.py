@@ -27,6 +27,7 @@ from .connection import (MetricChart, as_params, chern_torsion, metric_values, _
                          _frame_torsion, _frame_torsion_dbar, _freeze, _metric_points,
                          _point, _stack, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
+from .wjet import _axis_steps, _first_difference
 
 
 @dataclass(eq=False)
@@ -375,55 +376,32 @@ def weyl_minus(chart: MetricChart, z) -> np.ndarray:
 # Real-coordinate finite-difference oracle
 
 
-def _real_metric(chart: MetricChart, x: np.ndarray) -> np.ndarray:
-    """Realified metric matrix at real coordinates x = (x_1..x_n, y_1..y_n).
-
-    With g_{k lbar} = g(d_k, dbar_l): g(dx_k, dx_l) = g(dy_k, dy_l)
-    = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}.
-    """
-    n = chart.n
-    G = metric_values(chart, x[:n] + 1j * x[n:])
-    re, im = 2.0 * G.real, 2.0 * G.imag
-    return np.block([[re, im], [im.T, re]])
-
-
-def _real_christoffel(chart: MetricChart, x: np.ndarray, h: float) -> np.ndarray:
-    m = 2 * chart.n
-    G0 = _real_metric(chart, x)
-    Ginv = np.linalg.inv(G0)
-    dG = np.zeros((m, m, m))
-    for c in range(m):
-        vals = []
-        for off in (-2.0, -1.0, 1.0, 2.0):
-            xs = x.copy()
-            xs[c] += off * h
-            vals.append(_real_metric(chart, xs))
-        fm2, fm1, fp1, fp2 = vals
-        dG[c] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
-    S = dG + dG.transpose(2, 1, 0) - dG.transpose(1, 0, 2)
-    return 0.5 * np.einsum("ad,bdc->abc", Ginv, S)
-
-
 def _real_riemann(chart: MetricChart, z, h: float):
     """Riemann tensor R[c,d,b,f] = R(d_c, d_d, d_b, d_f) of the realified
-    metric at z, by central differences of real Christoffel symbols in x = (Re z, Im z)."""
+    metric at z, and the metric there, in x = (Re z, Im z): central
+    differences of the Christoffel symbols at x +- h along each axis, these
+    from 4th-order differences of the metric, whose whole nested stencil is
+    one `metric_values` call.  With g_{k lbar} = g(d_k, dbar_l): g(dx_k, dx_l)
+    = g(dy_k, dy_l) = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}."""
     pt = np.asarray(z, dtype=complex)
+    n, m = chart.n, 2 * chart.n
     x = np.concatenate([pt.real, pt.imag])
-    m = 2 * chart.n
-    G0 = _real_metric(chart, x)
-    Gamma0 = _real_christoffel(chart, x, h)
-    dGamma = np.zeros((m, m, m, m))
-    for c in range(m):
-        xp, xm = x.copy(), x.copy()
-        xp[c] += h
-        xm[c] -= h
-        dGamma[c] = (_real_christoffel(chart, xp, h)
-                     - _real_christoffel(chart, xm, h)) / (2 * h)
+    eye = np.eye(m)
+    centres = x + h * np.concatenate([np.zeros((1, m)), eye, -eye])
+    xs = centres[:, None] + h * _axis_steps(m)            # (2m + 1, 1 + 4m, m)
+    G = metric_values(chart, xs[..., :n] + 1j * xs[..., n:])
+    re, im = 2.0 * G.real, 2.0 * G.imag
+    M = np.block([[re, im], [im.swapaxes(-1, -2), re]])  # M[centre, step]
+    dM = _first_difference(M.swapaxes(0, 1), h)          # dM[c, centre] = d_c M
+    S = dM + dM.transpose(3, 1, 2, 0) - dM.transpose(2, 1, 0, 3)
+    Gamma = 0.5 * np.einsum("pad,bpdc->pabc", np.linalg.inv(M[:, 0]), S)
+    dGamma = (Gamma[1:m + 1] - Gamma[m + 1:]) / (2 * h)
     X = np.einsum("cadb->abcd", dGamma)
     Y = np.einsum("dacb->abcd", dGamma)
-    P = np.einsum("ace,edb->abcd", Gamma0, Gamma0)
-    Q = np.einsum("ade,ecb->abcd", Gamma0, Gamma0)
+    P = np.einsum("ace,edb->abcd", Gamma[0], Gamma[0])
+    Q = np.einsum("ade,ecb->abcd", Gamma[0], Gamma[0])
     Rup = X - Y + P - Q
+    G0 = M[0, 0]
     Riem = np.einsum("abcd,af->cdbf", Rup, G0)
     return Riem, G0
 

@@ -71,7 +71,7 @@ def _guard(u, what: str):
     small = np.abs(u) < GUARD
     if np.any(small):
         row = _first_row(small)
-        bad = abs(u if row is None else u[row])
+        bad = np.min(np.abs(u if row is None else u[row]))
         _refuse(DomainError(f"{what} = {bad:.3e}"), row)
 
 
@@ -265,9 +265,11 @@ class ScalarField:
 
     def __call__(self, z) -> complex:
         """Value of the field at a point (no derivatives)."""
-        return self._value(as_point(z))
+        return complex(self._value(as_point(z)))
 
-    def _value(self, z: np.ndarray) -> complex:
+    def _value(self, z: np.ndarray) -> np.ndarray:
+        """Values at the points z, rowwise over all but its last axis; a
+        guard hit at any point raises DomainError."""
         raise NotImplementedError
 
     def _jet(self, walk: "_BatchWalk") -> WJet2:
@@ -293,7 +295,7 @@ class Const(ScalarField):
     value: complex
 
     def _value(self, z):
-        return self.value
+        return np.full(z.shape[:-1], self.value)
 
     def _jet(self, walk):
         return WJet2.constant(self.value, walk.n, walk.batch)
@@ -307,9 +309,9 @@ class Coord(ScalarField):
     i: int   # 0-based
 
     def _value(self, z):
-        if self.i >= len(z):
-            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {len(z)}")
-        return z[self.i]
+        if self.i >= z.shape[-1]:
+            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {z.shape[-1]}")
+        return z[..., self.i]
 
     def _jet(self, walk):
         if self.i >= walk.n:
@@ -325,9 +327,9 @@ class CoordBar(ScalarField):
     i: int
 
     def _value(self, z):
-        if self.i >= len(z):
-            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {len(z)}")
-        return np.conj(z[self.i])
+        if self.i >= z.shape[-1]:
+            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {z.shape[-1]}")
+        return np.conj(z[..., self.i])
 
     def _jet(self, walk):
         if self.i >= walk.n:
@@ -392,8 +394,7 @@ class Div(ScalarField):
 
     def _value(self, z):
         d = self.b._value(z)
-        if abs(d) < GUARD:
-            raise DomainError(f"division guard: |denominator| = {abs(d):.3e}")
+        _guard(d, "division guard: |denominator|")
         return self.a._value(z) / d
 
     def _jet(self, walk):
@@ -426,8 +427,8 @@ class Pow(ScalarField):
 
     def _value(self, z):
         v = self.a._value(z)
-        if self.k < 0 and abs(v) < GUARD:
-            raise DomainError(f"negative power guard: |base| = {abs(v):.3e}")
+        if self.k < 0:
+            _guard(v, "negative power guard: |base|")
         return v**self.k
 
     def _jet(self, walk):
@@ -457,8 +458,7 @@ class Log(ScalarField):
 
     def _value(self, z):
         v = self.a._value(z)
-        if abs(v) < GUARD:
-            raise DomainError(f"log guard: |argument| = {abs(v):.3e}")
+        _guard(v, "log guard: |argument|")
         return np.log(v)
 
     def _jet(self, walk):
@@ -558,13 +558,35 @@ def eval_jet(field: ScalarField, z) -> WJet2:
     return eval_jets([field], as_point(z)[None])[0].row(0)
 
 
+# The finite-difference oracles' stencil: four offsets per axis, in units of
+# the step h, and the 4th-order central first difference on them.
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _axis_steps(m: int) -> np.ndarray:
+    """Stencil steps around a point of R^m, in units of h: the point itself,
+    then the four offsets along each axis in turn, shape (1 + 4m, m)."""
+    eye = np.eye(m)
+    return np.concatenate([np.zeros((1, m)), (eye[:, None] * _OFFSETS[:, None]).reshape(-1, m)])
+
+
+def _first_difference(F: np.ndarray, h: float) -> np.ndarray:
+    """4th-order central first derivatives D[a] along each axis a from the
+    values F on the `_axis_steps` stencil, its points on F's leading axis.
+    Differences from the centre value make a constant give exact zeros."""
+    D = (F[1:] - F[0]).reshape((-1, 4) + F.shape[1:])
+    fm2, fm1, fp1, fp2 = np.moveaxis(D, 1, 0)
+    return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+
+
 def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
     """Finite-difference jet oracle.
 
     Central differences in the 2n real coordinates (4th-order first and pure
     second derivatives on a 5-point stencil, 2nd-order cross stencil for mixed
-    seconds), converted to Wirtinger form.  Independent of `eval_jet` other
-    than sharing the field's value evaluation.
+    seconds), converted to Wirtinger form.  The whole stencil is valued in
+    one `_value` walk; it shares nothing with `eval_jet` and `WJet2`
+    arithmetic.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
@@ -572,56 +594,36 @@ def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
     n = len(pt)
     m = 2 * n
     x0 = np.concatenate([pt.real, pt.imag])
-
-    def val(x: np.ndarray) -> complex:
-        p = x[:n] + 1j * x[n:]
-        if field.domain is not None and not field.domain(p):
-            raise DomainError(f"finite-difference stencil point {p} exits domain")
-        return field._value(p)
-
-    f0 = val(x0)
+    # The centre and axis steps, then the cross steps (++, +-, -+, --) of
+    # each axis pair a < b.
+    a, b = np.triu_indices(m, 1)
+    eye = np.eye(m)
+    cross = eye[a, None] * np.array([1.0, 1.0, -1.0, -1.0])[:, None] \
+        + eye[b, None] * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    X = x0 + h * np.concatenate([_axis_steps(m), cross.reshape(-1, m)])
+    Z = X[:, :n] + 1j * X[:, n:]
+    if field.domain is not None:
+        for p in Z:
+            if not field.domain(p):
+                raise DomainError(f"finite-difference stencil point {p} exits domain")
+    F = field._value(Z)
 
     # Work with differences from the center value so constant fields give
     # exact zeros (the raw 5-point weights do not cancel in floating point).
-    axis = np.zeros((m, 4), dtype=complex)
-    for a in range(m):
-        for col, off in enumerate((-2.0, -1.0, 1.0, 2.0)):
-            xs = x0.copy()
-            xs[a] += off * h
-            axis[a, col] = val(xs) - f0
+    f0 = F[0]
+    first = _first_difference(F[:1 + 4 * m], h)
+    dm2, dm1, dp1, dp2 = (F[1:1 + 4 * m] - f0).reshape(m, 4).T
+    pp, pm, mp, mm = (F[1 + 4 * m:] - f0).reshape(-1, 4).T
+    hess = np.diag((-dp2 + 16 * dp1 + 16 * dm1 - dm2) / (12 * h * h))
+    hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4 * h * h)
 
-    first = np.zeros(m, dtype=complex)
-    hess = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        dm2, dm1, dp1, dp2 = axis[a]
-        first[a] = (-dp2 + 8 * dp1 - 8 * dm1 + dm2) / (12 * h)
-        hess[a, a] = (-dp2 + 16 * dp1 + 16 * dm1 - dm2) / (12 * h * h)
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            vals = {}
-            for sa in (1.0, -1.0):
-                for sb in (1.0, -1.0):
-                    xs = x0.copy()
-                    xs[a] += sa * h
-                    xs[b] += sb * h
-                    vals[(sa, sb)] = val(xs) - f0
-            mixed = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) \
-                / (4 * h * h)
-            hess[a, b] = mixed
-            hess[b, a] = mixed
-
-    d = 0.5 * (first[:n] - 1j * first[n:])
-    dbar = 0.5 * (first[:n] + 1j * first[n:])
-    xx = hess[:n, :n]
-    xy = hess[:n, n:]
-    yx = hess[n:, :n]
-    yy = hess[n:, n:]
-    dd = 0.25 * (xx - 1j * xy - 1j * yx - yy)
-    ddbar = 0.25 * (xx + 1j * xy - 1j * yx + yy)
-    dbardbar = 0.25 * (xx + 1j * xy + 1j * yx - yy)
-    return WJet2(f0, d, dbar, 0.5 * (dd + dd.T), ddbar,
-                 0.5 * (dbardbar + dbardbar.T))
+    # Row i of w is d_i = (d/dx_i - 1j d/dy_i)/2 on the real coordinates;
+    # its conjugate wb is dbar_i.
+    w = 0.5 * np.concatenate([np.eye(n), -1j * np.eye(n)], axis=1)
+    wb = w.conj()
+    dd, dbardbar = w @ hess @ w.T, wb @ hess @ wb.T
+    return WJet2(complex(f0), w @ first, wb @ first, 0.5 * (dd + dd.T),
+                 w @ hess @ wb.T, 0.5 * (dbardbar + dbardbar.T))
 
 
 # ---------------------------------------------------------------------------

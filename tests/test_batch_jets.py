@@ -87,6 +87,25 @@ def test_batch_walk_matches_pointwise_and_oracle(forest):
                 assert np.max(np.abs(a - getattr(oracle, k))) <= 1e-5 * scale, k
 
 
+@settings(max_examples=80, deadline=None)
+@given(forests(), st.data())
+def test_value_walk_is_rowwise(forest, data):
+    """`_value` on a (P, n) batch is `_value` row by row, and a guard hit at
+    any one row refuses the whole batch."""
+    n, fields, Z, pool = forest
+    assume(_tame(pool, Z))
+    for field in fields:
+        batch = field._value(Z)
+        rows = np.array([field._value(z) for z in Z])
+        assert batch.shape == (len(Z),)
+        assert np.max(np.abs(batch - rows)) <= 1e-13 * max(1.0, np.max(np.abs(rows)))
+    field = data.draw(st.sampled_from(fields))
+    row = data.draw(st.integers(0, len(Z) - 1))
+    guarded = Log(Sub(field, Const(complex(field._value(Z)[row]))))
+    with pytest.raises(DomainError, match="log guard"):
+        guarded._value(Z)
+
+
 def test_shared_nodes_are_evaluated_once(monkeypatch):
     calls = []
     inner = gd.abs2(2)

@@ -347,6 +347,31 @@ def test_malformed_chart_spec_exits_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+UNREAD_KEYS = [
+    ({"chart": "admissible", "n": 2, "a": 0.5, "multiplier": [[0.3, 0], [0.3, 0]]},
+     "does not take 'multiplier'; its keys are 'chart', 'n', 'a', 'multipliers', 'A', 'c0'"),
+    ({"chart": "fs_bergman", "n": 5}, "fs_bergman has n = 2, got 5"),
+    ({"chart": "conformal", "n": 3, "base": {"chart": "euclidean", "n": 2},
+      "f": "(mul 0.1 (add z1 zbar1))"},
+     "does not take 'n'; its keys are 'chart', 'base', 'f'"),
+    ({"chart": "euclidean", "n": 2, "label": "flat"}, "does not take 'label'"),
+]
+
+
+@pytest.mark.parametrize("spec,message", UNREAD_KEYS)
+def test_chart_spec_key_its_tag_does_not_read_exits_2(tmp_path, capsys, spec, message):
+    """A key the chart's tag would ignore, such as a misspelt `multiplier` or
+    an `n` the chart cannot have, is refused and named, not run with the
+    defaults."""
+    chart = write_json(tmp_path, "chart.json", spec)
+    out = tmp_path / "out"
+    argv = ["hsc", "--chart", chart, "--t", "1", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and message in err
+    assert not out.exists()
+
+
 def test_cli_config_error_exit_2(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["suite", missing]) == 2

@@ -334,9 +334,23 @@ def test_gamma_theta2_hopf_coefficients(hopf):
 def test_connection_params_derived():
     pr = ConnectionParams(t=2.0, s=0.5)
     assert pr.p == pytest.approx(1.0)
-    assert pr.b == pytest.approx(1.0 - 2.0 - 1.0 + 0.25)
     assert ConnectionParams(3.0).s == 0.0
     assert ConnectionParams(3.0).p == 3.0
+
+
+def test_metric_values_on_a_stack_is_the_per_point_matrices(catalog_charts, chyp):
+    for chart in catalog_charts:
+        pts = np.array(pts_of(chart, 6, 2))
+        G = metric_values(chart, pts)
+        assert G.shape == (6, chart.n, chart.n)
+        for p, Gp in zip(pts, G):
+            np.testing.assert_allclose(Gp, metric_values(chart, p), rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(metric_values(chart, pts.reshape(2, 3, chart.n)),
+                                      G.reshape(2, 3, chart.n, chart.n))
+    with pytest.raises(DomainError, match=r"point \[0.9"):
+        metric_values(chyp, [[0.1, 0.2], [0.9, 0.9j]])
+    with pytest.raises(NonFinite):
+        metric_values(chyp, [[0.1, 0.2], [np.nan, 0.0]])
 
 
 def test_metric_values_matches_jets(hopf):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
+from gauduchon import curvature
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
 
@@ -138,6 +139,22 @@ def test_scalar_curvature_values(flat, hopf, fs, chyp, fsb):
     assert gd.scalar_curvature(fs, p) == pytest.approx(12.0, abs=1e-9)
     assert gd.scalar_curvature(chyp, p) == pytest.approx(-12.0, abs=1e-9)
     assert gd.scalar_curvature(fsb, p) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("oracle", [gd.lc_curvature_fd, gd.scalar_curvature_fd])
+def test_lc_oracle_values_its_stencil_in_one_call(monkeypatch, hopf, oracle):
+    """The nested stencil, 2m + 1 = 9 Christoffel centres at n = 2 with 1 + 4m
+    = 17 metric points each, is one `metric_values` call."""
+    calls = []
+    values = curvature.metric_values
+
+    def counted(chart, z):
+        calls.append(np.shape(z))
+        return values(chart, z)
+
+    monkeypatch.setattr(curvature, "metric_values", counted)
+    oracle(hopf, [0.6, 0.2 - 0.3j])
+    assert calls == [(9, 17, 2)]
 
 
 def test_scalar_curvature_fd_oracle(hopf, fsb):

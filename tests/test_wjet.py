@@ -3,7 +3,7 @@ import pytest
 
 import gauduchon as gd
 from gauduchon.errors import DimensionError, DomainError
-from gauduchon.wjet import WJet2, as_field
+from gauduchon.wjet import Div, WJet2, as_field
 
 
 def rel_jet_err(f, pt, h=1e-4):
@@ -170,6 +170,23 @@ def test_field_domain_predicate():
     # fd stencil must also respect the domain
     with pytest.raises(DomainError):
         gd.fd_jet(f, [0.500004, 0.0], h=1e-4)
+
+
+def test_fd_jet_values_its_stencil_in_one_walk(monkeypatch):
+    """The whole stencil at n = 2, 1 + 4m + 2m(m - 1) = 41 points for the
+    m = 4 real coordinates, is one `_value` call at the root."""
+    f = gd.const(1.0) / gd.abs2(2)
+    calls = []
+    value = Div._value
+
+    def counted(self, z):
+        if self is f:
+            calls.append(np.shape(z))
+        return value(self, z)
+
+    monkeypatch.setattr(Div, "_value", counted)
+    gd.fd_jet(f, [0.3 + 0.1j, -0.5j])
+    assert calls == [(41, 2)]
 
 
 def test_coordinate_out_of_range():
