@@ -8,7 +8,7 @@ sectional curvature, self-duality residuals and the admissible Hopf metrics.
 CONVENTIONS_VERSION = "1"
 SCHEMA_VERSION = "1"
 
-from .catalog import (CATALOG_TAGS, HopfSpec, admissible_chart,
+from .catalog import (HopfSpec, admissible_chart,
                       admissible_hsc_reference, circle_residual,
                       complex_hyperbolic_chart, euclidean_chart,
                       fs_bergman_chart, fubini_study_chart, hopf_chart,
@@ -23,7 +23,8 @@ from .connection import (ConnectionParams, FrameAtPoint, MetricChart,
                          chern_torsion, gamma_theta2, metric_jet,
                          torsion_cov_deriv, unitary_frame)
 from .curvature import (Curv4, canonical_bases, canonical_basis,
-                        canonical_curvature, canonical_weights, chern_curvature, constancy_residual,
+                        canonical_curvature, canonical_weights, chern_curvature,
+                        connection_curvature_oracle, constancy_residual,
                         constancy_table, curv4_rows, gauduchon_curvature,
                         hsc, lc_curvature, lc_curvature_fd, lc_full,
                         scalar_curvature, scalar_curvature_fd, selfdual_residual,

@@ -339,10 +339,6 @@ def make_chart(spec: dict) -> MetricChart:
     return inline_chart(n, spec["g"], label=spec.get("label", "inline"))
 
 
-CATALOG_TAGS = ("euclidean", "hopf_standard", "admissible", "fs_bergman",
-                "fubini_study", "complex_hyperbolic")
-
-
 # ---------------------------------------------------------------------------
 # Reference formulas
 

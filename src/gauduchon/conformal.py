@@ -26,7 +26,7 @@ import numpy as np
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _frame_E,
                          _frame_torsion, _metric_points, _stack, _to_frame)
 from .curvature import (Curv4, canonical_bases, canonical_weights, symmetrize,
-                        _basis_stack, _lc_fill, _symmetrized)
+                        _basis_stack, _symmetrized)
 from .errors import BaseNotKahler, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, as_point, eval_jets
 
@@ -101,7 +101,7 @@ class FactorAt:
         self.value = self.jet.value.real
         self.pds = _metric_points(chart, self.points)
         self.cholesky = frames is None
-        b = _stack(self.pds)
+        self.stacked = b = _stack(self.pds)
         self.E = b.E if frames is None else frames
         self.Et = np.exp(-self.value)[:, None, None] * self.E
         self.T = _frame_torsion(b, self.E)
@@ -118,10 +118,11 @@ class FactorAt:
 
     @cached_property
     def C(self) -> np.ndarray:
-        """C[p, m, l, k] = Gamma^m_{lbar k}, the coordinate coefficients of the
-        (1,0) part of nab^LC_{dbar_l} d_k, from the stored Levi-Civita data."""
-        n = self.chart.n
-        return np.stack([lc.Gamma[:n, n:, :n] for lc in _lc_fill(self.pds)])
+        """C[p, m, l, k] = Gamma^m_{lbar k} = 1/2 g^{m qbar} (dbar_l g_{k qbar}
+        - dbar_q g_{k lbar}), the coordinate coefficients of the (1,0) part of
+        nab^LC_{dbar_l} d_k."""
+        ginv, dbarG = self.stacked.ginv, self.stacked.dbarG
+        return 0.5 * np.einsum("pmq,plkq->pmlk", ginv, dbarG - dbarG.transpose(0, 3, 2, 1))
 
     def hessians(self, t: float):
         """`f_covariant_hessians` at each point."""

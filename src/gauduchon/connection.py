@@ -101,16 +101,7 @@ class _PointData:
     dbardbarG: np.ndarray
     ginv: np.ndarray      # ginv[k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
-    lc: object = None     # curvature._LCData, built on first use
     basis: np.ndarray | None = None   # curvature.canonical_basis in the frame E
-
-
-def _freeze(data):
-    """Make the array fields of a cached per-point record read-only."""
-    for v in vars(data).values():
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
-    return data
 
 
 def _stack(pds) -> _PointData:
@@ -216,8 +207,10 @@ def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
         if not defect < FRAME_TOL:
             raise NotPositiveDefinite(
                 f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}")
-    return [_freeze(_PointData(*parts)) for parts in
-            zip(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)]
+    parts = (G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
+    for a in parts:            # read-only, and so is each point's view of it
+        a.setflags(write=False)
+    return [_PointData(*views) for views in zip(*parts)]
 
 
 def metric_jet(chart: MetricChart, z):

@@ -6,13 +6,13 @@ Component convention (Curv4): R[k, l, i, j] = R_{k lbar i jbar}
 = R(e_k, ebar_l, e_i, ebar_j) with R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 - nab_[X,Y] Z and R(X,Y,Z,W) = g(R(X,Y)Z, W).
 
-Levi-Civita curvature is computed analytically from the complexified
-Christoffel symbols in Wirtinger coordinates (indices 0..n-1 unbarred,
-n..2n-1 barred); the full complexified Riemann tensor and the Riemannian
-scalar curvature fall out of the same computation.  An independent oracle
-(`lc_curvature_fd`, `scalar_curvature_fd`) redoes everything with
-finite-difference Christoffel symbols of the realified metric in the 2n real
-coordinates.
+Every curvature of the canonical plane D^t_s, Levi-Civita (s = 1) included,
+combines the four `canonical_basis` tensors, built in n-index form from the
+Chern curvature and torsion; the scalar curvature follows by the first
+Bianchi identity.  `connection_curvature_oracle` checks them against the
+connection's own Christoffel symbols in the 2n Wirtinger coordinates (0..n-1
+unbarred, n..2n-1 barred); `lc_curvature_fd` and `scalar_curvature_fd` redo
+the Levi-Civita side by finite differences in the 2n real coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 # chern_torsion is re-exported: code outside the package (the benchmark's
 # tracer tests) reaches it through this module.
 from .connection import (MetricChart, as_params, chern_torsion, metric_values, _frame_E,
-                         _frame_torsion, _frame_torsion_dbar, _freeze, _metric_points,
-                         _point, _stack, _to_frame)
+                         _frame_torsion, _frame_torsion_dbar, _metric_points, _point,
+                         _stack, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
 from .wjet import _axis_steps, _first_difference
 
@@ -52,116 +52,23 @@ def tensor_of(C) -> np.ndarray:
 # Chern curvature
 
 
+def _chern_stack(b) -> np.ndarray:
+    """Coordinate Chern curvature R[p, k, l, i, j] = -d_k dbar_l g_{i jbar}
+    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}) of stacked points."""
+    return -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG,
+                                 optimize=True)
+
+
 def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
-    """Curvature of the Chern connection.
-
-    Coordinate formula R_{k lbar i jbar} = -d_k dbar_l g_{i jbar}
-    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}), frame-transformed.
-    """
+    """Curvature of the Chern connection, frame-transformed from its
+    coordinate formula (see `_chern_stack`)."""
     pd, E = _point(chart, z, frame)
-    R = -pd.ddbarG + np.einsum("ab,kib,laj->klij", pd.ginv, pd.dG, pd.dbarG)
-    return Curv4(_to_frame(R, E, E.conj(), E, E.conj()), connection="chern")
+    return Curv4(_to_frame(_chern_stack(_stack([pd]))[0], E, E.conj(), E, E.conj()),
+                 connection="chern")
 
 
 # ---------------------------------------------------------------------------
-# Complexified Levi-Civita data
-
-
-@dataclass(eq=False)
-class _LCData:
-    Gamma: np.ndarray    # Gamma[a, b, c] = Gamma^a_bc
-    Riem: np.ndarray     # Riem[c, d, b, f] = R(d_c, d_d, d_b, d_f)
-    s_g: float
-
-
-# Entries of one (2n)^4 array in a Levi-Civita batch.  Larger batches ran
-# slower than point by point at n = 4 and 6, the time going to fresh memory
-# for their large temporaries, so they are split.
-LC_BATCH_ENTRIES = 2**14
-
-
-def _lc_fill(pds) -> list[_LCData]:
-    """The point records' Levi-Civita data, kept with them; those that lack
-    it get theirs in batches of up to LC_BATCH_ENTRIES / (2n)^4 points."""
-    todo = list({id(pd): pd for pd in pds if pd.lc is None}.values())
-    step = max(1, LC_BATCH_ENTRIES // (2 * pds[0].G.shape[0]) ** 4)
-    for i in range(0, len(todo), step):
-        lc = _freeze(_lc_data(_stack(todo[i:i + step])))
-        for j, pd in enumerate(todo[i:i + step]):
-            pd.lc = _LCData(lc.Gamma[j], lc.Riem[j], float(lc.s_g[j]))
-    return [pd.lc for pd in pds]
-
-
-def _lc_data(b) -> _LCData:
-    """Christoffel symbols, Riemann tensor and scalar curvature of the
-    complexified metric of stacked points (see `connection._stack`), each
-    with the leading point axis."""
-    P, n = b.G.shape[:2]
-    N = 2 * n
-    M = np.zeros((P, N, N), dtype=complex)
-    dM = np.zeros((P, N, N, N), dtype=complex)     # dM[p, a, b, c] = d_a M[b, c]
-    ddM = np.zeros((P, N, N, N, N), dtype=complex)
-    M[:, :n, n:] = b.G
-    dM[:, :, :n, n:] = np.concatenate([b.dG, b.dbarG], axis=1)    # d_a, then dbar_a
-    ddM[:, :n, :n, :n, n:] = b.ddG
-    ddM[:, :n, n:, :n, n:] = b.ddbarG
-    ddM[:, n:, :n, :n, n:] = b.ddbarG.transpose(0, 2, 1, 3, 4)
-    ddM[:, n:, n:, :n, n:] = b.dbardbarG
-    # The metric tensor is symmetric: mirror the (unbarred, barred) block.
-    M = M + M.transpose(0, 2, 1)
-    dM = dM + dM.transpose(0, 1, 3, 2)
-    ddM = ddM + ddM.transpose(0, 1, 2, 4, 3)
-    Minv = np.linalg.inv(M)
-
-    # Each contraction below is one matmul over its summed axis; an
-    # unoptimized einsum would loop over every index combination.
-    S = dM + dM.transpose(0, 3, 2, 1) - dM.transpose(0, 2, 1, 3)
-    Sd = S.transpose(0, 2, 1, 3).reshape(P, N, N * N)    # Sd[p, d, (b, c)] = S[p, b, d, c]
-    Gamma = 0.5 * (Minv @ Sd).reshape(P, N, N, N)        # Gamma^a_bc
-
-    dS = ddM + ddM.transpose(0, 1, 4, 3, 2) - ddM.transpose(0, 1, 3, 2, 4)
-    dMinv = -(Minv[:, None] @ dM @ Minv[:, None])        # dMinv[p, e] = d_e Minv
-    dGamma = 0.5 * ((dMinv.reshape(P, N * N, N) @ Sd).reshape(P, N, N, N, N)
-                    + (Minv[:, None] @ dS.transpose(0, 1, 3, 2, 4).reshape(P, N, N, N * N))
-                    .reshape(P, N, N, N, N))             # dGamma[p, e, a, b, c]
-
-    # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a
-    X = np.einsum("...cadb->...abcd", dGamma)
-    Y = np.einsum("...dacb->...abcd", dGamma)
-    # GG[a, x, y, b] = Gamma^a_xe Gamma^e_yb; P[a,b,c,d] = GG[a,c,d,b] and
-    # Q[a,b,c,d] = GG[a,d,c,b].
-    GG = (Gamma.reshape(P, N * N, N) @ Gamma.reshape(P, N, N * N)).reshape(P, N, N, N, N)
-    Rup = X - Y + GG.transpose(0, 1, 4, 2, 3) - GG.transpose(0, 1, 4, 3, 2)
-    # Riem[p, c, d, b, f] = sum_a Rup[p, a, b, c, d] M[p, a, f]
-    Riem = (Rup.reshape(P, N, N ** 3).transpose(0, 2, 1) @ M).reshape(P, N, N, N, N) \
-        .transpose(0, 2, 3, 1, 4)
-    s_g = np.real(np.einsum("pac,pbd,pabdc->p", Minv, Minv, Riem))
-    return _LCData(Gamma, Riem, s_g)
-
-
-def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
-    """Mixed components R(e_k, ebar_l, e_i, ebar_j) of the complexified
-    Riemann tensor of the underlying Riemannian metric."""
-    pd, E = _point(chart, z, frame)
-    lc = _lc_fill([pd])[0]
-    n = chart.n
-    return Curv4(_to_frame(lc.Riem[:n, n:, :n, n:], E, E.conj(), E, E.conj()),
-                 connection="levi-civita")
-
-
-def lc_full(chart: MetricChart, z) -> np.ndarray:
-    """Full complexified Riemann tensor in the Wirtinger coordinate frame
-    (2n axes each: 0..n-1 unbarred, n..2n-1 barred)."""
-    return _lc_fill(_metric_points(chart, [z]))[0].Riem.copy()
-
-
-def scalar_curvature(chart: MetricChart, z) -> float:
-    """Riemannian scalar curvature of the realified metric."""
-    return _lc_fill(_metric_points(chart, [z]))[0].s_g
-
-
-# ---------------------------------------------------------------------------
-# Gauduchon and canonical families (assembled from LC + torsion)
+# The canonical plane: Chern curvature and torsion
 
 
 def canonical_weights(params) -> np.ndarray:
@@ -175,12 +82,11 @@ def canonical_weights(params) -> np.ndarray:
 def _basis_stack(pds, E=None) -> np.ndarray:
     """Stacked `canonical_basis` B[p] of point records pds in the frames
     E[p], by default each point's Cholesky frame: the four tensors of every
-    point from one pass with a leading point axis."""
+    point from one pass with a leading point axis.  B[0] is the Chern
+    curvature less the torsion terms, whose weights at Chern are (1, -1, -1)."""
     b = _stack(pds)
     E = b.E if E is None else E
-    n = E.shape[-1]
     Ec = E.conj()
-    Riem = np.stack([lc.Riem[:n, n:, :n, n:] for lc in _lc_fill(pds)])
     T = _frame_torsion(b, E)
     TD = _frame_torsion_dbar(b, E)
     Tc = np.conj(T)
@@ -188,7 +94,8 @@ def _basis_stack(pds, E=None) -> np.ndarray:
     term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
         - np.einsum("...jrk,...irl->...klij", T, Tc)
     term3 = np.einsum("...krj,...lir->...klij", Tc, T)
-    return np.stack([_to_frame(Riem, E, Ec, E, Ec), term1, term2, term3], axis=1)
+    lc = _to_frame(_chern_stack(b), E, Ec, E, Ec) - term1 + term2 + term3
+    return np.stack([lc, term1, term2, term3], axis=1)
 
 
 def canonical_bases(chart: MetricChart, points) -> list[np.ndarray]:
@@ -209,7 +116,8 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     """The four tensors B[m, k, l, i, j] whose `canonical_weights` combination
     is the curvature of D^t_s at z:
 
-    B[0] = R_{k lbar i jbar} (Levi-Civita),
+    B[0] = R_{k lbar i jbar} (Levi-Civita) = R^C_{k lbar i jbar} - B[1]
+           + B[2] + B[3], R^C the Chern curvature,
     B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
@@ -240,6 +148,22 @@ def gauduchon_curvature(chart: MetricChart, t: float, z, frame=None) -> Curv4:
     return C
 
 
+def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
+    """Curvature of the Levi-Civita connection (= D^t_1, the basis' B[0]):
+    the mixed components of the complexified Riemann tensor."""
+    C = canonical_curvature(chart, (0.0, 1.0), z, frame)
+    C.connection = "levi-civita"
+    return C
+
+
+def scalar_curvature(chart: MetricChart, z) -> float:
+    """Riemannian scalar curvature of the realified metric, from the stored
+    Levi-Civita tensor R = B[0] by the first Bianchi identity:
+    s_g = 4 Re sum R_{i jbar j ibar} - 2 Re sum R_{i ibar j jbar}."""
+    R = canonical_bases(chart, [z])[0][0]
+    return float(4 * np.einsum("ijji->", R).real - 2 * np.einsum("iijj->", R).real)
+
+
 # ---------------------------------------------------------------------------
 # Symmetrization, HSC, constancy
 
@@ -261,18 +185,23 @@ def symmetrize(C) -> Curv4:
                  connection=f"sym({name})" if name else "sym")
 
 
-def hsc(C, eta) -> float:
+def hsc(C, eta):
     """Holomorphic sectional curvature H(eta) = R(eta, etabar, eta, etabar)
-    / |eta|^4 for a (1,0) vector eta given in the same unitary frame as C."""
-    R = tensor_of(C)
+    / |eta|^4 for a (1,0) vector eta given in the same unitary frame as C: a
+    float, or for a stack of k directions eta[k, :] an array of k values
+    from one contraction.  Every direction must be nonzero and give a real
+    contraction."""
     eta = np.asarray(eta, dtype=complex)
-    norm2 = float(np.sum(np.abs(eta) ** 2))
-    if norm2 < 1e-30:
+    norm2 = np.sum(np.abs(eta) ** 2, axis=-1)
+    if np.any(norm2 < 1e-30):
         raise ZeroVector("hsc needs a nonzero direction")
-    val = np.einsum("klij,k,l,i,j->", R, eta, np.conj(eta), eta, np.conj(eta))
-    if not abs(val.imag) <= 1e-9 * max(1.0, abs(val)):
-        raise NotHermitian(f"hsc contraction is not real: {val}")
-    return float(val.real) / norm2**2
+    val = np.einsum("klij,...k,...l,...i,...j->...", tensor_of(C), eta, eta.conj(), eta,
+                    eta.conj())
+    bad = ~(np.abs(val.imag) <= 1e-9 * np.maximum(1.0, np.abs(val)))
+    if np.any(bad):
+        raise NotHermitian(f"hsc contraction is not real: {val[bad].flat[0]}")
+    H = val.real / norm2**2
+    return float(H) if eta.ndim == 1 else H
 
 
 def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
@@ -373,6 +302,78 @@ def weyl_minus(chart: MetricChart, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Complexified reference: D^t_s from its own Christoffel symbols
+
+
+def _riemann(Gamma, dGamma, M) -> np.ndarray:
+    """Riem[p, c, d, b, f] = R(d_c, d_d, d_b, d_f) of the connection with
+    Christoffel symbols Gamma[p, a, b, c] = Gamma^a_bc and derivatives
+    dGamma[p, e, a, b, c] = d_e Gamma^a_bc, in coordinates with metric M[p]."""
+    # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a
+    X = np.einsum("...cadb->...abcd", dGamma)
+    Y = np.einsum("...dacb->...abcd", dGamma)
+    P = np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
+    Q = np.einsum("...ade,...ecb->...abcd", Gamma, Gamma)
+    return np.einsum("...abcd,...af->...cdbf", X - Y + P - Q, M)
+
+
+def _christoffel(b, params):
+    """(Gamma, dGamma, M) of D^t_s at stacked points (see `connection._stack`)
+    for `_riemann`, in the 2n Wirtinger coordinates: Gamma^D = (1 - s)(t
+    Gamma^C + (1 - t) Gamma^L) + s Gamma^LC, with Gamma^C[a, b, c] = Minv[a, d]
+    d_b M[c, d] kept where a, b and c are of one type and Gamma^L = Gamma^LC
+    kept where a and c are of one type.  M is the complexified metric."""
+    pr = as_params(params)
+    P, n = b.G.shape[:2]
+    N = 2 * n
+    M = np.zeros((P, N, N), dtype=complex)
+    dM = np.zeros((P, N, N, N), dtype=complex)     # dM[p, a, b, c] = d_a M[b, c]
+    ddM = np.zeros((P, N, N, N, N), dtype=complex)
+    M[:, :n, n:] = b.G
+    dM[:, :, :n, n:] = np.concatenate([b.dG, b.dbarG], axis=1)    # d_a, then dbar_a
+    ddM[:, :n, :n, :n, n:] = b.ddG
+    ddM[:, :n, n:, :n, n:] = b.ddbarG
+    ddM[:, n:, :n, :n, n:] = b.ddbarG.transpose(0, 2, 1, 3, 4)
+    ddM[:, n:, n:, :n, n:] = b.dbardbarG
+    # The metric tensor is symmetric: mirror the (unbarred, barred) block.
+    M = M + M.transpose(0, 2, 1)
+    dM = dM + dM.transpose(0, 1, 3, 2)
+    ddM = ddM + ddM.transpose(0, 1, 2, 4, 3)
+    Minv = np.linalg.inv(M)
+    dMinv = -(Minv[:, None] @ dM @ Minv[:, None])        # dMinv[p, e] = d_e Minv
+    S = dM + dM.transpose(0, 3, 2, 1) - dM.transpose(0, 2, 1, 3)
+    dS = ddM + ddM.transpose(0, 1, 4, 3, 2) - ddM.transpose(0, 1, 3, 2, 4)
+    lc = 0.5 * np.einsum("pad,pbdc->pabc", Minv, S)
+    dlc = 0.5 * (np.einsum("pead,pbdc->peabc", dMinv, S)
+                 + np.einsum("pad,pebdc->peabc", Minv, dS))
+    ch = np.einsum("pad,pbcd->pabc", Minv, dM)
+    dch = np.einsum("pead,pbcd->peabc", dMinv, dM) + np.einsum("pad,pebcd->peabc", Minv, ddM)
+    barred = np.arange(N) >= n
+    a, bb, c = barred[:, None, None], barred[None, :, None], barred[None, None, :]
+    wch = (1 - pr.s) * pr.t * ((a == bb) & (bb == c))
+    wlc = (1 - pr.s) * (1 - pr.t) * (a == c) + pr.s
+    return wch * ch + wlc * lc, wch * dch + wlc * dlc, M
+
+
+def connection_curvature_oracle(chart: MetricChart, params, points) -> np.ndarray:
+    """Reference curvature R[p, k, l, i, j] = R_{k lbar i jbar} of D^t_s at
+    each point in its Cholesky frame, what `canonical_curvature` gives, from
+    the connection's own Christoffel symbols with no torsion formula.  It
+    builds (2n)^4 arrays and serves only to check the production path."""
+    b = _stack(_metric_points(chart, points))
+    n, E = chart.n, b.E
+    R = _riemann(*_christoffel(b, params))[:, :n, n:, :n, n:]
+    return _to_frame(R, E, E.conj(), E, E.conj())
+
+
+def lc_full(chart: MetricChart, z) -> np.ndarray:
+    """Full complexified Levi-Civita Riemann tensor in the Wirtinger
+    coordinate frame (2n axes each: 0..n-1 unbarred, n..2n-1 barred): the
+    reference at s = 1."""
+    return _riemann(*_christoffel(_stack(_metric_points(chart, [z])), (0.0, 1.0)))[0]
+
+
+# ---------------------------------------------------------------------------
 # Real-coordinate finite-difference oracle
 
 
@@ -396,14 +397,7 @@ def _real_riemann(chart: MetricChart, z, h: float):
     S = dM + dM.transpose(3, 1, 2, 0) - dM.transpose(2, 1, 0, 3)
     Gamma = 0.5 * np.einsum("pad,bpdc->pabc", np.linalg.inv(M[:, 0]), S)
     dGamma = (Gamma[1:m + 1] - Gamma[m + 1:]) / (2 * h)
-    X = np.einsum("cadb->abcd", dGamma)
-    Y = np.einsum("dacb->abcd", dGamma)
-    P = np.einsum("ace,edb->abcd", Gamma[0], Gamma[0])
-    Q = np.einsum("ade,ecb->abcd", Gamma[0], Gamma[0])
-    Rup = X - Y + P - Q
-    G0 = M[0, 0]
-    Riem = np.einsum("abcd,af->cdbf", Rup, G0)
-    return Riem, G0
+    return _riemann(Gamma[:1], dGamma[None], M[:1, 0])[0], M[0, 0]
 
 
 def lc_curvature_fd(chart: MetricChart, z, frame=None, h: float = 1e-4) -> Curv4:

@@ -169,10 +169,15 @@ def test_criterion_07_conformal_laws(flat, fs, fsb, hopf):
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
+ORACLE_TS = [(t, s) for t in T_GRID for s in (0.0, 1.0)] + [(0.5, 0.5), (2.0, -1.0), (-1.0, 2.0)]
+
+
 def test_criterion_08_interpolation_identities(catalog_charts, kahler_charts):
     worst = 0.0
+    worst_o = 0.0
     for chart in catalog_charts:
-        for p in pts_of(chart, 50, 35):
+        pts = pts_of(chart, 50, 35)
+        for p in pts:
             worst = max(worst, maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
                                       - gd.chern_curvature(chart, p).R))
             Rlc = gd.lc_curvature(chart, p).R
@@ -182,6 +187,11 @@ def test_criterion_08_interpolation_identities(catalog_charts, kahler_charts):
                     - gd.gauduchon_curvature(chart, t, p).R))
                 worst = max(worst, maxabs(
                     gd.canonical_curvature(chart, (t, 1.0), p).R - Rlc))
+        # the connection's own curvature, from its Christoffel symbols
+        for ts in ORACLE_TS:
+            for p, R in zip(pts, gd.connection_curvature_oracle(chart, ts, pts)):
+                want = gd.canonical_curvature(chart, ts, p).R
+                worst_o = max(worst_o, maxabs(R - want) / max(1.0, maxabs(want)))
     worst_k = 0.0
     for chart in kahler_charts:
         for p in pts_of(chart, 50, 36):
@@ -189,9 +199,10 @@ def test_criterion_08_interpolation_identities(catalog_charts, kahler_charts):
             for t in T_GRID:
                 worst_k = max(worst_k, maxabs(
                     gd.gauduchon_curvature(chart, t, p).R - Rc))
-    ok = worst < 1e-10 and worst_k < 1e-9
+    ok = worst < 1e-10 and worst_k < 1e-9 and worst_o < 1e-12
     emit(8, ok, f"interpolation identities {worst:.2e} < 1e-10 on all catalog "
-                f"charts; Kahler families coincide to {worst_k:.2e} < 1e-9")
+                f"charts; Kahler families coincide to {worst_k:.2e} < 1e-9; "
+                f"connection oracle at {len(ORACLE_TS)} (t, s) {worst_o:.2e} < 1e-12 relative")
     assert ok
 
 

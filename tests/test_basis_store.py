@@ -2,6 +2,7 @@
 bit-equal to a per-point build, read-only and held by the chart's store."""
 
 import gc
+import json
 import weakref
 from collections import Counter
 
@@ -35,35 +36,9 @@ def to_frame(X, *mats):
 
 def per_point_basis(pd):
     """One point's four basis tensors from its metric data in plain 2-D
-    numpy: the operations of the batched build, point by point."""
+    numpy: the operations of the batched build, point by point, B[0] the
+    Chern curvature less the torsion terms."""
     n = pd.G.shape[0]
-    N = 2 * n
-    M = np.zeros((N, N), dtype=complex)
-    dM = np.zeros((N, N, N), dtype=complex)
-    ddM = np.zeros((N, N, N, N), dtype=complex)
-    M[:n, n:] = pd.G
-    dM[:, :n, n:] = np.concatenate([pd.dG, pd.dbarG])
-    ddM[:n, :n, :n, n:] = pd.ddG
-    ddM[:n, n:, :n, n:] = pd.ddbarG
-    ddM[n:, :n, :n, n:] = pd.ddbarG.transpose(1, 0, 2, 3)
-    ddM[n:, n:, :n, n:] = pd.dbardbarG
-    M = M + M.T
-    dM = dM + dM.transpose(0, 2, 1)
-    ddM = ddM + ddM.transpose(0, 1, 3, 2)
-    Minv = np.linalg.inv(M)
-    S = dM + dM.transpose(2, 1, 0) - dM.transpose(1, 0, 2)
-    Sd = S.transpose(1, 0, 2).reshape(N, N * N)
-    Gamma = 0.5 * (Minv @ Sd).reshape(N, N, N)
-    dS = ddM + ddM.transpose(0, 3, 2, 1) - ddM.transpose(0, 2, 1, 3)
-    dMinv = -(Minv @ dM @ Minv)
-    dGamma = 0.5 * ((dMinv.reshape(N * N, N) @ Sd).reshape(N, N, N, N)
-                    + (Minv @ dS.transpose(0, 2, 1, 3).reshape(N, N, N * N))
-                    .reshape(N, N, N, N))
-    GG = (Gamma.reshape(N * N, N) @ Gamma.reshape(N, N * N)).reshape(N, N, N, N)
-    Rup = (np.einsum("cadb->abcd", dGamma) - np.einsum("dacb->abcd", dGamma)
-           + GG.transpose(0, 3, 1, 2) - GG.transpose(0, 3, 2, 1))
-    Riem = np.tensordot(Rup, M, axes=(0, 0)).transpose(1, 2, 0, 3)
-
     E = pd.E
     up = np.linalg.inv(E).T
     Gc = (pd.ginv @ pd.dG.reshape(n * n, n).T).reshape(n, n, n)
@@ -76,11 +51,12 @@ def per_point_basis(pd):
     TD = to_frame(0.5 * (dGc - dGc.transpose(0, 2, 1, 3)), up, E, E, E.conj())
     TD = 0.5 * (TD - TD.transpose(0, 2, 1, 3))
     Tc = np.conj(T)
-    return np.stack([
-        to_frame(Riem[:n, n:, :n, n:], E, E.conj(), E, E.conj()),
-        np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD)),
-        np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jrk,irl->klij", T, Tc),
-        np.einsum("krj,lir->klij", Tc, T)])
+    terms = [np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD)),
+             np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jrk,irl->klij", T, Tc),
+             np.einsum("krj,lir->klij", Tc, T)]
+    chern = -pd.ddbarG + np.einsum("ab,kib,laj->klij", pd.ginv, pd.dG, pd.dbarG, optimize=True)
+    lc = to_frame(chern, E, E.conj(), E, E.conj()) - terms[0] + terms[1] + terms[2]
+    return np.stack([lc, *terms])
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -91,8 +67,11 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     bases = gd.canonical_bases(chart, pts)
     pds = connection._metric_points(chart, pts)
-    for B, pd in zip(bases, pds, strict=True):
+    for p, B, pd in zip(pts, bases, pds, strict=True):
         np.testing.assert_array_equal(B, per_point_basis(pd))
+        # the Levi-Civita tensor from the Chern side is the reference's s = 1
+        R = gd.connection_curvature_oracle(chart, (0.0, 1.0), [p])[0]
+        assert np.max(np.abs(B[0] - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
     # an explicit frame is built from the same code, one point at a time
     fr = gd.unitary_frame(chart, pts[0])
     np.testing.assert_array_equal(gd.canonical_basis(chart, pts[0], fr), bases[0])
@@ -107,8 +86,11 @@ def test_stored_basis_is_read_only_and_reused():
         assert gd.canonical_basis(chart, p) is B
         with pytest.raises(ValueError):
             B[0, 0, 0, 0, 0] = 1.0
-        [lc] = curvature._lc_fill(connection._metric_points(chart, [p]))
-        assert not any(a.flags.writeable for a in (lc.Gamma, lc.Riem))
+        # the reference is computed afresh on each call and never stored
+        R = gd.lc_full(chart, p)
+        kept = R.copy()
+        R += 1.0
+        np.testing.assert_array_equal(gd.lc_full(chart, p), kept)
 
 
 def test_stored_basis_goes_with_its_chart():
@@ -221,15 +203,50 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert lookups == [1]
 
 
-def test_suite_makes_at_most_474_store_lookups(monkeypatch):
-    """The bench's suite_adm2 config: 474 lookups.  `metric_inverse` reads
-    its 40 points in one lookup, where one `metric_jet` and one
-    `unitary_frame` per point made 80, and each conformal factor looks its
-    rescaled chart up once for both laws, where it took one per law (555 in
-    all); a per-point read that looked its point up twice made 697."""
+def test_suite_makes_at_most_112_store_lookups(monkeypatch):
+    """The bench's suite_adm2 config: 112 lookups.  `metric_inverse`,
+    `frame_unitarity`, `torsion_antisymmetry` and `hermitian_symmetry` read
+    their points in one lookup each (they took 40, 40, 40 and 41 one point at
+    a time), and `interpolation` makes one per point for its Chern
+    comparison and one per oracle cell, where its per-point identities took
+    261 (474 in all before, 555 and 697 earlier)."""
     lookups = counting_lookups(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert len(lookups) <= 474
+    assert len(lookups) <= 112
+
+
+def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
+    """The complexified reference (`_christoffel`, `_riemann`) is the only
+    code that builds (2n)^4 arrays.  The bench's scan and hsc commands and a
+    curv dump never call it, and a suite run calls it only from
+    `interpolation`, once per oracle cell."""
+    current = [None]
+    for name, (tol, check) in list(cli.CHECKS.items()):
+        def run_check(suite, name=name, check=check):
+            current[0] = name
+            return check(suite)
+        monkeypatch.setitem(cli.CHECKS, name, (tol, run_check))
+    calls = Counter()
+    for name in ("_christoffel", "_riemann"):
+        def counted(*args, func=getattr(curvature, name), name=name):
+            calls[current[0], name] += 1
+            return func(*args)
+        monkeypatch.setattr(curvature, name, counted)
+    adm = tmp_path / "adm.json"
+    adm.write_text(json.dumps(ADM_SPEC))
+    hopf6 = tmp_path / "hopf6.json"
+    hopf6.write_text(json.dumps({"chart": "hopf_standard", "n": 6}))
+    out = str(tmp_path / "out")
+    for argv in (["scan", "--chart", str(adm), "--t=-2:4:13", "--s=-2.5:2.5:11",
+                  "--samples", "4"],
+                 ["hsc", "--chart", str(hopf6), "--t", "3", "--s", "0", "--samples", "3"],
+                 ["curv", "--chart", str(adm), "--t", "0", "--s", "1", "--point", "0.3,0.1;0,0.2"]):
+        assert cli.main(argv + ["--out", out]) == 0
+    assert not calls
+    assert run_suite(suite_adm2_config()).all_passed
+    k = len(cli.ORACLE_PARAMS)
+    assert calls == Counter({("interpolation", "_christoffel"): k,
+                             ("interpolation", "_riemann"): k})
 
 
 def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):

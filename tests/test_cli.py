@@ -503,3 +503,47 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
     monkeypatch.setattr(curvature, "canonical_curvature", counting)
     payload = cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
     assert len(calls) == len(payload["per_point"]) == 4
+
+
+def test_direction_stack_draws_the_per_direction_stream():
+    """`hsc_payload` and the suite's `hsc_symmetrize` draw k directions as
+    one (k, 2, n) array: the same numbers, in the same order, as k pairs of
+    n-vector draws (real part, then imaginary part), and the stream goes on
+    from the same place."""
+    for n, k in [(2, 4), (6, 8)]:
+        stacked, pairs = np.random.default_rng(3), np.random.default_rng(3)
+        draws = stacked.standard_normal((k, 2, n))
+        per = [pairs.standard_normal(n) + 1j * pairs.standard_normal(n) for _ in range(k)]
+        np.testing.assert_array_equal(draws[:, 0] + 1j * draws[:, 1], per)
+        assert stacked.standard_normal() == pairs.standard_normal()
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
+    """Every `main` call parses with the one parser, and each gets a fresh
+    namespace: a `--tol` of one suite call is not seen by the next, and an
+    hsc call between them carries none of the suite's arguments."""
+    import gauduchon.cli as cli
+    parser = cli._parser()
+    seen = []
+    parse = parser.parse_args
+
+    def recording(argv=None):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    config = write_json(tmp_path, "config.json",
+                        {"chart": {"chart": "euclidean", "n": 2}, "sample_count": 2,
+                         "checks": ["metric_inverse"]})
+    chart = write_json(tmp_path, "chart.json", ADM_SPEC)
+    out = str(tmp_path / "out")
+    assert main(["suite", config, "--tol", "metric_inverse=1e-9", "--out", out]) == 0
+    assert main(["hsc", "--chart", chart, "--t", "3", "--samples", "1", "--out", out]) == 0
+    assert main(["suite", config, "--out", out]) == 0
+    assert cli._parser() is parser
+    first, middle, last = seen
+    assert first.tol == ["metric_inverse=1e-9"] and last.tol == []
+    assert first is not last and first.tol is not last.tol
+    assert middle.command == "hsc" and not hasattr(middle, "tol")
+    assert not hasattr(last, "samples")
+    assert json.loads(open(out).read())["records"][0]["tolerance"] == 1e-12

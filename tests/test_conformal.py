@@ -284,8 +284,10 @@ def per_point_laws(pair, t, params, z):
     E = gd.unitary_frame(chart, z).E
     jf = gd.eval_jet(f, z)
     fr, frbar = E.T @ jf.d, E.conj().T @ jf.dbar
-    [lc] = curvature._lc_fill(connection._metric_points(chart, [z]))
-    C = lc.Gamma[:n, n:, :n]
+    # the mixed Christoffel symbols Gamma^m_{lbar k} of the complexified
+    # reference at s = 1
+    pds = connection._metric_points(chart, [z])
+    C = curvature._christoffel(connection._stack(pds), (0.0, 1.0))[0][0, :n, n:, :n]
 
     def hessians(t):
         A = jf.ddbar - (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)

@@ -147,13 +147,15 @@ def test_bad_point_raises_whatever_its_type(hopf, bad, err):
 
 def test_batch_filled_point_data_is_read_only(adm):
     from gauduchon.connection import _metric_points
-    from gauduchon.curvature import _lc_fill
+    from gauduchon.curvature import canonical_bases
 
-    pds = _metric_points(adm, pts_of(adm, 3, 11))
-    for pd, lc in zip(pds, _lc_fill(pds)):
-        for arr in [*vars(pd).values(), *vars(lc).values()]:
-            if isinstance(arr, np.ndarray):
-                assert not arr.flags.writeable
+    pts = pts_of(adm, 3, 11)
+    pds = _metric_points(adm, pts)
+    canonical_bases(adm, pts)
+    for pd in pds:
+        arrays = [a for a in vars(pd).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_not_positive_definite_is_structured():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
 from gauduchon import curvature
+from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
 
@@ -104,19 +106,27 @@ def _seed_lc(pd, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_lc_contractions_match_einsum_reference(n):
-    from gauduchon.connection import _point
-    from gauduchon.curvature import _lc_fill
+    """The reference at s = 1 (`lc_full` and its Christoffel symbols) equals
+    the unoptimized einsums; the production Levi-Civita tensor, scalar
+    curvature and mixed Christoffel symbols, built from the Chern side,
+    agree with them."""
+    from gauduchon.connection import _point, _stack
 
     spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
     for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
-        for p in pts_of(chart, 2, n):
-            pd, _ = _point(chart, p)
-            [lc] = _lc_fill([pd])
+        pts = pts_of(chart, 2, n)
+        for p, C in zip(pts, gd.FactorAt(chart, gd.const(0.0), pts).C):
+            pd, E = _point(chart, p)
             Gamma, Riem, s_g = _seed_lc(pd, n)
             scale = maxabs(Riem)
-            assert maxabs(lc.Riem - Riem) <= 1e-13 * scale
-            assert maxabs(lc.Gamma - Gamma) <= 1e-13 * maxabs(Gamma)
-            assert abs(lc.s_g - s_g) <= 1e-13 * max(1.0, abs(s_g))
+            assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
+            ref = curvature._christoffel(_stack([pd]), (0.0, 1.0))[0][0]
+            assert maxabs(ref - Gamma) <= 1e-13 * maxabs(Gamma)
+            assert maxabs(C - Gamma[:n, n:, :n]) <= 1e-13 * maxabs(Gamma)
+            R = np.einsum("klij,ka,lb,ic,jd->abcd", Riem[:n, n:, :n, n:],
+                          E, E.conj(), E, E.conj())
+            assert maxabs(gd.lc_curvature(chart, p).R - R) <= 1e-13 * max(1.0, maxabs(R))
+            assert abs(gd.scalar_curvature(chart, p) - s_g) <= 1e-13 * max(1.0, abs(s_g))
 
 
 def test_lc_riemann_symmetries(hopf, adm):
@@ -197,6 +207,63 @@ def test_canonical_interpolation(catalog_charts):
                             - gd.gauduchon_curvature(chart, t, p).R)
                 d1 = maxabs(gd.canonical_curvature(chart, (t, 1.0), p).R - Rlc)
                 assert d0 < 1e-10 and d1 < 1e-10, chart.label
+
+
+# The catalog charts and the generic chart below, by name.
+ORACLE_CHARTS = {
+    "euclidean": lambda: gd.euclidean_chart(2),
+    "hopf2": lambda: gd.hopf_chart(2),
+    "hopf3": lambda: gd.hopf_chart(3),
+    "admissible": lambda: gd.admissible_chart(gd.hopf_spec(2, 0.5, A=[[0.2, 0.0], [0.0, 0.1]])),
+    "fubini_study3": lambda: gd.fubini_study_chart(3),
+    "fs_bergman": gd.fs_bergman_chart,
+    "complex_hyperbolic": lambda: gd.complex_hyperbolic_chart(2),
+    "generic": lambda: make_generic_chart(),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(ORACLE_CHARTS)), t=st.floats(-3.0, 3.0),
+       s=st.floats(-3.0, 3.0), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_oracle_matches_canonical_curvature(name, t, s, count, seed):
+    """The curvature of D^t_s from its own Christoffel symbols in Wirtinger
+    coordinates equals the stored basis combination, to 1e-12 relative."""
+    chart = ORACLE_CHARTS[name]()
+    pts = gd.sample_points(chart, count, np.random.default_rng(seed))
+    R = gd.connection_curvature_oracle(chart, (t, s), pts)
+    assert R.shape == (count,) + (chart.n,) * 4
+    for p, Rp in zip(pts, R):
+        want = gd.canonical_curvature(chart, (t, s), p).R
+        assert maxabs(Rp - want) <= 1e-12 * max(1.0, maxabs(want)), (name, t, s)
+
+
+def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
+    """Adding 0.1 B[3] to B[1] and B[2] changes the D^t_s curvature by
+    0.1 (p^2 - p) B[3]: nothing at p = 0 or 1, so the t = 1 Chern comparison
+    and every s = 1 identity pass it, but the oracle sees it at (3, 0) on each
+    non-Kahler chart, and the suite's interpolation check fails."""
+    build = curvature._basis_stack
+
+    def mutated(pds, E=None):
+        B = build(pds, E)
+        B[:, 1:3] += 0.1 * B[:, 3:4]
+        return B
+
+    monkeypatch.setattr(curvature, "_basis_stack", mutated)
+    for name in ("hopf2", "hopf3", "admissible", "generic"):
+        chart = ORACLE_CHARTS[name]()
+        pts = gd.sample_points(chart, 3, np.random.default_rng(41))
+        R = gd.connection_curvature_oracle(chart, (3.0, 0.0), pts)
+        for p, Rp in zip(pts, R):
+            assert maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
+                          - gd.chern_curvature(chart, p).R) < 1e-10
+            assert maxabs(gd.canonical_curvature(chart, (2.0, 1.0), p).R
+                          - gd.lc_curvature(chart, p).R) < 1e-10
+            assert maxabs(gd.canonical_curvature(chart, (3.0, 0.0), p).R - Rp) > 1e-3, name
+    config = SuiteConfig.from_dict({"chart": {"chart": "hopf_standard", "n": 2},
+                                    "sample_count": 10, "checks": ["interpolation"]})
+    [rec] = run_suite(config).records
+    assert rec.name == "interpolation" and not rec.passed
 
 
 def test_kahler_families_collapse(kahler_charts):
@@ -280,6 +347,27 @@ def test_hsc_non_hermitian_tensor_raises():
     R = rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4)
     with pytest.raises(NotHermitian):
         gd.hsc(R, [1.0, 0.5j])
+
+
+def test_hsc_on_a_stack_of_directions(adm):
+    """k directions give k values from one contraction, each the value of
+    its direction alone; a single direction gives a float.  A zero or a
+    non-real direction anywhere in the stack raises."""
+    C = gd.canonical_curvature(adm, (2.0, 0.5), pts_of(adm, 1, 42)[0])
+    rng = np.random.default_rng(43)
+    eta = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    H = gd.hsc(C, eta)
+    assert H.shape == (5,)
+    for h, e in zip(H, eta):
+        one = gd.hsc(C, e)
+        assert type(one) is float
+        assert h == pytest.approx(one, rel=1e-14, abs=1e-15)
+    with pytest.raises(ZeroVector):
+        gd.hsc(C, np.vstack([eta, np.zeros(2)]))
+    R = np.zeros((2, 2, 2, 2), complex)
+    R[0, 0, 0, 0] = 1j
+    with pytest.raises(NotHermitian):
+        gd.hsc(R, np.array([[0.0, 1.0], [1.0, 0.5j]]))
 
 
 def test_hsc_admissible_reference_value(adm, adm_spec):
@@ -456,14 +544,18 @@ def test_constancy_implies_selfdual(adm):
 # plumbing
 
 
-@pytest.fixture(scope="module")
-def generic_chart():
+def make_generic_chart():
     """Non-diagonal, non-Kahler Hermitian metric: the hardest input class."""
     g11 = gd.parse_field("(add 1 (mul z1 zbar1) (mul 0.5 z2 zbar2))")
     g22 = gd.parse_field("(add 1 (mul z1 zbar1))")
     g12 = gd.parse_field("(mul 0.1 z2 zbar1)")
     g21 = gd.parse_field("(mul 0.1 zbar2 z1)")
     return gd.inline_chart(2, [[g11, g12], [g21, g22]], label="generic")
+
+
+@pytest.fixture(scope="module")
+def generic_chart():
+    return make_generic_chart()
 
 
 def test_generic_chart_is_non_kahler(generic_chart):
