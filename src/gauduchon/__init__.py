@@ -34,4 +34,4 @@ from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,
                      NonRealConformalFactor, NotHermitian, NotPositiveDefinite,
                      ZeroPoint, ZeroVector)
 from .wjet import (ScalarField, WJet2, abs2, const, eval_jet, eval_jets, exp, fd_jet,
-                   log, parse_field, z, zbar)
+                   fd_jets, log, parse_field, z, zbar)

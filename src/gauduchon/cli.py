@@ -31,14 +31,12 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, rescale
-from .connection import (MetricChart, chern_torsion, unitary_frame, _frame_torsion,
-                         _metric_points, _stack)
+from .connection import MetricChart, _PointData, _frame_torsion, _metric_points, _stack
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
-                        chern_curvature, connection_curvature_oracle, constancy_table,
-                        curv4_rows, gauduchon_curvature, hsc, selfdual_residual,
-                        symmetrize, weyl_minus)
+                        connection_curvature_oracle, constancy_table, curv4_rows, hsc,
+                        symmetrize, _chern_stack, _selfdual, _weyl_minus)
 from .errors import ConfigError, GauduchonError, _as_int
-from .wjet import abs2, eval_jets, fd_jet, z, zbar
+from .wjet import abs2, eval_jets, fd_jets, z, zbar
 
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
 # The (t, s) at which `interpolation` compares the stored bases with the
@@ -190,16 +188,15 @@ def _conformal_factors(n: int):
     return fs
 
 
-def _jet_rel_err(je, f, pt) -> float:
-    """Relative difference of the exact jet je of f at pt from its
-    finite-difference jet."""
-    jf = fd_jet(f, pt)
+def _jet_rel_err(je, jf) -> np.ndarray:
+    """Relative difference, point by point, of the exact jets je of a field
+    at P points from its finite-difference jets jf there (both batched)."""
     num, scale = 0.0, 1.0
     for name in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
-        a = np.atleast_1d(getattr(je, name))
-        b = np.atleast_1d(getattr(jf, name))
-        num = max(num, float(np.max(np.abs(a - b))))
-        scale = max(scale, float(np.max(np.abs(a))))
+        a = getattr(je, name).reshape(len(je.value), -1)
+        b = getattr(jf, name).reshape(len(jf.value), -1)
+        num = np.maximum(num, np.max(np.abs(a - b), axis=1))
+        scale = np.maximum(scale, np.max(np.abs(a), axis=1))
     return num / scale
 
 
@@ -208,7 +205,12 @@ class _Suite:
     the first 10 and 5), the RNG the checks draw from in table order, the
     tolerances and the (t, s) grid.  A check returns one row per record:
     residuals and point count, plus `params`, `value`, `detail` or a record
-    `tolerance` where those vary; none where the check does not apply."""
+    `tolerance` where those vary; none where the check does not apply.
+
+    Every check is one pass over its stacked points: the metric data of all
+    the points is one stacked record (`data`, `small_data` its first 10
+    points) and the stored bases of `small` one stacked array (`bases`),
+    each read once per run."""
 
     def __init__(self, config: SuiteConfig, chart: MetricChart):
         self.chart = chart
@@ -220,6 +222,31 @@ class _Suite:
         self.cpts = self.pts[:5]
 
     @cached_property
+    def data(self) -> _PointData:
+        """Metric data of every point, one record with a leading point axis
+        (see `connection._stack`)."""
+        return _stack(_metric_points(self.chart, self.pts))
+
+    @cached_property
+    def small_data(self) -> _PointData:
+        """The first 10 points of `data`, as views."""
+        k = len(self.small)
+        return _PointData(**{name: a[:k] for name, a in vars(self.data).items()
+                             if a is not None})
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        """The stored canonical bases B[p] of the first 10 points, stacked."""
+        return np.stack(canonical_bases(self.chart, self.small))
+
+    @cached_property
+    def gauduchon(self) -> np.ndarray:
+        """Gauduchon curvatures R[p, m] of the first 10 points at the m-th t
+        of HERMITIAN_T, from one weighted sum of `bases`."""
+        W = np.array([canonical_weights((t, 0.0)) for t in HERMITIAN_T])
+        return np.tensordot(W, self.bases, (1, 1)).swapaxes(0, 1)
+
+    @cached_property
     def factors(self) -> list:
         """Each conformal pair's factor at the first 5 points, shared by the
         three conformal checks."""
@@ -228,76 +255,67 @@ class _Suite:
 
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
-        # tree gets one exact and one finite-difference jet per point.
+        # tree gets one exact and one finite-difference walk over the points.
         fields = [f for components in self.chart.g for f in components]
         trees = list({id(f): f for f in fields}.values())
-        err = {id(f): [_jet_rel_err(jet.row(j), f, p) for j, p in enumerate(self.small)]
-               for f, jet in zip(trees, eval_jets(trees, self.small))}
-        res = [err[id(f)][j] for j in range(len(self.small)) for f in fields]
-        return [dict(residuals=res, points=len(self.small),
+        jets = eval_jets(trees, self.small)
+        err = {id(f): _jet_rel_err(jet, fd_jets(f, self.small)) for f, jet in zip(trees, jets)}
+        res = np.stack([err[id(f)] for f in fields], axis=1)     # [point, component]
+        return [dict(residuals=res.ravel(), points=len(self.small),
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
     def metric_inverse(self) -> list:
-        eye = np.eye(self.chart.n)
-        res = [np.max(np.abs(pd.ginv @ pd.G.T - eye))
-               for pd in _metric_points(self.chart, self.pts)]
+        b = self.data
+        res = np.max(np.abs(b.ginv @ b.G.swapaxes(1, 2) - np.eye(self.chart.n)), axis=(1, 2))
         return [dict(residuals=res, points=len(self.pts))]
 
     def frame_unitarity(self) -> list:
-        eye = np.eye(self.chart.n)
-        res = [np.max(np.abs(pd.E.T @ pd.G @ pd.E.conj() - eye))
-               for pd in _metric_points(self.chart, self.pts)]
+        b = self.data
+        res = np.max(np.abs(b.E.swapaxes(1, 2) @ b.G @ b.E.conj() - np.eye(self.chart.n)),
+                     axis=(1, 2))
         return [dict(residuals=res, points=len(self.pts))]
 
     def torsion_antisymmetry(self) -> list:
-        b = _stack(_metric_points(self.chart, self.pts))
+        b = self.data
         T = _frame_torsion(b, b.E)
         res = np.max(np.abs(T + T.transpose(0, 1, 3, 2)), axis=(1, 2, 3))
         return [dict(residuals=res, points=len(self.pts))]
 
     def torsion_tensoriality(self) -> list:
-        chart, rng = self.chart, self.rng
-        res = []
-        for p in self.small:
-            fr = unitary_frame(chart, p)
-            Q, _ = np.linalg.qr(rng.standard_normal((chart.n, chart.n))
-                                + 1j * rng.standard_normal((chart.n, chart.n)))
-            T = chern_torsion(chart, p, fr)
-            Trot = chern_torsion(chart, p, fr.rotated(Q))
-            pred = np.einsum("ck,kij,ia,jb->cab", Q.conj().T, T, Q, Q)
-            res.append(np.max(np.abs(Trot - pred)))
-        return [dict(residuals=res, points=len(self.small))]
+        n, b = self.chart.n, self.small_data
+        draws = self.rng.standard_normal((len(self.small), 2, n, n))
+        Q, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+        T = _frame_torsion(b, b.E)
+        Trot = _frame_torsion(b, b.E @ Q)
+        pred = np.einsum("pkc,pkij,pia,pjb->pcab", Q.conj(), T, Q, Q)
+        return [dict(residuals=np.max(np.abs(Trot - pred), axis=(1, 2, 3)),
+                     points=len(self.small))]
 
     def hermitian_symmetry(self) -> list:
-        W = [canonical_weights((t, 0.0)) for t in HERMITIAN_T]
-        Rs = [np.tensordot(w, B, 1) for B in canonical_bases(self.chart, self.small) for w in W]
-        res = [np.max(np.abs(R - np.conj(np.einsum("lkji->klij", R)))) for R in Rs]
-        return [dict(residuals=res, points=len(self.small))]
+        R = self.gauduchon
+        res = np.max(np.abs(R - np.conj(np.einsum("...lkji->...klij", R))), axis=(2, 3, 4, 5))
+        return [dict(residuals=res.ravel(), points=len(self.small))]
 
     def interpolation(self) -> list:
         # Chern is t = 1 on the Gauduchon line; at each ORACLE_PARAMS cell the
         # basis combination meets the curvature of D^t_s from its own
         # Christoffel symbols.
-        chart, pts = self.chart, self.small
-        B = np.stack(canonical_bases(chart, pts))
-        res = [np.max(np.abs(np.tensordot(canonical_weights((1.0, 0.0)), Bp, 1)
-                             - chern_curvature(chart, p).R)) for p, Bp in zip(pts, B)]
-        for ts in ORACLE_PARAMS:
-            R = np.tensordot(canonical_weights(ts), B, (0, 1))
-            res += list(np.max(np.abs(R - connection_curvature_oracle(chart, ts, pts)),
-                               axis=(1, 2, 3, 4)))
-        return [dict(residuals=res, points=len(pts))]
+        b, B = self.small_data, self.bases
+        chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - _chern_stack(b, b.E)
+        W = np.array([canonical_weights(ts) for ts in ORACLE_PARAMS])
+        oracle = np.tensordot(W, B, (1, 1)) \
+            - connection_curvature_oracle(self.chart, ORACLE_PARAMS, self.small)
+        res = [np.max(np.abs(chern), axis=(1, 2, 3, 4)),
+               np.max(np.abs(oracle), axis=(2, 3, 4, 5)).ravel()]
+        return [dict(residuals=np.concatenate(res), points=len(self.small))]
 
     def hsc_symmetrize(self) -> list:
         n = self.chart.n
-        canonical_bases(self.chart, self.small)
-        res = []
-        for p in self.small:
-            C = canonical_curvature(self.chart, (2.0, 0.5), p)
-            draws = self.rng.standard_normal((4, 2, n))
-            eta = draws[:, 0] + 1j * draws[:, 1]
-            res += list(np.abs(hsc(C, eta) - hsc(symmetrize(C), eta)))
-        return [dict(residuals=res, points=len(self.small))]
+        C = np.tensordot(canonical_weights((2.0, 0.5)), self.bases, (0, 1))[:, None]
+        draws = self.rng.standard_normal((len(self.small), 4, 2, n))
+        eta = draws[:, :, 0] + 1j * draws[:, :, 1]
+        res = np.abs(hsc(C, eta) - hsc(symmetrize(C), eta))
+        return [dict(residuals=res.ravel(), points=len(self.small))]
 
     def constancy(self) -> list:
         if not self.grid:
@@ -310,17 +328,11 @@ class _Suite:
                 for (t, s), c, r in zip(self.grid, cs, res)]
 
     def kahler_families(self) -> list:
-        chart = self.chart
-        tors = max(float(np.max(np.abs(chern_torsion(chart, p)))) for p in self.small)
-        if not tors < KAHLER_TOL:
+        b = self.small_data
+        if not np.max(np.abs(_frame_torsion(b, b.E))) < KAHLER_TOL:
             return []
-        canonical_bases(chart, self.small)
-        res = []
-        for p in self.small:
-            Rc = chern_curvature(chart, p).R
-            res += [np.max(np.abs(gauduchon_curvature(chart, t, p).R - Rc))
-                    for t in HERMITIAN_T]
-        return [dict(residuals=res, points=len(self.small),
+        res = np.max(np.abs(self.gauduchon - _chern_stack(b, b.E)[:, None]), axis=(2, 3, 4, 5))
+        return [dict(residuals=res.ravel(), points=len(self.small),
                      detail="all Gauduchon curvatures equal Chern")]
 
     def conformal_torsion(self) -> list:
@@ -343,11 +355,10 @@ class _Suite:
         if self.chart.n != 2:
             return []
         limit = self.tol["selfdual_weyl"]
-        res = []
-        for p in self.small:
-            sd = max(selfdual_residual(self.chart, p))
-            w = float(np.linalg.norm(weyl_minus(self.chart, p), 2))
-            res.append(0.0 if (sd < 1e-8) == (w < limit) else 1.0)
+        R = self.bases[:, 0]
+        sd = np.max(_selfdual(R), axis=1)
+        w = np.linalg.norm(_weyl_minus(R), 2, axis=(1, 2))
+        res = np.where((sd < 1e-8) == (w < limit), 0.0, 1.0)
         return [dict(residuals=res, points=len(self.small), tolerance=0.0,
                      detail=f"disagreements between component self-duality residuals "
                             f"< 1e-8 and ||W_-|| < {limit:g}")]
@@ -384,8 +395,7 @@ def run_suite(config: SuiteConfig) -> Report:
     run = _Suite(config, chart)
     selected = config.checks
     if selected is None or set(selected) - {"wjet_oracle"}:
-        # Every check but the jet oracle reads the points' metric data.
-        _metric_points(chart, run.pts)
+        run.data        # every check but the jet oracle reads it: filled untimed
     records: list[Record] = []
     for name, (_, check) in CHECKS.items():
         if selected is not None and name not in selected:
@@ -499,20 +509,18 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
     cs, residuals = constancy_table(chart, [(t, s)], pts)
-    per_point = []
-    for p, c, res in zip(pts, cs[0], residuals[0]):
-        C = canonical_curvature(chart, (t, s), p)
-        draws = rng.standard_normal((HSC_DIRECTIONS, 2, chart.n))
-        eta = draws[:, 0] + 1j * draws[:, 1]
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)     # uniform on the unit sphere
-        hs = hsc(C, eta)
-        per_point.append({
-            "point": [[v.real, v.imag] for v in p],
-            "c": float(c),
-            "residual": float(res),
-            "hsc_min": float(hs.min()),
-            "hsc_max": float(hs.max()),
-        })
+    C = np.tensordot(canonical_weights((t, s)), np.stack(canonical_bases(chart, pts)), (0, 1))
+    draws = rng.standard_normal((len(pts), HSC_DIRECTIONS, 2, chart.n))
+    eta = draws[:, :, 0] + 1j * draws[:, :, 1]
+    eta /= np.linalg.norm(eta, axis=-1, keepdims=True)     # uniform on the unit sphere
+    hs = hsc(C[:, None], eta)
+    per_point = [{
+        "point": [[v.real, v.imag] for v in p],
+        "c": float(c),
+        "residual": float(res),
+        "hsc_min": float(h.min()),
+        "hsc_max": float(h.max()),
+    } for p, c, res, h in zip(pts, cs[0], residuals[0], hs)]
     return {
         "schema_version": SCHEMA_VERSION,
         "conventions_version": CONVENTIONS_VERSION,

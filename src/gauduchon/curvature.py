@@ -52,19 +52,19 @@ def tensor_of(C) -> np.ndarray:
 # Chern curvature
 
 
-def _chern_stack(b) -> np.ndarray:
-    """Coordinate Chern curvature R[p, k, l, i, j] = -d_k dbar_l g_{i jbar}
-    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}) of stacked points."""
-    return -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG,
-                                 optimize=True)
+def _chern_stack(b, E) -> np.ndarray:
+    """Chern curvature of stacked points (see `connection._stack`) in the
+    frames E[p], from its coordinate formula R[p, k, l, i, j] =
+    -d_k dbar_l g_{i jbar} + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar})."""
+    R = -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG, optimize=True)
+    return _to_frame(R, E, E.conj(), E, E.conj())
 
 
 def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
-    """Curvature of the Chern connection, frame-transformed from its
-    coordinate formula (see `_chern_stack`)."""
+    """Curvature of the Chern connection: the one-point call of
+    `_chern_stack`."""
     pd, E = _point(chart, z, frame)
-    return Curv4(_to_frame(_chern_stack(_stack([pd]))[0], E, E.conj(), E, E.conj()),
-                 connection="chern")
+    return Curv4(_chern_stack(_stack([pd]), E[None])[0], connection="chern")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def _basis_stack(pds, E=None) -> np.ndarray:
     term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
         - np.einsum("...jrk,...irl->...klij", T, Tc)
     term3 = np.einsum("...krj,...lir->...klij", Tc, T)
-    lc = _to_frame(_chern_stack(b), E, Ec, E, Ec) - term1 + term2 + term3
+    lc = _chern_stack(b, E) - term1 + term2 + term3
     return np.stack([lc, term1, term2, term3], axis=1)
 
 
@@ -156,12 +156,17 @@ def lc_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     return C
 
 
+def _scalar(R: np.ndarray) -> np.ndarray:
+    """Scalar curvature from Levi-Civita tensors R[..., k, l, i, j] (leading
+    axes stack tensors) by the first Bianchi identity:
+    s_g = 4 Re sum R_{i jbar j ibar} - 2 Re sum R_{i ibar j jbar}."""
+    return 4 * np.einsum("...ijji->...", R).real - 2 * np.einsum("...iijj->...", R).real
+
+
 def scalar_curvature(chart: MetricChart, z) -> float:
     """Riemannian scalar curvature of the realified metric, from the stored
-    Levi-Civita tensor R = B[0] by the first Bianchi identity:
-    s_g = 4 Re sum R_{i jbar j ibar} - 2 Re sum R_{i ibar j jbar}."""
-    R = canonical_bases(chart, [z])[0][0]
-    return float(4 * np.einsum("ijji->", R).real - 2 * np.einsum("iijj->", R).real)
+    Levi-Civita tensor R = B[0] (see `_scalar`)."""
+    return float(_scalar(canonical_bases(chart, [z])[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,47 +194,53 @@ def hsc(C, eta):
     """Holomorphic sectional curvature H(eta) = R(eta, etabar, eta, etabar)
     / |eta|^4 for a (1,0) vector eta given in the same unitary frame as C: a
     float, or for a stack of k directions eta[k, :] an array of k values
-    from one contraction.  Every direction must be nonzero and give a real
-    contraction."""
+    from one contraction.  Leading axes of the tensor (a point axis) are
+    batch axes that broadcast against those of eta.  Every direction must
+    be nonzero and give a real contraction."""
     eta = np.asarray(eta, dtype=complex)
     norm2 = np.sum(np.abs(eta) ** 2, axis=-1)
     if np.any(norm2 < 1e-30):
         raise ZeroVector("hsc needs a nonzero direction")
-    val = np.einsum("klij,...k,...l,...i,...j->...", tensor_of(C), eta, eta.conj(), eta,
+    val = np.einsum("...klij,...k,...l,...i,...j->...", tensor_of(C), eta, eta.conj(), eta,
                     eta.conj())
     bad = ~(np.abs(val.imag) <= 1e-9 * np.maximum(1.0, np.abs(val)))
     if np.any(bad):
         raise NotHermitian(f"hsc contraction is not real: {val[bad].flat[0]}")
     H = val.real / norm2**2
-    return float(H) if eta.ndim == 1 else H
+    return float(H) if H.ndim == 0 else H
+
+
+# The most complex entries (cells x points x n^4) one `_constancy_fit` pass
+# of `constancy_table` holds, 16 MB; more points are fitted in blocks.
+FIT_ENTRIES = 1 << 20
 
 
 def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
-    """Constancy estimates of the tensors W @ Rh, Rh a stack of symmetrized
-    tensors (m, n, n, n, n) and W an (r, m) weight matrix.
+    """Constancy estimates of the tensors W @ Rh[p] at P points, Rh a stack
+    of symmetrized tensors (P, m, n, n, n, n) and W an (r, m) weight matrix.
 
     c is the normalized diagonal average 2/(n(n+1)) sum_{k,i} Re Rh[k,k,i,i]
     (exact whenever constancy holds), the target is c/2 (delta delta
     + delta delta) and the residual is the max-norm of Rhat - target.  All
     three are linear in Rh, so c comes from the stack's diagonal sums and
     every row needs one pass over the n^4 components.  Returns (c, residual),
-    each of length r.
+    each of shape (r, P).
     """
     n = Rh.shape[-1]
-    flat = Rh.reshape(len(Rh), -1)
+    flat = Rh.reshape(Rh.shape[:2] + (-1,))
     eye = np.eye(n)
     dd = np.einsum("kl,ij->klij", eye, eye).ravel()
     unit = 0.5 * (dd + np.einsum("kj,il->klij", eye, eye).ravel())
-    c = W @ (flat.real @ dd) * (2.0 / (n * (n + 1)))
-    residual = np.max(np.abs(W @ flat - c[:, None] * unit), axis=1)
-    return c, residual
+    c = (W @ (flat.real @ dd)[..., None])[..., 0] * (2.0 / (n * (n + 1)))
+    residual = np.max(np.abs(W @ flat - c[..., None] * unit), axis=-1)
+    return c.T, residual.T
 
 
 def constancy_residual(C) -> tuple[float, float]:
     """Estimate (c, residual) of pointwise HSC constancy of one tensor; see
     `_constancy_fit`."""
-    c, residual = _constancy_fit(np.ones((1, 1)), _symmetrized(tensor_of(C))[None])
-    return float(c[0]), float(residual[0])
+    c, residual = _constancy_fit(np.ones((1, 1)), _symmetrized(tensor_of(C))[None, None])
+    return float(c[0, 0]), float(residual[0, 0])
 
 
 def constancy_table(chart: MetricChart, params_list, points):
@@ -239,22 +250,32 @@ def constancy_table(chart: MetricChart, params_list, points):
     The points' stored bases come from `canonical_bases` (the missing ones
     from one batched pass) and are symmetrized together; every cell is then
     one row of a weight matrix applied to a point's symmetrized basis, so
-    the cost grows with the points, not with cells x points.  An empty
-    params_list gives empty arrays; an empty point list raises ConfigError.
+    the cost grows with the points, not with cells x points.  The points
+    are fitted in one pass, or in blocks when cells x points x n^4 would
+    exceed `FIT_ENTRIES`.  An empty params_list gives empty arrays; an
+    empty point list raises ConfigError.
     """
     if len(points) == 0:
         raise ConfigError("constancy_table needs at least one point; the point list is empty")
     W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
     Rh = _symmetrized(np.stack(canonical_bases(chart, points)))
-    c = np.empty((len(W), len(points)))
-    residual = np.empty_like(c)
-    for j, Rh_j in enumerate(Rh):
-        c[:, j], residual[:, j] = _constancy_fit(W, Rh_j)
-    return c, residual
+    step = max(1, FIT_ENTRIES // max(1, len(W) * Rh[0, 0].size))
+    c, residual = zip(*(_constancy_fit(W, Rh[i:i + step]) for i in range(0, len(Rh), step)))
+    return np.concatenate(c, axis=1), np.concatenate(residual, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Self-duality (n = 2)
+
+
+def _selfdual(R: np.ndarray) -> np.ndarray:
+    """The three self-duality residuals (see `selfdual_residual`) of
+    Levi-Civita tensors R[..., k, l, i, j] at n = 2, shape (..., 3)."""
+    return np.abs(np.stack([
+        R[..., 0, 1, 0, 1],
+        R[..., 0, 1, 1, 1] - R[..., 0, 1, 0, 0],
+        2 * R[..., 0, 1, 1, 0] + 2 * R[..., 0, 0, 1, 1] - R[..., 0, 0, 0, 0] - R[..., 1, 1, 1, 1],
+    ], axis=-1))
 
 
 def selfdual_residual(chart: MetricChart, z) -> tuple[float, float, float]:
@@ -265,17 +286,33 @@ def selfdual_residual(chart: MetricChart, z) -> tuple[float, float, float]:
     self-dual at z."""
     if chart.n != 2:
         raise DimensionError("self-duality requires complex dimension 2")
-    R = lc_curvature(chart, z).R
-    r1 = abs(R[0, 1, 0, 1])
-    r2 = abs(R[0, 1, 1, 1] - R[0, 1, 0, 0])
-    r3 = abs(2 * R[0, 1, 1, 0] + 2 * R[0, 0, 1, 1] - R[0, 0, 0, 0] - R[1, 1, 1, 1])
+    r1, r2, r3 = _selfdual(canonical_bases(chart, [z])[0][0])
     return float(r1), float(r2), float(r3)
+
+
+def _weyl_minus(R: np.ndarray) -> np.ndarray:
+    """W_- Gram matrices (see `weyl_minus`) of Levi-Civita tensors
+    R[..., k, l, i, j] at n = 2, shape (..., 3, 3)."""
+    rt2 = np.sqrt(2.0)
+    W = np.empty(R.shape[:-4] + (3, 3), dtype=complex)
+    W[..., 0, 0] = R[..., 0, 1, 1, 0]
+    W[..., 0, 1] = (R[..., 0, 1, 0, 0] - R[..., 0, 1, 1, 1]) / rt2
+    W[..., 0, 2] = -R[..., 0, 1, 0, 1]
+    W[..., 1, 0] = (R[..., 0, 0, 1, 0] - R[..., 1, 1, 1, 0]) / rt2
+    W[..., 1, 1] = 0.5 * (R[..., 0, 0, 0, 0] + R[..., 1, 1, 1, 1]) \
+        - 0.5 * (R[..., 0, 0, 1, 1] + R[..., 1, 1, 0, 0])
+    W[..., 1, 2] = (R[..., 1, 1, 0, 1] - R[..., 0, 0, 0, 1]) / rt2
+    W[..., 2, 0] = -R[..., 1, 0, 1, 0]
+    W[..., 2, 1] = (R[..., 1, 0, 1, 1] - R[..., 1, 0, 0, 0]) / rt2
+    W[..., 2, 2] = R[..., 1, 0, 0, 1]
+    W -= (_scalar(R) / 12.0)[..., None, None] * np.eye(3)
+    return W
 
 
 def weyl_minus(chart: MetricChart, z) -> np.ndarray:
     """Gram matrix of the anti-self-dual Weyl operator W_- on the unitary
     basis {e1 ^ ebar2, (e1 ^ ebar1 - e2 ^ ebar2)/sqrt2, ebar1 ^ e2} of
-    Lambda^2_- tensor C.
+    Lambda^2_- tensor C, from the stored Levi-Civita tensor B[0].
 
     Entries are <W_- u_a, u_b> = g(curv_op(u_a), conj(u_b)) - s_g/12
     delta_ab with g(curv_op(X ^ Y), Z ^ W) = -R(X, Y, Z, W).  Hermitian up
@@ -283,22 +320,7 @@ def weyl_minus(chart: MetricChart, z) -> np.ndarray:
     """
     if chart.n != 2:
         raise DimensionError("W_- requires complex dimension 2")
-    R = lc_curvature(chart, z).R
-    s_g = scalar_curvature(chart, z)
-    rt2 = np.sqrt(2.0)
-    W = np.empty((3, 3), dtype=complex)
-    W[0, 0] = R[0, 1, 1, 0]
-    W[0, 1] = (R[0, 1, 0, 0] - R[0, 1, 1, 1]) / rt2
-    W[0, 2] = -R[0, 1, 0, 1]
-    W[1, 0] = (R[0, 0, 1, 0] - R[1, 1, 1, 0]) / rt2
-    W[1, 1] = 0.5 * (R[0, 0, 0, 0] + R[1, 1, 1, 1]) \
-        - 0.5 * (R[0, 0, 1, 1] + R[1, 1, 0, 0])
-    W[1, 2] = (R[1, 1, 0, 1] - R[0, 0, 0, 1]) / rt2
-    W[2, 0] = -R[1, 0, 1, 0]
-    W[2, 1] = (R[1, 0, 1, 1] - R[1, 0, 0, 0]) / rt2
-    W[2, 2] = R[1, 0, 0, 1]
-    W -= (s_g / 12.0) * np.eye(3)
-    return W
+    return _weyl_minus(canonical_bases(chart, [z])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +339,11 @@ def _riemann(Gamma, dGamma, M) -> np.ndarray:
     return np.einsum("...abcd,...af->...cdbf", X - Y + P - Q, M)
 
 
-def _christoffel(b, params):
-    """(Gamma, dGamma, M) of D^t_s at stacked points (see `connection._stack`)
-    for `_riemann`, in the 2n Wirtinger coordinates: Gamma^D = (1 - s)(t
-    Gamma^C + (1 - t) Gamma^L) + s Gamma^LC, with Gamma^C[a, b, c] = Minv[a, d]
-    d_b M[c, d] kept where a, b and c are of one type and Gamma^L = Gamma^LC
-    kept where a and c are of one type.  M is the complexified metric."""
-    pr = as_params(params)
+def _christoffel_parts(b):
+    """The (t, s)-free part of the reference at stacked points (see
+    `connection._stack`), in the 2n Wirtinger coordinates: (M, Gamma^C,
+    dGamma^C, Gamma^LC, dGamma^LC), M the complexified metric, Gamma^C[a, b,
+    c] = Minv[a, d] d_b M[c, d] and Gamma^LC its Levi-Civita symbols."""
     P, n = b.G.shape[:2]
     N = 2 * n
     M = np.zeros((P, N, N), dtype=complex)
@@ -348,29 +368,45 @@ def _christoffel(b, params):
                  + np.einsum("pad,pebdc->peabc", Minv, dS))
     ch = np.einsum("pad,pbcd->pabc", Minv, dM)
     dch = np.einsum("pead,pbcd->peabc", dMinv, dM) + np.einsum("pad,pebcd->peabc", Minv, ddM)
-    barred = np.arange(N) >= n
+    return M, ch, dch, lc, dlc
+
+
+def _christoffel(parts, params):
+    """(Gamma, dGamma, M) of D^t_s for `_riemann` from `_christoffel_parts`:
+    Gamma^D = (1 - s)(t Gamma^C + (1 - t) Gamma^L) + s Gamma^LC, with
+    Gamma^C kept where a, b and c are of one type and Gamma^L = Gamma^LC kept
+    where a and c are of one type."""
+    pr = as_params(params)
+    M, ch, dch, lc, dlc = parts
+    barred = np.arange(M.shape[-1]) >= M.shape[-1] // 2
     a, bb, c = barred[:, None, None], barred[None, :, None], barred[None, None, :]
     wch = (1 - pr.s) * pr.t * ((a == bb) & (bb == c))
     wlc = (1 - pr.s) * (1 - pr.t) * (a == c) + pr.s
     return wch * ch + wlc * lc, wch * dch + wlc * dlc, M
 
 
-def connection_curvature_oracle(chart: MetricChart, params, points) -> np.ndarray:
-    """Reference curvature R[p, k, l, i, j] = R_{k lbar i jbar} of D^t_s at
-    each point in its Cholesky frame, what `canonical_curvature` gives, from
-    the connection's own Christoffel symbols with no torsion formula.  It
-    builds (2n)^4 arrays and serves only to check the production path."""
+def connection_curvature_oracle(chart: MetricChart, params_list, points) -> np.ndarray:
+    """Reference curvature R[cell, p, k, l, i, j] = R_{k lbar i jbar} of
+    D^t_s for every (t, s) in params_list at each point in its Cholesky
+    frame, what `canonical_curvature` gives, from the connection's own
+    Christoffel symbols with no torsion formula.  The (t, s)-free part is
+    built once for all the cells; each cell then weights it and takes its
+    Riemann tensor.  It builds (2n)^4 arrays and serves only to check the
+    production path."""
     b = _stack(_metric_points(chart, points))
     n, E = chart.n, b.E
-    R = _riemann(*_christoffel(b, params))[:, :n, n:, :n, n:]
-    return _to_frame(R, E, E.conj(), E, E.conj())
+    parts = _christoffel_parts(b)
+    R = [_to_frame(_riemann(*_christoffel(parts, ts))[:, :n, n:, :n, n:],
+                   E, E.conj(), E, E.conj()) for ts in params_list]
+    return np.array(R, dtype=complex).reshape((len(R), len(E)) + (n,) * 4)
 
 
 def lc_full(chart: MetricChart, z) -> np.ndarray:
     """Full complexified Levi-Civita Riemann tensor in the Wirtinger
     coordinate frame (2n axes each: 0..n-1 unbarred, n..2n-1 barred): the
     reference at s = 1."""
-    return _riemann(*_christoffel(_stack(_metric_points(chart, [z])), (0.0, 1.0)))[0]
+    parts = _christoffel_parts(_stack(_metric_points(chart, [z])))
+    return _riemann(*_christoffel(parts, (0.0, 1.0)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ zbar_i}, closed under +, -, *, /, integer powers, exp and log.  `eval_jet`
 propagates the full second-order Wirtinger jet (value, d, dbar, dd, ddbar,
 dbardbar) exactly through the tree; `eval_jets` does the same for several
 trees at a batch of points in one walk, evaluating each shared node once.
-Jet arithmetic happens only in that walk, on jets of one batch.  `fd_jet`
+Jet arithmetic happens only in that walk, on jets of one batch.  `fd_jets`
 is an independent central finite-difference oracle in the 2n underlying
-real coordinates.
+real coordinates, at a batch of points in one walk; `fd_jet` is its
+one-point call.
 
 Conventions: z_i = x_i + 1j*y_i, d_i = (d/dx_i - 1j d/dy_i)/2 and
 dbar_i = (d/dx_i + 1j d/dy_i)/2.  z and zbar are independent variables, so
@@ -504,6 +505,18 @@ def abs2(n: int) -> ScalarField:
 # Evaluation
 
 
+def _as_points(points) -> np.ndarray:
+    """Coerce to a (P, n) complex stack of chart points, P, n >= 1, and
+    check finiteness, naming the first non-finite point."""
+    Z = np.asarray(points, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
+        raise DimensionError(f"points must be a (P, n) array, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise NonFinite(f"chart point {Z[_first_row(~np.isfinite(Z))]} has "
+                        "non-finite coordinates")
+    return Z
+
+
 class _BatchWalk:
     """One walk over expression trees at a batch of points Z (P, n).  Each
     distinct node, matched by identity, is evaluated once: the catalog
@@ -529,12 +542,7 @@ def eval_jets(fields, points) -> list[WJet2]:
     d (P, n), dd (P, n, n) and so on; a field listed twice gets the same
     jet object.  The domain, guard and finiteness checks hold per point;
     their errors name the offending point."""
-    Z = np.asarray(points, dtype=complex)
-    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
-        raise DimensionError(f"points must be a (P, n) array, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise NonFinite(f"chart point {Z[_first_row(~np.isfinite(Z))]} has "
-                        "non-finite coordinates")
+    Z = _as_points(points)
     for field in fields:
         if field.domain is not None:
             for pt in Z:
@@ -579,51 +587,62 @@ def _first_difference(F: np.ndarray, h: float) -> np.ndarray:
     return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
 
 
-def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
-    """Finite-difference jet oracle.
+def fd_jets(field: ScalarField, points, h: float = 1e-4) -> WJet2:
+    """Finite-difference jet oracle at each of P points, batched like
+    `eval_jets`: value (P,), d (P, n), dd (P, n, n) and so on.
 
     Central differences in the 2n real coordinates (4th-order first and pure
     second derivatives on a 5-point stencil, 2nd-order cross stencil for mixed
-    seconds), converted to Wirtinger form.  The whole stencil is valued in
-    one `_value` walk; it shares nothing with `eval_jet` and `WJet2`
-    arithmetic.
+    seconds), converted to Wirtinger form.  The stencils of all the points
+    are valued in one `_value` walk; it shares nothing with `eval_jets` and
+    `WJet2` arithmetic.  A stencil point outside the field's domain raises
+    DomainError naming it and the point it belongs to.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
-    pt = as_point(z)
-    n = len(pt)
+    Z0 = _as_points(points)
+    P, n = Z0.shape
     m = 2 * n
-    x0 = np.concatenate([pt.real, pt.imag])
+    x0 = np.concatenate([Z0.real, Z0.imag], axis=1)
     # The centre and axis steps, then the cross steps (++, +-, -+, --) of
     # each axis pair a < b.
     a, b = np.triu_indices(m, 1)
     eye = np.eye(m)
     cross = eye[a, None] * np.array([1.0, 1.0, -1.0, -1.0])[:, None] \
         + eye[b, None] * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    X = x0 + h * np.concatenate([_axis_steps(m), cross.reshape(-1, m)])
+    steps = np.concatenate([_axis_steps(m), cross.reshape(-1, m)])
+    X = (x0[:, None] + h * steps).reshape(-1, m)        # point-major rows
     Z = X[:, :n] + 1j * X[:, n:]
     if field.domain is not None:
-        for p in Z:
-            if not field.domain(p):
-                raise DomainError(f"finite-difference stencil point {p} exits domain")
-    F = field._value(Z)
+        for k, q in enumerate(Z):
+            if not field.domain(q):
+                raise DomainError(f"finite-difference stencil point {q} of point "
+                                  f"{Z0[k // len(steps)]} exits domain")
+    F = field._value(Z).reshape(P, -1).T                  # F[stencil step, point]
 
     # Work with differences from the center value so constant fields give
     # exact zeros (the raw 5-point weights do not cancel in floating point).
     f0 = F[0]
-    first = _first_difference(F[:1 + 4 * m], h)
-    dm2, dm1, dp1, dp2 = (F[1:1 + 4 * m] - f0).reshape(m, 4).T
-    pp, pm, mp, mm = (F[1 + 4 * m:] - f0).reshape(-1, 4).T
-    hess = np.diag((-dp2 + 16 * dp1 + 16 * dm1 - dm2) / (12 * h * h))
-    hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4 * h * h)
+    first = _first_difference(F[:1 + 4 * m], h).T
+    dm2, dm1, dp1, dp2 = np.moveaxis((F[1:1 + 4 * m] - f0).reshape(m, 4, P), 1, 0)
+    pp, pm, mp, mm = np.moveaxis((F[1 + 4 * m:] - f0).reshape(-1, 4, P), 1, 0)
+    hess = np.zeros((P, m, m), dtype=complex)
+    hess[:, np.arange(m), np.arange(m)] = ((-dp2 + 16 * dp1 + 16 * dm1 - dm2) / (12 * h * h)).T
+    hess[:, a, b] = hess[:, b, a] = ((pp - pm - mp + mm) / (4 * h * h)).T
 
     # Row i of w is d_i = (d/dx_i - 1j d/dy_i)/2 on the real coordinates;
     # its conjugate wb is dbar_i.
     w = 0.5 * np.concatenate([np.eye(n), -1j * np.eye(n)], axis=1)
     wb = w.conj()
     dd, dbardbar = w @ hess @ w.T, wb @ hess @ wb.T
-    return WJet2(complex(f0), w @ first, wb @ first, 0.5 * (dd + dd.T),
-                 w @ hess @ wb.T, 0.5 * (dbardbar + dbardbar.T))
+    return WJet2(f0, first @ w.T, first @ wb.T, 0.5 * (dd + dd.swapaxes(1, 2)),
+                 w @ hess @ wb.T, 0.5 * (dbardbar + dbardbar.swapaxes(1, 2)))
+
+
+def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
+    """Finite-difference jet oracle at the point z: the one-point call of
+    `fd_jets`."""
+    return fd_jets(field, as_point(z)[None], h).row(0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,16 @@ def non_selfdual():
 
 def pts_of(chart, count, seed):
     return gd.sample_points(chart, count, np.random.default_rng(seed))
+
+
+def jet_rel_err(je, jf) -> float:
+    """Relative difference of one point's exact jet je from its
+    finite-difference jet jf: the suite's `wjet_oracle` formula, point by
+    point, the reference for its batched form."""
+    num, scale = 0.0, 1.0
+    for name in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
+        a = np.atleast_1d(getattr(je, name))
+        b = np.atleast_1d(getattr(jf, name))
+        num = max(num, float(np.max(np.abs(a - b))))
+        scale = max(scale, float(np.max(np.abs(a))))
+    return num / scale

@@ -19,6 +19,8 @@ import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig, run_suite
 
+from conftest import jet_rel_err
+
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
@@ -70,7 +72,7 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     for p, B, pd in zip(pts, bases, pds, strict=True):
         np.testing.assert_array_equal(B, per_point_basis(pd))
         # the Levi-Civita tensor from the Chern side is the reference's s = 1
-        R = gd.connection_curvature_oracle(chart, (0.0, 1.0), [p])[0]
+        R = gd.connection_curvature_oracle(chart, [(0.0, 1.0)], [p])[0, 0]
         assert np.max(np.abs(B[0] - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
     # an explicit frame is built from the same code, one point at a time
     fr = gd.unitary_frame(chart, pts[0])
@@ -203,23 +205,24 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert lookups == [1]
 
 
-def test_suite_makes_at_most_112_store_lookups(monkeypatch):
-    """The bench's suite_adm2 config: 112 lookups.  `metric_inverse`,
-    `frame_unitarity`, `torsion_antisymmetry` and `hermitian_symmetry` read
-    their points in one lookup each (they took 40, 40, 40 and 41 one point at
-    a time), and `interpolation` makes one per point for its Chern
-    comparison and one per oracle cell, where its per-point identities took
-    261 (474 in all before, 555 and 697 earlier)."""
+def test_suite_makes_at_most_12_store_lookups(monkeypatch):
+    """The bench's suite_adm2 config: 12 lookups.  The run reads its 40
+    points' metric data once, as one stacked record, and the first 10
+    points' stored bases once (`hermitian_symmetry`); `interpolation`'s
+    oracle, `constancy` and the conformal checks (6 and 2) make the rest.
+    Checks that looked their points up one at a time took 112 (474 before,
+    555 and 697 earlier)."""
     lookups = counting_lookups(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert len(lookups) <= 112
+    assert len(lookups) <= 12
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
-    """The complexified reference (`_christoffel`, `_riemann`) is the only
-    code that builds (2n)^4 arrays.  The bench's scan and hsc commands and a
-    curv dump never call it, and a suite run calls it only from
-    `interpolation`, once per oracle cell."""
+    """The complexified reference (`_christoffel_parts`, `_christoffel`,
+    `_riemann`) is the only code that builds (2n)^4 arrays.  The bench's scan
+    and hsc commands and a curv dump never call it, and a suite run calls it
+    only from `interpolation`: the (t, s)-free part once, the weighting and
+    the Riemann tensor once per oracle cell."""
     current = [None]
     for name, (tol, check) in list(cli.CHECKS.items()):
         def run_check(suite, name=name, check=check):
@@ -227,7 +230,7 @@ def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_pa
             return check(suite)
         monkeypatch.setitem(cli.CHECKS, name, (tol, run_check))
     calls = Counter()
-    for name in ("_christoffel", "_riemann"):
+    for name in ("_christoffel_parts", "_christoffel", "_riemann"):
         def counted(*args, func=getattr(curvature, name), name=name):
             calls[current[0], name] += 1
             return func(*args)
@@ -245,7 +248,8 @@ def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_pa
     assert not calls
     assert run_suite(suite_adm2_config()).all_passed
     k = len(cli.ORACLE_PARAMS)
-    assert calls == Counter({("interpolation", "_christoffel"): k,
+    assert calls == Counter({("interpolation", "_christoffel_parts"): 1,
+                             ("interpolation", "_christoffel"): k,
                              ("interpolation", "_riemann"): k})
 
 
@@ -275,27 +279,27 @@ def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
     assert sizes == {("conformal_torsion", 5)}
 
 
-def test_suite_oracle_takes_one_fd_jet_per_tree_and_point(monkeypatch):
+def test_suite_oracle_takes_one_fd_jets_walk_per_tree(monkeypatch):
     """The bench's suite_adm2 config: the admissible chart's four metric
-    components are two distinct trees, so `wjet_oracle` takes 2 x 10
-    `fd_jet`s, and its record is the one the formula over every (point,
-    component) pair gives."""
+    components are two distinct trees, so `wjet_oracle` takes 2 stacked
+    `fd_jets` walks over its 10 points (it took 2 x 10 `fd_jet`s), and its
+    record is the one the per-point formula over every (point, component)
+    pair gives."""
     calls = []
-    fd_jet = cli.fd_jet
+    fd_jets = cli.fd_jets
 
-    def counted(f, z):
-        calls.append(f)
-        return fd_jet(f, z)
+    def counted(f, points):
+        calls.append(len(points))
+        return fd_jets(f, points)
 
-    monkeypatch.setattr(cli, "fd_jet", counted)
+    monkeypatch.setattr(cli, "fd_jets", counted)
     [rec] = [r for r in run_suite(suite_adm2_config()).records if r.name == "wjet_oracle"]
-    assert len(calls) == 20
+    assert calls == [10, 10]
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 40, np.random.default_rng(0))[:10]
     fields = [f for row in chart.g for f in row]
     assert len({id(f) for f in fields}) == 2
-    jets = gd.eval_jets(fields, pts)
-    res = np.array([cli._jet_rel_err(jet.row(j), f, p)
-                    for j, p in enumerate(pts) for f, jet in zip(fields, jets)])
+    res = np.array([jet_rel_err(gd.eval_jet(f, p), gd.fd_jet(f, p))
+                    for p in pts for f in fields])
     assert (rec.points, rec.residual_max, rec.residual_mean, rec.passed) == \
         (10, float(res.max()), float(res.mean()), True)

@@ -10,6 +10,8 @@ from gauduchon.cli import (CHECKS, SuiteConfig, main, parse_point, parse_range,
                            run_suite, scan_csv, scan_ts)
 from gauduchon.errors import ConfigError, InvalidSpec
 
+from conftest import jet_rel_err
+
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
@@ -171,16 +173,15 @@ def test_suite_config_refuses_unknown_keys():
 
 
 def test_jet_oracle_matches_pointwise_jets():
-    """The oracle's exact jets come from one batch walk; its residuals are
-    the ones single-point `eval_jet` calls give, to the bit."""
-    from gauduchon.cli import _jet_rel_err
-
+    """The oracle's exact and finite-difference jets come from one batch
+    walk each; its residuals are the ones single-point `eval_jet` and
+    `fd_jet` calls give, to the bit."""
     config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 12,
                                     "seed": 7, "checks": ["wjet_oracle"]})
     [rec] = run_suite(config).records
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 12, np.random.default_rng(7))[:10]
-    res = np.array([_jet_rel_err(gd.eval_jet(f, p), f, p)
+    res = np.array([jet_rel_err(gd.eval_jet(f, p), gd.fd_jet(f, p))
                     for p in pts for row in chart.g for f in row])
     assert (rec.points, rec.residual_max, rec.residual_mean) == \
         (10, float(res.max()), float(res.mean()))
@@ -490,19 +491,37 @@ def test_cli_hsc_matches_reference(tmp_path, capsys):
 
 
 def test_hsc_payload_builds_each_curvature_once(monkeypatch):
+    """Every point's basis is built once, in one batched pass, and its
+    tensor is one weighted sum of it: no per-point `canonical_curvature`
+    call.  The HSC extremes are those of the per-point tensors and the same
+    direction draws."""
     import gauduchon.cli as cli
     import gauduchon.curvature as curvature
-    calls = []
+    calls, builds = [], []
+    curv, build = gd.canonical_curvature, curvature._basis_stack
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return gd.canonical_curvature(*args, **kwargs)
+        return curv(*args, **kwargs)
+
+    def counted(pds, E=None):
+        builds.append(len(pds))
+        return build(pds, E)
 
     # Both modules bind the name; count calls made through either.
     monkeypatch.setattr(cli, "canonical_curvature", counting)
     monkeypatch.setattr(curvature, "canonical_curvature", counting)
+    monkeypatch.setattr(curvature, "_basis_stack", counted)
     payload = cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
-    assert len(calls) == len(payload["per_point"]) == 4
+    assert calls == [] and builds == [4] and len(payload["per_point"]) == 4
+    chart = gd.make_chart(ADM_SPEC)
+    rng = np.random.default_rng(2)
+    for p, rec in zip(gd.sample_points(chart, 4, rng), payload["per_point"]):
+        draws = rng.standard_normal((cli.HSC_DIRECTIONS, 2, chart.n))
+        eta = draws[:, 0] + 1j * draws[:, 1]
+        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+        hs = gd.hsc(curv(chart, (3.0, 0.0), p), eta)
+        assert (rec["hsc_min"], rec["hsc_max"]) == (float(hs.min()), float(hs.max()))
 
 
 def test_direction_stack_draws_the_per_direction_stream():

@@ -287,7 +287,8 @@ def per_point_laws(pair, t, params, z):
     # the mixed Christoffel symbols Gamma^m_{lbar k} of the complexified
     # reference at s = 1
     pds = connection._metric_points(chart, [z])
-    C = curvature._christoffel(connection._stack(pds), (0.0, 1.0))[0][0, :n, n:, :n]
+    parts = curvature._christoffel_parts(connection._stack(pds))
+    C = curvature._christoffel(parts, (0.0, 1.0))[0][0, :n, n:, :n]
 
     def hessians(t):
         A = jf.ddbar - (1.0 - t) * np.einsum("mlk,m->kl", C, jf.d)

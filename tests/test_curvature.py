@@ -120,7 +120,8 @@ def test_lc_contractions_match_einsum_reference(n):
             Gamma, Riem, s_g = _seed_lc(pd, n)
             scale = maxabs(Riem)
             assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
-            ref = curvature._christoffel(_stack([pd]), (0.0, 1.0))[0][0]
+            parts = curvature._christoffel_parts(_stack([pd]))
+            ref = curvature._christoffel(parts, (0.0, 1.0))[0][0]
             assert maxabs(ref - Gamma) <= 1e-13 * maxabs(Gamma)
             assert maxabs(C - Gamma[:n, n:, :n]) <= 1e-13 * maxabs(Gamma)
             R = np.einsum("klij,ka,lb,ic,jd->abcd", Riem[:n, n:, :n, n:],
@@ -223,18 +224,23 @@ ORACLE_CHARTS = {
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(name=st.sampled_from(sorted(ORACLE_CHARTS)), t=st.floats(-3.0, 3.0),
-       s=st.floats(-3.0, 3.0), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_oracle_matches_canonical_curvature(name, t, s, count, seed):
+@given(name=st.sampled_from(sorted(ORACLE_CHARTS)),
+       cells=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), max_size=3),
+       count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_oracle_matches_canonical_curvature(name, cells, count, seed):
     """The curvature of D^t_s from its own Christoffel symbols in Wirtinger
-    coordinates equals the stored basis combination, to 1e-12 relative."""
+    coordinates equals the stored basis combination, to 1e-12 relative, at
+    every (t, s) of a params list; each cell is exactly what a call for that
+    cell alone gives, and an empty list gives no cell."""
     chart = ORACLE_CHARTS[name]()
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
-    R = gd.connection_curvature_oracle(chart, (t, s), pts)
-    assert R.shape == (count,) + (chart.n,) * 4
-    for p, Rp in zip(pts, R):
-        want = gd.canonical_curvature(chart, (t, s), p).R
-        assert maxabs(Rp - want) <= 1e-12 * max(1.0, maxabs(want)), (name, t, s)
+    R = gd.connection_curvature_oracle(chart, cells, pts)
+    assert R.shape == (len(cells), count) + (chart.n,) * 4
+    for ts, cell in zip(cells, R):
+        np.testing.assert_array_equal(cell, gd.connection_curvature_oracle(chart, [ts], pts)[0])
+        for p, Rp in zip(pts, cell):
+            want = gd.canonical_curvature(chart, ts, p).R
+            assert maxabs(Rp - want) <= 1e-12 * max(1.0, maxabs(want)), (name, ts)
 
 
 def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
@@ -253,7 +259,7 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
     for name in ("hopf2", "hopf3", "admissible", "generic"):
         chart = ORACLE_CHARTS[name]()
         pts = gd.sample_points(chart, 3, np.random.default_rng(41))
-        R = gd.connection_curvature_oracle(chart, (3.0, 0.0), pts)
+        [R] = gd.connection_curvature_oracle(chart, [(3.0, 0.0)], pts)
         for p, Rp in zip(pts, R):
             assert maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
                           - gd.chern_curvature(chart, p).R) < 1e-10

@@ -28,3 +28,20 @@ def test_only_connection_knows_the_point_store():
             if re.search(rf"\b{name}\b", text):
                 found.append(f"{path.name}: {name}")
     assert not found, f"point store internals named outside connection.py: {found}"
+
+
+def test_suite_checks_run_one_pass_over_their_points():
+    # Each suite check works on stacked points; a loop over the sample
+    # points would bring back one evaluation, and one lookup, per point.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    [suite] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Suite"]
+    found = []
+    for method in suite.body:
+        for node in ast.walk(method):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                for sub in ast.walk(node.iter):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self" and sub.attr in ("pts", "small", "cpts")):
+                        found.append(f"{method.name}: self.{sub.attr}")
+    assert not found, f"_Suite methods loop over sample points: {found}"
