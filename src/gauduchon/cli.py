@@ -31,10 +31,10 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, rescale
-from .connection import MetricChart, _PointData, _frame_torsion, _metric_points, _stack
+from .connection import MetricChart, _PointData, _chern_stack, _frame_torsion, _metric_points
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
                         connection_curvature_oracle, constancy_table, curv4_rows, hsc,
-                        symmetrize, _chern_stack, _selfdual, _weyl_minus)
+                        symmetrize, _selfdual, _weyl_minus)
 from .errors import ConfigError, GauduchonError, _as_int
 from .wjet import abs2, eval_jets, fd_jets, z, zbar
 
@@ -207,10 +207,9 @@ class _Suite:
     residuals and point count, plus `params`, `value`, `detail` or a record
     `tolerance` where those vary; none where the check does not apply.
 
-    Every check is one pass over its stacked points: the metric data of all
-    the points is one stacked record (`data`, `small_data` its first 10
-    points) and the stored bases of `small` one stacked array (`bases`),
-    each read once per run."""
+    Every check is one pass over its stacked points: the stored data of all
+    the points, their bases among it, is one stacked record (`data`,
+    `small_data` its first 10 points), read once per run."""
 
     def __init__(self, config: SuiteConfig, chart: MetricChart):
         self.chart = chart
@@ -223,28 +222,22 @@ class _Suite:
 
     @cached_property
     def data(self) -> _PointData:
-        """Metric data of every point, one record with a leading point axis
-        (see `connection._stack`)."""
-        return _stack(_metric_points(self.chart, self.pts))
+        """Stored data of every point, one record with a leading point axis
+        (see `connection._metric_points`)."""
+        return _metric_points(self.chart, self.pts)
 
     @cached_property
     def small_data(self) -> _PointData:
         """The first 10 points of `data`, as views."""
         k = len(self.small)
-        return _PointData(**{name: a[:k] for name, a in vars(self.data).items()
-                             if a is not None})
-
-    @cached_property
-    def bases(self) -> np.ndarray:
-        """The stored canonical bases B[p] of the first 10 points, stacked."""
-        return np.stack(canonical_bases(self.chart, self.small))
+        return _PointData(**{name: a[:k] for name, a in vars(self.data).items()})
 
     @cached_property
     def gauduchon(self) -> np.ndarray:
         """Gauduchon curvatures R[p, m] of the first 10 points at the m-th t
-        of HERMITIAN_T, from one weighted sum of `bases`."""
+        of HERMITIAN_T, from one weighted sum of their stored bases."""
         W = np.array([canonical_weights((t, 0.0)) for t in HERMITIAN_T])
-        return np.tensordot(W, self.bases, (1, 1)).swapaxes(0, 1)
+        return np.tensordot(W, self.small_data.basis, (1, 1)).swapaxes(0, 1)
 
     @cached_property
     def factors(self) -> list:
@@ -300,7 +293,8 @@ class _Suite:
         # Chern is t = 1 on the Gauduchon line; at each ORACLE_PARAMS cell the
         # basis combination meets the curvature of D^t_s from its own
         # Christoffel symbols.
-        b, B = self.small_data, self.bases
+        b = self.small_data
+        B = b.basis
         chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - _chern_stack(b, b.E)
         W = np.array([canonical_weights(ts) for ts in ORACLE_PARAMS])
         oracle = np.tensordot(W, B, (1, 1)) \
@@ -311,7 +305,7 @@ class _Suite:
 
     def hsc_symmetrize(self) -> list:
         n = self.chart.n
-        C = np.tensordot(canonical_weights((2.0, 0.5)), self.bases, (0, 1))[:, None]
+        C = np.tensordot(canonical_weights((2.0, 0.5)), self.small_data.basis, (0, 1))[:, None]
         draws = self.rng.standard_normal((len(self.small), 4, 2, n))
         eta = draws[:, :, 0] + 1j * draws[:, :, 1]
         res = np.abs(hsc(C, eta) - hsc(symmetrize(C), eta))
@@ -355,7 +349,7 @@ class _Suite:
         if self.chart.n != 2:
             return []
         limit = self.tol["selfdual_weyl"]
-        R = self.bases[:, 0]
+        R = self.small_data.basis[:, 0]
         sd = np.max(_selfdual(R), axis=1)
         w = np.linalg.norm(_weyl_minus(R), 2, axis=(1, 2))
         res = np.where((sd < 1e-8) == (w < limit), 0.0, 1.0)
@@ -509,7 +503,7 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
     cs, residuals = constancy_table(chart, [(t, s)], pts)
-    C = np.tensordot(canonical_weights((t, s)), np.stack(canonical_bases(chart, pts)), (0, 1))
+    C = np.tensordot(canonical_weights((t, s)), canonical_bases(chart, pts), (0, 1))
     draws = rng.standard_normal((len(pts), HSC_DIRECTIONS, 2, chart.n))
     eta = draws[:, :, 0] + 1j * draws[:, :, 1]
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)     # uniform on the unit sphere

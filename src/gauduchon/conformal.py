@@ -12,8 +12,9 @@ the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
 The laws run on stacked points (`FactorAt`): one jet walk of f per point
-set, and one batched `canonical_basis` pass for the rescaled side of the
-deltas, weighted per (t, s).  The per-point functions are its P = 1 calls.
+set; the rescaled side is the rescaled chart's stored data, whose Cholesky
+frames are the paired ones, chol(e^2f G) = e^f chol(G).  The per-point
+functions are its P = 1 calls.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _frame_E,
-                         _frame_torsion, _metric_points, _stack, _to_frame)
-from .curvature import (Curv4, canonical_bases, canonical_weights, symmetrize,
-                        _basis_stack, _symmetrized)
-from .errors import BaseNotKahler, NonRealConformalFactor
+                         _frame_torsion, _metric_points, _to_frame)
+from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized
+from .errors import BaseNotKahler, ConfigError, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, as_point, eval_jets
 
 REAL_TOL = 1e-12
@@ -90,20 +90,22 @@ class FactorAt:
     unitary frames E[p] (the Cholesky frames unless `frames` is given), every
     array with a leading point axis: one `eval_jets` walk gives `jet`, `value`,
     the frame gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and
-    grad2 = f_r f_rbar; T is the base's Chern torsion.  `rescaled` is the chart
-    e^2f g of the laws that compare with it, in the paired frames Et = e^-f E."""
+    grad2 = f_r f_rbar; `data` is the base's stored record at the points and
+    T its Chern torsion.  `rescaled` is the chart e^2f g of the laws that
+    compare with it, read in its own Cholesky frames, the paired frames
+    e^-f E of the base's Cholesky frames; with `frames` it raises ConfigError."""
 
     def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
                  rescaled: MetricChart | None = None):
+        if frames is not None and rescaled is not None:
+            raise ConfigError("a conformal factor compared with its rescaled chart "
+                              "takes the Cholesky frames, not explicit ones")
         self.chart, self.rescaled = chart, rescaled
         self.points = np.array([as_point(p) for p in points])
         self.jet = eval_jets([f], self.points)[0]
         self.value = self.jet.value.real
-        self.pds = _metric_points(chart, self.points)
-        self.cholesky = frames is None
-        self.stacked = b = _stack(self.pds)
+        self.data = b = _metric_points(chart, self.points)
         self.E = b.E if frames is None else frames
-        self.Et = np.exp(-self.value)[:, None, None] * self.E
         self.T = _frame_torsion(b, self.E)
         self.fr = np.einsum("pia,pi->pa", self.E, self.jet.d)
         self.frbar = np.einsum("pia,pi->pa", self.E.conj(), self.jet.dbar)
@@ -111,8 +113,8 @@ class FactorAt:
         self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
 
     @cached_property
-    def rescaled_pds(self) -> list:
-        """The rescaled chart's point records at the points, from one lookup
+    def rescaled_data(self):
+        """The rescaled chart's stored record at the points, from one lookup
         shared by the torsion law and the deltas."""
         return _metric_points(self.rescaled, self.points)
 
@@ -121,7 +123,7 @@ class FactorAt:
         """C[p, m, l, k] = Gamma^m_{lbar k} = 1/2 g^{m qbar} (dbar_l g_{k qbar}
         - dbar_q g_{k lbar}), the coordinate coefficients of the (1,0) part of
         nab^LC_{dbar_l} d_k."""
-        ginv, dbarG = self.stacked.ginv, self.stacked.dbarG
+        ginv, dbarG = self.data.ginv, self.data.dbarG
         return 0.5 * np.einsum("pmq,plkq->pmlk", ginv, dbarG - dbarG.transpose(0, 3, 2, 1))
 
     def hessians(self, t: float):
@@ -145,7 +147,8 @@ class FactorAt:
         pred = self.T + np.einsum("pj,ik->pijk", self.fr, eye) \
             - np.einsum("pk,ij->pijk", self.fr, eye)
         pred *= np.exp(-self.value)[:, None, None, None]
-        direct = _frame_torsion(_stack(self.rescaled_pds), self.Et)
+        r = self.rescaled_data
+        direct = _frame_torsion(r, r.E)
         return np.max(np.abs(direct - pred), axis=(1, 2, 3))
 
     def delta_predicted(self, params) -> np.ndarray:
@@ -198,19 +201,11 @@ class FactorAt:
                        - self.grad2 * np.einsum("kl,ij->klij", eye, eye))
         return _symmetrized(X)
 
-    @cached_property
-    def bases(self):
-        """`canonical_basis` stacks (base, rescaled), each (P, 4, n, n, n, n):
-        the base's in the frames E (the stored ones in Cholesky frames), the
-        rescaled chart's in the paired frames Et from one batched pass."""
-        base = (np.stack(canonical_bases(self.chart, self.points)) if self.cholesky
-                else _basis_stack(self.pds, self.E))
-        return base, _basis_stack(self.rescaled_pds, self.Et)
-
     def delta_direct(self, params) -> np.ndarray:
-        """`delta_direct` at each point, in the frames E and Et."""
+        """`delta_direct` at each point, from the stored bases of the base
+        and the rescaled chart in their (paired) Cholesky frames."""
         w = canonical_weights(params)
-        base, resc = self.bases
+        base, resc = self.data.basis, self.rescaled_data.basis
         e2f = np.exp(2 * self.value)[:, None, None, None, None]
         return e2f * np.tensordot(w, resc, (0, 1)) - np.tensordot(w, base, (0, 1))
 

@@ -87,11 +87,12 @@ class FrameAtPoint:
         return FrameAtPoint(self.E @ U, self.G)
 
 
-@dataclass(eq=False)
-class _PointData:
-    """Read-only metric data at one point.  Each jet part is stacked once,
-    derivative axes first and the component pair last: dG[a, i, j] =
-    d_a g_{i jbar}, ddbarG[a, b, i, j] = d_a dbar_b g_{i jbar}, and so on."""
+@dataclass(frozen=True, eq=False)
+class _MetricData:
+    """Read-only metric data at stacked points, every array with a leading
+    point axis.  Each jet part is stacked derivative axes first and the
+    component pair last: dG[p, a, i, j] = d_a g_{i jbar}, ddbarG[p, a, b, i, j]
+    = d_a dbar_b g_{i jbar}, and so on.  E[p] is the point's Cholesky frame."""
 
     G: np.ndarray
     dG: np.ndarray
@@ -99,19 +100,19 @@ class _PointData:
     ddG: np.ndarray
     ddbarG: np.ndarray
     dbardbarG: np.ndarray
-    ginv: np.ndarray      # ginv[k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
+    ginv: np.ndarray      # ginv[p,k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
-    basis: np.ndarray | None = None   # curvature.canonical_basis in the frame E
 
 
-def _stack(pds) -> _PointData:
-    """Several points' metric data in one record, every array with a leading
-    point axis; the batched tensor code takes this form.  One point's record
-    is a view of its arrays."""
-    names = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E")
-    if len(pds) == 1:
-        return _PointData(*(getattr(pds[0], name)[None] for name in names))
-    return _PointData(*(np.stack([getattr(pd, name) for pd in pds]) for name in names))
+@dataclass(frozen=True, eq=False)
+class _PointData(_MetricData):
+    """`_MetricData` with the points' `canonical_basis` in their Cholesky
+    frames, B[p, m, k, l, i, j]: the store's record, built whole in one
+    batch fill and never written after it.  The store keeps one record per
+    point, views of its fill's arrays with a point axis of length 1, and
+    `_metric_points` hands out stacks."""
+
+    basis: np.ndarray
 
 
 def _as_key(z) -> tuple:
@@ -128,13 +129,16 @@ POINT_STORE_SIZE = 2048
 _STORE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _metric_points(chart: MetricChart, points) -> list[_PointData]:
-    """Point data of `chart` at each point, from the chart's store.
+def _metric_points(chart: MetricChart, points) -> _PointData:
+    """Point data of `chart` at the points, one read-only record with a
+    leading point axis, from the chart's store.
 
-    All misses are evaluated in one batch walk over the chart's component
-    trees and checked point by point.  If any point fails (outside the
-    domain, at an expression guard, not Hermitian positive definite), the
-    error is raised and nothing of the batch is stored."""
+    All misses are evaluated in one `_point_batch` fill.  A list of new,
+    distinct points gets that fill's record, and one point its stored
+    record, as they are; other lists get their points' records
+    concatenated.  If any point fails (outside the domain, at an expression
+    guard, not Hermitian positive definite), the error is raised and nothing
+    of the batch is stored."""
     keys = [_as_key(z) for z in points]
     store = _STORE.get(chart)
     if store is None:
@@ -147,12 +151,23 @@ def _metric_points(chart: MetricChart, points) -> list[_PointData]:
         found[key] = pd
     missing = [key for key, pd in found.items() if pd is None]
     if missing:
-        found.update(zip(missing, _point_batch(chart, missing)))
-        for key in missing:
-            store[key] = found[key]
+        batch = _point_batch(chart, missing)
+        for k, key in enumerate(missing):
+            store[key] = found[key] = _PointData(*(a[k:k + 1] for a in vars(batch).values()))
         while len(store) > POINT_STORE_SIZE:
             store.popitem(last=False)
-    return [found[key] for key in keys]
+        if len(missing) == len(keys):
+            return batch
+    if len(keys) == 1:
+        return found[keys[0]]
+    rows = [vars(found[key]).values() for key in keys]
+    return _PointData(*(_read_only(np.concatenate(parts)) for parts in zip(*rows)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def _frame_E(frame) -> np.ndarray:
@@ -161,23 +176,34 @@ def _frame_E(frame) -> np.ndarray:
 
 
 def _point(chart: MetricChart, z, frame=None) -> tuple[_PointData, np.ndarray]:
-    """Point data of `chart` at z, from one store lookup, and the matrix of
-    `frame` there: the point's Cholesky frame when frame is None."""
-    pd = _metric_points(chart, [z])[0]
-    return pd, pd.E if frame is None else _frame_E(frame)
+    """Point data of `chart` at z, a record of one point from one store
+    lookup, and the matrix of `frame` there with the same point axis: the
+    point's Cholesky frame when frame is None."""
+    b = _metric_points(chart, [z])
+    return b, b.E if frame is None else _frame_E(frame)[None]
 
 
-def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
-    for key in keys:
-        if len(key) != chart.n:
-            raise DomainError(f"point of dim {len(key)} on chart of dim {chart.n}")
-    Z = np.array(keys, dtype=complex)
+def _check_points(chart: MetricChart, points) -> np.ndarray:
+    """The points, each a sequence of coordinates, as a (P, n) complex array,
+    after checking that each has the chart's dimension and finite
+    coordinates and lies in its domain."""
+    for z in points:
+        if len(z) != chart.n:
+            raise DomainError(f"point of dim {len(z)} on chart of dim {chart.n}")
+    Z = np.array(points, dtype=complex).reshape(-1, chart.n)
     if not np.all(np.isfinite(Z)):
         raise NonFinite("chart point has non-finite coordinates")
     if chart.domain is not None:
         for z in Z:
             if not chart.domain(z):
                 raise DomainError(f"point {z} outside domain of {chart.label}")
+    return Z
+
+
+def _point_batch(chart: MetricChart, keys) -> _PointData:
+    """The store's fill: jets, inverse, Cholesky frame and canonical basis of
+    every point in one batch, checked point by point and frozen."""
+    Z = _check_points(chart, keys)
     n, P = chart.n, len(Z)
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
     # Stack each jet part over the components, component pair (i, j) last.
@@ -188,9 +214,9 @@ def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
     Gh = 0.5 * (G + GH)
-    eigmin = np.linalg.eigvalsh(Gh).min(axis=1)
+    eig = np.linalg.eigvalsh(Gh)
     for z, defect, scale, lam in zip(Z, herm_defect, np.max(np.abs(G), axis=(1, 2)),
-                                     eigmin):
+                                     eig[:, 0]):
         if defect > HERMITIAN_TOL * max(1.0, scale):
             raise NotPositiveDefinite(
                 f"metric of {chart.label} is not Hermitian at {z} (defect {defect:.2e})")
@@ -203,14 +229,15 @@ def _point_batch(chart: MetricChart, keys) -> list[_PointData]:
     # = delta_ab; conjugation sits on the barred slot.
     E = np.linalg.inv(L.transpose(0, 2, 1))
     defects = np.max(np.abs(E.transpose(0, 2, 1) @ G @ E.conj() - np.eye(n)), axis=(1, 2))
-    for z, defect in zip(Z, defects):
+    for z, defect, (lam, top) in zip(Z, defects, eig[:, [0, -1]]):
         if not defect < FRAME_TOL:
             raise NotPositiveDefinite(
-                f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}")
-    parts = (G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
-    for a in parts:            # read-only, and so is each point's view of it
-        a.setflags(write=False)
-    return [_PointData(*views) for views in zip(*parts)]
+                f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}"
+                f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
+                f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
+    data = _MetricData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
+    parts = (*vars(data).values(), _basis_stack(data, E))
+    return _PointData(*map(_read_only, parts))   # each point's view is read-only too
 
 
 def metric_jet(chart: MetricChart, z):
@@ -219,32 +246,28 @@ def metric_jet(chart: MetricChart, z):
     Returns (jets, ginv), read-only views of the cached point data, with
     jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
     NotPositiveDefinite if the value matrix fails the PD check."""
-    pd, _ = _point(chart, z)
-    parts = (pd.dG, pd.dbarG, pd.ddG, pd.ddbarG, pd.dbardbarG)
-    jets = [[WJet2(complex(pd.G[i, j]), *(a[..., i, j] for a in parts))
+    b, _ = _point(chart, z)
+    parts = (b.dG[0], b.dbarG[0], b.ddG[0], b.ddbarG[0], b.dbardbarG[0])
+    jets = [[WJet2(complex(b.G[0, i, j]), *(a[..., i, j] for a in parts))
              for j in range(chart.n)] for i in range(chart.n)]
-    return jets, pd.ginv
+    return jets, b.ginv[0]
 
 
 def metric_values(chart: MetricChart, z) -> np.ndarray:
     """Value matrix G at a point, or G[p] at each point of a stack z[p]
     (one `_value` walk per component), without derivative propagation:
-    the finite-difference oracles' metric."""
+    the finite-difference oracles' metric.  The points pass the store
+    fill's check (`_check_points`)."""
     Z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(Z)):
-        raise NonFinite("chart point has non-finite coordinates")
-    if chart.domain is not None:
-        for pt in Z.reshape(-1, Z.shape[-1]):
-            if not chart.domain(pt):
-                raise DomainError(f"point {pt} outside domain of {chart.label}")
+    _check_points(chart, Z.reshape(-1, Z.shape[-1]))
     G = np.array([[g._value(Z) for g in row] for row in chart.g], dtype=complex)
     return np.moveaxis(G, (0, 1), (-2, -1))
 
 
 def unitary_frame(chart: MetricChart, z) -> FrameAtPoint:
     """Deterministic pointwise unitary frame from the Cholesky factor of G."""
-    pd, E = _point(chart, z)
-    return FrameAtPoint(E.copy(), pd.G.copy())
+    b, E = _point(chart, z)
+    return FrameAtPoint(E[0].copy(), b.G[0].copy())
 
 
 def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
@@ -261,9 +284,9 @@ def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     return X
 
 
-def _frame_torsion(b: _PointData, E: np.ndarray) -> np.ndarray:
-    """Chern torsion T[p, i, j, k] = T^i_jk of stacked points (see `_stack`)
-    in the frames E[p], from the coordinate torsion of
+def _frame_torsion(b: _MetricData, E: np.ndarray) -> np.ndarray:
+    """Chern torsion T[p, i, j, k] = T^i_jk of stacked points in the frames
+    E[p], from the coordinate torsion of
     Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k)."""
     P, n = b.ginv.shape[:2]
     Gamma = (b.ginv @ b.dG.reshape(P, n * n, n).transpose(0, 2, 1)).reshape(P, n, n, n)
@@ -272,7 +295,7 @@ def _frame_torsion(b: _PointData, E: np.ndarray) -> np.ndarray:
     return 0.5 * (T - T.transpose(0, 1, 3, 2))
 
 
-def _frame_torsion_dbar(b: _PointData, E: np.ndarray) -> np.ndarray:
+def _frame_torsion_dbar(b: _MetricData, E: np.ndarray) -> np.ndarray:
     """TD[p, j, i, k, l] = T^j_{ik,lbar} of stacked points in the frames E[p].
     The Chern connection has no mixed coordinate Christoffel symbols, so in
     coordinates this is dbar_l of the torsion, transformed as a (1,3)-tensor."""
@@ -290,20 +313,42 @@ def _frame_torsion_dbar(b: _PointData, E: np.ndarray) -> np.ndarray:
     return 0.5 * (TD - TD.transpose(0, 1, 3, 2, 4))
 
 
+def _chern_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
+    """Chern curvature of stacked points in the frames E[p], from its
+    coordinate formula R[p, k, l, i, j] = -d_k dbar_l g_{i jbar}
+    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar})."""
+    R = -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG, optimize=True)
+    return _to_frame(R, E, E.conj(), E, E.conj())
+
+
+def _basis_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
+    """`curvature.canonical_basis` B[p] of stacked points in the frames E[p]:
+    the four tensors of every point from one pass with a leading point axis.
+    B[0] is the Chern curvature less the torsion terms, whose weights at
+    Chern are (1, -1, -1)."""
+    T = _frame_torsion(b, E)
+    TD = _frame_torsion_dbar(b, E)
+    Tc = np.conj(T)
+    term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
+    term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
+        - np.einsum("...jrk,...irl->...klij", T, Tc)
+    term3 = np.einsum("...krj,...lir->...klij", Tc, T)
+    lc = _chern_stack(b, E) - term1 + term2 + term3
+    return np.stack([lc, term1, term2, term3], axis=1)
+
+
 def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
     """Chern torsion coefficients T[i,j,k] = T^i_jk in the given unitary frame.
 
     Exactly antisymmetric in (j, k).  Defaults to the Cholesky frame.
     """
-    pd, E = _point(chart, z, frame)
-    return _frame_torsion(_stack([pd]), E[None])[0]
+    return _frame_torsion(*_point(chart, z, frame))[0]
 
 
 def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
     """Chern-covariant dbar derivative TD[j, i, k, l] = T^j_{ik, lbar} of the
     torsion in the given unitary frame (see `_frame_torsion_dbar`)."""
-    pd, E = _point(chart, z, frame)
-    return _frame_torsion_dbar(_stack([pd]), E[None])[0]
+    return _frame_torsion_dbar(*_point(chart, z, frame))[0]
 
 
 def gamma_theta2(chart: MetricChart, z, frame=None):

@@ -23,11 +23,10 @@ import numpy as np
 
 # chern_torsion is re-exported: code outside the package (the benchmark's
 # tracer tests) reaches it through this module.
-from .connection import (MetricChart, as_params, chern_torsion, metric_values, _frame_E,
-                         _frame_torsion, _frame_torsion_dbar, _metric_points, _point,
-                         _stack, _to_frame)
+from .connection import (MetricChart, as_params, chern_torsion, metric_values, _basis_stack,
+                         _check_points, _chern_stack, _frame_E, _metric_points, _point, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
-from .wjet import _axis_steps, _first_difference
+from .wjet import as_point, _axis_steps, _first_difference
 
 
 @dataclass(eq=False)
@@ -52,19 +51,10 @@ def tensor_of(C) -> np.ndarray:
 # Chern curvature
 
 
-def _chern_stack(b, E) -> np.ndarray:
-    """Chern curvature of stacked points (see `connection._stack`) in the
-    frames E[p], from its coordinate formula R[p, k, l, i, j] =
-    -d_k dbar_l g_{i jbar} + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar})."""
-    R = -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG, optimize=True)
-    return _to_frame(R, E, E.conj(), E, E.conj())
-
-
 def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
     """Curvature of the Chern connection: the one-point call of
-    `_chern_stack`."""
-    pd, E = _point(chart, z, frame)
-    return Curv4(_chern_stack(_stack([pd]), E[None])[0], connection="chern")
+    `connection._chern_stack`."""
+    return Curv4(_chern_stack(*_point(chart, z, frame))[0], connection="chern")
 
 
 # ---------------------------------------------------------------------------
@@ -79,37 +69,11 @@ def canonical_weights(params) -> np.ndarray:
     return np.array([1.0, p, p * p - 2 * p, pr.s * pr.s - 1])
 
 
-def _basis_stack(pds, E=None) -> np.ndarray:
-    """Stacked `canonical_basis` B[p] of point records pds in the frames
-    E[p], by default each point's Cholesky frame: the four tensors of every
-    point from one pass with a leading point axis.  B[0] is the Chern
-    curvature less the torsion terms, whose weights at Chern are (1, -1, -1)."""
-    b = _stack(pds)
-    E = b.E if E is None else E
-    Ec = E.conj()
-    T = _frame_torsion(b, E)
-    TD = _frame_torsion_dbar(b, E)
-    Tc = np.conj(T)
-    term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
-    term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
-        - np.einsum("...jrk,...irl->...klij", T, Tc)
-    term3 = np.einsum("...krj,...lir->...klij", Tc, T)
-    lc = _chern_stack(b, E) - term1 + term2 + term3
-    return np.stack([lc, term1, term2, term3], axis=1)
-
-
-def canonical_bases(chart: MetricChart, points) -> list[np.ndarray]:
-    """`canonical_basis(chart, p)` for every point p, each built once: the
-    points whose basis is not yet stored get theirs in one batched pass, and
-    it is kept, read-only, with the point's data in the chart's store."""
-    pds = _metric_points(chart, points)
-    todo = list({id(pd): pd for pd in pds if pd.basis is None}.values())
-    if todo:
-        B = _basis_stack(todo)
-        B.setflags(write=False)
-        for pd, Bp in zip(todo, B):
-            pd.basis = Bp
-    return [pd.basis for pd in pds]
+def canonical_bases(chart: MetricChart, points) -> np.ndarray:
+    """`canonical_basis(chart, p)` of every point p, one read-only array
+    B[p, m, k, l, i, j]: the bases the chart's store built with the points'
+    data, in their batch fills."""
+    return _metric_points(chart, points).basis
 
 
 def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -122,14 +86,12 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
 
-    In the Cholesky frame (frame=None) this is the point's stored basis, a
-    read-only array built once (see `canonical_bases`); in an explicit
-    frame it is computed afresh from the same batched code and not stored.
+    In the Cholesky frame (frame=None) this is the point's stored basis,
+    read-only, built in the store's fill with the rest of its data; in an
+    explicit frame it is computed afresh by the fill's code and not stored.
     """
-    if frame is None:
-        return canonical_bases(chart, [z])[0]
-    pd, E = _point(chart, z, frame)
-    return _basis_stack([pd], E[None])[0]
+    b, E = _point(chart, z, frame)
+    return b.basis[0] if frame is None else _basis_stack(b, E)[0]
 
 
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
@@ -247,18 +209,18 @@ def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    The points' stored bases come from `canonical_bases` (the missing ones
-    from one batched pass) and are symmetrized together; every cell is then
-    one row of a weight matrix applied to a point's symmetrized basis, so
-    the cost grows with the points, not with cells x points.  The points
-    are fitted in one pass, or in blocks when cells x points x n^4 would
-    exceed `FIT_ENTRIES`.  An empty params_list gives empty arrays; an
-    empty point list raises ConfigError.
+    The points' stored bases come from `canonical_bases` and are
+    symmetrized together; every cell is then one row of a weight matrix
+    applied to a point's symmetrized basis, so the cost grows with the
+    points, not with cells x points.  The points are fitted in one pass, or
+    in blocks when cells x points x n^4 would exceed `FIT_ENTRIES`.  An
+    empty params_list gives empty arrays; an empty point list raises
+    ConfigError.
     """
     if len(points) == 0:
         raise ConfigError("constancy_table needs at least one point; the point list is empty")
     W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
-    Rh = _symmetrized(np.stack(canonical_bases(chart, points)))
+    Rh = _symmetrized(canonical_bases(chart, points))
     step = max(1, FIT_ENTRIES // max(1, len(W) * Rh[0, 0].size))
     c, residual = zip(*(_constancy_fit(W, Rh[i:i + step]) for i in range(0, len(Rh), step)))
     return np.concatenate(c, axis=1), np.concatenate(residual, axis=1)
@@ -340,8 +302,8 @@ def _riemann(Gamma, dGamma, M) -> np.ndarray:
 
 
 def _christoffel_parts(b):
-    """The (t, s)-free part of the reference at stacked points (see
-    `connection._stack`), in the 2n Wirtinger coordinates: (M, Gamma^C,
+    """The (t, s)-free part of the reference at stacked points (a record of
+    `connection._metric_points`), in the 2n Wirtinger coordinates: (M, Gamma^C,
     dGamma^C, Gamma^LC, dGamma^LC), M the complexified metric, Gamma^C[a, b,
     c] = Minv[a, d] d_b M[c, d] and Gamma^LC its Levi-Civita symbols."""
     P, n = b.G.shape[:2]
@@ -393,7 +355,7 @@ def connection_curvature_oracle(chart: MetricChart, params_list, points) -> np.n
     built once for all the cells; each cell then weights it and takes its
     Riemann tensor.  It builds (2n)^4 arrays and serves only to check the
     production path."""
-    b = _stack(_metric_points(chart, points))
+    b = _metric_points(chart, points)
     n, E = chart.n, b.E
     parts = _christoffel_parts(b)
     R = [_to_frame(_riemann(*_christoffel(parts, ts))[:, :n, n:, :n, n:],
@@ -405,7 +367,7 @@ def lc_full(chart: MetricChart, z) -> np.ndarray:
     """Full complexified Levi-Civita Riemann tensor in the Wirtinger
     coordinate frame (2n axes each: 0..n-1 unbarred, n..2n-1 barred): the
     reference at s = 1."""
-    parts = _christoffel_parts(_stack(_metric_points(chart, [z])))
+    parts = _christoffel_parts(_metric_points(chart, [z]))
     return _riemann(*_christoffel(parts, (0.0, 1.0)))[0]
 
 
@@ -420,7 +382,7 @@ def _real_riemann(chart: MetricChart, z, h: float):
     from 4th-order differences of the metric, whose whole nested stencil is
     one `metric_values` call.  With g_{k lbar} = g(d_k, dbar_l): g(dx_k, dx_l)
     = g(dy_k, dy_l) = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}."""
-    pt = np.asarray(z, dtype=complex)
+    [pt] = _check_points(chart, [as_point(z)])
     n, m = chart.n, 2 * chart.n
     x = np.concatenate([pt.real, pt.imag])
     eye = np.eye(m)
@@ -442,7 +404,7 @@ def lc_curvature_fd(chart: MetricChart, z, frame=None, h: float = 1e-4) -> Curv4
     against the unitary frame."""
     n = chart.n
     Riem, _ = _real_riemann(chart, z, h)
-    E = _point(chart, z)[1] if frame is None else _frame_E(frame)
+    E = _point(chart, z)[1][0] if frame is None else _frame_E(frame)
     # e_a = sum_m E[m,a] (dx_m - i dy_m)/2,  ebar_a its conjugate
     w = np.zeros((2 * n, n), dtype=complex)
     w[:n] = 0.5 * E

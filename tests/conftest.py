@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ def non_selfdual():
 
 def pts_of(chart, count, seed):
     return gd.sample_points(chart, count, np.random.default_rng(seed))
+
+
+def point_record(b, k):
+    """Point k of a stacked point-store record, its arrays without the point
+    axis: the input of the tests' per-point reference formulas."""
+    return SimpleNamespace(**{name: a[k] for name, a in vars(b).items()})
 
 
 def jet_rel_err(je, jf) -> float:

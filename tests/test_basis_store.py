@@ -1,5 +1,6 @@
-"""The stored canonical basis: built once per point, batched over points,
-bit-equal to a per-point build, read-only and held by the chart's store."""
+"""The point store's records: each point's data, its canonical basis among
+it, built once in a batch fill, bit-equal to a per-point build, read-only,
+held by the chart's store and handed out as stacks."""
 
 import gc
 import json
@@ -18,8 +19,9 @@ import gauduchon.conformal as conformal
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig, run_suite
+from gauduchon.errors import GauduchonError
 
-from conftest import jet_rel_err
+from conftest import jet_rel_err, point_record
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
@@ -68,9 +70,10 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     chart = gd.make_chart(SPECS[name])
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     bases = gd.canonical_bases(chart, pts)
-    pds = connection._metric_points(chart, pts)
-    for p, B, pd in zip(pts, bases, pds, strict=True):
-        np.testing.assert_array_equal(B, per_point_basis(pd))
+    assert bases.shape == (count, 4) + (chart.n,) * 4
+    b = connection._metric_points(chart, pts)
+    for k, (p, B) in enumerate(zip(pts, bases, strict=True)):
+        np.testing.assert_array_equal(B, per_point_basis(point_record(b, k)))
         # the Levi-Civita tensor from the Chern side is the reference's s = 1
         R = gd.connection_curvature_oracle(chart, [(0.0, 1.0)], [p])[0, 0]
         assert np.max(np.abs(B[0] - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
@@ -79,26 +82,69 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     np.testing.assert_array_equal(gd.canonical_basis(chart, pts[0], fr), bases[0])
 
 
-def test_stored_basis_is_read_only_and_reused():
+FIELDS = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E", "basis")
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 2**32 - 1),
+       stored=st.lists(st.integers(0, 5), max_size=4),
+       read=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       bad=st.none() | st.integers(0, 8))
+def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, stored, read, bad):
+    """Any mix of stored and new points, with repeats and in any order,
+    reads as one stacked record that equals, bit for bit, what one fill of
+    the same points on a fresh chart gives; its basis is `_basis_stack` of
+    the record, and no array of either is writeable.  A read with a point
+    outside the domain raises and stores nothing of its batch."""
+    chart = gd.make_chart(SPECS[name])
+    pts = gd.sample_points(chart, 6, np.random.default_rng(seed))
+    if stored:
+        connection._metric_points(chart, [pts[i] for i in stored])
+    points = [pts[i] for i in read]
+    if bad is not None:
+        keys = set(connection._STORE.get(chart, ()))
+        points.insert(min(bad, len(points)), np.zeros(chart.n))
+        with pytest.raises(GauduchonError):
+            connection._metric_points(chart, points)
+        assert set(connection._STORE.get(chart, ())) == keys
+        return
+    b = connection._metric_points(chart, points)
+    fresh = connection._metric_points(gd.make_chart(SPECS[name]), points)
+    assert list(vars(b)) == list(vars(fresh)) == list(FIELDS)
+    for field in FIELDS:
+        got, want = getattr(b, field), getattr(fresh, field)
+        assert got.shape[0] == len(points)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable and not want.flags.writeable
+    np.testing.assert_array_equal(b.basis, connection._basis_stack(b, b.E))
+
+
+def test_stored_basis_is_read_only_and_reused(monkeypatch):
+    builds = counting(monkeypatch)
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 3, np.random.default_rng(2))
     bases = gd.canonical_bases(chart, pts)
+    assert not bases.flags.writeable
     for p, B in zip(pts, bases):
-        assert not B.flags.writeable
-        assert gd.canonical_basis(chart, p) is B
+        stored = gd.canonical_basis(chart, p)
+        np.testing.assert_array_equal(stored, B)
+        assert not stored.flags.writeable
         with pytest.raises(ValueError):
-            B[0, 0, 0, 0, 0] = 1.0
+            stored[0, 0, 0, 0, 0] = 1.0
         # the reference is computed afresh on each call and never stored
         R = gd.lc_full(chart, p)
         kept = R.copy()
         R += 1.0
         np.testing.assert_array_equal(gd.lc_full(chart, p), kept)
+    assert builds == [(3, True)]
 
 
 def test_stored_basis_goes_with_its_chart():
     chart = gd.hopf_chart(2)
     pts = gd.sample_points(chart, 2, np.random.default_rng(0))
-    held = weakref.ref(gd.canonical_bases(chart, pts)[0].base)
+    # New, distinct points read as their fill's record, which the store's
+    # per-point records are views of.
+    held = weakref.ref(gd.canonical_bases(chart, pts))
     assert held() is not None
     del chart
     gc.collect()
@@ -106,17 +152,25 @@ def test_stored_basis_goes_with_its_chart():
 
 
 def counting(monkeypatch):
-    """Record the point records of every basis build, and whether it was
-    in the stored Cholesky frames (E is None) or an explicit frame."""
-    builds = []
-    build = curvature._basis_stack
+    """Record the point count of every basis build, and whether it ran in
+    the store's fill (`_point_batch`) or outside it, in an explicit frame."""
+    builds, filling = [], [False]
+    build, fill = connection._basis_stack, connection._point_batch
 
-    def counted(pds, E=None):
-        builds.append((list(pds), E is None))
-        return build(pds, E)
+    def counted(b, E):
+        builds.append((len(E), filling[0]))
+        return build(b, E)
 
+    def counted_fill(chart, keys):
+        filling[0] = True
+        try:
+            return fill(chart, keys)
+        finally:
+            filling[0] = False
+
+    monkeypatch.setattr(connection, "_basis_stack", counted)
     monkeypatch.setattr(curvature, "_basis_stack", counted)
-    monkeypatch.setattr(conformal, "_basis_stack", counted)
+    monkeypatch.setattr(connection, "_point_batch", counted_fill)
     return builds
 
 
@@ -128,9 +182,12 @@ def test_stored_basis_respects_the_store_bound(monkeypatch):
     gd.canonical_bases(chart, pts)
     assert len(connection._STORE[chart]) == 3
     gd.canonical_bases(chart, pts[2:])          # still stored: no build
-    assert [len(pds) for pds, _ in builds] == [5]
+    assert builds == [(5, True)]
     gd.canonical_basis(chart, pts[0])           # evicted: built again
-    assert [len(pds) for pds, _ in builds] == [5, 1]
+    assert builds == [(5, True), (1, True)]
+    fr = gd.unitary_frame(chart, pts[1])
+    gd.canonical_basis(chart, pts[1], fr)       # an explicit frame: built outside a fill
+    assert builds == [(5, True), (1, True), (1, True), (1, False)]
 
 
 def suite_adm2_config():
@@ -140,16 +197,14 @@ def suite_adm2_config():
         "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
 
 
-def test_suite_builds_each_cholesky_basis_once(monkeypatch):
-    """The bench's suite_adm2 config: every (chart, point) gets at most one
-    Cholesky-frame basis; the rest are the rescaled-side explicit frames of
-    `conformal_delta`, one batched pass for each of its two shared factors
-    over their 5 points."""
+def test_suite_builds_bases_only_in_its_fills(monkeypatch):
+    """The bench's suite_adm2 config: bases are built only inside the
+    store's fills, 4 of them over 55 points: the 40 sample points, and the
+    first 5 on each of the three rescaled charts, whose Cholesky frames are
+    the paired frames the conformal laws compare in."""
     builds = counting(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    cholesky = [id(pd) for pds, stored in builds if stored for pd in pds]
-    assert len(cholesky) == len(set(cholesky)) == 40
-    assert [len(pds) for pds, stored in builds if not stored] == [5, 5]
+    assert sorted(builds) == [(5, True)] * 3 + [(40, True)]
 
 
 def counting_lookups(monkeypatch):
@@ -205,16 +260,16 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert lookups == [1]
 
 
-def test_suite_makes_at_most_12_store_lookups(monkeypatch):
-    """The bench's suite_adm2 config: 12 lookups.  The run reads its 40
-    points' metric data once, as one stacked record, and the first 10
-    points' stored bases once (`hermitian_symmetry`); `interpolation`'s
-    oracle, `constancy` and the conformal checks (6 and 2) make the rest.
-    Checks that looked their points up one at a time took 112 (474 before,
-    555 and 697 earlier)."""
+def test_suite_makes_at_most_9_store_lookups(monkeypatch):
+    """The bench's suite_adm2 config: 9 lookups.  The run reads its 40
+    points' data, their bases among it, once, as one stacked record;
+    `interpolation`'s oracle, `constancy` and the conformal checks (the base
+    and the rescaled chart of each of the 3 factors) make the rest.  Reading
+    the bases apart from the metric data took 12 (112 when checks looked
+    their points up one at a time)."""
     lookups = counting_lookups(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert len(lookups) <= 12
+    assert len(lookups) <= 9
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):

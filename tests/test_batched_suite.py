@@ -57,7 +57,7 @@ def test_fd_jets_names_the_point_whose_stencil_exits_the_domain():
 def test_stacked_selfduality_equals_the_per_point_values(fs, chyp, hopf, non_selfdual):
     for chart in (fs, chyp, hopf, non_selfdual):
         pts = gd.sample_points(chart, 5, np.random.default_rng(3))
-        R = np.stack(gd.canonical_bases(chart, pts))[:, 0]
+        R = gd.canonical_bases(chart, pts)[:, 0]
         sd, W = curvature._selfdual(R), curvature._weyl_minus(R)
         assert sd.shape == (5, 3) and W.shape == (5, 3, 3)
         for p, sd_p, W_p in zip(pts, sd, W):
@@ -114,17 +114,18 @@ def test_a_one_point_mutation_shows_on_that_point_only(monkeypatch):
     only on that point's residuals, so a batched reduction or broadcast
     over the wrong axis shows."""
     run = suite()
-    target = connection._metric_points(run.chart, [run.small[6]])[0]
-    build = curvature._basis_stack
+    # The point's metric value, bit for bit what the run's fill computes; a
+    # second chart keeps the run's own store cold for the mutated fill.
+    target = connection._metric_points(gd.make_chart(ADM_SPEC), [run.small[6]]).G[0]
+    build = connection._basis_stack
 
-    def mutated(pds, E=None):
-        B = build(pds, E)
-        for k, pd in enumerate(pds):
-            if pd is target:
-                B[k, 1] += 0.1j * B[k, 3]
+    def mutated(b, E):
+        B = build(b, E)
+        for k in np.flatnonzero(np.all(b.G == target, axis=(1, 2))):
+            B[k, 1] += 0.1j * B[k, 3]
         return B
 
-    monkeypatch.setattr(curvature, "_basis_stack", mutated)
+    monkeypatch.setattr(connection, "_basis_stack", mutated)
     P = len(run.small)
     for name, point_of in (("hermitian_symmetry", lambda i: i // len(cli.HERMITIAN_T)),
                            ("interpolation", lambda i: i % P)):

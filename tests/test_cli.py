@@ -491,27 +491,28 @@ def test_cli_hsc_matches_reference(tmp_path, capsys):
 
 
 def test_hsc_payload_builds_each_curvature_once(monkeypatch):
-    """Every point's basis is built once, in one batched pass, and its
-    tensor is one weighted sum of it: no per-point `canonical_curvature`
-    call.  The HSC extremes are those of the per-point tensors and the same
-    direction draws."""
+    """Every point's basis is built once, in the store's one batch fill,
+    and its tensor is one weighted sum of it: no per-point
+    `canonical_curvature` call.  The HSC extremes are those of the
+    per-point tensors and the same direction draws."""
     import gauduchon.cli as cli
+    import gauduchon.connection as connection
     import gauduchon.curvature as curvature
     calls, builds = [], []
-    curv, build = gd.canonical_curvature, curvature._basis_stack
+    curv, build = gd.canonical_curvature, connection._basis_stack
 
     def counting(*args, **kwargs):
         calls.append(args)
         return curv(*args, **kwargs)
 
-    def counted(pds, E=None):
-        builds.append(len(pds))
-        return build(pds, E)
+    def counted(b, E):
+        builds.append(len(E))
+        return build(b, E)
 
     # Both modules bind the name; count calls made through either.
     monkeypatch.setattr(cli, "canonical_curvature", counting)
     monkeypatch.setattr(curvature, "canonical_curvature", counting)
-    monkeypatch.setattr(curvature, "_basis_stack", counted)
+    monkeypatch.setattr(connection, "_basis_stack", counted)
     payload = cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
     assert calls == [] and builds == [4] and len(payload["per_point"]) == 4
     chart = gd.make_chart(ADM_SPEC)

@@ -8,7 +8,7 @@ import gauduchon.curvature as curvature
 from gauduchon.cli import _conformal_factors
 from gauduchon.conformal import frame_gradient
 from gauduchon.connection import metric_values
-from gauduchon.errors import BaseNotKahler, NonRealConformalFactor
+from gauduchon.errors import BaseNotKahler, ConfigError, NonRealConformalFactor
 
 from conftest import pts_of
 
@@ -286,8 +286,7 @@ def per_point_laws(pair, t, params, z):
     fr, frbar = E.T @ jf.d, E.conj().T @ jf.dbar
     # the mixed Christoffel symbols Gamma^m_{lbar k} of the complexified
     # reference at s = 1
-    pds = connection._metric_points(chart, [z])
-    parts = curvature._christoffel_parts(connection._stack(pds))
+    parts = curvature._christoffel_parts(connection._metric_points(chart, [z]))
     C = curvature._christoffel(parts, (0.0, 1.0))[0][0, :n, n:, :n]
 
     def hessians(t):
@@ -360,3 +359,21 @@ def test_batched_factor_laws_equal_per_point(name, count, which, t, s, seed):
         for b, o, ref in zip(batched, one, per_point_laws(pair, t, (t, s), p), strict=True):
             assert_close(b[j], o)
             assert_close(o, ref)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_rescaled_cholesky_frame_is_the_paired_frame(name):
+    """Cholesky factors are unique, so chol(e^2f G) = e^f chol(G): the
+    rescaled chart's stored frame is the paired frame e^-f E, which is why
+    `FactorAt` reads the rescaled side in the rescaled chart's own Cholesky
+    frames, and why it refuses explicit frames together with a rescaled
+    chart."""
+    chart = gd.make_chart(SPECS[name])
+    pts = gd.sample_points(chart, 5, np.random.default_rng(7))
+    for f in _conformal_factors(chart.n):
+        pair = gd.rescale(chart, f, check_points=pts)
+        at = pair.at(pts)
+        paired = np.exp(-at.value)[:, None, None] * at.E
+        assert maxabs(at.rescaled_data.E - paired) <= 1e-15 * maxabs(paired)
+        with pytest.raises(ConfigError):
+            gd.FactorAt(chart, f, pts, frames=at.E, rescaled=pair.rescaled)

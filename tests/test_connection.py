@@ -85,8 +85,7 @@ def test_store_keeps_at_most_its_bound_per_chart():
 
     chart = gd.euclidean_chart(1)
     keys = [(complex(0.01 * k),) for k in range(POINT_STORE_SIZE + 5)]
-    pds = _metric_points(chart, keys)
-    assert len(pds) == len(keys) and all(pd.G.shape == (1, 1) for pd in pds)
+    assert _metric_points(chart, keys).G.shape == (len(keys), 1, 1)
     store = _STORE[chart]
     assert len(store) == POINT_STORE_SIZE
     assert keys[0] not in store and keys[-1] in store
@@ -114,7 +113,7 @@ def test_bad_point_in_batch_raises_and_stores_nothing(chart, bad, err):
     with pytest.raises(err):
         _metric_points(chart, [_GOOD[0], bad, _GOOD[1]])
     assert not _STORE.get(chart)
-    assert len(_metric_points(chart, [_GOOD[0], _GOOD[1]])) == 2
+    assert len(_metric_points(chart, [_GOOD[0], _GOOD[1]]).G) == 2
 
 
 def test_store_key_fast_path_gives_the_same_key():
@@ -124,9 +123,9 @@ def test_store_key_fast_path_gives_the_same_key():
     for z in ([0.9, 0.1j], np.array([0.3 - 0.2j, -0.0 + 1e-300j]), np.array([2.5 + 0j]),
               (1, 2j, -3.5)):
         chart = gd.euclidean_chart(len(z))
-        one, other = _metric_points(chart, [np.asarray(z, dtype=complex), z])
-        assert one is other
+        b = _metric_points(chart, [np.asarray(z, dtype=complex), z])
         [key] = _STORE[chart]
+        np.testing.assert_array_equal(b.basis[0], b.basis[1])
         assert key == tuple(complex(c) for c in as_point(z))
         assert all(type(c) is complex for c in key)
 
@@ -139,23 +138,44 @@ def test_store_key_fast_path_gives_the_same_key():
     (np.array([[0.5 + 0j, 0.2]]), DimensionError),
 ])
 def test_bad_point_raises_whatever_its_type(hopf, bad, err):
-    with pytest.raises(err):
-        gd.chern_torsion(hopf, bad)
-    with pytest.raises(err):
-        gd.canonical_bases(hopf, [bad])
+    readers = [gd.chern_torsion, lambda chart, z: gd.canonical_bases(chart, [z]),
+               gd.lc_curvature_fd, gd.scalar_curvature_fd]
+    if np.ndim(bad) == 1:       # to metric_values a 2-D array is a stack of points
+        readers.append(metric_values)
+    for reader in readers:
+        with pytest.raises(err):
+            reader(hopf, bad)
+
+
+def test_ill_conditioned_frame_error_names_the_conditioning():
+    """Near the ball's boundary the metric is positive definite (smallest
+    eigenvalue 5e4) but its condition number, 5e4, makes the Cholesky frame
+    miss unitarity by 4.7e-12 > FRAME_TOL: the error says so."""
+    chyp = gd.complex_hyperbolic_chart(2)
+    p = np.array([0.99999, 0.99999]) / np.sqrt(2)
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"unitarity defect 4\.7\d*e-12 > 1e-12: G is positive definite "
+                             r"\(smallest eigenvalue 5\.000e\+04\) but ill-conditioned "
+                             r"\(cond\(G\) = 5\.000e\+04\)"):
+        gd.unitary_frame(chyp, p)
 
 
 def test_batch_filled_point_data_is_read_only(adm):
-    from gauduchon.connection import _metric_points
-    from gauduchon.curvature import canonical_bases
+    """Every record the store holds or hands out, from a fill, a hit or a
+    mix, has its 9 arrays read-only, and no field can be set."""
+    from dataclasses import FrozenInstanceError
+
+    from gauduchon.connection import _STORE, _metric_points
 
     pts = pts_of(adm, 3, 11)
-    pds = _metric_points(adm, pts)
-    canonical_bases(adm, pts)
-    for pd in pds:
-        arrays = [a for a in vars(pd).values() if isinstance(a, np.ndarray)]
-        assert len(arrays) == 9
+    reads = [_metric_points(adm, pts), _metric_points(adm, pts[:1]),
+             _metric_points(adm, [pts[2], pts[0], pts[2]])]
+    for b in reads + list(_STORE[adm].values()):
+        arrays = list(vars(b).values())
+        assert len(arrays) == 9 and all(isinstance(a, np.ndarray) for a in arrays)
         assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(FrozenInstanceError):
+            b.basis = None
 
 
 def test_not_positive_definite_is_structured():

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
-from gauduchon import curvature
+from gauduchon import connection, curvature
 from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
 
-from conftest import pts_of
+from conftest import point_record, pts_of
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -110,17 +110,17 @@ def test_lc_contractions_match_einsum_reference(n):
     the unoptimized einsums; the production Levi-Civita tensor, scalar
     curvature and mixed Christoffel symbols, built from the Chern side,
     agree with them."""
-    from gauduchon.connection import _point, _stack
+    from gauduchon.connection import _point
 
     spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
     for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
         pts = pts_of(chart, 2, n)
         for p, C in zip(pts, gd.FactorAt(chart, gd.const(0.0), pts).C):
-            pd, E = _point(chart, p)
-            Gamma, Riem, s_g = _seed_lc(pd, n)
+            b, [E] = _point(chart, p)
+            Gamma, Riem, s_g = _seed_lc(point_record(b, 0), n)
             scale = maxabs(Riem)
             assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
-            parts = curvature._christoffel_parts(_stack([pd]))
+            parts = curvature._christoffel_parts(b)
             ref = curvature._christoffel(parts, (0.0, 1.0))[0][0]
             assert maxabs(ref - Gamma) <= 1e-13 * maxabs(Gamma)
             assert maxabs(C - Gamma[:n, n:, :n]) <= 1e-13 * maxabs(Gamma)
@@ -247,15 +247,17 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
     """Adding 0.1 B[3] to B[1] and B[2] changes the D^t_s curvature by
     0.1 (p^2 - p) B[3]: nothing at p = 0 or 1, so the t = 1 Chern comparison
     and every s = 1 identity pass it, but the oracle sees it at (3, 0) on each
-    non-Kahler chart, and the suite's interpolation check fails."""
-    build = curvature._basis_stack
+    non-Kahler chart, and the suite's interpolation check fails.  The
+    mutation goes into the store's fill, the one code that builds stored
+    bases."""
+    build = connection._basis_stack
 
-    def mutated(pds, E=None):
-        B = build(pds, E)
+    def mutated(b, E):
+        B = build(b, E)
         B[:, 1:3] += 0.1 * B[:, 3:4]
         return B
 
-    monkeypatch.setattr(curvature, "_basis_stack", mutated)
+    monkeypatch.setattr(connection, "_basis_stack", mutated)
     for name in ("hopf2", "hopf3", "admissible", "generic"):
         chart = ORACLE_CHARTS[name]()
         pts = gd.sample_points(chart, 3, np.random.default_rng(41))

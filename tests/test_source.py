@@ -18,15 +18,19 @@ def test_no_assert_statements_in_package():
 
 
 def test_only_connection_knows_the_point_store():
-    # Other modules hand points to `_metric_points` or `_point`; how the
-    # store keys and holds them is connection.py's business.
+    # Other modules hand points to `_metric_points` or `_point` and get
+    # stacked records back; how the store keys, holds and stacks them is
+    # connection.py's business, and only its fill builds a record, basis
+    # included, so no module restacks records or writes a basis into one.
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         private = () if path.name == "connection.py" else ("_as_key", "_STORE")
-        for name in (*private, "_metric_point", "_frame_matrix", "_lc_point"):
+        for name in (*private, "_metric_point", "_frame_matrix", "_lc_point", "_stack"):
             if re.search(rf"\b{name}\b", text):
                 found.append(f"{path.name}: {name}")
+        if path.name != "connection.py" and re.search(r"\.basis\s*=(?!=)", text):
+            found.append(f"{path.name}: .basis =")
     assert not found, f"point store internals named outside connection.py: {found}"
 
 
