@@ -33,8 +33,8 @@ from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, rescale
 from .connection import MetricChart, _PointData, _chern_stack, _frame_torsion, _metric_points
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
-                        connection_curvature_oracle, constancy_table, curv4_rows, hsc,
-                        symmetrize, _selfdual, _weyl_minus)
+                        constancy_table, curv4_rows, hsc, symmetrize, _constancy_of_bases,
+                        _curvature_oracle, _selfdual, _weyl_minus)
 from .errors import ConfigError, GauduchonError, _as_int
 from .wjet import abs2, eval_jets, fd_jets, z, zbar
 
@@ -236,7 +236,7 @@ class _Suite:
     def gauduchon(self) -> np.ndarray:
         """Gauduchon curvatures R[p, m] of the first 10 points at the m-th t
         of HERMITIAN_T, from one weighted sum of their stored bases."""
-        W = np.array([canonical_weights((t, 0.0)) for t in HERMITIAN_T])
+        W = canonical_weights([(t, 0.0) for t in HERMITIAN_T])
         return np.tensordot(W, self.small_data.basis, (1, 1)).swapaxes(0, 1)
 
     @cached_property
@@ -296,9 +296,8 @@ class _Suite:
         b = self.small_data
         B = b.basis
         chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - _chern_stack(b, b.E)
-        W = np.array([canonical_weights(ts) for ts in ORACLE_PARAMS])
-        oracle = np.tensordot(W, B, (1, 1)) \
-            - connection_curvature_oracle(self.chart, ORACLE_PARAMS, self.small)
+        W = canonical_weights(ORACLE_PARAMS)
+        oracle = np.tensordot(W, B, (1, 1)) - _curvature_oracle(ORACLE_PARAMS, b)
         res = [np.max(np.abs(chern), axis=(1, 2, 3, 4)),
                np.max(np.abs(oracle), axis=(2, 3, 4, 5)).ravel()]
         return [dict(residuals=np.concatenate(res), points=len(self.small))]
@@ -314,7 +313,7 @@ class _Suite:
     def constancy(self) -> list:
         if not self.grid:
             return []
-        cs, res = constancy_table(self.chart, self.grid, self.pts)
+        cs, res = _constancy_of_bases(canonical_weights(self.grid), self.data.basis)
         return [dict(residuals=r, points=len(self.pts), params=(t, s),
                      value=float(np.mean(c)),
                      detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
@@ -502,8 +501,10 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     _check_finite("t and s", t, s)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
-    cs, residuals = constancy_table(chart, [(t, s)], pts)
-    C = np.tensordot(canonical_weights((t, s)), canonical_bases(chart, pts), (0, 1))
+    B = canonical_bases(chart, pts)
+    W = canonical_weights([(t, s)])
+    cs, residuals = _constancy_of_bases(W, B)
+    C = np.tensordot(W[0], B, (0, 1))
     draws = rng.standard_normal((len(pts), HSC_DIRECTIONS, 2, chart.n))
     eta = draws[:, :, 0] + 1j * draws[:, :, 1]
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)     # uniform on the unit sphere

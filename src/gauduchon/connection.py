@@ -206,9 +206,13 @@ def _point_batch(chart: MetricChart, keys) -> _PointData:
     Z = _check_points(chart, keys)
     n, P = chart.n, len(Z)
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
-    # Stack each jet part over the components, component pair (i, j) last.
+    # Stack each jet part over the distinct component jets once, then spread
+    # it to the n^2 components, component pair (i, j) last.
+    slot = {}
+    spread = [slot.setdefault(id(J), len(slot)) for J in jets]
+    distinct = list({id(J): J for J in jets}.values())
     G, dG, dbarG, ddG, ddbarG, dbardbarG = (
-        np.stack([getattr(J, part) for J in jets], axis=-1).reshape(
+        np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
             (P,) + getattr(jets[0], part).shape[1:] + (n, n))
         for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"))
     GH = G.conj().transpose(0, 2, 1)
@@ -284,21 +288,29 @@ def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     return X
 
 
-def _frame_torsion(b: _MetricData, E: np.ndarray) -> np.ndarray:
+def _upper(E: np.ndarray) -> np.ndarray:
+    """The matrices inv(E[p])^T that move upper slots into the frames E[p]."""
+    return np.linalg.inv(E).transpose(0, 2, 1)
+
+
+def _frame_torsion(b: _MetricData, E: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
     """Chern torsion T[p, i, j, k] = T^i_jk of stacked points in the frames
     E[p], from the coordinate torsion of
-    Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k)."""
+    Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k).
+    up is `_upper(E)`, when the caller already has it."""
     P, n = b.ginv.shape[:2]
     Gamma = (b.ginv @ b.dG.reshape(P, n * n, n).transpose(0, 2, 1)).reshape(P, n, n, n)
     T = _to_frame(0.5 * (Gamma - Gamma.transpose(0, 1, 3, 2)),
-                  np.linalg.inv(E).transpose(0, 2, 1), E, E)
+                  _upper(E) if up is None else up, E, E)
     return 0.5 * (T - T.transpose(0, 1, 3, 2))
 
 
-def _frame_torsion_dbar(b: _MetricData, E: np.ndarray) -> np.ndarray:
+def _frame_torsion_dbar(b: _MetricData, E: np.ndarray,
+                        up: np.ndarray | None = None) -> np.ndarray:
     """TD[p, j, i, k, l] = T^j_{ik,lbar} of stacked points in the frames E[p].
     The Chern connection has no mixed coordinate Christoffel symbols, so in
-    coordinates this is dbar_l of the torsion, transformed as a (1,3)-tensor."""
+    coordinates this is dbar_l of the torsion, transformed as a (1,3)-tensor.
+    up is `_upper(E)`, when the caller already has it."""
     P, n = b.ginv.shape[:2]
     ginv = b.ginv[:, None]
     # dbar_l g^{k qbar} = - g^{k bbar} (dbar_l g_{a bbar}) g^{a qbar}: dginv[p, l, k, q]
@@ -309,15 +321,19 @@ def _frame_torsion_dbar(b: _MetricData, E: np.ndarray) -> np.ndarray:
         + (b.ginv @ b.ddbarG.reshape(P, n ** 3, n).transpose(0, 2, 1)) \
         .reshape(P, n, n, n, n).transpose(0, 1, 2, 4, 3)
     TD = _to_frame(0.5 * (dGamma - dGamma.transpose(0, 1, 3, 2, 4)),
-                   np.linalg.inv(E).transpose(0, 2, 1), E, E, E.conj())
+                   _upper(E) if up is None else up, E, E, E.conj())
     return 0.5 * (TD - TD.transpose(0, 1, 3, 2, 4))
 
 
 def _chern_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
     """Chern curvature of stacked points in the frames E[p], from its
     coordinate formula R[p, k, l, i, j] = -d_k dbar_l g_{i jbar}
-    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar})."""
-    R = -b.ddbarG + np.einsum("pab,pkib,plaj->pklij", b.ginv, b.dG, b.dbarG, optimize=True)
+    + g^{a bbar} (d_k g_{i bbar}) (dbar_l g_{a jbar}): the quadratic term is
+    two matmuls, over b and then over a."""
+    P, n = b.ginv.shape[:2]
+    X = b.dG.reshape(P, n * n, n) @ b.ginv.transpose(0, 2, 1)          # X[p, (k, i), a]
+    Q = X @ b.dbarG.transpose(0, 2, 1, 3).reshape(P, n, n * n)           # Q[p, (k, i), (l, j)]
+    R = -b.ddbarG + Q.reshape(P, n, n, n, n).transpose(0, 1, 3, 2, 4)
     return _to_frame(R, E, E.conj(), E, E.conj())
 
 
@@ -326,13 +342,21 @@ def _basis_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
     the four tensors of every point from one pass with a leading point axis.
     B[0] is the Chern curvature less the torsion terms, whose weights at
     Chern are (1, -1, -1)."""
-    T = _frame_torsion(b, E)
-    TD = _frame_torsion_dbar(b, E)
-    Tc = np.conj(T)
+    up = _upper(E)
+    T = _frame_torsion(b, E, up)
+    TD = _frame_torsion_dbar(b, E, up)
+    P, n = T.shape[:2]
     term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
-    term2 = np.einsum("...rik,...rjl->...klij", T, Tc) \
-        - np.einsum("...jrk,...irl->...klij", T, Tc)
-    term3 = np.einsum("...krj,...lir->...klij", Tc, T)
+    # The quadratic terms are matmuls over the summed index r.  T is exactly
+    # antisymmetric in its lower pair, so T^j_rk conj(T^i_rl) = T^j_kr
+    # conj(T^i_lr) and conj(T^k_rj) T^l_ir = -conj(T^k_jr T^l_ir) exactly:
+    # both come from N[p, (a, b), (c, d)] = sum_r T^a_br conj(T^c_dr).
+    first = T.reshape(P, n, n * n)                                       # [p, r, (i, k)]
+    A = (first.transpose(0, 2, 1) @ first.conj()).reshape(P, n, n, n, n)    # [p, i, k, j, l]
+    last = T.reshape(P, n * n, n)                                        # [p, (a, b), r]
+    N = (last @ last.conj().transpose(0, 2, 1)).reshape(P, n, n, n, n)      # [p, a, b, c, d]
+    term2 = A.transpose(0, 2, 4, 1, 3) - N.transpose(0, 2, 4, 3, 1)
+    term3 = -np.conj(N.transpose(0, 1, 3, 4, 2))
     lc = _chern_stack(b, E) - term1 + term2 + term3
     return np.stack([lc, term1, term2, term3], axis=1)
 

@@ -23,8 +23,9 @@ import numpy as np
 
 # chern_torsion is re-exported: code outside the package (the benchmark's
 # tracer tests) reaches it through this module.
-from .connection import (MetricChart, as_params, chern_torsion, metric_values, _basis_stack,
-                         _check_points, _chern_stack, _frame_E, _metric_points, _point, _to_frame)
+from .connection import (ConnectionParams, MetricChart, as_params, chern_torsion, metric_values,
+                         _basis_stack, _check_points, _chern_stack, _frame_E, _metric_points,
+                         _point, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
 from .wjet import as_point, _axis_steps, _first_difference
 
@@ -63,10 +64,19 @@ def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
 
 def canonical_weights(params) -> np.ndarray:
     """Weights (1, p, p^2 - 2p, s^2 - 1), p = t - t s, of the four
-    `canonical_basis` tensors in the curvature of D^t_s."""
-    pr = as_params(params)
-    p = pr.p
-    return np.array([1.0, p, p * p - 2 * p, pr.s * pr.s - 1])
+    `canonical_basis` tensors in the curvature of D^t_s: shape (4,) for one
+    (t, s) pair, and one row per pair, shape (m, 4), for a sequence or an
+    (m, 2) array of m pairs (m = 0 included)."""
+    if isinstance(params, ConnectionParams):
+        params = (params.t, params.s)
+    ts = np.asarray(params, dtype=float)
+    if ts.size == 0:
+        ts = ts.reshape(0, 2)
+    if ts.ndim not in (1, 2) or ts.shape[-1] != 2:
+        raise ConfigError(f"canonical_weights needs (t, s) pairs, got shape {ts.shape}")
+    t, s = ts[..., 0], ts[..., 1]
+    p = t - t * s
+    return np.stack([np.ones_like(p), p, p * p - 2 * p, s * s - 1], axis=-1)
 
 
 def canonical_bases(chart: MetricChart, points) -> np.ndarray:
@@ -163,8 +173,14 @@ def hsc(C, eta):
     norm2 = np.sum(np.abs(eta) ** 2, axis=-1)
     if np.any(norm2 < 1e-30):
         raise ZeroVector("hsc needs a nonzero direction")
-    val = np.einsum("...klij,...k,...l,...i,...j->...", tensor_of(C), eta, eta.conj(), eta,
-                    eta.conj())
+    # One broadcast matmul per slot, j, i, l and k in turn: X holds the slots
+    # still open as rows and shrinks by a factor n at each step.
+    X = tensor_of(C)
+    n = X.shape[-1]
+    X = X.reshape(X.shape[:-4] + (n ** 4, 1))
+    for u in (eta.conj(), eta, eta.conj(), eta):
+        X = X.reshape(X.shape[:-2] + (-1, n)) @ u[..., None]
+    val = X[..., 0, 0]
     bad = ~(np.abs(val.imag) <= 1e-9 * np.maximum(1.0, np.abs(val)))
     if np.any(bad):
         raise NotHermitian(f"hsc contraction is not real: {val[bad].flat[0]}")
@@ -209,18 +225,26 @@ def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    The points' stored bases come from `canonical_bases` and are
-    symmetrized together; every cell is then one row of a weight matrix
-    applied to a point's symmetrized basis, so the cost grows with the
-    points, not with cells x points.  The points are fitted in one pass, or
-    in blocks when cells x points x n^4 would exceed `FIT_ENTRIES`.  An
-    empty params_list gives empty arrays; an empty point list raises
-    ConfigError.
+    The points' stored bases come from `canonical_bases`, and
+    `_constancy_of_bases` fits them.  An empty params_list gives empty arrays;
+    an empty point list raises ConfigError.
     """
     if len(points) == 0:
         raise ConfigError("constancy_table needs at least one point; the point list is empty")
-    W = np.array([canonical_weights(pr) for pr in params_list]).reshape(-1, 4)
-    Rh = _symmetrized(canonical_bases(chart, points))
+    return _constancy_of_bases(canonical_weights(params_list), canonical_bases(chart, points))
+
+
+def _constancy_of_bases(W: np.ndarray, B: np.ndarray):
+    """Constancy estimates c[cell, point] and residual[cell, point] of the
+    tensors W[cell] @ B[point], W an (r, 4) `canonical_weights` matrix and B
+    a stack of P bases (P, 4, n, n, n, n).
+
+    The bases are symmetrized together; every cell is then one row of W
+    applied to a point's symmetrized basis, so the cost grows with the
+    points, not with cells x points.  The points are fitted in one pass, or
+    in blocks when cells x points x n^4 would exceed `FIT_ENTRIES`.
+    """
+    Rh = _symmetrized(B)
     step = max(1, FIT_ENTRIES // max(1, len(W) * Rh[0, 0].size))
     c, residual = zip(*(_constancy_fit(W, Rh[i:i + step]) for i in range(0, len(Rh), step)))
     return np.concatenate(c, axis=1), np.concatenate(residual, axis=1)
@@ -355,8 +379,13 @@ def connection_curvature_oracle(chart: MetricChart, params_list, points) -> np.n
     built once for all the cells; each cell then weights it and takes its
     Riemann tensor.  It builds (2n)^4 arrays and serves only to check the
     production path."""
-    b = _metric_points(chart, points)
-    n, E = chart.n, b.E
+    return _curvature_oracle(params_list, _metric_points(chart, points))
+
+
+def _curvature_oracle(params_list, b) -> np.ndarray:
+    """`connection_curvature_oracle` at the points of a record `b` of
+    `connection._metric_points`."""
+    n, E = b.G.shape[-1], b.E
     parts = _christoffel_parts(b)
     R = [_to_frame(_riemann(*_christoffel(parts, ts))[:, :n, n:, :n, n:],
                    E, E.conj(), E, E.conj()) for ts in params_list]

@@ -288,12 +288,17 @@ class ScalarField:
 def as_field(x) -> ScalarField:
     if isinstance(x, ScalarField):
         return x
-    return Const(complex(x))
+    return Const(x)
 
 
 @dataclass(eq=False)
 class Const(ScalarField):
     value: complex
+
+    def __post_init__(self):
+        # Every constant is a Python complex: a numpy scalar would serialize
+        # as "np.float64(...)", which `parse_field` rejects.
+        self.value = complex(self.value)
 
     def _value(self, z):
         return np.full(z.shape[:-1], self.value)
@@ -482,7 +487,7 @@ def zbar(i: int) -> ScalarField:
 
 
 def const(c) -> ScalarField:
-    return Const(complex(c))
+    return Const(c)
 
 
 def exp(f) -> ScalarField:
@@ -714,7 +719,7 @@ class _Parser:
                 raise ValueError(f"coordinate indices are 1-based, got {tok!r}")
             return Coord(int(mo.group(1)) - 1)
         try:
-            return Const(complex(float(tok)))
+            return Const(float(tok))
         except ValueError:
             raise ValueError(f"unrecognized token {tok!r} in field expression") from None
 

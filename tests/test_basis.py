@@ -69,6 +69,49 @@ def test_canonical_weights():
                                   [1.0, 3.0, 3.0, -1.0])
 
 
+def weights_one_at_a_time(t, s):
+    """The weights of one cell from Python floats, the scalar formula."""
+    p = t - t * s
+    return [1.0, p, p * p - 2 * p, s * s - 1]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cells=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=30))
+def test_canonical_weights_of_many_cells_equal_per_cell_stacking(cells):
+    """One call on m cells gives, bit for bit, the rows of m one-cell calls
+    (pairs or ConnectionParams) and of the scalar formula, for a list and an
+    (m, 2) array alike; no cells give a (0, 4) array."""
+    W = gd.canonical_weights(cells)
+    assert W.shape == (len(cells), 4) and W.dtype == float
+    stacked = np.array([gd.canonical_weights(ts) for ts in cells]).reshape(-1, 4)
+    np.testing.assert_array_equal(W, stacked)
+    np.testing.assert_array_equal(W, np.array([weights_one_at_a_time(*ts) for ts in cells])
+                                  .reshape(-1, 4))
+    np.testing.assert_array_equal(gd.canonical_weights(np.array(cells).reshape(-1, 2)), W)
+    for ts, row in zip(cells, W):
+        assert gd.canonical_weights(ts).shape == (4,)
+        np.testing.assert_array_equal(gd.canonical_weights(gd.ConnectionParams(*ts)), row)
+
+
+def test_canonical_weights_refuse_what_is_not_a_pair():
+    assert gd.canonical_weights([]).shape == (0, 4)
+    for bad in ((1.0,), (1.0, 2.0, 3.0), [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2))):
+        with pytest.raises(gd.ConfigError):
+            gd.canonical_weights(bad)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_canonical_basis_at_n6_matches_four_term_formula(seed):
+    """The matmul kernels at n = 6, where every slot has room: the Hopf
+    chart's basis against the einsums of `direct_terms`."""
+    chart = gd.hopf_chart(6)
+    z = sample_point(chart, seed)
+    B = gd.canonical_basis(chart, z)
+    for X, ref in zip(B, direct_terms(chart, z)):
+        assert np.max(np.abs(X - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(B[3])) > 0.1       # the torsion terms are not trivially 0
+
+
 def rotate_curv(R, Q):
     """R'[a,b,c,d] = R[k,l,i,j] Q[k,a] conj(Q[l,b]) Q[i,c] conj(Q[j,d])."""
     return np.einsum("klij,ka,lb,ic,jd->abcd", R, Q, Q.conj(), Q, Q.conj())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
+from gauduchon.catalog import SPEC_KEYS
 from gauduchon.connection import metric_values
 from gauduchon.errors import InvalidSpec, ZeroPoint
 
@@ -44,25 +45,48 @@ def test_catalog_positive_definite_everywhere(catalog_charts):
             assert eig.min() > 0, chart.label
 
 
+# One spec of every chart tag; the admissible ones with real and with
+# complex entries of A.
+CATALOG_SPECS = [
+    {"chart": "euclidean", "n": 2},
+    {"chart": "hopf_standard", "n": 2, "a": 0.5},
+    {"chart": "fs_bergman"},
+    {"chart": "fubini_study", "n": 2},
+    {"chart": "complex_hyperbolic", "n": 2},
+    {"chart": "admissible", "n": 2, "a": 0.5,
+     "multipliers": [[0.5, 0], [0.5, 0]],
+     "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0},
+    {"chart": "admissible", "n": 2, "a": 0.5,
+     "A": [[[0.2, 0.1], [0, 0.05]], [[0, 0.05], [0.1, 0]]], "c0": 1.3},
+    {"chart": "conformal", "base": {"chart": "euclidean", "n": 2},
+     "f": "(mul 0.1 (add z1 zbar1))"},
+    {"chart": "inline", "n": 2,
+     "g": [["(add 1 (mul z1 zbar1))", "0"], ["0", "1"]]},
+]
+
+
 def test_make_chart_json_tags(adm_spec):
-    specs = [
-        {"chart": "euclidean", "n": 2},
-        {"chart": "hopf_standard", "n": 2, "a": 0.5},
-        {"chart": "fs_bergman"},
-        {"chart": "fubini_study", "n": 2},
-        {"chart": "complex_hyperbolic", "n": 2},
-        {"chart": "admissible", "n": 2, "a": 0.5,
-         "multipliers": [[0.5, 0], [0.5, 0]],
-         "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0},
-        {"chart": "conformal", "base": {"chart": "euclidean", "n": 2},
-         "f": "(mul 0.1 (add z1 zbar1))"},
-        {"chart": "inline", "n": 2,
-         "g": [["(add 1 (mul z1 zbar1))", "0"], ["0", "1"]]},
-    ]
-    for spec in specs:
+    assert {spec["chart"] for spec in CATALOG_SPECS} == set(SPEC_KEYS)
+    for spec in CATALOG_SPECS:
         chart = gd.make_chart(spec)
         p = gd.sample_points(chart, 1, 3)[0]
         metric_values(chart, p)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda spec: spec["chart"])
+def test_serialized_components_parse_back_to_the_same_field(spec):
+    """Every component of every catalog chart serializes to text that
+    `parse_field` reads back into a field with bit-equal values and jets."""
+    chart = gd.make_chart(spec)
+    Z = np.array(gd.sample_points(chart, 4, 5))
+    fields = [f for row in chart.g for f in row]
+    parsed = [gd.parse_field(f.serialize()) for f in fields]
+    for f, g in zip(fields, parsed):
+        assert g.serialize() == f.serialize()
+        np.testing.assert_array_equal(g._value(Z), f._value(Z))
+    for jf, jg in zip(gd.eval_jets(fields, Z), gd.eval_jets(parsed, Z)):
+        for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
+            np.testing.assert_array_equal(getattr(jg, part), getattr(jf, part))
 
 
 def test_make_chart_admissible_matches_constructor(adm, adm_spec):

@@ -525,6 +525,26 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
         assert (rec["hsc_min"], rec["hsc_max"]) == (float(hs.min()), float(hs.max()))
 
 
+def test_hsc_payload_reads_its_points_once(monkeypatch):
+    """One store read of the sample points feeds c, the residual and the
+    HSC tensor."""
+    import gauduchon.cli as cli
+    import gauduchon.connection as connection
+    import gauduchon.curvature as curvature
+    reads = []
+    read = connection._metric_points
+
+    def counting(chart, points):
+        reads.append(len(points))
+        return read(chart, points)
+
+    # Each module binds the name; count reads made through any of them.
+    for module in (cli, connection, curvature):
+        monkeypatch.setattr(module, "_metric_points", counting)
+    cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
+    assert reads == [4]
+
+
 def test_direction_stack_draws_the_per_direction_stream():
     """`hsc_payload` and the suite's `hsc_symmetrize` draw k directions as
     one (k, 2, n) array: the same numbers, in the same order, as k pairs of

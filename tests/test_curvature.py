@@ -378,6 +378,35 @@ def test_hsc_on_a_stack_of_directions(adm):
         gd.hsc(R, np.array([[0.0, 1.0], [1.0, 0.5j]]))
 
 
+def hermitian_tensor(rng, lead, n):
+    """Random tensors R[..., k, l, i, j] with R_{k lbar i jbar} =
+    conj(R_{l kbar j ibar}), so every HSC contraction is real."""
+    X = rng.standard_normal(lead + (n,) * 4) + 1j * rng.standard_normal(lead + (n,) * 4)
+    return X + np.conj(np.swapaxes(np.swapaxes(X, -4, -3), -2, -1))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([2, 3, 4, 6]), shape=st.sampled_from(["one", "stack", "points"]),
+       k=st.integers(1, 5), P=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_hsc_matmuls_match_the_einsum_reference(n, shape, k, P, seed):
+    """The four slot-by-slot matmuls of `hsc` give the 5-operand einsum's
+    value to 1e-13 of the sum of the absolute terms, for one direction, a
+    stack of k directions and a point axis (P, 1) of tensors against (P, k)
+    directions."""
+    rng = np.random.default_rng(seed)
+    lead_R, lead_eta = {"one": ((), ()), "stack": ((), (k,)), "points": ((P, 1), (P, k))}[shape]
+    R = hermitian_tensor(rng, lead_R, n)
+    eta = rng.standard_normal(lead_eta + (n,)) + 1j * rng.standard_normal(lead_eta + (n,))
+    spec = "...klij,...k,...l,...i,...j->..."
+    ref = np.einsum(spec, R, eta, eta.conj(), eta, eta.conj())
+    bound = np.einsum(spec, *(np.abs(x) for x in (R, eta, eta, eta, eta)))
+    norm2 = np.sum(np.abs(eta) ** 2, axis=-1)
+    got = gd.hsc(R, eta)
+    assert np.shape(got) == ref.shape == np.broadcast_shapes(lead_R, lead_eta)
+    assert (type(got) is float) == (shape == "one")
+    assert np.all(np.abs(got - ref.real / norm2**2) <= 1e-13 * bound / norm2**2)
+
+
 def test_hsc_admissible_reference_value(adm, adm_spec):
     C = gd.canonical_curvature(adm, (-1.0, 0.0), [1, 0])
     for eta in ([1, 0], [0, 1], [1, 1j], [0.3, -0.8 + 0.1j]):

@@ -49,3 +49,28 @@ def test_suite_checks_run_one_pass_over_their_points():
                             and sub.value.id == "self" and sub.attr in ("pts", "small", "cpts")):
                         found.append(f"{method.name}: self.{sub.attr}")
     assert not found, f"_Suite methods loop over sample points: {found}"
+
+
+def einsum_calls(tree):
+    """The `einsum(...)` calls under an AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "einsum"
+                 or getattr(node.func, "id", None) == "einsum")]
+
+
+def test_curvature_kernels_are_matmuls():
+    # An einsum with optimize= plans its contraction path again on every
+    # call; the connection's contractions and `hsc` are reshapes and batched
+    # matmuls, which leave only transposing einsums in connection.py.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in einsum_calls(tree):
+            if any(kw.arg == "optimize" for kw in call.keywords):
+                found.append(f"{path.name}:{call.lineno}: einsum(..., optimize=...)")
+            if path.name == "connection.py" and len(call.args) > 2:
+                found.append(f"{path.name}:{call.lineno}: einsum of {len(call.args) - 1} operands")
+    tree = ast.parse((SRC / "curvature.py").read_text(encoding="utf-8"))
+    [hsc] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hsc"]
+    found += [f"curvature.py:{call.lineno}: einsum in hsc" for call in einsum_calls(hsc)]
+    assert not found, f"einsum kernels left: {found}"
