@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cache, cached_property
 
@@ -30,8 +30,9 @@ import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
-from .conformal import KAHLER_TOL, rescale
-from .connection import MetricChart, _PointData, _chern_stack, _frame_torsion, _metric_points
+from .conformal import KAHLER_TOL, rescale, _factors_at
+from .connection import (MetricChart, _PointData, _chern_stack, _frame_torsion, _metric_points,
+                         _rows)
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
                         constancy_table, curv4_rows, hsc, symmetrize, _constancy_of_bases,
                         _curvature_oracle, _selfdual, _weyl_minus)
@@ -140,7 +141,7 @@ class Record:
     wall_time_s: float | None = None
 
     def as_dict(self, seed: int, timestamp: bool) -> dict:
-        out = asdict(self) | {"seed": seed, "conventions_version": CONVENTIONS_VERSION}
+        out = vars(self) | {"seed": seed, "conventions_version": CONVENTIONS_VERSION}
         if not timestamp or self.wall_time_s is None:
             del out["wall_time_s"]
         return out
@@ -229,8 +230,7 @@ class _Suite:
     @cached_property
     def small_data(self) -> _PointData:
         """The first 10 points of `data`, as views."""
-        k = len(self.small)
-        return _PointData(**{name: a[:k] for name, a in vars(self.data).items()})
+        return _rows(self.data, 0, len(self.small))
 
     @cached_property
     def gauduchon(self) -> np.ndarray:
@@ -242,9 +242,11 @@ class _Suite:
     @cached_property
     def factors(self) -> list:
         """Each conformal pair's factor at the first 5 points, shared by the
-        three conformal checks."""
-        return [rescale(self.chart, f, check_points=self.cpts).at(self.cpts)
-                for f in _conformal_factors(self.chart.n)]
+        three conformal checks: one walk of the factors, the first 5 rows of
+        `data` as their base record, and the rescaled records from one fill."""
+        pairs = [rescale(self.chart, f, check_points=self.cpts)
+                 for f in _conformal_factors(self.chart.n)]
+        return _factors_at(pairs, self.cpts, _rows(self.data, 0, len(self.cpts)))
 
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct

@@ -12,9 +12,10 @@ the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
 The laws run on stacked points (`FactorAt`): one jet walk of f per point
-set; the rescaled side is the rescaled chart's stored data, whose Cholesky
-frames are the paired ones, chol(e^2f G) = e^f chol(G).  The per-point
-functions are its P = 1 calls.
+set; the rescaled side is the rescaled chart's record, built from the
+base's record and f's jet by the Leibniz rule and then filled as the store
+fills (`_rescaled_records`); its Cholesky frames are the paired ones,
+chol(e^2f G) = e^f chol(G).  The per-point functions are its P = 1 calls.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _frame_E,
-                         _frame_torsion, _metric_points, _to_frame)
+from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
+                         _MetricData, _PointData, _fill, _frame_E, _frame_torsion,
+                         _metric_points, _rows, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized
-from .errors import BaseNotKahler, ConfigError, NonRealConformalFactor
-from .wjet import Const, Exp, Mul, ScalarField, as_point, eval_jets
+from .errors import BaseNotKahler, ConfigError, NonFinite, NonRealConformalFactor
+from .wjet import Const, Exp, Mul, ScalarField, WJet2, as_point, eval_jets
 
 REAL_TOL = 1e-12
 KAHLER_TOL = 1e-10
@@ -92,31 +94,39 @@ class FactorAt:
     the frame gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and
     grad2 = f_r f_rbar; `data` is the base's stored record at the points and
     T its Chern torsion.  `rescaled` is the chart e^2f g of the laws that
-    compare with it, read in its own Cholesky frames, the paired frames
-    e^-f E of the base's Cholesky frames; with `frames` it raises ConfigError."""
+    compare with it, whose record (`rescaled_data`) is read in its own
+    Cholesky frames, the paired frames e^-f E of the base's Cholesky frames;
+    with `frames` it raises ConfigError.  `_factors_at` builds several
+    factors on one base at once."""
 
     def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
                  rescaled: MetricChart | None = None):
         if frames is not None and rescaled is not None:
             raise ConfigError("a conformal factor compared with its rescaled chart "
                               "takes the Cholesky frames, not explicit ones")
-        self.chart, self.rescaled = chart, rescaled
-        self.points = np.array([as_point(p) for p in points])
-        self.jet = eval_jets([f], self.points)[0]
-        self.value = self.jet.value.real
-        self.data = b = _metric_points(chart, self.points)
-        self.E = b.E if frames is None else frames
-        self.T = _frame_torsion(b, self.E)
-        self.fr = np.einsum("pia,pi->pa", self.E, self.jet.d)
-        self.frbar = np.einsum("pia,pi->pa", self.E.conj(), self.jet.dbar)
+        points = np.array([as_point(p) for p in points])
+        [jet] = eval_jets([f], points)
+        data = _metric_points(chart, points)
+        E = data.E if frames is None else frames
+        self._hold(chart, rescaled, points, jet, data, E, _frame_torsion(data, E))
+
+    def _hold(self, chart, rescaled, points, jet, data, E, T):
+        """Set the factor's arrays from its jet and the base's record, frames
+        and torsion at the points."""
+        self.chart, self.rescaled, self.points = chart, rescaled, points
+        self.jet, self.data, self.E, self.T = jet, data, E, T
+        self.value = jet.value.real
+        self.fr = np.einsum("pia,pi->pa", E, jet.d)
+        self.frbar = np.einsum("pia,pi->pa", E.conj(), jet.dbar)
         # (P, 1, 1, 1, 1), to scale stacked four-tensors; matmul rounds as np.dot
         self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
 
     @cached_property
     def rescaled_data(self):
-        """The rescaled chart's stored record at the points, from one lookup
-        shared by the torsion law and the deltas."""
-        return _metric_points(self.rescaled, self.points)
+        """The rescaled chart's record at the points, built from the base's
+        record and the factor's jet (`_rescaled_records`), shared by the
+        torsion law and the deltas."""
+        return _rescaled_records([self.rescaled.label], self.points, self.data, [self.jet])
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -214,6 +224,68 @@ def _at_point(chart: MetricChart, f: ScalarField, z, frame=None) -> FactorAt:
     """The P = 1 `FactorAt` of the per-point functions."""
     frames = None if frame is None else _frame_E(frame)[None]
     return FactorAt(chart, f, [z], frames)
+
+
+def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, jets) -> _PointData:
+    """Records of the charts e^2f g at the points Z of the base record b, one
+    block of len(Z) rows per factor jet in `jets` (the factor's jet at Z),
+    built in one `_fill`; block k's rows carry labels[k].  Each component's
+    jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see `rescale`):
+    the scale jet (J * 2.0).exp() times the base jet by the product rule of
+    `WJet2.__mul__`, in its order of operations, so the record is bit for bit
+    the one a fill of the rescaled chart's trees gives.  As in that walk's
+    `eval_jets`, a non-finite jet raises NonFinite naming its point."""
+    k, P, n = len(jets), len(Z), Z.shape[-1]
+    J = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
+    S = (J * 2.0).exp()
+    # Scale parts as [factor, point, derivative axes, 1, 1], broadcast over the
+    # components (i, j) of the base parts [point, derivative axes, i, j].  In
+    # a second-order term, a first derivative takes the first derivative
+    # axis (A) or the second (B).
+    s = S.value.reshape(k, P, 1, 1)
+    s1, s2 = s[..., None], s[..., None, None]
+    d, dbar = (x.reshape(k, P, n, 1, 1) for x in (S.d, S.dbar))
+    dA, dbarA, dbarB = d[..., None], dbar[..., None], dbar[:, :, None]
+    G1, G2 = b.G[:, None], b.G[:, None, None]
+    dGA, dGB, dbarGB = b.dG[:, :, None], b.dG[:, None], b.dbarG[:, None]
+    cross, crossb = dA * dGB, dbarA * dbarGB
+    parts = (
+        s * b.G,
+        d * G1 + s1 * b.dG,
+        dbar * G1 + s1 * b.dbarG,
+        (S.dd.reshape(k, P, n, n, 1, 1) * G2 + s2 * b.ddG) + (cross + cross.swapaxes(2, 3)),
+        S.ddbar.reshape(k, P, n, n, 1, 1) * G2 + dA * dbarGB + dGA * dbarB + s2 * b.ddbarG,
+        (S.dbardbar.reshape(k, P, n, n, 1, 1) * G2 + s2 * b.dbardbarG)
+        + (crossb + crossb.swapaxes(2, 3)),
+    )
+    if not all(np.isfinite(a).all() for a in parts):
+        # The walk checks each rescaled chart's components in turn.
+        for q, i, j in np.ndindex(k, n, n):
+            try:
+                WJet2(*(a[q, ..., i, j] for a in parts)).check_finite()
+            except NonFinite as exc:
+                raise NonFinite(f"{exc} at point {Z[exc.row]}") from None
+    return _fill(np.repeat(labels, P), np.tile(Z, (k, 1)),
+                 *(a.reshape((k * P,) + a.shape[2:]) for a in parts))
+
+
+def _factors_at(pairs, points, data: _PointData) -> list:
+    """The `FactorAt`s of conformal pairs on one base chart at the points of
+    its record `data`, in their Cholesky frames: one `eval_jets` walk of
+    every factor, the base torsion once, and every rescaled record from one
+    `_rescaled_records` fill, sliced per pair."""
+    points = np.array([as_point(p) for p in points])
+    jets = eval_jets([pair.f for pair in pairs], points)
+    T = _frame_torsion(data, data.E)
+    P = len(points)
+    resc = _rescaled_records([pair.rescaled.label for pair in pairs], points, data, jets)
+    factors = []
+    for k, (pair, jet) in enumerate(zip(pairs, jets)):
+        at = FactorAt.__new__(FactorAt)
+        at._hold(pair.base, pair.rescaled, points, jet, data, data.E, T)
+        at.rescaled_data = _rows(resc, k * P, (k + 1) * P)
+        factors.append(at)
+    return factors
 
 
 def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):

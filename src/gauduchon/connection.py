@@ -28,6 +28,8 @@ from .wjet import WJet2, as_point, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
+# The parts of a jet, in the order `_MetricData` stacks them.
+JET_PARTS = ("value", "d", "dbar", "dd", "ddbar", "dbardbar")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +155,7 @@ def _metric_points(chart: MetricChart, points) -> _PointData:
     if missing:
         batch = _point_batch(chart, missing)
         for k, key in enumerate(missing):
-            store[key] = found[key] = _PointData(*(a[k:k + 1] for a in vars(batch).values()))
+            store[key] = found[key] = _rows(batch, k, k + 1)
         while len(store) > POINT_STORE_SIZE:
             store.popitem(last=False)
         if len(missing) == len(keys):
@@ -201,8 +203,8 @@ def _check_points(chart: MetricChart, points) -> np.ndarray:
 
 
 def _point_batch(chart: MetricChart, keys) -> _PointData:
-    """The store's fill: jets, inverse, Cholesky frame and canonical basis of
-    every point in one batch, checked point by point and frozen."""
+    """The store's fill: the jets of every point from one walk, stacked,
+    then `_fill`."""
     Z = _check_points(chart, keys)
     n, P = chart.n, len(Z)
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
@@ -211,37 +213,53 @@ def _point_batch(chart: MetricChart, keys) -> _PointData:
     slot = {}
     spread = [slot.setdefault(id(J), len(slot)) for J in jets]
     distinct = list({id(J): J for J in jets}.values())
-    G, dG, dbarG, ddG, ddbarG, dbardbarG = (
-        np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
-            (P,) + getattr(jets[0], part).shape[1:] + (n, n))
-        for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"))
+    parts = (np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
+        (P,) + getattr(jets[0], part).shape[1:] + (n, n)) for part in JET_PARTS)
+    return _fill((chart.label,) * P, Z, *parts)
+
+
+def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _PointData:
+    """The array stage of a fill: from stacked jets (the `_MetricData`
+    layout) of the points Z, check each row Hermitian positive definite,
+    build its inverse, Cholesky frame and canonical basis, and freeze the
+    record.  Row p belongs to the chart labelled labels[p]; a failing row's
+    error names that label and Z[p]."""
+    n = G.shape[-1]
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
     Gh = 0.5 * (G + GH)
     eig = np.linalg.eigvalsh(Gh)
-    for z, defect, scale, lam in zip(Z, herm_defect, np.max(np.abs(G), axis=(1, 2)),
-                                     eig[:, 0]):
-        if defect > HERMITIAN_TOL * max(1.0, scale):
-            raise NotPositiveDefinite(
-                f"metric of {chart.label} is not Hermitian at {z} (defect {defect:.2e})")
-        if lam <= 0:
-            raise NotPositiveDefinite(
-                f"metric of {chart.label} has smallest eigenvalue {lam:.3e} at {z}")
+    not_herm = herm_defect > HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(G), axis=(1, 2)))
+    bad = np.flatnonzero(not_herm | (eig[:, 0] <= 0))
+    if bad.size:
+        p = bad[0]
+        if not_herm[p]:
+            raise NotPositiveDefinite(f"metric of {labels[p]} is not Hermitian at {Z[p]} "
+                                      f"(defect {herm_defect[p]:.2e})")
+        raise NotPositiveDefinite(
+            f"metric of {labels[p]} has smallest eigenvalue {eig[p, 0]:.3e} at {Z[p]}")
     ginv = np.linalg.inv(G).transpose(0, 2, 1)
     L = np.linalg.cholesky(Gh)          # G = L L^H, deterministic, no pivoting
     # Unitarity of a (1,0) frame means g(e_a, ebar_b) = (E^T G conj(E))[a,b]
     # = delta_ab; conjugation sits on the barred slot.
     E = np.linalg.inv(L.transpose(0, 2, 1))
     defects = np.max(np.abs(E.transpose(0, 2, 1) @ G @ E.conj() - np.eye(n)), axis=(1, 2))
-    for z, defect, (lam, top) in zip(Z, defects, eig[:, [0, -1]]):
-        if not defect < FRAME_TOL:
-            raise NotPositiveDefinite(
-                f"Cholesky frame of {chart.label} at {z} has unitarity defect {defect:.3e}"
-                f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
-                f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
+    bad = np.flatnonzero(~(defects < FRAME_TOL))
+    if bad.size:
+        p = bad[0]
+        lam, top = eig[p, [0, -1]]
+        raise NotPositiveDefinite(
+            f"Cholesky frame of {labels[p]} at {Z[p]} has unitarity defect {defects[p]:.3e}"
+            f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
+            f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
     data = _MetricData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
     parts = (*vars(data).values(), _basis_stack(data, E))
     return _PointData(*map(_read_only, parts))   # each point's view is read-only too
+
+
+def _rows(b: _PointData, start: int, stop: int) -> _PointData:
+    """Rows start:stop of a record, as views."""
+    return _PointData(*(a[start:stop] for a in vars(b).values()))
 
 
 def metric_jet(chart: MetricChart, z):

@@ -317,12 +317,16 @@ def _riemann(Gamma, dGamma, M) -> np.ndarray:
     """Riem[p, c, d, b, f] = R(d_c, d_d, d_b, d_f) of the connection with
     Christoffel symbols Gamma[p, a, b, c] = Gamma^a_bc and derivatives
     dGamma[p, e, a, b, c] = d_e Gamma^a_bc, in coordinates with metric M[p]."""
-    # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a
-    X = np.einsum("...cadb->...abcd", dGamma)
-    Y = np.einsum("...dacb->...abcd", dGamma)
-    P = np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
-    Q = np.einsum("...ade,...ecb->...abcd", Gamma, Gamma)
-    return np.einsum("...abcd,...af->...cdbf", X - Y + P - Q, M)
+    lead, N = Gamma.shape[:-3], Gamma.shape[-1]
+    # R(d_c, d_d) d_b = Rup[a, b, c, d] d_a = X - Y + P - Q, held with its
+    # axes as [c, d, b, a]: X = d_c Gamma^a_db, P = Gamma^a_ce Gamma^e_db, and Y
+    # and Q the same with c and d swapped.  P is one matmul K[(a, c), (d, b)]
+    # over e, and the metric contraction over a another.
+    K = Gamma.reshape(lead + (N * N, N)) @ Gamma.reshape(lead + (N, N * N))
+    X = np.moveaxis(dGamma, -3, -1)
+    P = np.moveaxis(K.reshape(lead + (N,) * 4), -4, -1)
+    Rup = X - X.swapaxes(-4, -3) + P - P.swapaxes(-4, -3)
+    return (Rup.reshape(lead + (N ** 3, N)) @ M).reshape(lead + (N,) * 4)
 
 
 def _christoffel_parts(b):

@@ -18,6 +18,7 @@ import gauduchon.cli as cli
 import gauduchon.conformal as conformal
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
+import gauduchon.wjet as wjet
 from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.errors import GauduchonError
 
@@ -156,25 +157,27 @@ def test_stored_basis_goes_with_its_chart():
 
 
 def counting(monkeypatch):
-    """Record the point count of every basis build, and whether it ran in
-    the store's fill (`_point_batch`) or outside it, in an explicit frame."""
+    """Record the row count of every basis build, and whether it ran in a
+    fill's array stage (`_fill`, which the store's fill and the rescaled
+    records share) or outside it, in an explicit frame."""
     builds, filling = [], [False]
-    build, fill = connection._basis_stack, connection._point_batch
+    build, fill = connection._basis_stack, connection._fill
 
     def counted(b, E):
         builds.append((len(E), filling[0]))
         return build(b, E)
 
-    def counted_fill(chart, keys):
+    def counted_fill(*args):
         filling[0] = True
         try:
-            return fill(chart, keys)
+            return fill(*args)
         finally:
             filling[0] = False
 
     monkeypatch.setattr(connection, "_basis_stack", counted)
     monkeypatch.setattr(curvature, "_basis_stack", counted)
-    monkeypatch.setattr(connection, "_point_batch", counted_fill)
+    monkeypatch.setattr(connection, "_fill", counted_fill)
+    monkeypatch.setattr(conformal, "_fill", counted_fill)
     return builds
 
 
@@ -202,13 +205,14 @@ def suite_adm2_config():
 
 
 def test_suite_builds_bases_only_in_its_fills(monkeypatch):
-    """The bench's suite_adm2 config: bases are built only inside the
-    store's fills, 4 of them over 55 points: the 40 sample points, and the
-    first 5 on each of the three rescaled charts, whose Cholesky frames are
-    the paired frames the conformal laws compare in."""
+    """The bench's suite_adm2 config: bases are built only inside fills, 2
+    of them over 55 rows: the store's fill of the 40 sample points, and one
+    fill of the 15 rescaled rows, the first 5 points on each of the three
+    rescaled charts, whose Cholesky frames are the paired frames the
+    conformal laws compare in."""
     builds = counting(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert sorted(builds) == [(5, True)] * 3 + [(40, True)]
+    assert builds == [(40, True), (15, True)]
 
 
 def counting_lookups(monkeypatch):
@@ -264,17 +268,28 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert lookups == [1]
 
 
-def test_suite_makes_at_most_7_store_lookups(monkeypatch):
-    """The bench's suite_adm2 config: 7 lookups.  The run reads its 40
-    points' data, their bases among it, once, as one stacked record, which
-    `interpolation`'s oracle and `constancy` read too; the conformal checks
-    (the base and the rescaled chart of each of the 3 factors) make the
-    rest.  The oracle and `constancy` looking their points up again took 9;
-    reading the bases apart from the metric data took 12 (112 when checks
-    looked their points up one at a time)."""
-    lookups = counting_lookups(monkeypatch)
+def test_suite_makes_one_store_lookup_and_no_hits(monkeypatch):
+    """The bench's suite_adm2 config: one lookup, of the 40 sample points,
+    none of them stored before it.  The run reads its points' data, their
+    bases among it, once, as one stacked record, which `interpolation`'s
+    oracle, `constancy` and the conformal checks read too; the conformal
+    checks' rescaled records are built from it, not looked up.  The
+    conformal checks' own lookups of the base and the rescaled charts took
+    7; the oracle and `constancy` looking their points up again took 9
+    (112 when checks looked their points up one at a time)."""
+    lookups = []
+    lookup = connection._metric_points
+
+    def counted(chart, points):
+        store = connection._STORE.get(chart, {})
+        lookups.append((len(points), sum(connection._as_key(z) in store for z in points)))
+        return lookup(chart, points)
+
+    for module in (connection, curvature, conformal, cli):
+        if getattr(module, "_metric_points", None) is lookup:
+            monkeypatch.setattr(module, "_metric_points", counted)
     assert run_suite(suite_adm2_config()).all_passed
-    assert len(lookups) <= 7
+    assert lookups == [(40, 0)]
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
@@ -315,8 +330,8 @@ def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_pa
 
 def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
     """The bench's suite_adm2 config: `conformal_torsion` takes one
-    `eval_jets` walk per conformal factor over its 5 points, and
-    `commutation` and `conformal_delta` reuse those walks."""
+    `eval_jets` walk of all three conformal factors over its 5 points, and
+    `commutation` and `conformal_delta` reuse it."""
     current = [None]
     for name, (tol, check) in list(cli.CHECKS.items()):
         def run_check(suite, name=name, check=check):
@@ -333,10 +348,43 @@ def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
 
     monkeypatch.setattr(conformal, "eval_jets", counted)
     assert run_suite(suite_adm2_config()).all_passed
-    assert set(walks.values()) == {1}
-    assert Counter(name for name, _ in walks) == Counter(
-        {"conformal_torsion": 3, "commutation": 0, "conformal_delta": 0})
+    [(name, fields)] = walks
+    assert (name, len(fields), walks[name, fields]) == ("conformal_torsion", 3, 1)
     assert sizes == {("conformal_torsion", 5)}
+
+
+def test_suite_walks_no_rescaled_tree(monkeypatch):
+    """The bench's suite_adm2 config: 3 `eval_jets` walks in all: the base
+    fill's over the 40 points, `wjet_oracle`'s over the first 10 and one of
+    the three conformal factors over the first 5; no walk and no store
+    fill touches a rescaled chart, whose records come from the base
+    record."""
+    rescaled, walks, filled = [], [], []
+    pair_of, walk, fill = cli.rescale, wjet.eval_jets, connection._point_batch
+
+    def recording_rescale(chart, f, **kwargs):
+        pair = pair_of(chart, f, **kwargs)
+        rescaled.append(pair.rescaled)
+        return pair
+
+    def counted_walk(fields, points):
+        walks.append((fields, len(points)))
+        return walk(fields, points)
+
+    def counted_fill(chart, keys):
+        filled.append(chart)
+        return fill(chart, keys)
+
+    monkeypatch.setattr(cli, "rescale", recording_rescale)
+    for module in (wjet, connection, conformal, cli):
+        monkeypatch.setattr(module, "eval_jets", counted_walk)
+    monkeypatch.setattr(connection, "_point_batch", counted_fill)
+    assert run_suite(suite_adm2_config()).all_passed
+    assert [(len(fields), count) for fields, count in walks] == [(4, 40), (2, 10), (3, 5)]
+    assert len(rescaled) == 3 and len(filled) == 1
+    assert not any(chart in filled for chart in rescaled)
+    trees = {id(g) for chart in rescaled for row in chart.g for g in row}
+    assert not any(id(f) in trees for fields, _ in walks for f in fields)
 
 
 def test_suite_oracle_takes_one_fd_jets_walk_per_tree(monkeypatch):

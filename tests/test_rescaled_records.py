@@ -1,0 +1,116 @@
+"""The rescaled records the conformal laws read: built from the base
+record and the factor's jet by the Leibniz rule, bit for bit the jets a
+fill of the rescaled chart's trees gives, and failing as that fill fails."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gauduchon as gd
+import gauduchon.connection as connection
+from gauduchon.cli import _conformal_factors
+from gauduchon.conformal import _factors_at, _rescaled_records
+from gauduchon.errors import NonFinite, NotPositiveDefinite
+
+# One spec of every catalog chart tag.
+CATALOG = [
+    {"chart": "euclidean", "n": 2},
+    {"chart": "hopf_standard", "n": 2, "a": 0.5},
+    {"chart": "hopf_standard", "n": 3},
+    {"chart": "fs_bergman"},
+    {"chart": "fubini_study", "n": 2},
+    {"chart": "complex_hyperbolic", "n": 2},
+    {"chart": "admissible", "n": 2, "a": 0.5,
+     "A": [[[0.2, 0.1], [0, 0.05]], [[0, 0.05], [0.1, 0]]], "c0": 1.3},
+    {"chart": "conformal", "base": {"chart": "euclidean", "n": 2},
+     "f": "(mul 0.1 (add z1 zbar1))"},
+    {"chart": "inline", "n": 2, "g": [["(add 1 (mul z1 zbar1))", "0"], ["0", "1"]]},
+]
+JET_PARTS = connection.JET_PARTS
+
+
+def assert_rel(got, want, rtol=1e-15):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+def assert_same_record(got, want):
+    """Jets bit for bit; E, ginv and basis within 1e-15 of their size."""
+    for name in ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    for name in ("E", "ginv", "basis"):
+        assert_rel(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=st.sampled_from(range(len(CATALOG))), which=st.integers(0, 2),
+       count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_leibniz_record_equals_the_rescaled_trees_fill(spec, which, count, seed):
+    chart = gd.make_chart(CATALOG[spec])
+    factors = _conformal_factors(chart.n)
+    f = factors[which % len(factors)]
+    pts = gd.sample_points(chart, count, np.random.default_rng(seed))
+    pair = gd.rescale(chart, f, check_points=pts)
+    want = connection._metric_points(pair.rescaled, pts)
+    Z = np.array(pts)
+    [jet] = gd.eval_jets([f], Z)
+    got = _rescaled_records([pair.rescaled.label], Z, connection._metric_points(chart, pts), [jet])
+    assert_same_record(got, want)
+    assert_same_record(pair.at(pts).rescaled_data, want)
+    assert all(not a.flags.writeable for a in vars(got).values())
+
+
+@pytest.mark.parametrize("spec", [0, 2, 6])
+def test_stacked_factors_equal_each_pair_on_its_own(spec):
+    """`_factors_at` walks every factor once and fills all the rescaled
+    rows together; each factor's slice is its pair's own record."""
+    chart = gd.make_chart(CATALOG[spec])
+    pts = gd.sample_points(chart, 5, np.random.default_rng(4))
+    pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
+    stacked = _factors_at(pairs, pts, connection._metric_points(chart, pts))
+    for pair, at in zip(pairs, stacked, strict=True):
+        one = pair.at(pts)
+        for name in ("value", "fr", "frbar", "grad2", "T", "E"):
+            np.testing.assert_array_equal(getattr(at, name), getattr(one, name), err_msg=name)
+        assert_same_record(at.rescaled_data, connection._metric_points(pair.rescaled, pts))
+        np.testing.assert_array_equal(at.torsion_residuals(), one.torsion_residuals())
+        np.testing.assert_array_equal(at.delta_direct((3.0, 0.0)), one.delta_direct((3.0, 0.0)))
+
+
+def overflow_case():
+    """A real factor on the flat chart whose exp(2f) overflows at the second
+    of three points only; the factor itself is finite there."""
+    chart = gd.euclidean_chart(2)
+    pts = np.array([[0.1, 0.2], [1.0, 0.0], [0.2, 0.1j]], dtype=complex)
+    f = 200.0 * (gd.z(0) + gd.zbar(0))
+    return chart, pts, gd.rescale(chart, f, check_points=pts)
+
+
+def test_overflowing_scale_raises_as_the_trees_fill_does():
+    chart, pts, pair = overflow_case()
+    with pytest.raises(NonFinite) as walked, np.errstate(over="ignore", invalid="ignore"):
+        connection._metric_points(pair.rescaled, pts)
+    assert "at point [1.+0.j 0.+0.j]" in str(walked.value)
+    with pytest.raises(NonFinite) as built, np.errstate(over="ignore", invalid="ignore"):
+        pair.at(pts).rescaled_data
+    assert str(built.value) == str(walked.value)
+    ok = gd.rescale(chart, 0.1 * gd.abs2(2))
+    with pytest.raises(NonFinite) as stacked, np.errstate(over="ignore", invalid="ignore"):
+        _factors_at([ok, pair, ok], pts, connection._metric_points(chart, pts))
+    assert str(stacked.value) == str(walked.value)
+
+
+def test_a_bad_row_of_the_stacked_fill_names_its_own_chart_and_point():
+    """Three factor blocks on one base: the second factor's scale is not
+    real at the third point only, so its rescaled metric is not Hermitian
+    there, and the error names that block's label and that point."""
+    chart = gd.euclidean_chart(2)
+    pts = np.array([[0.1, 0.2], [0.3, 0.0], [0.2 + 0.3j, 0.1]], dtype=complex)
+    jets = gd.eval_jets([0.1 * gd.abs2(2), gd.z(0) - gd.zbar(0), 0.1 * gd.abs2(2)], pts)
+    base = connection._metric_points(chart, pts)
+    labels = ["A*exp(2f)", "B*exp(2f)", "C*exp(2f)"]
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^metric of B\*exp\(2f\) is not Hermitian at \[0\.2\+0\.3j"):
+        _rescaled_records(labels, pts, base, jets)
+    good = _rescaled_records(labels[:1], pts, base, jets[:1])
+    assert good.G.shape == (3, 2, 2)

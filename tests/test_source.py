@@ -58,19 +58,37 @@ def einsum_calls(tree):
                  or getattr(node.func, "id", None) == "einsum")]
 
 
+def is_transposing(call) -> bool:
+    """Whether an einsum call only permutes the axes of one operand."""
+    if len(call.args) != 2 or not isinstance(call.args[0], ast.Constant):
+        return False
+    inputs, _, output = call.args[0].value.replace("...", "").partition("->")
+    return sorted(inputs) == sorted(output) and len(set(inputs)) == len(inputs)
+
+
 def test_curvature_kernels_are_matmuls():
     # An einsum with optimize= plans its contraction path again on every
-    # call; the connection's contractions and `hsc` are reshapes and batched
-    # matmuls, which leave only transposing einsums in connection.py.
+    # call; the connection's contractions, `hsc` and the oracle's Riemann
+    # tensor `_riemann` are reshapes and batched matmuls, which leave only
+    # transposing einsums in connection.py and `_riemann`.
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for call in einsum_calls(tree):
             if any(kw.arg == "optimize" for kw in call.keywords):
                 found.append(f"{path.name}:{call.lineno}: einsum(..., optimize=...)")
-            if path.name == "connection.py" and len(call.args) > 2:
-                found.append(f"{path.name}:{call.lineno}: einsum of {len(call.args) - 1} operands")
+            if path.name == "connection.py" and not is_transposing(call):
+                found.append(f"{path.name}:{call.lineno}: contracting einsum")
     tree = ast.parse((SRC / "curvature.py").read_text(encoding="utf-8"))
-    [hsc] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hsc"]
-    found += [f"curvature.py:{call.lineno}: einsum in hsc" for call in einsum_calls(hsc)]
+    kernels = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found += [f"curvature.py:{call.lineno}: einsum in hsc" for call in einsum_calls(kernels["hsc"])]
+    found += [f"curvature.py:{call.lineno}: contracting einsum in _riemann"
+              for call in einsum_calls(kernels["_riemann"]) if not is_transposing(call)]
     assert not found, f"einsum kernels left: {found}"
+
+
+def test_transposing_einsums_are_told_from_contractions():
+    calls = {text: einsum_calls(ast.parse(text))[0] for text in (
+        'np.einsum("...jikl->...klij", X)', 'np.einsum("...abcd,...af->...cdbf", X, M)',
+        'np.einsum("ii->i", X)', 'np.einsum("ab->a", X)', "np.einsum(spec, X)")}
+    assert [is_transposing(c) for c in calls.values()] == [True, False, False, False, False]
