@@ -17,7 +17,7 @@ from .catalog import (HopfSpec, admissible_chart,
 from .conformal import (ConformalPair, FactorAt, commutation_residual,
                         delta_canonical_predicted, delta_direct,
                         delta_direct_symmetrized, delta_gauduchon_predicted,
-                        delta_kahler_predicted, f_covariant_hessians,
+                        delta_kahler_predicted, delta_weights, f_covariant_hessians,
                         paired_frames, rescale, torsion_transform_residual)
 from .connection import (ConnectionParams, FrameAtPoint, MetricChart,
                          chern_torsion, gamma_theta2, metric_jet,

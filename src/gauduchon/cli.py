@@ -30,14 +30,14 @@ import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
-from .conformal import KAHLER_TOL, rescale, _factors_at
-from .connection import (MetricChart, _PointData, _chern_stack, _frame_torsion, _metric_points,
-                         _rows)
+from .conformal import KAHLER_TOL, FactorAt, rescale, _factors_at
+from .connection import (MetricChart, _PointData, _check_points, _chern_stack, _component_jets,
+                         _fill, _frame_torsion, _rows)
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
                         constancy_table, curv4_rows, hsc, symmetrize, _constancy_of_bases,
                         _curvature_oracle, _selfdual, _weyl_minus)
 from .errors import ConfigError, GauduchonError, _as_int
-from .wjet import abs2, eval_jets, fd_jets, z, zbar
+from .wjet import WJet2, abs2, fd_jets, z, zbar
 
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
 # The (t, s) at which `interpolation` compares the stored bases with the
@@ -208,9 +208,10 @@ class _Suite:
     residuals and point count, plus `params`, `value`, `detail` or a record
     `tolerance` where those vary; none where the check does not apply.
 
-    Every check is one pass over its stacked points: the stored data of all
-    the points, their bases among it, is one stacked record (`data`,
-    `small_data` its first 10 points), read once per run."""
+    Every check is one pass over its stacked points: the points are checked
+    once and their metric components walked once (`jets`); the data of all
+    the points, their bases among it, is one record filled from that walk
+    (`data`, `small_data` its first 10 points), built once per run."""
 
     def __init__(self, config: SuiteConfig, chart: MetricChart):
         self.chart = chart
@@ -220,12 +221,20 @@ class _Suite:
         self.pts = sample_points(chart, config.sample_count, self.rng)
         self.small = self.pts[:10]
         self.cpts = self.pts[:5]
+        self.Z = _check_points(chart, self.pts)
+
+    @cached_property
+    def jets(self) -> tuple:
+        """Jets of the metric components at every point from one walk,
+        stacked in the record's layout (see `connection._component_jets`);
+        the walk checks nothing of the metric."""
+        return _component_jets(self.chart, self.Z)
 
     @cached_property
     def data(self) -> _PointData:
-        """Stored data of every point, one record with a leading point axis
-        (see `connection._metric_points`)."""
-        return _metric_points(self.chart, self.pts)
+        """Data of every point, one record with a leading point axis, filled
+        from `jets` (see `connection._fill`)."""
+        return _fill((self.chart.label,) * len(self.Z), self.Z, *self.jets)
 
     @cached_property
     def small_data(self) -> _PointData:
@@ -240,23 +249,36 @@ class _Suite:
         return np.tensordot(W, self.small_data.basis, (1, 1)).swapaxes(0, 1)
 
     @cached_property
-    def factors(self) -> list:
-        """Each conformal pair's factor at the first 5 points, shared by the
-        three conformal checks: one walk of the factors, the first 5 rows of
-        `data` as their base record, and the rescaled records from one fill."""
+    def factors(self) -> FactorAt:
+        """The conformal pairs' factors at the first 5 points, one stacked
+        `FactorAt` whose rows run (factor, point), shared by the three
+        conformal checks: one walk of the factors, the first 5 rows of `data`
+        as their base record, and the rescaled records from one fill."""
         pairs = [rescale(self.chart, f, check_points=self.cpts)
                  for f in _conformal_factors(self.chart.n)]
         return _factors_at(pairs, self.cpts, _rows(self.data, 0, len(self.cpts)))
 
+    def _by_factor(self, res: np.ndarray, factors: int | None = None,
+                   points: int | None = None) -> np.ndarray:
+        """Residuals res[cell, row] of the stacked factors, rows (factor,
+        point), in (factor, cell, point) order, for the first `factors`
+        factors and `points` points (all by default)."""
+        res = res.reshape(len(res), -1, len(self.cpts))[:, :factors, :points]
+        return res.transpose(1, 0, 2).ravel()
+
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
-        # tree gets one exact and one finite-difference walk over the points.
-        fields = [f for components in self.chart.g for f in components]
-        trees = list({id(f): f for f in fields}.values())
-        jets = eval_jets(trees, self.small)
-        err = {id(f): _jet_rel_err(jet, fd_jets(f, self.small)) for f, jet in zip(trees, jets)}
-        res = np.stack([err[id(f)] for f in fields], axis=1)     # [point, component]
-        return [dict(residuals=res.ravel(), points=len(self.small),
+        # tree gets one finite-difference walk over the points, and its exact
+        # jets are the run's walk at its first component (i, j).
+        g, k = self.chart.g, len(self.small)
+        first = {}
+        for i, j in np.ndindex(self.chart.n, self.chart.n):
+            first.setdefault(id(g[i][j]), (i, j))
+        err = {key: _jet_rel_err(WJet2(*(a[:k, ..., i, j] for a in self.jets)),
+                                 fd_jets(g[i][j], self.small))
+               for key, (i, j) in first.items()}
+        res = np.stack([err[id(f)] for row in g for f in row], axis=1)     # [point, component]
+        return [dict(residuals=res.ravel(), points=k,
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
     def metric_inverse(self) -> list:
@@ -331,20 +353,19 @@ class _Suite:
                      detail="all Gauduchon curvatures equal Chern")]
 
     def conformal_torsion(self) -> list:
-        res = [at.torsion_residuals() for at in self.factors]
-        return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
+        return [dict(residuals=self.factors.torsion_residuals(), points=len(self.cpts))]
 
     def commutation(self) -> list:
-        res = [at.commutation_residuals(t) for at in self.factors for t in (1.0, 3.0)]
-        return [dict(residuals=np.concatenate(res), points=len(self.cpts))]
+        res = self.factors.commutation_residuals(np.array([1.0, 3.0]))
+        return [dict(residuals=self._by_factor(res), points=len(self.cpts))]
 
     def conformal_delta(self) -> list:
-        # The law is checked at the first 3 of the shared factors' 5 points.
+        # The law is checked for the first 2 shared factors at the first 3
+        # of their 5 points.
         k = len(self.pts[:3])
-        res = [np.max(np.abs(at.delta_predicted(ts) - at.delta_direct(ts)),
-                      axis=(1, 2, 3, 4))[:k]
-               for at in self.factors[:2] for ts in [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]]
-        return [dict(residuals=np.concatenate(res), points=k)]
+        at, cells = self.factors, [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]
+        res = np.max(np.abs(at.delta_predicted(cells) - at.delta_direct(cells)), axis=(2, 3, 4, 5))
+        return [dict(residuals=self._by_factor(res, 2, k), points=k)]
 
     def selfdual_weyl(self) -> list:
         if self.chart.n != 2:
@@ -389,6 +410,7 @@ def run_suite(config: SuiteConfig) -> Report:
         raise ConfigError(str(exc)) from exc
     run = _Suite(config, chart)
     selected = config.checks
+    run.jets            # every check reads the one walk: walked untimed
     if selected is None or set(selected) - {"wjet_oracle"}:
         run.data        # every check but the jet oracle reads it: filled untimed
     records: list[Record] = []
@@ -442,7 +464,8 @@ def scan_ts(chart_spec: dict, t_range, s_range, samples: int = 20, seed: int = 0
     if int(tn) < 2 or int(sn) < 2:
         raise ConfigError("scan resolution must be >= 2 per axis")
     pts = sample_points(chart, samples, np.random.default_rng(seed))
-    cells = [(t, s) for t in np.linspace(ta, tb, tn) for s in np.linspace(sa, sb, sn)]
+    s_grid = np.linspace(sa, sb, sn)
+    cells = [(t, s) for t in np.linspace(ta, tb, tn) for s in s_grid]
     _, res = constancy_table(chart, cells, pts)
     rows = [(float(t), float(s), float(worst), float(circle_residual(t, s)))
             for (t, s), worst in zip(cells, res.max(axis=1))]

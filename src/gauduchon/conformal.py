@@ -12,10 +12,11 @@ the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
 The laws run on stacked points (`FactorAt`): one jet walk of f per point
-set; the rescaled side is the rescaled chart's record, built from the
-base's record and f's jet by the Leibniz rule and then filled as the store
-fills (`_rescaled_records`); its Cholesky frames are the paired ones,
-chol(e^2f G) = e^f chol(G).  The per-point functions are its P = 1 calls.
+set, or of several factors at once (`_factors_at`); the rescaled side is
+the rescaled chart's record, built from the base's record and f's jet by
+the Leibniz rule and then filled as the store fills (`_rescaled_records`);
+its Cholesky frames are the paired ones, chol(e^2f G) = e^f chol(G).  The
+per-point functions are its P = 1 calls.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
                          _MetricData, _PointData, _fill, _frame_E, _frame_torsion,
-                         _metric_points, _rows, _to_frame)
-from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized
+                         _metric_points, _read_only, _to_frame)
+from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, ConfigError, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, as_point, eval_jets
 
@@ -96,8 +97,11 @@ class FactorAt:
     T its Chern torsion.  `rescaled` is the chart e^2f g of the laws that
     compare with it, whose record (`rescaled_data`) is read in its own
     Cholesky frames, the paired frames e^-f E of the base's Cholesky frames;
-    with `frames` it raises ConfigError.  `_factors_at` builds several
-    factors on one base at once."""
+    with `frames` it raises ConfigError.  `_factors_at` stacks several
+    factors on one base into one `FactorAt`, one block of rows per factor.
+    Each law is one pass over the rows: what does not depend on (t, s), the
+    Hessian parts, the commutation parts and the five delta parts, is built
+    once and weighed per (t, s)."""
 
     def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
                  rescaled: MetricChart | None = None):
@@ -136,20 +140,38 @@ class FactorAt:
         ginv, dbarG = self.data.ginv, self.data.dbarG
         return 0.5 * np.einsum("pmq,plkq->pmlk", ginv, dbarG - dbarG.transpose(0, 3, 2, 1))
 
+    @cached_property
+    def hessian_parts(self):
+        """(U, V, Ub, Vb), framed: `hessians(t)` is (U - (1 - t) V,
+        Ub - (1 - t) Vb), U = ddbar f and V = C df in the frames, Ub and Vb
+        their other orderings."""
+        jf, C, E = self.jet, self.C, self.E
+        return (_to_frame(jf.ddbar, E, E.conj()),
+                _to_frame(np.einsum("pmlk,pm->pkl", C, jf.d), E, E.conj()),
+                _to_frame(jf.ddbar.transpose(0, 2, 1), E.conj(), E),
+                _to_frame(np.einsum("pmkl,pm->plk", np.conj(C), jf.dbar), E.conj(), E))
+
     def hessians(self, t: float):
         """`f_covariant_hessians` at each point."""
-        jf, C, E = self.jet, self.C, self.E
-        A = jf.ddbar - (1.0 - t) * np.einsum("pmlk,pm->pkl", C, jf.d)
-        B = jf.ddbar.transpose(0, 2, 1) \
-            - (1.0 - t) * np.einsum("pmkl,pm->plk", np.conj(C), jf.dbar)
-        return _to_frame(A, E, E.conj()), _to_frame(B, E.conj(), E)
+        U, V, Ub, Vb = self.hessian_parts
+        return U - (1.0 - t) * V, Ub - (1.0 - t) * Vb
 
-    def commutation_residuals(self, t: float) -> np.ndarray:
-        """`commutation_residual` at each point."""
-        H1, H2 = self.hessians(t)
-        rhs = (1.0 - t) * (np.einsum("pr,pjrk->pjk", self.frbar, self.T)
-                           - np.einsum("pr,pkrj->pjk", self.fr, np.conj(self.T)))
-        return np.max(np.abs(H2 - H1.transpose(0, 2, 1) - rhs), axis=(1, 2))
+    @cached_property
+    def commutation_parts(self):
+        """(a, b): the commutation rule's defect at t is a + (1 - t) b, with
+        a = f_{jbar k} - f_{k jbar} of the Chern connection (t = 1) and b the
+        rest, the Lichnerowicz share less the torsion side."""
+        U, V, Ub, Vb = self.hessian_parts
+        rhs = np.einsum("pr,pjrk->pjk", self.frbar, self.T) \
+            - np.einsum("pr,pkrj->pjk", self.fr, np.conj(self.T))
+        return Ub - U.transpose(0, 2, 1), V.transpose(0, 2, 1) - Vb - rhs
+
+    def commutation_residuals(self, t) -> np.ndarray:
+        """`commutation_residual` at each point, shape (P,) for one t and
+        (m, P) for m values of t."""
+        a, b = self.commutation_parts
+        w = 1.0 - np.asarray(t, dtype=float)[..., None, None, None]
+        return np.max(np.abs(a + w * b), axis=(-2, -1))
 
     def torsion_residuals(self) -> np.ndarray:
         """`torsion_transform_residual` at each point."""
@@ -161,37 +183,48 @@ class FactorAt:
         direct = _frame_torsion(r, r.E)
         return np.max(np.abs(direct - pred), axis=(1, 2, 3))
 
-    def delta_predicted(self, params) -> np.ndarray:
-        """`delta_canonical_predicted` at each point."""
-        pr = as_params(params)
-        p, s = pr.p, pr.s
+    @cached_property
+    def delta_parts(self) -> np.ndarray:
+        """The (t, s)-free parts D[p, m, k, l, i, j] of `delta_predicted`, the
+        five tensors that `delta_weights` weighs.  With H1 = U - (1 - p) V
+        (`hessian_parts`), Y(X) = X_{k lbar} d_ij and Z(X) = X_{i lbar} d_jk
+        + X_{k jbar} d_il, they are [Y(U), Y(V) + F, Z(U), Z(V) + Q, S]:
+        F = f_r conj(T^k_rl) d_ij, Q the (1 - p)^2 bracket and S both s^2
+        brackets of `delta_canonical_predicted`."""
+        U, V, _, _ = self.hessian_parts
         T, fr, frbar, grad2 = self.T, self.fr, self.frbar, self.grad2
         Tc = np.conj(T)
-        H1, _ = self.hessians(p)
         eye = np.eye(self.chart.n)
         dd = np.einsum("jk,il->klij", eye, eye)
-        D = -2 * p * np.einsum("pkl,ij->pklij", H1, eye)
-        D = D + 2 * p * (1 - p) * np.einsum("pr,pkrl,ij->pklij", fr, Tc, eye)
-        D = D - (1 - p) * (np.einsum("pil,jk->pklij", H1, eye)
-                           + np.einsum("pkj,il->pklij", H1, eye))
-        D = D + (1 - p) ** 2 * (
-            np.einsum("pi,pkjl->pklij", fr, Tc)
-            - np.einsum("pr,pjrk,il->pklij", frbar, T, eye)
-            + np.einsum("pr,pkrj,il->pklij", fr, Tc, eye)
-            + np.einsum("pj,plik->pklij", frbar, T)
-            - grad2 * dd
-            + np.einsum("pi,pj,kl->pklij", fr, frbar, eye))
-        if s != 0.0:
-            s2 = s * s
-            D = D + s2 * (np.einsum("pi,pl,jk->pklij", fr, frbar, eye)
-                          + np.einsum("pj,pk,il->pklij", frbar, fr, eye)
-                          - np.einsum("pi,pj,kl->pklij", fr, frbar, eye)
-                          - grad2 * dd)
-            D = D + s2 * (np.einsum("pi,pklj->pklij", fr, Tc)
-                          - np.einsum("pj,plik->pklij", frbar, T)
-                          - np.einsum("pr,plri,jk->pklij", frbar, T, eye)
-                          - np.einsum("pr,pkrj,il->pklij", fr, Tc, eye))
-        return D
+
+        def Y(X):
+            return np.einsum("pkl,ij->pklij", X, eye)
+
+        def Z(X):
+            return np.einsum("pil,jk->pklij", X, eye) + np.einsum("pkj,il->pklij", X, eye)
+
+        F = np.einsum("pr,pkrl,ij->pklij", fr, Tc, eye)
+        Q = (np.einsum("pi,pkjl->pklij", fr, Tc)
+             - np.einsum("pr,pjrk,il->pklij", frbar, T, eye)
+             + np.einsum("pr,pkrj,il->pklij", fr, Tc, eye)
+             + np.einsum("pj,plik->pklij", frbar, T)
+             - grad2 * dd
+             + np.einsum("pi,pj,kl->pklij", fr, frbar, eye))
+        S = (np.einsum("pi,pl,jk->pklij", fr, frbar, eye)
+             + np.einsum("pj,pk,il->pklij", frbar, fr, eye)
+             - np.einsum("pi,pj,kl->pklij", fr, frbar, eye)
+             - grad2 * dd) \
+            + (np.einsum("pi,pklj->pklij", fr, Tc)
+               - np.einsum("pj,plik->pklij", frbar, T)
+               - np.einsum("pr,plri,jk->pklij", frbar, T, eye)
+               - np.einsum("pr,pkrj,il->pklij", fr, Tc, eye))
+        return np.stack([Y(U), Y(V) + F, Z(U), Z(V) + Q, S], axis=1)
+
+    def delta_predicted(self, params) -> np.ndarray:
+        """`delta_canonical_predicted` at each point, shape (P, n, n, n, n)
+        for one (t, s) pair and (m, P, n, n, n, n) for m pairs: the
+        `delta_weights` combination of `delta_parts`."""
+        return np.tensordot(delta_weights(params), self.delta_parts, (-1, 1))
 
     def delta_kahler(self, params) -> np.ndarray:
         """`delta_kahler_predicted` at each point.  Its sums are 4 sym(f_{k lbar}
@@ -213,11 +246,23 @@ class FactorAt:
 
     def delta_direct(self, params) -> np.ndarray:
         """`delta_direct` at each point, from the stored bases of the base
-        and the rescaled chart in their (paired) Cholesky frames."""
+        and the rescaled chart in their (paired) Cholesky frames; for m
+        (t, s) pairs, one `canonical_weights` matrix gives shape (m, P, ...)."""
         w = canonical_weights(params)
         base, resc = self.data.basis, self.rescaled_data.basis
         e2f = np.exp(2 * self.value)[:, None, None, None, None]
-        return e2f * np.tensordot(w, resc, (0, 1)) - np.tensordot(w, base, (0, 1))
+        return e2f * np.tensordot(w, resc, (-1, 1)) - np.tensordot(w, base, (-1, 1))
+
+
+def delta_weights(params) -> np.ndarray:
+    """Weights (-2p, 2p(1 - p), -(1 - p), (1 - p)^2, s^2), p = t - t s, of
+    the five `FactorAt.delta_parts` in the predicted curvature delta of
+    D^t_s: shape (5,) for one (t, s) pair and (m, 5) for m pairs, as
+    `canonical_weights` takes them."""
+    t, s = _ts_pairs(params, "delta_weights")
+    p = t - t * s
+    q = 1 - p
+    return np.stack([-2 * p, 2 * p * q, -q, q * q, s * s], axis=-1)
 
 
 def _at_point(chart: MetricChart, f: ScalarField, z, frame=None) -> FactorAt:
@@ -269,23 +314,28 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, jets) -> _PointData
                  *(a.reshape((k * P,) + a.shape[2:]) for a in parts))
 
 
-def _factors_at(pairs, points, data: _PointData) -> list:
-    """The `FactorAt`s of conformal pairs on one base chart at the points of
-    its record `data`, in their Cholesky frames: one `eval_jets` walk of
-    every factor, the base torsion once, and every rescaled record from one
-    `_rescaled_records` fill, sliced per pair."""
+def _factors_at(pairs, points, data: _PointData) -> FactorAt:
+    """The factors of conformal pairs on one base chart at the P points of
+    its record `data`, in their Cholesky frames, as one stacked `FactorAt`
+    whose rows run (pair, point), pair-major: one `eval_jets` walk of every
+    factor, the base torsion once, and every rescaled record from one
+    `_rescaled_records` fill.  Its base rows, frames and torsion are `data`'s,
+    tiled; it has no single `rescaled` chart or `f`."""
     points = np.array([as_point(p) for p in points])
     jets = eval_jets([pair.f for pair in pairs], points)
-    T = _frame_torsion(data, data.E)
-    P = len(points)
-    resc = _rescaled_records([pair.rescaled.label for pair in pairs], points, data, jets)
-    factors = []
-    for k, (pair, jet) in enumerate(zip(pairs, jets)):
-        at = FactorAt.__new__(FactorAt)
-        at._hold(pair.base, pair.rescaled, points, jet, data, data.E, T)
-        at.rescaled_data = _rows(resc, k * P, (k + 1) * P)
-        factors.append(at)
-    return factors
+    k = len(pairs)
+
+    def tiled(a):
+        return _read_only(np.concatenate([a] * k))
+
+    base = _PointData(*map(tiled, vars(data).values()))
+    jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
+    at = FactorAt.__new__(FactorAt)
+    at._hold(pairs[0].base, None, np.concatenate([points] * k), jet, base, base.E,
+             tiled(_frame_torsion(data, data.E)))
+    at.rescaled_data = _rescaled_records([pair.rescaled.label for pair in pairs], points, data,
+                                         jets)
+    return at
 
 
 def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):

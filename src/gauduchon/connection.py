@@ -206,6 +206,14 @@ def _point_batch(chart: MetricChart, keys) -> _PointData:
     """The store's fill: the jets of every point from one walk, stacked,
     then `_fill`."""
     Z = _check_points(chart, keys)
+    return _fill((chart.label,) * len(Z), Z, *_component_jets(chart, Z))
+
+
+def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
+    """The jet stage of a fill: the jets of every component g_{i jbar} at the
+    checked points Z from one `eval_jets` walk, stacked in the `_MetricData`
+    layout (G, dG, dbarG, ddG, ddbarG, dbardbarG).  It checks nothing of the
+    metric: `_fill` does."""
     n, P = chart.n, len(Z)
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
     # Stack each jet part over the distinct component jets once, then spread
@@ -213,9 +221,8 @@ def _point_batch(chart: MetricChart, keys) -> _PointData:
     slot = {}
     spread = [slot.setdefault(id(J), len(slot)) for J in jets]
     distinct = list({id(J): J for J in jets}.values())
-    parts = (np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
+    return tuple(np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
         (P,) + getattr(jets[0], part).shape[1:] + (n, n)) for part in JET_PARTS)
-    return _fill((chart.label,) * P, Z, *parts)
 
 
 def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _PointData:

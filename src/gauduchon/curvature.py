@@ -62,19 +62,26 @@ def chern_curvature(chart: MetricChart, z, frame=None) -> Curv4:
 # The canonical plane: Chern curvature and torsion
 
 
-def canonical_weights(params) -> np.ndarray:
-    """Weights (1, p, p^2 - 2p, s^2 - 1), p = t - t s, of the four
-    `canonical_basis` tensors in the curvature of D^t_s: shape (4,) for one
-    (t, s) pair, and one row per pair, shape (m, 4), for a sequence or an
-    (m, 2) array of m pairs (m = 0 included)."""
+def _ts_pairs(params, who: str):
+    """(t, s) of one pair (a ConnectionParams too), as 0-d arrays, or of a
+    sequence or an (m, 2) array of m pairs (m = 0 included), as (m,) arrays;
+    ConfigError names `who` for anything else."""
     if isinstance(params, ConnectionParams):
         params = (params.t, params.s)
     ts = np.asarray(params, dtype=float)
     if ts.size == 0:
         ts = ts.reshape(0, 2)
     if ts.ndim not in (1, 2) or ts.shape[-1] != 2:
-        raise ConfigError(f"canonical_weights needs (t, s) pairs, got shape {ts.shape}")
-    t, s = ts[..., 0], ts[..., 1]
+        raise ConfigError(f"{who} needs (t, s) pairs, got shape {ts.shape}")
+    return ts[..., 0], ts[..., 1]
+
+
+def canonical_weights(params) -> np.ndarray:
+    """Weights (1, p, p^2 - 2p, s^2 - 1), p = t - t s, of the four
+    `canonical_basis` tensors in the curvature of D^t_s: shape (4,) for one
+    (t, s) pair, and one row per pair, shape (m, 4), for a sequence or an
+    (m, 2) array of m pairs (m = 0 included)."""
+    t, s = _ts_pairs(params, "canonical_weights")
     p = t - t * s
     return np.stack([np.ones_like(p), p, p * p - 2 * p, s * s - 1], axis=-1)
 
@@ -353,11 +360,17 @@ def _christoffel_parts(b):
     dMinv = -(Minv[:, None] @ dM @ Minv[:, None])        # dMinv[p, e] = d_e Minv
     S = dM + dM.transpose(0, 3, 2, 1) - dM.transpose(0, 2, 1, 3)
     dS = ddM + ddM.transpose(0, 1, 4, 3, 2) - ddM.transpose(0, 1, 3, 2, 4)
-    lc = 0.5 * np.einsum("pad,pbdc->pabc", Minv, S)
-    dlc = 0.5 * (np.einsum("pead,pbdc->peabc", dMinv, S)
-                 + np.einsum("pad,pebdc->peabc", Minv, dS))
-    ch = np.einsum("pad,pbcd->pabc", Minv, dM)
-    dch = np.einsum("pead,pbcd->peabc", dMinv, dM) + np.einsum("pad,pebcd->peabc", Minv, ddM)
+    # Each symbol contracts Minv (or d_e Minv) over d with a [.., d, (b, c)]
+    # matrix: one batched matmul, then a reshape to [.., a, b, c].
+    S_ = S.transpose(0, 2, 1, 3).reshape(P, N, N * N)[:, None]           # [p, 1, d, (b, c)]
+    dS_ = dS.transpose(0, 1, 3, 2, 4).reshape(P, N, N, N * N)            # [p, e, d, (b, c)]
+    dM_ = dM.reshape(P, N * N, N).transpose(0, 2, 1)[:, None]            # [p, 1, d, (b, c)]
+    ddM_ = ddM.reshape(P, N, N * N, N).transpose(0, 1, 3, 2)             # [p, e, d, (b, c)]
+    Mi = Minv[:, None]
+    lc = 0.5 * (Mi @ S_).reshape(P, N, N, N)
+    dlc = 0.5 * (dMinv @ S_ + Mi @ dS_).reshape(P, N, N, N, N)
+    ch = (Mi @ dM_).reshape(P, N, N, N)
+    dch = (dMinv @ dM_ + Mi @ ddM_).reshape(P, N, N, N, N)
     return M, ch, dch, lc, dlc
 
 

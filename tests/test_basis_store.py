@@ -176,8 +176,8 @@ def counting(monkeypatch):
 
     monkeypatch.setattr(connection, "_basis_stack", counted)
     monkeypatch.setattr(curvature, "_basis_stack", counted)
-    monkeypatch.setattr(connection, "_fill", counted_fill)
-    monkeypatch.setattr(conformal, "_fill", counted_fill)
+    for module in (connection, conformal, cli):
+        monkeypatch.setattr(module, "_fill", counted_fill)
     return builds
 
 
@@ -206,10 +206,10 @@ def suite_adm2_config():
 
 def test_suite_builds_bases_only_in_its_fills(monkeypatch):
     """The bench's suite_adm2 config: bases are built only inside fills, 2
-    of them over 55 rows: the store's fill of the 40 sample points, and one
-    fill of the 15 rescaled rows, the first 5 points on each of the three
-    rescaled charts, whose Cholesky frames are the paired frames the
-    conformal laws compare in."""
+    of them over 55 rows: the suite's own fill of the 40 sample points from
+    its walk, and one fill of the 15 rescaled rows, the first 5 points on
+    each of the three rescaled charts, whose Cholesky frames are the paired
+    frames the conformal laws compare in."""
     builds = counting(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
     assert builds == [(40, True), (15, True)]
@@ -268,28 +268,27 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert lookups == [1]
 
 
-def test_suite_makes_one_store_lookup_and_no_hits(monkeypatch):
-    """The bench's suite_adm2 config: one lookup, of the 40 sample points,
-    none of them stored before it.  The run reads its points' data, their
-    bases among it, once, as one stacked record, which `interpolation`'s
-    oracle, `constancy` and the conformal checks read too; the conformal
-    checks' rescaled records are built from it, not looked up.  The
-    conformal checks' own lookups of the base and the rescaled charts took
-    7; the oracle and `constancy` looking their points up again took 9
+def test_suite_makes_no_store_lookup(monkeypatch):
+    """The bench's suite_adm2 config: no store lookup.  The run fills its
+    points' data, their bases among it, once from its own walk, as one
+    stacked record, which `interpolation`'s oracle, `constancy` and the
+    conformal checks read too; the conformal checks' rescaled records are
+    built from it, not looked up.  Its one lookup, of the 40 sample
+    points, never hit the store; the conformal checks' own lookups took 7
+    more, and the oracle and `constancy` looking their points up again 9
     (112 when checks looked their points up one at a time)."""
-    lookups = []
-    lookup = connection._metric_points
+    charts, make = [], cli.make_chart
 
-    def counted(chart, points):
-        store = connection._STORE.get(chart, {})
-        lookups.append((len(points), sum(connection._as_key(z) in store for z in points)))
-        return lookup(chart, points)
+    def recording_make(spec):
+        charts.append(make(spec))
+        return charts[-1]
 
-    for module in (connection, curvature, conformal, cli):
-        if getattr(module, "_metric_points", None) is lookup:
-            monkeypatch.setattr(module, "_metric_points", counted)
+    monkeypatch.setattr(cli, "make_chart", recording_make)
+    lookups = counting_lookups(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert lookups == [(40, 0)]
+    assert lookups == []
+    [chart] = charts
+    assert chart not in connection._STORE
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
@@ -354,11 +353,11 @@ def test_suite_walks_each_conformal_factor_once_per_check(monkeypatch):
 
 
 def test_suite_walks_no_rescaled_tree(monkeypatch):
-    """The bench's suite_adm2 config: 3 `eval_jets` walks in all: the base
-    fill's over the 40 points, `wjet_oracle`'s over the first 10 and one of
-    the three conformal factors over the first 5; no walk and no store
-    fill touches a rescaled chart, whose records come from the base
-    record."""
+    """The bench's suite_adm2 config: 2 `eval_jets` walks in all: the run's
+    walk of the metric components over the 40 points, which both its fill
+    and `wjet_oracle` read, and one of the three conformal factors over the
+    first 5; the run makes no store fill, and no walk touches a rescaled
+    chart, whose records come from the base record."""
     rescaled, walks, filled = [], [], []
     pair_of, walk, fill = cli.rescale, wjet.eval_jets, connection._point_batch
 
@@ -376,13 +375,12 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
         return fill(chart, keys)
 
     monkeypatch.setattr(cli, "rescale", recording_rescale)
-    for module in (wjet, connection, conformal, cli):
+    for module in (wjet, connection, conformal):
         monkeypatch.setattr(module, "eval_jets", counted_walk)
     monkeypatch.setattr(connection, "_point_batch", counted_fill)
     assert run_suite(suite_adm2_config()).all_passed
-    assert [(len(fields), count) for fields, count in walks] == [(4, 40), (2, 10), (3, 5)]
-    assert len(rescaled) == 3 and len(filled) == 1
-    assert not any(chart in filled for chart in rescaled)
+    assert [(len(fields), count) for fields, count in walks] == [(4, 40), (3, 5)]
+    assert len(rescaled) == 3 and filled == []
     trees = {id(g) for chart in rescaled for row in chart.g for g in row}
     assert not any(id(f) in trees for fields, _ in walks for f in fields)
 

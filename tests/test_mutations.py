@@ -1,0 +1,82 @@
+"""Mutations with teeth: the bench's suite_adm2 config with one term of a
+conformal law scaled by 1.01, applied by monkeypatch, must fail the check
+that reads it.  A check that a 1% error in one of its terms leaves passing
+would check nothing of that term.
+
+Two terms vanish identically, so scaling them changes nothing and no check
+can see it: the delta's second part Y(V) + F (V = -f_r conj(T^k_rl) in the
+frames), with its weight 2p(1 - p), and the commutation rule's part b, the
+defect of the law itself.  `test_delta_weights.py` holds both identities;
+here their terms are mutated instead: V through `hessian_parts`, and the
+torsion the laws read."""
+
+import numpy as np
+import pytest
+
+import gauduchon.conformal as conformal
+from gauduchon.cli import SuiteConfig, run_suite
+
+ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
+            "multipliers": [[0.5, 0], [0.5, 0]],
+            "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
+# The parts and weights of the delta that do not vanish identically.
+LIVE = [0, 2, 3, 4]
+
+
+def passed(check: str) -> bool:
+    """Whether every record of `check` passes on the suite_adm2 config."""
+    config = SuiteConfig.from_dict({
+        "chart": ADM_SPEC, "sample_count": 40, "checks": [check],
+        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
+    records = run_suite(config).records
+    assert records and {r.name for r in records} == {check}
+    return all(r.passed for r in records)
+
+
+def scaled(a: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """a with its k-th entry along `axis` scaled by 1.01."""
+    a = np.array(a)
+    index = [slice(None)] * a.ndim
+    index[axis] = k
+    a[tuple(index)] *= 1.01
+    return a
+
+
+def patch_property(monkeypatch, name: str, mutate):
+    """Replace the cached property `FactorAt.<name>` by its value mutated."""
+    func = getattr(conformal.FactorAt, name).func
+    monkeypatch.setattr(conformal.FactorAt, name, property(lambda at: mutate(func(at))))
+
+
+def test_unmutated_conformal_checks_pass():
+    assert passed("conformal_delta") and passed("commutation")
+
+
+@pytest.mark.parametrize("k", LIVE)
+def test_a_scaled_delta_part_fails_conformal_delta(monkeypatch, k):
+    patch_property(monkeypatch, "delta_parts", lambda parts: scaled(parts, k, 1))
+    assert not passed("conformal_delta")
+
+
+@pytest.mark.parametrize("k", LIVE)
+def test_a_scaled_delta_weight_fails_conformal_delta(monkeypatch, k):
+    weights = conformal.delta_weights
+    monkeypatch.setattr(conformal, "delta_weights", lambda params: scaled(weights(params), k, -1))
+    assert not passed("conformal_delta")
+
+
+@pytest.mark.parametrize("check", ["conformal_delta", "commutation"])
+def test_a_scaled_lichnerowicz_hessian_part_fails(monkeypatch, check):
+    """V = C df in the frames, the (1 - t) share of the Hessians, which the
+    delta's second and fourth parts and the commutation part b read."""
+    patch_property(monkeypatch, "hessian_parts", lambda UVs: (UVs[0], 1.01 * UVs[1], *UVs[2:]))
+    assert not passed(check)
+
+
+@pytest.mark.parametrize("check", ["conformal_delta", "commutation"])
+def test_a_scaled_base_torsion_fails(monkeypatch, check):
+    """The base torsion T the conformal laws read, which `_factors_at` takes
+    from `_frame_torsion`."""
+    torsion = conformal._frame_torsion
+    monkeypatch.setattr(conformal, "_frame_torsion", lambda *args: 1.01 * torsion(*args))
+    assert not passed(check)

@@ -63,18 +63,28 @@ def test_leibniz_record_equals_the_rescaled_trees_fill(spec, which, count, seed)
 @pytest.mark.parametrize("spec", [0, 2, 6])
 def test_stacked_factors_equal_each_pair_on_its_own(spec):
     """`_factors_at` walks every factor once and fills all the rescaled
-    rows together; each factor's slice is its pair's own record."""
+    rows together into one `FactorAt` whose rows run (factor, point); each
+    factor's block of rows is its pair's own `FactorAt`."""
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, 5, np.random.default_rng(4))
+    P = len(pts)
     pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
     stacked = _factors_at(pairs, pts, connection._metric_points(chart, pts))
-    for pair, at in zip(pairs, stacked, strict=True):
-        one = pair.at(pts)
-        for name in ("value", "fr", "frbar", "grad2", "T", "E"):
-            np.testing.assert_array_equal(getattr(at, name), getattr(one, name), err_msg=name)
-        assert_same_record(at.rescaled_data, connection._metric_points(pair.rescaled, pts))
-        np.testing.assert_array_equal(at.torsion_residuals(), one.torsion_residuals())
-        np.testing.assert_array_equal(at.delta_direct((3.0, 0.0)), one.delta_direct((3.0, 0.0)))
+    assert stacked.E.shape[0] == len(pairs) * P
+    torsion = stacked.torsion_residuals()
+    direct = stacked.delta_direct((3.0, 0.0))
+    for k, pair in enumerate(pairs):
+        block, one = slice(k * P, (k + 1) * P), pair.at(pts)
+        for name in ("points", "value", "fr", "frbar", "grad2", "T", "E"):
+            np.testing.assert_array_equal(getattr(stacked, name)[block], getattr(one, name),
+                                          err_msg=name)
+        for name, a in vars(stacked.data).items():
+            np.testing.assert_array_equal(a[block], getattr(one.data, name), err_msg=name)
+        assert_same_record(connection._rows(stacked.rescaled_data, k * P, (k + 1) * P),
+                           connection._metric_points(pair.rescaled, pts))
+        np.testing.assert_array_equal(torsion[block], one.torsion_residuals())
+        # one weighted sum over all the rows: BLAS rounds its blocks apart
+        assert_rel(direct[block], one.delta_direct((3.0, 0.0)))
 
 
 def overflow_case():

@@ -69,8 +69,9 @@ def is_transposing(call) -> bool:
 def test_curvature_kernels_are_matmuls():
     # An einsum with optimize= plans its contraction path again on every
     # call; the connection's contractions, `hsc` and the oracle's Riemann
-    # tensor `_riemann` are reshapes and batched matmuls, which leave only
-    # transposing einsums in connection.py and `_riemann`.
+    # tensor `_riemann` and Christoffel symbols `_christoffel_parts` are
+    # reshapes and batched matmuls, which leave only transposing einsums in
+    # connection.py, `_riemann` and `_christoffel_parts`.
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -82,8 +83,9 @@ def test_curvature_kernels_are_matmuls():
     tree = ast.parse((SRC / "curvature.py").read_text(encoding="utf-8"))
     kernels = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found += [f"curvature.py:{call.lineno}: einsum in hsc" for call in einsum_calls(kernels["hsc"])]
-    found += [f"curvature.py:{call.lineno}: contracting einsum in _riemann"
-              for call in einsum_calls(kernels["_riemann"]) if not is_transposing(call)]
+    found += [f"curvature.py:{call.lineno}: contracting einsum in {name}"
+              for name in ("_riemann", "_christoffel_parts")
+              for call in einsum_calls(kernels[name]) if not is_transposing(call)]
     assert not found, f"einsum kernels left: {found}"
 
 
