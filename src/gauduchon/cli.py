@@ -40,7 +40,7 @@ from .errors import ConfigError, GauduchonError, _as_int
 from .wjet import WJet2, abs2, fd_jets, z, zbar
 
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
-# The (t, s) at which `interpolation` compares the stored bases with the
+# The (t, s) at which `interpolation` compares the record's bases with the
 # connection's own curvature: fixed, so the check draws nothing from the
 # suite's RNG.  Besides Levi-Civita (p = t - ts = 0) and the circle points
 # (3, 0) and (-1, 2), they hold cells with p off 0 and 1, where an error in
@@ -244,7 +244,7 @@ class _Suite:
     @cached_property
     def gauduchon(self) -> np.ndarray:
         """Gauduchon curvatures R[p, m] of the first 10 points at the m-th t
-        of HERMITIAN_T, from one weighted sum of their stored bases."""
+        of HERMITIAN_T, from one weighted sum of their bases in `data`."""
         W = canonical_weights([(t, 0.0) for t in HERMITIAN_T])
         return np.tensordot(W, self.small_data.basis, (1, 1)).swapaxes(0, 1)
 

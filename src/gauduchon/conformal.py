@@ -14,7 +14,7 @@ exposed, related by the commutation rule.
 The laws run on stacked points (`FactorAt`): one jet walk of f per point
 set, or of several factors at once (`_factors_at`); the rescaled side is
 the rescaled chart's record, built from the base's record and f's jet by
-the Leibniz rule and then filled as the store fills (`_rescaled_records`);
+the Leibniz rule and then through `_fill` (`_rescaled_records`);
 its Cholesky frames are the paired ones, chol(e^2f G) = e^f chol(G).  The
 per-point functions are its P = 1 calls.
 """
@@ -93,7 +93,7 @@ class FactorAt:
     unitary frames E[p] (the Cholesky frames unless `frames` is given), every
     array with a leading point axis: one `eval_jets` walk gives `jet`, `value`,
     the frame gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and
-    grad2 = f_r f_rbar; `data` is the base's stored record at the points and
+    grad2 = f_r f_rbar; `data` is the base's record at the points and
     T its Chern torsion.  `rescaled` is the chart e^2f g of the laws that
     compare with it, whose record (`rescaled_data`) is read in its own
     Cholesky frames, the paired frames e^-f E of the base's Cholesky frames;
@@ -245,7 +245,7 @@ class FactorAt:
         return _symmetrized(X)
 
     def delta_direct(self, params) -> np.ndarray:
-        """`delta_direct` at each point, from the stored bases of the base
+        """`delta_direct` at each point, from the records' bases of the base
         and the rescaled chart in their (paired) Cholesky frames; for m
         (t, s) pairs, one `canonical_weights` matrix gives shape (m, P, ...)."""
         w = canonical_weights(params)
@@ -407,7 +407,7 @@ def delta_gauduchon_predicted(pair: ConformalPair, t: float, z, frame=None) -> C
 
 def delta_direct(pair: ConformalPair, params, z) -> Curv4:
     """Measured e^2f Rtilde^D - R^D in paired frames; the base side is the
-    base's stored Cholesky-frame curvature."""
+    base's Cholesky-frame curvature from its one-point fill."""
     pr = as_params(params)
     return Curv4(pair.at([z]).delta_direct(pr)[0],
                  connection=f"delta direct(t={pr.t:g}, s={pr.s:g})")
@@ -431,7 +431,7 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
 
 def delta_direct_symmetrized(pair: ConformalPair, params, z) -> Curv4:
     """Measured e^2f sym(Rtilde^D) - sym(R^D) in paired frames, the base side
-    from the base's stored Cholesky-frame curvature."""
+    from the base's Cholesky-frame curvature."""
     C = symmetrize(delta_direct(pair, params, z))
     C.connection = "delta direct sym"
     return C

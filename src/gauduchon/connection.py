@@ -16,15 +16,13 @@ coefficient exactly 1.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, NotPositiveDefinite
-from .wjet import WJet2, as_point, eval_jets
+from .errors import DimensionError, DomainError, NonFinite, NotPositiveDefinite
+from .wjet import WJet2, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
@@ -109,61 +107,21 @@ class _MetricData:
 @dataclass(frozen=True, eq=False)
 class _PointData(_MetricData):
     """`_MetricData` with the points' `canonical_basis` in their Cholesky
-    frames, B[p, m, k, l, i, j]: the store's record, built whole in one
-    batch fill and never written after it.  The store keeps one record per
-    point, views of its fill's arrays with a point axis of length 1, and
-    `_metric_points` hands out stacks."""
+    frames, B[p, m, k, l, i, j]: a fill's record, built whole in one pass
+    and never written after it."""
 
     basis: np.ndarray
 
 
-def _as_key(z) -> tuple:
-    """Store key of a point.  A 1-D complex array is taken as it is; the
-    store's batch fill checks its size and finiteness."""
-    if isinstance(z, np.ndarray) and z.ndim == 1 and z.size and z.dtype == complex:
-        return tuple(z.tolist())
-    return tuple(complex(c) for c in as_point(z))
-
-
-# Points kept per chart; the least recently used point goes first.
-POINT_STORE_SIZE = 2048
-# chart -> {point key: _PointData}.  Weak keys: a chart's points go with it.
-_STORE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _metric_points(chart: MetricChart, points) -> _PointData:
-    """Point data of `chart` at the points, one read-only record with a
-    leading point axis, from the chart's store.
-
-    All misses are evaluated in one `_point_batch` fill.  A list of new,
-    distinct points gets that fill's record, and one point its stored
-    record, as they are; other lists get their points' records
-    concatenated.  If any point fails (outside the domain, at an expression
-    guard, not Hermitian positive definite), the error is raised and nothing
-    of the batch is stored."""
-    keys = [_as_key(z) for z in points]
-    store = _STORE.get(chart)
-    if store is None:
-        store = _STORE[chart] = OrderedDict()
-    found = {}
-    for key in keys:
-        pd = store.get(key)
-        if pd is not None:
-            store.move_to_end(key)
-        found[key] = pd
-    missing = [key for key, pd in found.items() if pd is None]
-    if missing:
-        batch = _point_batch(chart, missing)
-        for k, key in enumerate(missing):
-            store[key] = found[key] = _rows(batch, k, k + 1)
-        while len(store) > POINT_STORE_SIZE:
-            store.popitem(last=False)
-        if len(missing) == len(keys):
-            return batch
-    if len(keys) == 1:
-        return found[keys[0]]
-    rows = [vars(found[key]).values() for key in keys]
-    return _PointData(*(_read_only(np.concatenate(parts)) for parts in zip(*rows)))
+    """The fill: point data of `chart` at the points, one read-only record
+    with a leading point axis.  The points are checked (`_check_points`),
+    their jets taken in one walk (`_component_jets`) and the record built
+    from them (`_fill`).  If any point fails (outside the domain, at an
+    expression guard, not Hermitian positive definite), its error is raised.
+    Nothing is kept: each call fills afresh."""
+    Z = _check_points(chart, points)
+    return _fill((chart.label,) * len(Z), Z, *_component_jets(chart, Z))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -178,8 +136,8 @@ def _frame_E(frame) -> np.ndarray:
 
 
 def _point(chart: MetricChart, z, frame=None) -> tuple[_PointData, np.ndarray]:
-    """Point data of `chart` at z, a record of one point from one store
-    lookup, and the matrix of `frame` there with the same point axis: the
+    """Point data of `chart` at z, a record of one point from a one-point
+    fill, and the matrix of `frame` there with the same point axis: the
     point's Cholesky frame when frame is None."""
     b = _metric_points(chart, [z])
     return b, b.E if frame is None else _frame_E(frame)[None]
@@ -187,9 +145,11 @@ def _point(chart: MetricChart, z, frame=None) -> tuple[_PointData, np.ndarray]:
 
 def _check_points(chart: MetricChart, points) -> np.ndarray:
     """The points, each a sequence of coordinates, as a (P, n) complex array,
-    after checking that each has the chart's dimension and finite
-    coordinates and lies in its domain."""
+    after checking that each is 1-D (DimensionError), has the chart's
+    dimension and finite coordinates and lies in its domain."""
     for z in points:
+        if np.ndim(z) != 1:
+            raise DimensionError(f"chart point must be a 1-D array, got shape {np.shape(z)}")
         if len(z) != chart.n:
             raise DomainError(f"point of dim {len(z)} on chart of dim {chart.n}")
     Z = np.array(points, dtype=complex).reshape(-1, chart.n)
@@ -200,13 +160,6 @@ def _check_points(chart: MetricChart, points) -> np.ndarray:
             if not chart.domain(z):
                 raise DomainError(f"point {z} outside domain of {chart.label}")
     return Z
-
-
-def _point_batch(chart: MetricChart, keys) -> _PointData:
-    """The store's fill: the jets of every point from one walk, stacked,
-    then `_fill`."""
-    Z = _check_points(chart, keys)
-    return _fill((chart.label,) * len(Z), Z, *_component_jets(chart, Z))
 
 
 def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
@@ -261,7 +214,7 @@ def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _Point
             f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
     data = _MetricData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
     parts = (*vars(data).values(), _basis_stack(data, E))
-    return _PointData(*map(_read_only, parts))   # each point's view is read-only too
+    return _PointData(*map(_read_only, parts))   # its `_rows` views are read-only too
 
 
 def _rows(b: _PointData, start: int, stop: int) -> _PointData:
@@ -272,7 +225,7 @@ def _rows(b: _PointData, start: int, stop: int) -> _PointData:
 def metric_jet(chart: MetricChart, z):
     """Jets of every g_{i jbar} at z, plus the inverse metric there.
 
-    Returns (jets, ginv), read-only views of the cached point data, with
+    Returns (jets, ginv), read-only views of a one-point fill's record, with
     jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
     NotPositiveDefinite if the value matrix fails the PD check."""
     b, _ = _point(chart, z)
@@ -285,8 +238,8 @@ def metric_jet(chart: MetricChart, z):
 def metric_values(chart: MetricChart, z) -> np.ndarray:
     """Value matrix G at a point, or G[p] at each point of a stack z[p]
     (one `_value` walk per component), without derivative propagation:
-    the finite-difference oracles' metric.  The points pass the store
-    fill's check (`_check_points`)."""
+    the finite-difference oracles' metric.  The points pass the fill's
+    check (`_check_points`)."""
     Z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_points(chart, Z.reshape(-1, Z.shape[-1]))
     G = np.array([[g._value(Z) for g in row] for row in chart.g], dtype=complex)

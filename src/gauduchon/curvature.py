@@ -88,8 +88,7 @@ def canonical_weights(params) -> np.ndarray:
 
 def canonical_bases(chart: MetricChart, points) -> np.ndarray:
     """`canonical_basis(chart, p)` of every point p, one read-only array
-    B[p, m, k, l, i, j]: the bases the chart's store built with the points'
-    data, in their batch fills."""
+    B[p, m, k, l, i, j]: the bases of one fill of the points' data."""
     return _metric_points(chart, points).basis
 
 
@@ -103,9 +102,9 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
 
-    In the Cholesky frame (frame=None) this is the point's stored basis,
-    read-only, built in the store's fill with the rest of its data; in an
-    explicit frame it is computed afresh by the fill's code and not stored.
+    In the Cholesky frame (frame=None) this is the basis of the point's
+    one-point fill, read-only; in an explicit frame the fill's code builds
+    it from the same record in that frame.  Each call fills afresh.
     """
     b, E = _point(chart, z, frame)
     return b.basis[0] if frame is None else _basis_stack(b, E)[0]
@@ -143,9 +142,9 @@ def _scalar(R: np.ndarray) -> np.ndarray:
 
 
 def scalar_curvature(chart: MetricChart, z) -> float:
-    """Riemannian scalar curvature of the realified metric, from the stored
-    Levi-Civita tensor R = B[0] (see `_scalar`)."""
-    return float(_scalar(canonical_bases(chart, [z])[0][0]))
+    """Riemannian scalar curvature of the realified metric, from the
+    Levi-Civita tensor R = B[0] of the point's basis (see `_scalar`)."""
+    return float(_scalar(canonical_basis(chart, z)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    The points' stored bases come from `canonical_bases`, and
+    The points' bases come from one `canonical_bases` fill, and
     `_constancy_of_bases` fits them.  An empty params_list gives empty arrays;
     an empty point list raises ConfigError.
     """
@@ -279,7 +278,7 @@ def selfdual_residual(chart: MetricChart, z) -> tuple[float, float, float]:
     self-dual at z."""
     if chart.n != 2:
         raise DimensionError("self-duality requires complex dimension 2")
-    r1, r2, r3 = _selfdual(canonical_bases(chart, [z])[0][0])
+    r1, r2, r3 = _selfdual(canonical_basis(chart, z)[0])
     return float(r1), float(r2), float(r3)
 
 
@@ -305,7 +304,8 @@ def _weyl_minus(R: np.ndarray) -> np.ndarray:
 def weyl_minus(chart: MetricChart, z) -> np.ndarray:
     """Gram matrix of the anti-self-dual Weyl operator W_- on the unitary
     basis {e1 ^ ebar2, (e1 ^ ebar1 - e2 ^ ebar2)/sqrt2, ebar1 ^ e2} of
-    Lambda^2_- tensor C, from the stored Levi-Civita tensor B[0].
+    Lambda^2_- tensor C, from the Levi-Civita tensor B[0] of the point's
+    basis.
 
     Entries are <W_- u_a, u_b> = g(curv_op(u_a), conj(u_b)) - s_g/12
     delta_ab with g(curv_op(X ^ Y), Z ^ W) = -R(X, Y, Z, W).  Hermitian up
@@ -313,7 +313,7 @@ def weyl_minus(chart: MetricChart, z) -> np.ndarray:
     """
     if chart.n != 2:
         raise DimensionError("W_- requires complex dimension 2")
-    return _weyl_minus(canonical_bases(chart, [z])[0][0])
+    return _weyl_minus(canonical_basis(chart, z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def lc_full(chart: MetricChart, z) -> np.ndarray:
     """Full complexified Levi-Civita Riemann tensor in the Wirtinger
     coordinate frame (2n axes each: 0..n-1 unbarred, n..2n-1 barred): the
     reference at s = 1."""
-    parts = _christoffel_parts(_metric_points(chart, [z]))
+    parts = _christoffel_parts(_point(chart, z)[0])
     return _riemann(*_christoffel(parts, (0.0, 1.0)))[0]
 
 

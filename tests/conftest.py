@@ -66,9 +66,16 @@ def pts_of(chart, count, seed):
 
 
 def point_record(b, k):
-    """Point k of a stacked point-store record, its arrays without the point
+    """Point k of a stacked fill record, its arrays without the point
     axis: the input of the tests' per-point reference formulas."""
     return SimpleNamespace(**{name: a[k] for name, a in vars(b).items()})
+
+
+def curvatures(bases, params_list):
+    """R[cell, p] of D^t_s for every (t, s) of params_list at every point of
+    a `canonical_bases` stack: one `canonical_weights` row per cell, the
+    stacked form of `canonical_curvature`."""
+    return np.tensordot(gd.canonical_weights(params_list), bases, (1, 1))
 
 
 def jet_rel_err(je, jf) -> float:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
+import gauduchon.connection as connection
+import gauduchon.curvature as curvature
 
-from conftest import pts_of
+from conftest import curvatures, pts_of
 
 
 def emit(num, ok, text):
@@ -20,14 +22,18 @@ def maxabs(x):
     return float(np.max(np.abs(x)))
 
 
+def tensor_max(R):
+    """max |R| of each four-tensor of a stack R[..., k, l, i, j]."""
+    return np.max(np.abs(R), axis=(-4, -3, -2, -1))
+
+
 @pytest.fixture(scope="module")
 def adm_pts(adm):
     return pts_of(adm, 50, 31)
 
 
 def test_criterion_01_strominger_flatness_of_hopf(hopf):
-    worst = max(maxabs(gd.gauduchon_curvature(hopf, -1.0, p).R)
-                for p in pts_of(hopf, 100, 30))
+    worst = maxabs(curvatures(gd.canonical_bases(hopf, pts_of(hopf, 100, 30)), [(-1.0, 0.0)]))
     ok = worst < 1e-8
     emit(1, ok, f"hopf t=-1 max ||R|| = {worst:.2e} < 1e-8 at 100 points")
     assert ok
@@ -35,13 +41,9 @@ def test_criterion_01_strominger_flatness_of_hopf(hopf):
 
 def test_criterion_02_zero_hsc_nonzero_tensor(hopf):
     pts = pts_of(hopf, 100, 30)
-    worst_res, worst_c, worst_norm = 0.0, 0.0, 0.0
-    for p in pts:
-        C = gd.gauduchon_curvature(hopf, 3.0, p)
-        c, res = gd.constancy_residual(C)
-        worst_res = max(worst_res, res)
-        worst_c = max(worst_c, abs(c))
-        worst_norm = max(worst_norm, maxabs(C.R))
+    c, res = gd.constancy_table(hopf, [(3.0, 0.0)], pts)
+    worst_res, worst_c = maxabs(res), maxabs(c)
+    worst_norm = maxabs(curvatures(gd.canonical_bases(hopf, pts), [(3.0, 0.0)]))
     witness = gd.gauduchon_curvature(hopf, 3.0, [0, 1]).R[0, 0, 1, 1]
     ok = (worst_res < 1e-8 and worst_c < 1e-8 and worst_norm >= 1.0
           and abs(witness - 4.0) < 1e-8)
@@ -55,23 +57,14 @@ OFF_CIRCLE = [(1.0, 0.0), (0.0, 0.0), (2.0, 1.0)]
 
 
 def test_criterion_03_circle_law_on_admissible(adm, adm_spec, adm_pts):
-    ok = True
-    measured, reference = [], []
-    for ts in CIRCLE:
-        for p in adm_pts:
-            c, res = gd.constancy_residual(gd.canonical_curvature(adm, ts, p))
-            ref = gd.admissible_hsc_reference(adm_spec, p)
-            ok &= res < 1e-7 and abs(c - ref) < 1e-7
-            measured.append(c)
-            reference.append(ref)
+    c, res = gd.constancy_table(adm, CIRCLE, adm_pts)
+    ref = np.array([gd.admissible_hsc_reference(adm_spec, p) for p in adm_pts])
+    ok = bool(np.all(res < 1e-7) and np.all(np.abs(c - ref) < 1e-7))
+    measured, reference = c.ravel(), np.tile(ref, len(CIRCLE))
     fitted = float(np.dot(measured, reference) / np.dot(reference, reference))
     ok &= abs(fitted - 1.0) < 1e-7
-    off_worst = []
-    for ts in OFF_CIRCLE:
-        worst = max(gd.constancy_residual(gd.canonical_curvature(adm, ts, p))[1]
-                    for p in adm_pts)
-        off_worst.append(worst)
-        ok &= worst > 1e-3
+    off_worst = np.max(gd.constancy_table(adm, OFF_CIRCLE, adm_pts)[1], axis=1)
+    ok &= bool(np.all(off_worst > 1e-3))
     emit(3, ok, f"circle params constant with HSC = reference "
                 f"(fitted scalar {fitted:.12f}); off-circle residuals "
                 f"{['%.2e' % w for w in off_worst]} all > 1e-3")
@@ -104,16 +97,15 @@ def test_criterion_05_selfdual_weyl_equivalence(catalog_charts):
     while samples < 200:
         for chart in charts2:
             base_pts = gd.sample_points(chart, 2, rng)
-            todo = [(chart, p) for p in base_pts]
             f = factors[samples % len(factors)]
             resc = gd.rescale(chart, f, check_points=base_pts).rescaled
-            todo += [(resc, p) for p in gd.sample_points(chart, 1, rng)]
-            for cc, p in todo:
-                sd = max(gd.selfdual_residual(cc, p))
-                w = float(np.linalg.norm(gd.weyl_minus(cc, p), 2))
-                if (sd < 1e-8) != (w < 1e-6):
-                    disagreements += 1
-                samples += 1
+            for cc, pts in ((chart, base_pts), (resc, gd.sample_points(chart, 1, rng))):
+                # the stacked forms of selfdual_residual and weyl_minus
+                R = gd.canonical_bases(cc, pts)[:, 0]
+                sd = np.max(curvature._selfdual(R), axis=1)
+                w = np.linalg.norm(curvature._weyl_minus(R), 2, axis=(1, 2))
+                disagreements += int(np.sum((sd < 1e-8) != (w < 1e-6)))
+                samples += len(pts)
     ok = disagreements == 0
     emit(5, ok, f"{samples} fuzz samples (catalog charts + rescalings): "
                 f"{disagreements} disagreements between component self-duality "
@@ -122,12 +114,11 @@ def test_criterion_05_selfdual_weyl_equivalence(catalog_charts):
 
 
 def test_criterion_06_constancy_implies_selfdual(adm, adm_pts):
-    worst = 0.0
-    for ts in CIRCLE:
-        for p in adm_pts:
-            _, res = gd.constancy_residual(gd.canonical_curvature(adm, ts, p))
-            if res < 1e-7:
-                worst = max(worst, max(gd.selfdual_residual(adm, p)))
+    _, res = gd.constancy_table(adm, CIRCLE, adm_pts)
+    passing = np.any(res < 1e-7, axis=0)
+    # the stacked form of selfdual_residual at the passing points
+    sd = curvature._selfdual(gd.canonical_bases(adm, adm_pts)[passing, 0])
+    worst = float(np.max(sd, initial=0.0))
     ok = worst < 1e-6
     emit(6, ok, f"all constancy-passing (chart, params) samples are self-dual: "
                 f"max residual {worst:.2e} < 1e-6")
@@ -148,18 +139,11 @@ def test_criterion_07_conformal_laws(flat, fs, fsb, hopf):
         t, s = ts_pool[case % len(ts_pool)]
         sample_chart = hopf if base is flat else base
         pts = gd.sample_points(sample_chart, 2, rng)
-        pair = gd.rescale(base, f, check_points=pts)
-        for p in pts:
-            worst_delta = max(worst_delta, maxabs(
-                gd.delta_gauduchon_predicted(pair, t, p).R
-                - gd.delta_direct(pair, (t, 0.0), p).R))
-            worst_delta = max(worst_delta, maxabs(
-                gd.delta_canonical_predicted(pair, (t, s), p).R
-                - gd.delta_direct(pair, (t, s), p).R))
-            worst_torsion = max(worst_torsion,
-                                gd.torsion_transform_residual(pair, p))
-            worst_comm = max(worst_comm,
-                             gd.commutation_residual(base, f, t, p))
+        at = gd.rescale(base, f, check_points=pts).at(pts)
+        cells = [(t, 0.0), (t, s)]
+        worst_delta = max(worst_delta, maxabs(at.delta_predicted(cells) - at.delta_direct(cells)))
+        worst_torsion = max(worst_torsion, maxabs(at.torsion_residuals()))
+        worst_comm = max(worst_comm, maxabs(at.commutation_residuals(t)))
     ok = worst_delta < 1e-7 and worst_torsion < 1e-8 and worst_comm < 1e-8
     emit(7, ok, f"20 fuzz cases: delta {worst_delta:.2e} < 1e-7, torsion law "
                 f"{worst_torsion:.2e} < 1e-8, commutation {worst_comm:.2e} < 1e-8")
@@ -172,33 +156,41 @@ T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 ORACLE_TS = [(t, s) for t in T_GRID for s in (0.0, 1.0)] + [(0.5, 0.5), (2.0, -1.0), (-1.0, 2.0)]
 
 
+GAUDUCHON_LINE = [(t, 0.0) for t in T_GRID]
+
+
+def chern_and_line(chart, pts):
+    """The Chern curvature R[p] and the Gauduchon line's curvatures R[t, p]
+    at the points, from one fill."""
+    b = connection._metric_points(chart, pts)
+    return connection._chern_stack(b, b.E), curvatures(b.basis, GAUDUCHON_LINE), b.basis
+
+
 def test_criterion_08_interpolation_identities(catalog_charts, kahler_charts):
     worst = 0.0
     worst_o = 0.0
     for chart in catalog_charts:
         pts = pts_of(chart, 50, 35)
-        for p in pts:
-            worst = max(worst, maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
-                                      - gd.chern_curvature(chart, p).R))
-            Rlc = gd.lc_curvature(chart, p).R
-            for t in T_GRID:
-                worst = max(worst, maxabs(
-                    gd.canonical_curvature(chart, (t, 0.0), p).R
-                    - gd.gauduchon_curvature(chart, t, p).R))
-                worst = max(worst, maxabs(
-                    gd.canonical_curvature(chart, (t, 1.0), p).R - Rlc))
+        Rc, Rt, B = chern_and_line(chart, pts)
+        worst = max(worst, maxabs(Rt[T_GRID.index(1.0)] - Rc))
+        worst = max(worst, maxabs(curvatures(B, [(t, 1.0) for t in T_GRID])
+                                  - curvatures(B, [(0.0, 1.0)])))
+        # the public per-point functions at the first point
+        p = pts[0]
+        worst = max(worst, maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
+                                  - gd.chern_curvature(chart, p).R))
+        for t, R in zip(T_GRID, Rt[:, 0]):
+            worst = max(worst, maxabs(gd.canonical_curvature(chart, (t, 0.0), p).R - R),
+                        maxabs(gd.gauduchon_curvature(chart, t, p).R - R))
         # the connection's own curvature, from its Christoffel symbols
-        for ts, cell in zip(ORACLE_TS, gd.connection_curvature_oracle(chart, ORACLE_TS, pts)):
-            for p, R in zip(pts, cell):
-                want = gd.canonical_curvature(chart, ts, p).R
-                worst_o = max(worst_o, maxabs(R - want) / max(1.0, maxabs(want)))
+        R = gd.connection_curvature_oracle(chart, ORACLE_TS, pts)
+        want = curvatures(B, ORACLE_TS)
+        worst_o = max(worst_o, float(np.max(tensor_max(R - want)
+                                            / np.maximum(1.0, tensor_max(want)))))
     worst_k = 0.0
     for chart in kahler_charts:
-        for p in pts_of(chart, 50, 36):
-            Rc = gd.chern_curvature(chart, p).R
-            for t in T_GRID:
-                worst_k = max(worst_k, maxabs(
-                    gd.gauduchon_curvature(chart, t, p).R - Rc))
+        Rc, Rt, _ = chern_and_line(chart, pts_of(chart, 50, 36))
+        worst_k = max(worst_k, maxabs(Rt - Rc))
     ok = worst < 1e-10 and worst_k < 1e-9 and worst_o < 1e-12
     emit(8, ok, f"interpolation identities {worst:.2e} < 1e-10 on all catalog "
                 f"charts; Kahler families coincide to {worst_k:.2e} < 1e-9; "
@@ -209,9 +201,10 @@ def test_criterion_08_interpolation_identities(catalog_charts, kahler_charts):
 def test_criterion_09_oracle_agreement(hopf, fsb, catalog_charts):
     worst_lc = 0.0
     for chart in (hopf, fsb):
-        for p in pts_of(chart, 20, 37):
-            worst_lc = max(worst_lc, maxabs(
-                gd.lc_curvature(chart, p).R - gd.lc_curvature_fd(chart, p).R))
+        pts = pts_of(chart, 20, 37)
+        b = connection._metric_points(chart, pts)
+        for p, R, E in zip(pts, b.basis[:, 0], b.E):
+            worst_lc = max(worst_lc, maxabs(R - gd.lc_curvature_fd(chart, p, E).R))
     worst_jet = 0.0
     for chart in catalog_charts:
         for p in pts_of(chart, 50, 38):
@@ -242,14 +235,9 @@ def test_criterion_10_space_forms(fs, chyp):
     summary = []
     for chart in (fs, chyp):
         frozen = SPACE_FORM_C[chart.label]
-        pts = pts_of(chart, 12, 39)
-        cs = []
-        for ts in GRID_5X5:
-            for p in pts:
-                c, res = gd.constancy_residual(
-                    gd.canonical_curvature(chart, ts, p))
-                ok &= res < 1e-7
-                cs.append(c)
+        c, res = gd.constancy_table(chart, GRID_5X5, pts_of(chart, 12, 39))
+        ok &= bool(np.all(res < 1e-7))
+        cs = list(c.ravel())
         spread = max(cs) - min(cs)
         ok &= spread < 1e-7
         ok &= (min(cs) > 0) if frozen > 0 else (max(cs) < 0)

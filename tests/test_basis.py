@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
+import gauduchon.connection as connection
 from gauduchon.cli import SuiteConfig, hsc_payload, run_suite, scan_ts
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
@@ -32,13 +33,14 @@ def random_unitary(rng, n):
     return Q
 
 
-def direct_terms(chart, z, frame=None):
+def direct_terms(chart, z):
     """The four weighted terms of R^{D^t_s}, each spelled out with its own
-    einsums: R, T^j_{ik,lbar} + conj(T^i_{jl,kbar}), T^r_ik conj(T^r_jl)
-    - T^j_rk conj(T^i_rl) and conj(T^k_rj) T^l_ir."""
-    R = gd.lc_curvature(chart, z, frame).R
-    T = gd.chern_torsion(chart, z, frame)
-    TD = gd.torsion_cov_deriv(chart, z, frame)
+    einsums from one fill of z: R, T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
+    T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl) and conj(T^k_rj) T^l_ir."""
+    b = connection._metric_points(chart, [z])
+    R = b.basis[0, 0]
+    T = connection._frame_torsion(b, b.E)[0]
+    TD = connection._frame_torsion_dbar(b, b.E)[0]
     term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
     term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
         - np.einsum("jrk,irl->klij", T, np.conj(T))
@@ -172,10 +174,13 @@ def test_constancy_residual_matches_loop_formula():
             assert abs(res - res_ref) <= 1e-14 * max(1.0, res_ref)
 
 
-def per_cell(chart, params, pts):
-    """(c, residual) of every point from its own canonical curvature."""
-    return np.array([gd.constancy_residual(gd.canonical_curvature(chart, params, p))
-                     for p in pts]).T
+def per_cell(chart, cells, pts):
+    """(c, residual) of every point at every (t, s) cell, each from its own
+    canonical curvature, the cell's weights on the point's own
+    `canonical_basis`: arrays c[cell, point] and residual[cell, point]."""
+    bases = [gd.canonical_basis(chart, p) for p in pts]
+    return np.moveaxis([[gd.constancy_residual(np.tensordot(gd.canonical_weights(ts), B, 1))
+                         for B in bases] for ts in cells], -1, 0)
 
 
 def test_constancy_table_matches_per_cell():
@@ -185,10 +190,9 @@ def test_constancy_table_matches_per_cell():
              for s in (-2.5, 0.0, 1.0, 2.0)]
     c, res = gd.constancy_table(chart, cells, pts)
     assert c.shape == res.shape == (len(cells), len(pts))
-    for row, params in enumerate(cells):
-        c_ref, res_ref = per_cell(chart, params, pts)
-        np.testing.assert_allclose(c[row], c_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res[row], res_ref, rtol=0, atol=1e-12)
+    c_ref, res_ref = per_cell(chart, cells, pts)
+    np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res, res_ref, rtol=0, atol=1e-12)
 
 
 def test_constancy_table_edges():
@@ -207,8 +211,9 @@ def test_scan_matches_per_cell():
     pts = gd.sample_points(chart, 3, np.random.default_rng(1))
     rows = scan_ts(ADM_SPEC, (-2.0, 4.0, 4), (-2.5, 2.5, 3), samples=3, seed=1)
     assert len(rows) == 12
-    for t, s, worst, _ in rows:
-        assert abs(worst - max(per_cell(chart, (t, s), pts)[1])) <= 1e-12
+    _, res_ref = per_cell(chart, [(t, s) for t, s, _, _ in rows], pts)
+    for (t, s, worst, _), res in zip(rows, res_ref):
+        assert abs(worst - max(res)) <= 1e-12
 
 
 def test_suite_constancy_records_match_per_cell():
@@ -220,8 +225,7 @@ def test_suite_constancy_records_match_per_cell():
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 4, np.random.default_rng(3))
     assert [r.params for r in report.records] == grid
-    for rec in report.records:
-        c_ref, res_ref = per_cell(chart, rec.params, pts)
+    for rec, c_ref, res_ref in zip(report.records, *per_cell(chart, grid, pts)):
         assert abs(rec.value - float(np.mean(c_ref))) <= 1e-12
         assert abs(rec.residual_max - float(max(res_ref))) <= 1e-12
         assert rec.passed == bool(rec.residual_max <= rec.tolerance)
@@ -233,7 +237,7 @@ def test_hsc_payload_matches_per_cell():
     chart = CHARTS["admissible"]
     pts = gd.sample_points(chart, 3, np.random.default_rng(8))
     payload = hsc_payload(ADM_SPEC, 0.5, 1.0, samples=3, seed=8)
-    c_ref, res_ref = per_cell(chart, (0.5, 1.0), pts)
+    [c_ref], [res_ref] = per_cell(chart, [(0.5, 1.0)], pts)
     rows = payload["per_point"]
     assert [r["point"] for r in rows] == [[[v.real, v.imag] for v in p] for p in pts]
     np.testing.assert_allclose([r["c"] for r in rows], c_ref, rtol=0, atol=1e-12)

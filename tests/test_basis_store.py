@@ -1,10 +1,9 @@
-"""The point store's records: each point's data, its canonical basis among
-it, built once in a batch fill, bit-equal to a per-point build, read-only,
-held by the chart's store and handed out as stacks."""
+"""The fill's records: each point's data, its canonical basis among it,
+built in one stacked fill, bit-equal to a per-point build and to a
+one-point fill, read-only, and filled afresh on every call; and the fills
+each command makes."""
 
-import gc
 import json
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,7 +19,7 @@ import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 import gauduchon.wjet as wjet
 from gauduchon.cli import SuiteConfig, run_suite
-from gauduchon.errors import GauduchonError
+from gauduchon.errors import DomainError
 
 from conftest import jet_rel_err, point_record
 
@@ -77,10 +76,10 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     bases = gd.canonical_bases(chart, pts)
     assert bases.shape == (count, 4) + (chart.n,) * 4
     b = connection._metric_points(chart, pts)
-    for k, (p, B) in enumerate(zip(pts, bases, strict=True)):
+    # the Levi-Civita tensor from the Chern side is the reference's s = 1
+    [lc] = curvature._curvature_oracle([(0.0, 1.0)], b)
+    for k, (B, R) in enumerate(zip(bases, lc, strict=True)):
         np.testing.assert_array_equal(B, per_point_basis(point_record(b, k)))
-        # the Levi-Civita tensor from the Chern side is the reference's s = 1
-        R = gd.connection_curvature_oracle(chart, [(0.0, 1.0)], [p])[0, 0]
         assert np.max(np.abs(B[0] - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
     # an explicit frame is built from the same code, one point at a time
     fr = gd.unitary_frame(chart, pts[0])
@@ -92,74 +91,65 @@ FIELDS = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E", "basis"
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 2**32 - 1),
-       stored=st.lists(st.integers(0, 5), max_size=4),
        read=st.lists(st.integers(0, 5), min_size=1, max_size=8),
        bad=st.none() | st.integers(0, 8))
-def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, stored, read, bad):
-    """Any mix of stored and new points, with repeats and in any order,
-    reads as one stacked record that equals, bit for bit, what one fill of
-    the same points on a fresh chart gives; its basis is `_basis_stack` of
-    the record, and no array of either is writeable.  A read with a point
-    outside the domain raises and stores nothing of its batch."""
+def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, read, bad):
+    """Any list of points, with repeats and in any order, given as arrays or
+    as lists, fills to one stacked record whose rows equal, bit for bit,
+    one-point fills of its points on a fresh chart; its basis is
+    `_basis_stack` of the record, and no array of either is writeable.  A
+    list with a point outside the domain raises its typed error."""
     chart = gd.make_chart(SPECS[name])
     pts = gd.sample_points(chart, 6, np.random.default_rng(seed))
-    if stored:
-        connection._metric_points(chart, [pts[i] for i in stored])
-    points = [pts[i] for i in read]
+    points = [pts[i] if k % 2 else list(pts[i]) for k, i in enumerate(read)]
     if bad is not None:
-        keys = set(connection._STORE.get(chart, ()))
         points.insert(min(bad, len(points)), np.zeros(chart.n))
-        with pytest.raises(GauduchonError):
+        with pytest.raises(DomainError):
             connection._metric_points(chart, points)
-        assert set(connection._STORE.get(chart, ())) == keys
         return
     b = connection._metric_points(chart, points)
-    fresh = connection._metric_points(gd.make_chart(SPECS[name]), points)
-    assert list(vars(b)) == list(vars(fresh)) == list(FIELDS)
-    for field in FIELDS:
-        got, want = getattr(b, field), getattr(fresh, field)
-        assert got.shape[0] == len(points)
-        np.testing.assert_array_equal(got, want)
-        assert not got.flags.writeable and not want.flags.writeable
+    fresh = gd.make_chart(SPECS[name])
+    assert list(vars(b)) == list(FIELDS)
+    for k, i in enumerate(read):
+        one = connection._metric_points(fresh, [pts[i]])
+        for field in FIELDS:
+            got, want = getattr(b, field), getattr(one, field)
+            assert got.shape[0] == len(points) and want.shape[0] == 1
+            np.testing.assert_array_equal(got[k], want[0])
+            assert not got.flags.writeable and not want.flags.writeable
     np.testing.assert_array_equal(b.basis, connection._basis_stack(b, b.E))
 
 
-def test_stored_basis_is_read_only_and_reused(monkeypatch):
+def test_per_point_basis_is_read_only_and_filled_per_call(monkeypatch):
+    """Each per-point call fills its point afresh, and its basis is
+    read-only; a basis in an explicit frame is built from a fill's record
+    outside the fill, and the reference is computed afresh on each call."""
     builds = counting(monkeypatch)
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 3, np.random.default_rng(2))
     bases = gd.canonical_bases(chart, pts)
     assert not bases.flags.writeable
     for p, B in zip(pts, bases):
-        stored = gd.canonical_basis(chart, p)
-        np.testing.assert_array_equal(stored, B)
-        assert not stored.flags.writeable
+        one = gd.canonical_basis(chart, p)
+        np.testing.assert_array_equal(one, B)
+        assert not one.flags.writeable
         with pytest.raises(ValueError):
-            stored[0, 0, 0, 0, 0] = 1.0
-        # the reference is computed afresh on each call and never stored
+            one[0, 0, 0, 0, 0] = 1.0
         R = gd.lc_full(chart, p)
         kept = R.copy()
         R += 1.0
         np.testing.assert_array_equal(gd.lc_full(chart, p), kept)
-    assert builds == [(3, True)]
-
-
-def test_stored_basis_goes_with_its_chart():
-    chart = gd.hopf_chart(2)
-    pts = gd.sample_points(chart, 2, np.random.default_rng(0))
-    # New, distinct points read as their fill's record, which the store's
-    # per-point records are views of.
-    held = weakref.ref(gd.canonical_bases(chart, pts))
-    assert held() is not None
-    del chart
-    gc.collect()
-    assert held() is None
+    assert builds == [(3, True)] + [(1, True)] * 9      # three one-point fills per point
+    fr = gd.unitary_frame(chart, pts[1])
+    builds.clear()
+    np.testing.assert_array_equal(gd.canonical_basis(chart, pts[1], fr), bases[1])
+    assert builds == [(1, True), (1, False)]
 
 
 def counting(monkeypatch):
     """Record the row count of every basis build, and whether it ran in a
-    fill's array stage (`_fill`, which the store's fill and the rescaled
-    records share) or outside it, in an explicit frame."""
+    fill's array stage (`_fill`, which `_metric_points`, the suite's fill
+    and the rescaled records share) or outside it, in an explicit frame."""
     builds, filling = [], [False]
     build, fill = connection._basis_stack, connection._fill
 
@@ -181,22 +171,6 @@ def counting(monkeypatch):
     return builds
 
 
-def test_stored_basis_respects_the_store_bound(monkeypatch):
-    monkeypatch.setattr(connection, "POINT_STORE_SIZE", 3)
-    builds = counting(monkeypatch)
-    chart = gd.make_chart(ADM_SPEC)
-    pts = gd.sample_points(chart, 5, np.random.default_rng(4))
-    gd.canonical_bases(chart, pts)
-    assert len(connection._STORE[chart]) == 3
-    gd.canonical_bases(chart, pts[2:])          # still stored: no build
-    assert builds == [(5, True)]
-    gd.canonical_basis(chart, pts[0])           # evicted: built again
-    assert builds == [(5, True), (1, True)]
-    fr = gd.unitary_frame(chart, pts[1])
-    gd.canonical_basis(chart, pts[1], fr)       # an explicit frame: built outside a fill
-    assert builds == [(5, True), (1, True), (1, True), (1, False)]
-
-
 def suite_adm2_config():
     """The bench's suite_adm2 config."""
     return SuiteConfig.from_dict({
@@ -215,20 +189,20 @@ def test_suite_builds_bases_only_in_its_fills(monkeypatch):
     assert builds == [(40, True), (15, True)]
 
 
-def counting_lookups(monkeypatch):
-    """Record the points of every store lookup, in every module that makes
-    one."""
-    lookups = []
-    lookup = connection._metric_points
+def counting_fills(monkeypatch):
+    """Record the points of every `_metric_points` fill, in every module
+    that makes one."""
+    fills = []
+    fill = connection._metric_points
 
     def counted(chart, points):
-        lookups.append(len(points))
-        return lookup(chart, points)
+        fills.append(len(points))
+        return fill(chart, points)
 
     for module in (connection, curvature, conformal, cli):
-        if getattr(module, "_metric_points", None) is lookup:
+        if getattr(module, "_metric_points", None) is fill:
             monkeypatch.setattr(module, "_metric_points", counted)
-    return lookups
+    return fills
 
 
 FRAMED_READERS = {
@@ -247,15 +221,15 @@ FRAMED_READERS = {
 @pytest.mark.parametrize("name", sorted(FRAMED_READERS))
 @pytest.mark.parametrize("frame", ["cholesky", "explicit"])
 def test_per_point_reader_makes_one_store_lookup(monkeypatch, name, frame):
-    """Each per-point reader looks its point up once, in the Cholesky frame
-    and in an explicit one; the finite-difference oracle needs no lookup
-    for an explicit frame."""
+    """Each per-point reader fills its point once (one `_metric_points`
+    call), in the Cholesky frame and in an explicit one; the
+    finite-difference oracle needs no fill for an explicit frame."""
     chart = gd.make_chart(ADM_SPEC)
     p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
     fr = gd.unitary_frame(chart, p) if frame == "explicit" else None
-    lookups = counting_lookups(monkeypatch)
+    fills = counting_fills(monkeypatch)
     FRAMED_READERS[name](chart, p, fr)
-    assert lookups == ([] if name == "lc_curvature_fd" and fr is not None else [1])
+    assert fills == ([] if name == "lc_curvature_fd" and fr is not None else [1])
 
 
 @pytest.mark.parametrize("reader", [gd.metric_jet, gd.unitary_frame, gd.lc_full,
@@ -263,32 +237,43 @@ def test_per_point_reader_makes_one_store_lookup(monkeypatch, name, frame):
 def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     chart = gd.make_chart(ADM_SPEC)
     p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
-    lookups = counting_lookups(monkeypatch)
+    fills = counting_fills(monkeypatch)
     reader(chart, p)
-    assert lookups == [1]
+    assert fills == [1]
 
 
 def test_suite_makes_no_store_lookup(monkeypatch):
-    """The bench's suite_adm2 config: no store lookup.  The run fills its
-    points' data, their bases among it, once from its own walk, as one
-    stacked record, which `interpolation`'s oracle, `constancy` and the
-    conformal checks read too; the conformal checks' rescaled records are
-    built from it, not looked up.  Its one lookup, of the 40 sample
-    points, never hit the store; the conformal checks' own lookups took 7
-    more, and the oracle and `constancy` looking their points up again 9
-    (112 when checks looked their points up one at a time)."""
-    charts, make = [], cli.make_chart
-
-    def recording_make(spec):
-        charts.append(make(spec))
-        return charts[-1]
-
-    monkeypatch.setattr(cli, "make_chart", recording_make)
-    lookups = counting_lookups(monkeypatch)
+    """The bench's suite_adm2 config: no `_metric_points` fill.  The run
+    fills its points' data, their bases among it, once from its own walk,
+    as one stacked record, which `interpolation`'s oracle, `constancy` and
+    the conformal checks read too; the conformal checks' rescaled records
+    are built from it, not filled again from the charts."""
+    fills = counting_fills(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert lookups == []
-    [chart] = charts
-    assert chart not in connection._STORE
+    assert fills == []
+
+
+def test_scan_hsc_and_curv_fill_their_points_once(monkeypatch, tmp_path):
+    """The bench's scan and hsc commands and a curv dump, counted in `_fill`
+    calls and their rows: scan and hsc fill their sample points once, curv
+    its one point once.  `test_suite_builds_bases_only_in_its_fills` counts
+    the suite's two."""
+    builds = counting(monkeypatch)
+    adm = tmp_path / "adm.json"
+    adm.write_text(json.dumps(ADM_SPEC))
+    hopf6 = tmp_path / "hopf6.json"
+    hopf6.write_text(json.dumps({"chart": "hopf_standard", "n": 6}))
+    out = str(tmp_path / "out")
+    for argv, want in (
+            (["scan", "--chart", str(adm), "--t=-2:4:13", "--s=-2.5:2.5:11", "--samples", "4"],
+             [(4, True)]),
+            (["hsc", "--chart", str(hopf6), "--t", "3", "--s", "0", "--samples", "3"],
+             [(3, True)]),
+            (["curv", "--chart", str(adm), "--t", "0", "--s", "1", "--point", "0.3,0.1;0,0.2"],
+             [(1, True)])):
+        builds.clear()
+        assert cli.main(argv + ["--out", out]) == 0
+        assert builds == want, argv[0]
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
@@ -356,10 +341,10 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
     """The bench's suite_adm2 config: 2 `eval_jets` walks in all: the run's
     walk of the metric components over the 40 points, which both its fill
     and `wjet_oracle` read, and one of the three conformal factors over the
-    first 5; the run makes no store fill, and no walk touches a rescaled
-    chart, whose records come from the base record."""
+    first 5; the run makes no `_metric_points` fill, and no walk touches a
+    rescaled chart, whose records come from the base record."""
     rescaled, walks, filled = [], [], []
-    pair_of, walk, fill = cli.rescale, wjet.eval_jets, connection._point_batch
+    pair_of, walk, fill = cli.rescale, wjet.eval_jets, connection._metric_points
 
     def recording_rescale(chart, f, **kwargs):
         pair = pair_of(chart, f, **kwargs)
@@ -370,14 +355,16 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
         walks.append((fields, len(points)))
         return walk(fields, points)
 
-    def counted_fill(chart, keys):
+    def counted_fill(chart, points):
         filled.append(chart)
-        return fill(chart, keys)
+        return fill(chart, points)
 
     monkeypatch.setattr(cli, "rescale", recording_rescale)
     for module in (wjet, connection, conformal):
         monkeypatch.setattr(module, "eval_jets", counted_walk)
-    monkeypatch.setattr(connection, "_point_batch", counted_fill)
+    for module in (connection, curvature, conformal, cli):
+        if getattr(module, "_metric_points", None) is fill:
+            monkeypatch.setattr(module, "_metric_points", counted_fill)
     assert run_suite(suite_adm2_config()).all_passed
     assert [(len(fields), count) for fields, count in walks] == [(4, 40), (3, 5)]
     assert len(rescaled) == 3 and filled == []

@@ -97,26 +97,29 @@ def test_hsc_symmetrize_equals_the_per_point_loop():
 def test_interpolation_equals_the_per_point_loop(spec):
     run = suite(spec)
     [row] = run.interpolation()
-    chart = run.chart
-    res = [maxabs(gd.gauduchon_curvature(chart, 1.0, p).R - gd.chern_curvature(chart, p).R)
-           for p in run.small]
-    for ts in cli.ORACLE_PARAMS:
-        res += [maxabs(gd.canonical_curvature(chart, ts, p).R
-                       - gd.connection_curvature_oracle(chart, [ts], [p])[0, 0])
-                for p in run.small]
+    # one point's record at a time, each read as the per-point functions do
+    records = [connection._point(run.chart, p)[0] for p in run.small]
+
+    def curvature_of(ts, b):
+        return np.tensordot(gd.canonical_weights(ts), b.basis[0], 1)
+
+    res = [maxabs(curvature_of((1.0, 0.0), b) - connection._chern_stack(b, b.E)[0])
+           for b in records]
+    oracle = [curvature._curvature_oracle(cli.ORACLE_PARAMS, b)[:, 0] for b in records]
+    for k, ts in enumerate(cli.ORACLE_PARAMS):
+        res += [maxabs(curvature_of(ts, b) - R[k]) for b, R in zip(records, oracle)]
     np.testing.assert_allclose(row["residuals"], res, rtol=0, atol=1e-14)
 
 
 def test_a_one_point_mutation_shows_on_that_point_only(monkeypatch):
-    """0.1i B[3] added to the stored B[1] of the 7th point only: both
+    """0.1i B[3] added to the filled B[1] of the 7th point only: both
     `hermitian_symmetry` (B[3] is Hermitian-symmetric, i B[3] is not) and
     `interpolation` (the Chern cell and every cell with p != 0) fail, and
     only on that point's residuals, so a batched reduction or broadcast
     over the wrong axis shows."""
     run = suite()
-    # The point's metric value, bit for bit what the run's fill computes; a
-    # second chart keeps the run's own store cold for the mutated fill.
-    target = connection._metric_points(gd.make_chart(ADM_SPEC), [run.small[6]]).G[0]
+    # The point's metric value, bit for bit what the run's fill computes.
+    target = connection._metric_points(run.chart, [run.small[6]]).G[0]
     build = connection._basis_stack
 
     def mutated(b, E):

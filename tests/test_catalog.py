@@ -255,13 +255,13 @@ def test_levi_civita_always_off_circle(t):
 
 def test_circle_params_match_reference(adm, adm_spec):
     pts = pts_of(adm, 50, 10)
-    for ts in [(-1.0, 0.0), (3.0, 0.0), (-1.0, 2.0), (0.0, np.sqrt(3.0))]:
-        assert abs(gd.circle_residual(*ts)) < 1e-12
-        for p in pts:
-            c, res = gd.constancy_residual(gd.canonical_curvature(adm, ts, p))
-            assert res < 1e-7
-            assert c == pytest.approx(gd.admissible_hsc_reference(adm_spec, p),
-                                      abs=1e-7)
+    circle = [(-1.0, 0.0), (3.0, 0.0), (-1.0, 2.0), (0.0, np.sqrt(3.0))]
+    assert all(abs(gd.circle_residual(*ts)) < 1e-12 for ts in circle)
+    c, res = gd.constancy_table(adm, circle, pts)
+    ref = [gd.admissible_hsc_reference(adm_spec, p) for p in pts]
+    assert np.all(res < 1e-7)
+    for row in c:
+        assert list(row) == pytest.approx(ref, abs=1e-7)
 
 
 @pytest.mark.parametrize("spec_kwargs", [
@@ -277,20 +277,18 @@ def test_circle_law_generalizes_over_specs(spec_kwargs):
     assert gd.validate_admissible(spec) == []
     chart = gd.admissible_chart(spec)
     pts = pts_of(chart, 10, 13)
-    for ts in [(-1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]:
-        for p in pts:
-            c, res = gd.constancy_residual(gd.canonical_curvature(chart, ts, p))
-            assert res < 1e-7
-            assert c == pytest.approx(gd.admissible_hsc_reference(spec, p),
-                                      abs=1e-7)
+    c, res = gd.constancy_table(chart, [(-1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)], pts)
+    ref = [gd.admissible_hsc_reference(spec, p) for p in pts]
+    assert np.all(res < 1e-7)
+    for row in c:
+        assert list(row) == pytest.approx(ref, abs=1e-7)
 
 
 def test_off_circle_params_fail_constancy(adm):
-    pts = pts_of(adm, 20, 11)
-    for ts in [(1.0, 0.0), (0.0, 0.0), (2.0, 1.0)]:
-        worst = max(gd.constancy_residual(gd.canonical_curvature(adm, ts, p))[1]
-                    for p in pts)
-        assert worst > 1e-3, ts
+    off = [(1.0, 0.0), (0.0, 0.0), (2.0, 1.0)]
+    _, res = gd.constancy_table(adm, off, pts_of(adm, 20, 11))
+    for ts, row in zip(off, res):
+        assert row.max() > 1e-3, ts
 
 
 def test_sampler_respects_safe_regions(catalog_charts):

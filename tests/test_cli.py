@@ -155,7 +155,7 @@ def test_suite_config_takes_integral_counts_and_seeds():
 
 
 def test_jet_oracle_alone_reads_no_metric_data():
-    """The suite fills the metric store up front only for checks that read
+    """The suite fills its metric record up front only for checks that read
     it, so the jet oracle still runs on a chart that is nowhere positive."""
     config = SuiteConfig.from_dict({
         "chart": {"chart": "inline", "n": 2,
@@ -491,7 +491,7 @@ def test_cli_hsc_matches_reference(tmp_path, capsys):
 
 
 def test_hsc_payload_builds_each_curvature_once(monkeypatch):
-    """Every point's basis is built once, in the store's one batch fill,
+    """Every point's basis is built once, in one fill of the points,
     and its tensor is one weighted sum of it: no per-point
     `canonical_curvature` call.  The HSC extremes are those of the
     per-point tensors and the same direction draws."""
@@ -526,8 +526,8 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
 
 
 def test_hsc_payload_reads_its_points_once(monkeypatch):
-    """One store read of the sample points feeds c, the residual and the
-    HSC tensor."""
+    """One fill of the sample points feeds c, the residual and the HSC
+    tensor."""
     import gauduchon.cli as cli
     import gauduchon.connection as connection
     import gauduchon.curvature as curvature

@@ -281,12 +281,13 @@ def per_point_laws(pair, t, params, z):
     and the predicted and direct canonical deltas at one point, from the
     per-point formulas in plain numpy (2-D matmuls and unbatched einsums)."""
     chart, f, n = pair.base, pair.f, pair.base.n
-    E = gd.unitary_frame(chart, z).E
+    b = connection._metric_points(chart, [z])
+    E = b.E[0]
     jf = gd.eval_jet(f, z)
     fr, frbar = E.T @ jf.d, E.conj().T @ jf.dbar
     # the mixed Christoffel symbols Gamma^m_{lbar k} of the complexified
     # reference at s = 1
-    parts = curvature._christoffel_parts(connection._metric_points(chart, [z]))
+    parts = curvature._christoffel_parts(b)
     C = curvature._christoffel(parts, (0.0, 1.0))[0][0, :n, n:, :n]
 
     def hessians(t):
@@ -295,12 +296,14 @@ def per_point_laws(pair, t, params, z):
         return E.T @ A @ E.conj(), E.conj().T @ B @ E
 
     H1, H2 = hessians(t)
-    T = gd.chern_torsion(chart, z)
+    T = connection._frame_torsion(b, b.E)[0]
     Tc = np.conj(T)
     eye = np.eye(n)
     c = np.exp(-f(z).real)
     pred = c * (T + np.einsum("j,ik->ijk", fr, eye) - np.einsum("k,ij->ijk", fr, eye))
-    torsion = np.max(np.abs(gd.chern_torsion(pair.rescaled, z, c * E) - pred))
+    # the rescaled chart's own trees, filled at z and read in the paired frame
+    rb = connection._metric_points(pair.rescaled, [z])
+    torsion = np.max(np.abs(connection._frame_torsion(rb, (c * E)[None])[0] - pred))
     rhs = (1.0 - t) * (np.einsum("r,jrk->jk", frbar, T) - np.einsum("r,krj->jk", fr, Tc))
     commutation = np.max(np.abs(H2 - H1.T - rhs))
 
@@ -323,8 +326,10 @@ def per_point_laws(pair, t, params, z):
          + s2 * (np.einsum("i,klj->klij", fr, Tc) - np.einsum("j,lik->klij", frbar, T)
                  - np.einsum("r,lri,jk->klij", frbar, T, eye)
                  - np.einsum("r,krj,il->klij", fr, Tc, eye)))
-    direct = (np.exp(2 * f(z).real) * gd.canonical_curvature(pair.rescaled, pr, z, c * E).R
-              - gd.canonical_curvature(chart, pr, z).R)
+    w = gd.canonical_weights(pr)
+    rescaled_basis = connection._basis_stack(rb, (c * E)[None])[0]
+    direct = (np.exp(2 * f(z).real) * np.tensordot(w, rescaled_basis, 1)
+              - np.tensordot(w, b.basis[0], 1))
     return [fr, frbar, H1, H2, torsion, commutation, D, direct]
 
 
@@ -340,8 +345,9 @@ def assert_close(got, want):
        which=st.integers(0, 2), t=st.floats(-3.0, 3.0), s=st.floats(-3.0, 3.0),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_factor_laws_equal_per_point(name, count, which, t, s, seed):
-    """The batched laws at P points equal the P = 1 public functions, and
-    those equal the per-point formulas."""
+    """The batched laws at P points equal the per-point formulas at every
+    point, and the public per-point functions, the laws' P = 1 calls, equal
+    the batched rows at the first point."""
     chart = gd.make_chart(SPECS[name])
     factors = _conformal_factors(chart.n)
     f = factors[which % len(factors)]
@@ -352,19 +358,20 @@ def test_batched_factor_laws_equal_per_point(name, count, which, t, s, seed):
     batched = [at.fr, at.frbar, *at.hessians(t), at.torsion_residuals(),
                at.commutation_residuals(t), at.delta_predicted((t, s)), at.delta_direct((t, s))]
     for j, p in enumerate(pts):
-        one = [*frame_gradient(chart, f, p), *gd.f_covariant_hessians(chart, f, t, p),
-               gd.torsion_transform_residual(pair, p), gd.commutation_residual(chart, f, t, p),
-               gd.delta_canonical_predicted(pair, (t, s), p).R,
-               gd.delta_direct(pair, (t, s), p).R]
-        for b, o, ref in zip(batched, one, per_point_laws(pair, t, (t, s), p), strict=True):
-            assert_close(b[j], o)
-            assert_close(o, ref)
+        for b, ref in zip(batched, per_point_laws(pair, t, (t, s), p), strict=True):
+            assert_close(b[j], ref)
+    p = pts[0]
+    one = [*frame_gradient(chart, f, p), *gd.f_covariant_hessians(chart, f, t, p),
+           gd.torsion_transform_residual(pair, p), gd.commutation_residual(chart, f, t, p),
+           gd.delta_canonical_predicted(pair, (t, s), p).R, gd.delta_direct(pair, (t, s), p).R]
+    for b, o in zip(batched, one, strict=True):
+        assert_close(b[0], o)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_rescaled_cholesky_frame_is_the_paired_frame(name):
     """Cholesky factors are unique, so chol(e^2f G) = e^f chol(G): the
-    rescaled chart's stored frame is the paired frame e^-f E, which is why
+    rescaled chart's Cholesky frame is the paired frame e^-f E, which is why
     `FactorAt` reads the rescaled side in the rescaled chart's own Cholesky
     frames, and why it refuses explicit frames together with a rescaled
     chart."""

@@ -63,38 +63,6 @@ def test_cached_point_data_is_read_only(adm):
     np.testing.assert_array_equal(gd.chern_torsion(adm, p), before)
 
 
-def test_store_lets_dropped_charts_go():
-    import gc
-    import weakref
-
-    from gauduchon.connection import _STORE
-
-    chart = gd.hopf_chart(2)
-    gd.chern_torsion(chart, [0.6, 0.2j])
-    gd.lc_curvature(chart, [0.6, 0.2j])
-    assert chart in _STORE
-    held = len(_STORE)
-    ref = weakref.ref(chart)
-    del chart
-    gc.collect()
-    assert ref() is None and len(_STORE) <= held - 1
-
-
-def test_store_keeps_at_most_its_bound_per_chart():
-    from gauduchon.connection import POINT_STORE_SIZE, _STORE, _metric_points
-
-    chart = gd.euclidean_chart(1)
-    keys = [(complex(0.01 * k),) for k in range(POINT_STORE_SIZE + 5)]
-    assert _metric_points(chart, keys).G.shape == (len(keys), 1, 1)
-    store = _STORE[chart]
-    assert len(store) == POINT_STORE_SIZE
-    assert keys[0] not in store and keys[-1] in store
-    # a hit moves the point to the back of the eviction order
-    _metric_points(chart, [keys[5]])
-    _metric_points(chart, [(-1.0,)])
-    assert keys[5] in store and keys[6] not in store
-
-
 _GOOD = [[0.9, 0.1j], [-0.8, 0.7]]
 
 
@@ -106,28 +74,15 @@ _GOOD = [[0.9, 0.1j], [-0.8, 0.7]]
      NotPositiveDefinite),
 ])
 def test_bad_point_in_batch_raises_and_stores_nothing(chart, bad, err):
-    from gauduchon.connection import _STORE, _metric_points, _point
+    """A bad point raises its typed error, alone or among good points, and
+    leaves nothing behind: the good points then fill as before."""
+    from gauduchon.connection import _metric_points, _point
 
     with pytest.raises(err):
         _point(chart, bad)
     with pytest.raises(err):
         _metric_points(chart, [_GOOD[0], bad, _GOOD[1]])
-    assert not _STORE.get(chart)
     assert len(_metric_points(chart, [_GOOD[0], _GOOD[1]]).G) == 2
-
-
-def test_store_key_fast_path_gives_the_same_key():
-    from gauduchon.connection import _STORE, _metric_points
-    from gauduchon.wjet import as_point
-
-    for z in ([0.9, 0.1j], np.array([0.3 - 0.2j, -0.0 + 1e-300j]), np.array([2.5 + 0j]),
-              (1, 2j, -3.5)):
-        chart = gd.euclidean_chart(len(z))
-        b = _metric_points(chart, [np.asarray(z, dtype=complex), z])
-        [key] = _STORE[chart]
-        np.testing.assert_array_equal(b.basis[0], b.basis[1])
-        assert key == tuple(complex(c) for c in as_point(z))
-        assert all(type(c) is complex for c in key)
 
 
 @pytest.mark.parametrize("bad,err", [
@@ -161,16 +116,21 @@ def test_ill_conditioned_frame_error_names_the_conditioning():
 
 
 def test_batch_filled_point_data_is_read_only(adm):
-    """Every record the store holds or hands out, from a fill, a hit or a
-    mix, has its 9 arrays read-only, and no field can be set."""
+    """Every record, from a fill, a one-point fill (`_point`), `_rows` views
+    of a fill, or `_factors_at`'s tiled base rows and rescaled records, has
+    its 9 arrays read-only, and no field can be set."""
     from dataclasses import FrozenInstanceError
 
-    from gauduchon.connection import _STORE, _metric_points
+    from gauduchon.conformal import _factors_at
+    from gauduchon.connection import _metric_points, _point, _rows
 
     pts = pts_of(adm, 3, 11)
-    reads = [_metric_points(adm, pts), _metric_points(adm, pts[:1]),
-             _metric_points(adm, [pts[2], pts[0], pts[2]])]
-    for b in reads + list(_STORE[adm].values()):
+    whole = _metric_points(adm, pts)
+    pairs = [gd.rescale(adm, 0.1 * gd.abs2(2), check_points=pts)] * 2
+    factors = _factors_at(pairs, pts, whole)
+    reads = [whole, _metric_points(adm, [pts[2], pts[0], pts[2]]), _point(adm, pts[1])[0],
+             _rows(whole, 1, 3), factors.data, factors.rescaled_data]
+    for b in reads:
         arrays = list(vars(b).values())
         assert len(arrays) == 9 and all(isinstance(a, np.ndarray) for a in arrays)
         assert not any(a.flags.writeable for a in arrays)

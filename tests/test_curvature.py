@@ -8,7 +8,7 @@ from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
 
-from conftest import point_record, pts_of
+from conftest import curvatures, point_record, pts_of
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -110,13 +110,14 @@ def test_lc_contractions_match_einsum_reference(n):
     the unoptimized einsums; the production Levi-Civita tensor, scalar
     curvature and mixed Christoffel symbols, built from the Chern side,
     agree with them."""
-    from gauduchon.connection import _point
+    from gauduchon.connection import _rows
 
     spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
     for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
         pts = pts_of(chart, 2, n)
-        for p, C in zip(pts, gd.FactorAt(chart, gd.const(0.0), pts).C):
-            b, [E] = _point(chart, p)
+        at = gd.FactorAt(chart, gd.const(0.0), pts)
+        for k, (p, C) in enumerate(zip(pts, at.C)):
+            b, E = _rows(at.data, k, k + 1), at.data.E[k]
             Gamma, Riem, s_g = _seed_lc(point_record(b, 0), n)
             scale = maxabs(Riem)
             assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
@@ -180,11 +181,15 @@ def test_scalar_curvature_fd_oracle(hopf, fsb):
 
 
 def test_gauduchon_t1_is_chern(catalog_charts):
+    """At every point, from one fill; the public functions at the first."""
     for chart in catalog_charts:
-        for p in pts_of(chart, 10, 8):
-            d = maxabs(gd.gauduchon_curvature(chart, 1.0, p).R
-                       - gd.chern_curvature(chart, p).R)
-            assert d < 1e-9, chart.label
+        pts = pts_of(chart, 10, 8)
+        b = connection._metric_points(chart, pts)
+        d = maxabs(curvatures(b.basis, [(1.0, 0.0)])[0] - connection._chern_stack(b, b.E))
+        assert d < 1e-9, chart.label
+        d = maxabs(gd.gauduchon_curvature(chart, 1.0, pts[0]).R
+                   - gd.chern_curvature(chart, pts[0]).R)
+        assert d < 1e-9, chart.label
 
 
 def test_gauduchon_strominger_flat_on_hopf(hopf):
@@ -200,14 +205,18 @@ def test_gauduchon_hopf_t3_pinned_components(hopf):
 
 
 def test_canonical_interpolation(catalog_charts):
+    """The s = 1 line is Levi-Civita at every point, from one fill; the
+    public per-point functions agree at the first point."""
     for chart in catalog_charts:
-        for p in pts_of(chart, 5, 10):
-            Rlc = gd.lc_curvature(chart, p).R
-            for t in T_GRID:
-                d0 = maxabs(gd.canonical_curvature(chart, (t, 0.0), p).R
-                            - gd.gauduchon_curvature(chart, t, p).R)
-                d1 = maxabs(gd.canonical_curvature(chart, (t, 1.0), p).R - Rlc)
-                assert d0 < 1e-10 and d1 < 1e-10, chart.label
+        pts = pts_of(chart, 5, 10)
+        B = gd.canonical_bases(chart, pts)
+        Rt = curvatures(B, [(t, 0.0) for t in T_GRID])
+        Rlc = curvatures(B, [(0.0, 1.0)])
+        assert maxabs(curvatures(B, [(t, 1.0) for t in T_GRID]) - Rlc) < 1e-10, chart.label
+        p = pts[0]
+        assert maxabs(gd.lc_curvature(chart, p).R - Rlc[0, 0]) < 1e-10, chart.label
+        for t, R in zip(T_GRID, Rt[:, 0]):
+            assert maxabs(gd.gauduchon_curvature(chart, t, p).R - R) < 1e-10, chart.label
 
 
 # The catalog charts and the generic chart below, by name.
@@ -229,17 +238,17 @@ ORACLE_CHARTS = {
        count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_oracle_matches_canonical_curvature(name, cells, count, seed):
     """The curvature of D^t_s from its own Christoffel symbols in Wirtinger
-    coordinates equals the stored basis combination, to 1e-12 relative, at
+    coordinates equals the basis combination, to 1e-12 relative, at
     every (t, s) of a params list; each cell is exactly what a call for that
     cell alone gives, and an empty list gives no cell."""
     chart = ORACLE_CHARTS[name]()
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     R = gd.connection_curvature_oracle(chart, cells, pts)
     assert R.shape == (len(cells), count) + (chart.n,) * 4
-    for ts, cell in zip(cells, R):
+    wants = curvatures(gd.canonical_bases(chart, pts), cells)
+    for ts, cell, want_cell in zip(cells, R, wants):
         np.testing.assert_array_equal(cell, gd.connection_curvature_oracle(chart, [ts], pts)[0])
-        for p, Rp in zip(pts, cell):
-            want = gd.canonical_curvature(chart, ts, p).R
+        for Rp, want in zip(cell, want_cell):
             assert maxabs(Rp - want) <= 1e-12 * max(1.0, maxabs(want)), (name, ts)
 
 
@@ -248,7 +257,7 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
     0.1 (p^2 - p) B[3]: nothing at p = 0 or 1, so the t = 1 Chern comparison
     and every s = 1 identity pass it, but the oracle sees it at (3, 0) on each
     non-Kahler chart, and the suite's interpolation check fails.  The
-    mutation goes into the store's fill, the one code that builds stored
+    mutation goes into the fill, the one code that builds the records'
     bases."""
     build = connection._basis_stack
 
@@ -276,19 +285,17 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
 
 def test_kahler_families_collapse(kahler_charts):
     for chart in kahler_charts:
-        for p in pts_of(chart, 5, 12):
-            Rlc = gd.lc_curvature(chart, p).R
-            for ts in [(-1, 0), (0, 0), (3, 0), (2, 1), (0.5, -0.5)]:
-                d = maxabs(gd.canonical_curvature(chart, ts, p).R - Rlc)
-                assert d < 1e-9, chart.label
+        B = gd.canonical_bases(chart, pts_of(chart, 5, 12))
+        d = maxabs(curvatures(B, [(-1, 0), (0, 0), (3, 0), (2, 1), (0.5, -0.5)])
+                   - curvatures(B, [(0.0, 1.0)]))
+        assert d < 1e-9, chart.label
 
 
 def test_hermitian_symmetry_gauduchon_family(hopf, adm):
     for chart in (hopf, adm):
-        for p in pts_of(chart, 10, 13):
-            for t in (-1.0, 0.0, 1.0, 3.0):
-                R = gd.gauduchon_curvature(chart, t, p).R
-                assert maxabs(R - np.conj(np.einsum("lkji->klij", R))) < 1e-10
+        R = curvatures(gd.canonical_bases(chart, pts_of(chart, 10, 13)),
+                       [(t, 0.0) for t in (-1.0, 0.0, 1.0, 3.0)])
+        assert maxabs(R - np.conj(np.einsum("...lkji->...klij", R))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Mutations with teeth: the bench's suite_adm2 config with one term of a
-conformal law scaled by 1.01, applied by monkeypatch, must fail the check
-that reads it.  A check that a 1% error in one of its terms leaves passing
-would check nothing of that term.
+conformal law or of the fill scaled by 1.01 (or its sign flipped), applied
+by monkeypatch, must fail the checks that read it.  A check that a 1% error
+in one of its terms leaves passing would check nothing of that term.
 
 Two terms vanish identically, so scaling them changes nothing and no check
 can see it: the delta's second part Y(V) + F (V = -f_r conj(T^k_rl) in the
@@ -13,7 +13,9 @@ torsion the laws read."""
 import numpy as np
 import pytest
 
+import gauduchon.cli as cli
 import gauduchon.conformal as conformal
+import gauduchon.connection as connection
 from gauduchon.cli import SuiteConfig, run_suite
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
@@ -79,4 +81,45 @@ def test_a_scaled_base_torsion_fails(monkeypatch, check):
     from `_frame_torsion`."""
     torsion = conformal._frame_torsion
     monkeypatch.setattr(conformal, "_frame_torsion", lambda *args: 1.01 * torsion(*args))
+    assert not passed(check)
+
+
+# The fill's mutations and the checks each must fail.
+FILL_ROWS = [("ginv", "metric_inverse"), ("ginv", "interpolation"),
+             ("E", "frame_unitarity"), ("E", "interpolation")]
+
+
+def test_unmutated_fill_checks_pass():
+    assert all(passed(check) for check in
+               ("metric_inverse", "frame_unitarity", "interpolation", "constancy"))
+
+
+@pytest.mark.parametrize("field,check", FILL_ROWS)
+def test_a_scaled_record_field_fails(monkeypatch, field, check):
+    """The inverse metric `ginv` or the Cholesky frame `E` scaled by 1.01
+    as `_fill` makes its record, after the frame's unitarity check: the
+    basis is built from the scaled `ginv`, and from the frame `_fill`
+    checked."""
+    make = connection._MetricData
+
+    def mutated(*parts):
+        data = vars(make(*parts))
+        return make(**(data | {field: 1.01 * data[field]}))
+
+    monkeypatch.setattr(connection, "_MetricData", mutated)
+    assert not passed(check)
+
+
+@pytest.mark.parametrize("check", ["interpolation", "constancy"])
+def test_a_flipped_chern_quadratic_term_fails(monkeypatch, check):
+    """`_chern_stack` with the sign of its quadratic term flipped:
+    -d dbar g - g^-1 dg dbar g, that is twice the framed -d dbar g less the
+    true curvature.  The fill's basis B[0] is built from it."""
+    chern = connection._chern_stack
+
+    def flipped(b, E):
+        return 2 * connection._to_frame(-b.ddbarG, E, E.conj(), E, E.conj()) - chern(b, E)
+
+    for module in (connection, cli):
+        monkeypatch.setattr(module, "_chern_stack", flipped)
     assert not passed(check)

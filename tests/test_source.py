@@ -17,26 +17,28 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src: {found}"
 
 
-def test_only_connection_knows_the_point_store():
-    # Other modules hand points to `_metric_points` or `_point` and get
-    # stacked records back; how the store keys, holds and stacks them is
-    # connection.py's business, and only its fill builds a record, basis
-    # included, so no module restacks records or writes a basis into one.
+def test_no_point_store_in_the_package():
+    # `_metric_points` is the fill: no module keeps point records between
+    # calls, so none names the store's parts or the second name of the fill,
+    # or holds records by weak reference.  Only connection.py's fill builds
+    # a record, basis included, so no other module writes a basis into one.
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        private = () if path.name == "connection.py" else ("_as_key", "_STORE")
-        for name in (*private, "_metric_point", "_frame_matrix", "_lc_point", "_stack"):
+        for name in ("_STORE", "_as_key", "POINT_STORE_SIZE", "_point_batch", "_metric_point",
+                     "_frame_matrix", "_lc_point", "_stack"):
             if re.search(rf"\b{name}\b", text):
                 found.append(f"{path.name}: {name}")
+        if re.search(r"^\s*(import weakref|from weakref import)", text, re.MULTILINE):
+            found.append(f"{path.name}: weakref")
         if path.name != "connection.py" and re.search(r"\.basis\s*=(?!=)", text):
             found.append(f"{path.name}: .basis =")
-    assert not found, f"point store internals named outside connection.py: {found}"
+    assert not found, f"point store parts in src: {found}"
 
 
 def test_suite_checks_run_one_pass_over_their_points():
     # Each suite check works on stacked points; a loop over the sample
-    # points would bring back one evaluation, and one lookup, per point.
+    # points would bring back one evaluation, and one fill, per point.
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     [suite] = [node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "_Suite"]
