@@ -31,12 +31,12 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, FactorAt, rescale, _factors_at
-from .connection import (MetricChart, _PointData, _check_points, _chern_stack, _component_jets,
-                         _fill, _frame_torsion, _rows)
+from .connection import (JET_PARTS, MetricChart, _PointData, _check_points, _chern_stack,
+                         _component_jets, _fill, _frame_torsion, _rows)
 from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
                         constancy_table, curv4_rows, hsc, symmetrize, _constancy_of_bases,
                         _curvature_oracle, _selfdual, _weyl_minus)
-from .errors import ConfigError, GauduchonError, _as_int
+from .errors import ConfigError, GauduchonError, _as_float, _as_int
 from .wjet import WJet2, abs2, fd_jets, z, zbar
 
 HERMITIAN_T = (-1.0, 0.0, 1.0, 3.0)
@@ -54,10 +54,7 @@ def check_tolerance(name: str, value) -> float:
     positive number.  Returns the value as a float."""
     if name not in CHECKS:
         raise ConfigError(f"unknown tolerance name {name!r}")
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"tolerance {name} must be a number, got {value!r}") from None
+    v = _as_float(f"tolerance {name}", value)
     if not (np.isfinite(v) and v > 0):
         raise ConfigError(f"tolerance {name} must be finite and positive, got {value!r}")
     return v
@@ -103,7 +100,8 @@ class SuiteConfig:
                               f"known keys are {list(CONFIG_KEYS)}")
         grid = raw.get("params_grid", [[1.0, 0.0]])
         try:
-            grid = [(float(t), float(s)) for t, s in grid]
+            grid = [(_as_float("params_grid t", t), _as_float("params_grid s", s))
+                    for t, s in grid]
         except (TypeError, ValueError):
             raise ConfigError("params_grid must be a list of [t, s] pairs") from None
         _check_finite("params_grid entries", *(v for ts in grid for v in ts))
@@ -118,7 +116,7 @@ class SuiteConfig:
         if checks is not None:
             if not isinstance(checks, list) or not checks:
                 raise ConfigError("checks must be a non-empty list of check names or null")
-            bad = [c for c in checks if c not in CHECKS]
+            bad = [c for c in checks if not isinstance(c, str) or c not in CHECKS]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
         return SuiteConfig(chart=raw["chart"], params_grid=grid,
@@ -193,7 +191,7 @@ def _jet_rel_err(je, jf) -> np.ndarray:
     """Relative difference, point by point, of the exact jets je of a field
     at P points from its finite-difference jets jf there (both batched)."""
     num, scale = 0.0, 1.0
-    for name in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
+    for name in JET_PARTS:
         a = getattr(je, name).reshape(len(je.value), -1)
         b = getattr(jf, name).reshape(len(jf.value), -1)
         num = np.maximum(num, np.max(np.abs(a - b), axis=1))

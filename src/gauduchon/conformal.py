@@ -11,12 +11,13 @@ base at the parameter the formula dictates (t for the t-family delta, p for
 the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
-The laws run on stacked points (`FactorAt`): one jet walk of f per point
-set, or of several factors at once (`_factors_at`); the rescaled side is
-the rescaled chart's record, built from the base's record and f's jet by
-the Leibniz rule and then through `_fill` (`_rescaled_records`);
-its Cholesky frames are the paired ones, chol(e^2f G) = e^f chol(G).  The
-per-point functions are its P = 1 calls.
+The laws run on stacked points (`FactorAt`), built one of two ways: with
+no rescaled side (`_at_point`), or for several pairs on one base at once
+with one jet walk of their factors (`_factors_at`).  The rescaled side is
+the rescaled chart's record, its jets the products of the scale jet and
+the base's jets under `WJet2.__mul__`, then through `_fill`
+(`_rescaled_records`); its Cholesky frames are the paired ones,
+chol(e^2f G) = e^f chol(G).  The per-point functions are P = 1 calls.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitar
                          _MetricData, _PointData, _fill, _frame_E, _frame_torsion,
                          _metric_points, _read_only, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
-from .errors import BaseNotKahler, ConfigError, NonFinite, NonRealConformalFactor
+from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, as_point, eval_jets
 
 REAL_TOL = 1e-12
@@ -48,7 +49,7 @@ class ConformalPair:
 
     def at(self, points) -> "FactorAt":
         """The pair's factor at the points, in their Cholesky frames."""
-        return FactorAt(self.base, self.f, points, rescaled=self.rescaled)
+        return _factors_at([self], points, _metric_points(self.base, points))
 
 
 def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalPair:
@@ -90,47 +91,27 @@ def paired_frames(pair: ConformalPair, z, base_frame=None):
 
 class FactorAt:
     """A real conformal factor f on `chart` at the (P, n) array `points` in
-    unitary frames E[p] (the Cholesky frames unless `frames` is given), every
-    array with a leading point axis: one `eval_jets` walk gives `jet`, `value`,
-    the frame gradient fr[p, a] = e_a f, frbar[p, a] = ebar_a f and
-    grad2 = f_r f_rbar; `data` is the base's record at the points and
-    T its Chern torsion.  `rescaled` is the chart e^2f g of the laws that
-    compare with it, whose record (`rescaled_data`) is read in its own
-    Cholesky frames, the paired frames e^-f E of the base's Cholesky frames;
-    with `frames` it raises ConfigError.  `_factors_at` stacks several
-    factors on one base into one `FactorAt`, one block of rows per factor.
-    Each law is one pass over the rows: what does not depend on (t, s), the
-    Hessian parts, the commutation parts and the five delta parts, is built
-    once and weighed per (t, s)."""
+    unitary frames E[p], every array with a leading point axis: `jet` is f's
+    jet at the points, `value` its value, fr[p, a] = e_a f and
+    frbar[p, a] = ebar_a f its frame gradient and grad2 = f_r f_rbar; `data`
+    is the base's record at the points and T its Chern torsion in the
+    frames.  `rescaled_data` is the record of the chart e^2f g at the points,
+    read in its own Cholesky frames, the paired frames e^-f E of the base's
+    Cholesky frames, or None when no law compares with it.  `_at_point` and
+    `_factors_at` build it; the latter stacks several factors on one base,
+    one block of rows per factor.  Each law is one pass over the rows: what
+    does not depend on (t, s), the Hessian parts, the commutation parts and
+    the five delta parts, is built once and weighed per (t, s)."""
 
-    def __init__(self, chart: MetricChart, f: ScalarField, points, frames=None,
-                 rescaled: MetricChart | None = None):
-        if frames is not None and rescaled is not None:
-            raise ConfigError("a conformal factor compared with its rescaled chart "
-                              "takes the Cholesky frames, not explicit ones")
-        points = np.array([as_point(p) for p in points])
-        [jet] = eval_jets([f], points)
-        data = _metric_points(chart, points)
-        E = data.E if frames is None else frames
-        self._hold(chart, rescaled, points, jet, data, E, _frame_torsion(data, E))
-
-    def _hold(self, chart, rescaled, points, jet, data, E, T):
-        """Set the factor's arrays from its jet and the base's record, frames
-        and torsion at the points."""
-        self.chart, self.rescaled, self.points = chart, rescaled, points
-        self.jet, self.data, self.E, self.T = jet, data, E, T
+    def __init__(self, chart: MetricChart, points: np.ndarray, jet: WJet2, data: _PointData,
+                 E: np.ndarray, T: np.ndarray, rescaled_data: _PointData | None):
+        self.chart, self.points, self.jet = chart, points, jet
+        self.data, self.E, self.T, self.rescaled_data = data, E, T, rescaled_data
         self.value = jet.value.real
         self.fr = np.einsum("pia,pi->pa", E, jet.d)
         self.frbar = np.einsum("pia,pi->pa", E.conj(), jet.dbar)
         # (P, 1, 1, 1, 1), to scale stacked four-tensors; matmul rounds as np.dot
         self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
-
-    @cached_property
-    def rescaled_data(self):
-        """The rescaled chart's record at the points, built from the base's
-        record and the factor's jet (`_rescaled_records`), shared by the
-        torsion law and the deltas."""
-        return _rescaled_records([self.rescaled.label], self.points, self.data, [self.jet])
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -265,53 +246,46 @@ def delta_weights(params) -> np.ndarray:
     return np.stack([-2 * p, 2 * p * q, -q, q * q, s * s], axis=-1)
 
 
-def _at_point(chart: MetricChart, f: ScalarField, z, frame=None) -> FactorAt:
-    """The P = 1 `FactorAt` of the per-point functions."""
-    frames = None if frame is None else _frame_E(frame)[None]
-    return FactorAt(chart, f, [z], frames)
+def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorAt:
+    """The factor f on `chart` at the points, with no rescaled side: one
+    `eval_jets` walk of f and one fill of the base, in the points' Cholesky
+    frames, or in the explicit `frame` of a one-point call."""
+    points = np.array([as_point(p) for p in points])
+    [jet] = eval_jets([f], points)
+    data = _metric_points(chart, points)
+    E = data.E if frame is None else _frame_E(frame)[None]
+    return FactorAt(chart, points, jet, data, E, _frame_torsion(data, E), None)
 
 
-def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, jets) -> _PointData:
+def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _PointData:
     """Records of the charts e^2f g at the points Z of the base record b, one
-    block of len(Z) rows per factor jet in `jets` (the factor's jet at Z),
-    built in one `_fill`; block k's rows carry labels[k].  Each component's
-    jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see `rescale`):
-    the scale jet (J * 2.0).exp() times the base jet by the product rule of
-    `WJet2.__mul__`, in its order of operations, so the record is bit for bit
-    the one a fill of the rescaled chart's trees gives.  As in that walk's
-    `eval_jets`, a non-finite jet raises NonFinite naming its point."""
-    k, P, n = len(jets), len(Z), Z.shape[-1]
-    J = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
-    S = (J * 2.0).exp()
-    # Scale parts as [factor, point, derivative axes, 1, 1], broadcast over the
-    # components (i, j) of the base parts [point, derivative axes, i, j].  In
-    # a second-order term, a first derivative takes the first derivative
-    # axis (A) or the second (B).
-    s = S.value.reshape(k, P, 1, 1)
-    s1, s2 = s[..., None], s[..., None, None]
-    d, dbar = (x.reshape(k, P, n, 1, 1) for x in (S.d, S.dbar))
-    dA, dbarA, dbarB = d[..., None], dbar[..., None], dbar[:, :, None]
-    G1, G2 = b.G[:, None], b.G[:, None, None]
-    dGA, dGB, dbarGB = b.dG[:, :, None], b.dG[:, None], b.dbarG[:, None]
-    cross, crossb = dA * dGB, dbarA * dbarGB
-    parts = (
-        s * b.G,
-        d * G1 + s1 * b.dG,
-        dbar * G1 + s1 * b.dbarG,
-        (S.dd.reshape(k, P, n, n, 1, 1) * G2 + s2 * b.ddG) + (cross + cross.swapaxes(2, 3)),
-        S.ddbar.reshape(k, P, n, n, 1, 1) * G2 + dA * dbarGB + dGA * dbarB + s2 * b.ddbarG,
-        (S.dbardbar.reshape(k, P, n, n, 1, 1) * G2 + s2 * b.dbardbarG)
-        + (crossb + crossb.swapaxes(2, 3)),
-    )
+    block of len(Z) rows per label, built in one `_fill`: J is the factors'
+    jet at Z, block-major, and block k's rows carry labels[k].  Each
+    component's jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see
+    `rescale`), the scale jet (J * 2.0).exp() times the base jet by
+    `WJet2.__mul__`, so the record is the one a fill of the rescaled chart's
+    trees gives.  As in that walk's `eval_jets`, a non-finite jet raises
+    NonFinite naming its point."""
+    k, P, n = len(labels), len(Z), Z.shape[-1]
+    # The scale's parts as [factor, 1, 1, point, derivative axes] times the
+    # base's as [i, j, point, derivative axes].
+    scale = (J * 2.0).exp()
+    S = WJet2(*(a.reshape((k, 1, 1, P) + a.shape[1:])
+                for a in (getattr(scale, part) for part in JET_PARTS)))
+    g = WJet2(*(np.moveaxis(a, (-2, -1), (0, 1))
+                for a in (b.G, b.dG, b.dbarG, b.ddG, b.ddbarG, b.dbardbarG)))
+    R = S * g
+    parts = [getattr(R, part) for part in JET_PARTS]
     if not all(np.isfinite(a).all() for a in parts):
         # The walk checks each rescaled chart's components in turn.
         for q, i, j in np.ndindex(k, n, n):
             try:
-                WJet2(*(a[q, ..., i, j] for a in parts)).check_finite()
+                WJet2(*(a[q, i, j] for a in parts)).check_finite()
             except NonFinite as exc:
                 raise NonFinite(f"{exc} at point {Z[exc.row]}") from None
     return _fill(np.repeat(labels, P), np.tile(Z, (k, 1)),
-                 *(a.reshape((k * P,) + a.shape[2:]) for a in parts))
+                 *(np.moveaxis(a, (1, 2), (-2, -1)).reshape((k * P,) + a.shape[4:] + (n, n))
+                   for a in parts))
 
 
 def _factors_at(pairs, points, data: _PointData) -> FactorAt:
@@ -320,29 +294,26 @@ def _factors_at(pairs, points, data: _PointData) -> FactorAt:
     whose rows run (pair, point), pair-major: one `eval_jets` walk of every
     factor, the base torsion once, and every rescaled record from one
     `_rescaled_records` fill.  Its base rows, frames and torsion are `data`'s,
-    tiled; it has no single `rescaled` chart or `f`."""
+    tiled."""
     points = np.array([as_point(p) for p in points])
     jets = eval_jets([pair.f for pair in pairs], points)
+    jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
     k = len(pairs)
 
     def tiled(a):
         return _read_only(np.concatenate([a] * k))
 
     base = _PointData(*map(tiled, vars(data).values()))
-    jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
-    at = FactorAt.__new__(FactorAt)
-    at._hold(pairs[0].base, None, np.concatenate([points] * k), jet, base, base.E,
-             tiled(_frame_torsion(data, data.E)))
-    at.rescaled_data = _rescaled_records([pair.rescaled.label for pair in pairs], points, data,
-                                         jets)
-    return at
+    return FactorAt(pairs[0].base, np.concatenate([points] * k), jet, base, base.E,
+                    tiled(_frame_torsion(data, data.E)),
+                    _rescaled_records([pair.rescaled.label for pair in pairs], points, data, jet))
 
 
 def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):
     """(f_a, f_abar) = frame components of df: f_a = e_a f,
     f_abar = ebar_a f."""
     chart = pair_or_chart.base if isinstance(pair_or_chart, ConformalPair) else pair_or_chart
-    F = _at_point(chart, f, z, frame)
+    F = _at_point(chart, f, [z], frame)
     return F.fr[0], F.frbar[0]
 
 
@@ -356,14 +327,14 @@ def f_covariant_hessians(chart: MetricChart, f: ScalarField, t: float, z, frame=
     mixed Christoffel symbols, so only the Lichnerowicz share (1 - t)
     contributes.
     """
-    H1, H2 = _at_point(chart, f, z, frame).hessians(t)
+    H1, H2 = _at_point(chart, f, [z], frame).hessians(t)
     return H1[0], H2[0]
 
 
 def commutation_residual(chart: MetricChart, f: ScalarField, t: float, z) -> float:
     """Max-norm residual over (j, k) of the commutation rule
     f_{jbar k} - f_{k jbar} = (1 - t)(f_rbar T^j_rk - f_r conj(T^k_rj))."""
-    return float(_at_point(chart, f, z).commutation_residuals(t)[0])
+    return float(_at_point(chart, f, [z]).commutation_residuals(t)[0])
 
 
 def torsion_transform_residual(pair: ConformalPair, z) -> float:
@@ -393,7 +364,7 @@ def delta_canonical_predicted(pair: ConformalPair, params, z, frame=None) -> Cur
     with f-subscripts covariant with respect to nab^p of the base, p = t - ts.
     """
     pr = as_params(params)
-    D = _at_point(pair.base, pair.f, z, frame).delta_predicted(pr)[0]
+    D = _at_point(pair.base, pair.f, [z], frame).delta_predicted(pr)[0]
     return Curv4(D, connection=f"delta canonical(t={pr.t:g}, s={pr.s:g})")
 
 
@@ -425,7 +396,7 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
     Raises BaseNotKahler when the base torsion at z exceeds 1e-10.
     """
     pr = as_params(params)
-    return Curv4(pair.at([z]).delta_kahler(pr)[0],
+    return Curv4(_at_point(pair.base, pair.f, [z]).delta_kahler(pr)[0],
                  connection=f"delta kahler sym(t={pr.t:g}, s={pr.s:g})")
 
 

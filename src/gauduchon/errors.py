@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer rule of its
-config and chart-spec values."""
+"""Exception types shared across the package, and the integer and number
+rules of its config and chart-spec values."""
 
 
 class GauduchonError(Exception):
@@ -61,3 +61,14 @@ def _as_int(what: str, value) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_float(what: str, value) -> float:
+    """A real config value: a number or a numeric string.  Booleans are
+    refused, not read as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None

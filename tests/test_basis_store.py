@@ -242,6 +242,16 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     assert fills == [1]
 
 
+def test_kahler_delta_makes_one_fill(monkeypatch):
+    """`delta_kahler_predicted` reads no rescaled record, so its factor has
+    none: one fill of the base at the point, and no rescaled fill."""
+    pair = gd.rescale(gd.euclidean_chart(2), 0.1 * gd.abs2(2))
+    builds = counting(monkeypatch)
+    fills = counting_fills(monkeypatch)
+    gd.delta_kahler_predicted(pair, (2.0, 0.5), [0.1, 0.2j])
+    assert fills == [1] and builds == [(1, True)]
+
+
 def test_suite_makes_no_store_lookup(monkeypatch):
     """The bench's suite_adm2 config: no `_metric_points` fill.  The run
     fills its points' data, their bases among it, once from its own walk,

@@ -298,6 +298,9 @@ BAD_INPUTS = [
     ("suite", {"tolerance": {"constancy": 1}}),
     ("suite", {"output": "report.json"}),
     ("suite", {"checks": []}),
+    ("suite", {"checks": [["constancy"]]}),
+    ("suite", {"tolerances": {"constancy": True}}),
+    ("suite", {"params_grid": [[True, False]]}),
 ]
 
 

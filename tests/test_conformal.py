@@ -8,7 +8,7 @@ import gauduchon.curvature as curvature
 from gauduchon.cli import _conformal_factors
 from gauduchon.conformal import frame_gradient
 from gauduchon.connection import metric_values
-from gauduchon.errors import BaseNotKahler, ConfigError, NonRealConformalFactor
+from gauduchon.errors import BaseNotKahler, NonRealConformalFactor
 
 from conftest import pts_of
 
@@ -373,8 +373,7 @@ def test_rescaled_cholesky_frame_is_the_paired_frame(name):
     """Cholesky factors are unique, so chol(e^2f G) = e^f chol(G): the
     rescaled chart's Cholesky frame is the paired frame e^-f E, which is why
     `FactorAt` reads the rescaled side in the rescaled chart's own Cholesky
-    frames, and why it refuses explicit frames together with a rescaled
-    chart."""
+    frames."""
     chart = gd.make_chart(SPECS[name])
     pts = gd.sample_points(chart, 5, np.random.default_rng(7))
     for f in _conformal_factors(chart.n):
@@ -382,5 +381,3 @@ def test_rescaled_cholesky_frame_is_the_paired_frame(name):
         at = pair.at(pts)
         paired = np.exp(-at.value)[:, None, None] * at.E
         assert maxabs(at.rescaled_data.E - paired) <= 1e-15 * maxabs(paired)
-        with pytest.raises(ConfigError):
-            gd.FactorAt(chart, f, pts, frames=at.E, rescaled=pair.rescaled)

@@ -110,12 +110,13 @@ def test_lc_contractions_match_einsum_reference(n):
     the unoptimized einsums; the production Levi-Civita tensor, scalar
     curvature and mixed Christoffel symbols, built from the Chern side,
     agree with them."""
+    from gauduchon.conformal import _at_point
     from gauduchon.connection import _rows
 
     spec = gd.hopf_spec(n, 0.5, A=np.diag(np.linspace(0.2, 0.05, n)))
     for chart in (gd.admissible_chart(spec), gd.fubini_study_chart(n)):
         pts = pts_of(chart, 2, n)
-        at = gd.FactorAt(chart, gd.const(0.0), pts)
+        at = _at_point(chart, gd.const(0.0), pts)
         for k, (p, C) in enumerate(zip(pts, at.C)):
             b, E = _rows(at.data, k, k + 1), at.data.E[k]
             Gamma, Riem, s_g = _seed_lc(point_record(b, 0), n)

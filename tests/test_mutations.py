@@ -16,6 +16,7 @@ import pytest
 import gauduchon.cli as cli
 import gauduchon.conformal as conformal
 import gauduchon.connection as connection
+import gauduchon.wjet as wjet
 from gauduchon.cli import SuiteConfig, run_suite
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
@@ -82,6 +83,22 @@ def test_a_scaled_base_torsion_fails(monkeypatch, check):
     torsion = conformal._frame_torsion
     monkeypatch.setattr(conformal, "_frame_torsion", lambda *args: 1.01 * torsion(*args))
     assert not passed(check)
+
+
+def test_a_scaled_mixed_product_term_fails_conformal_delta(monkeypatch):
+    """`WJet2.__mul__`'s mixed term outer(o.d, self.dbar) scaled by 1.01.
+    The rescaled records are the scale jet times the base's jets under this
+    product, so the delta's direct side reads the mutated term."""
+    mul = wjet.WJet2.__mul__
+
+    def mutated(self, o):
+        out = mul(self, o)
+        if isinstance(o, wjet.WJet2):
+            out.ddbar = out.ddbar + 0.01 * wjet._outer(o.d, self.dbar)
+        return out
+
+    monkeypatch.setattr(wjet.WJet2, "__mul__", mutated)
+    assert not passed("conformal_delta")
 
 
 # The fill's mutations and the checks each must fail.

@@ -1,6 +1,7 @@
-"""The rescaled records the conformal laws read: built from the base
-record and the factor's jet by the Leibniz rule, bit for bit the jets a
-fill of the rescaled chart's trees gives, and failing as that fill fails."""
+"""The rescaled records the conformal laws read: the scale jet times the
+base record's jets under `WJet2.__mul__`, bit for bit the jets a fill of
+the rescaled chart's trees gives, within the finite-difference oracle's
+tolerance of the rescaled trees' jets, and failing as that fill fails."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
 import gauduchon.connection as connection
-from gauduchon.cli import _conformal_factors
+from gauduchon.cli import _conformal_factors, _jet_rel_err
 from gauduchon.conformal import _factors_at, _rescaled_records
 from gauduchon.errors import NonFinite, NotPositiveDefinite
 
@@ -27,6 +28,11 @@ CATALOG = [
     {"chart": "inline", "n": 2, "g": [["(add 1 (mul z1 zbar1))", "0"], ["0", "1"]]},
 ]
 JET_PARTS = connection.JET_PARTS
+
+
+def stacked(jets):
+    """One jet of the jets' rows, block after block."""
+    return gd.WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
 
 
 def assert_rel(got, want, rtol=1e-15):
@@ -54,10 +60,28 @@ def test_leibniz_record_equals_the_rescaled_trees_fill(spec, which, count, seed)
     want = connection._metric_points(pair.rescaled, pts)
     Z = np.array(pts)
     [jet] = gd.eval_jets([f], Z)
-    got = _rescaled_records([pair.rescaled.label], Z, connection._metric_points(chart, pts), [jet])
+    got = _rescaled_records([pair.rescaled.label], Z, connection._metric_points(chart, pts), jet)
     assert_same_record(got, want)
     assert_same_record(pair.at(pts).rescaled_data, want)
     assert all(not a.flags.writeable for a in vars(got).values())
+
+
+@pytest.mark.parametrize("spec", range(len(CATALOG)))
+def test_rescaled_jets_match_the_finite_difference_oracle(spec):
+    """Each rescaled record's jets against `fd_jets` of the rescaled chart's
+    component trees, to the `wjet_oracle` tolerance: a check of the product
+    rule that does not run it."""
+    chart = gd.make_chart(CATALOG[spec])
+    pts = gd.sample_points(chart, 3, np.random.default_rng(5))
+    pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
+    records = _factors_at(pairs, pts, connection._metric_points(chart, pts)).rescaled_data
+    jets = [getattr(records, name) for name in ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG")]
+    P = len(pts)
+    for k, pair in enumerate(pairs):
+        for i, j in np.ndindex(chart.n, chart.n):
+            exact = gd.WJet2(*(a[k * P:(k + 1) * P, ..., i, j] for a in jets))
+            err = _jet_rel_err(exact, gd.fd_jets(pair.rescaled.g[i][j], pts))
+            assert np.max(err) <= 1e-5, (pair.rescaled.label, k, i, j)
 
 
 @pytest.mark.parametrize("spec", [0, 2, 6])
@@ -121,6 +145,6 @@ def test_a_bad_row_of_the_stacked_fill_names_its_own_chart_and_point():
     labels = ["A*exp(2f)", "B*exp(2f)", "C*exp(2f)"]
     with pytest.raises(NotPositiveDefinite,
                        match=r"^metric of B\*exp\(2f\) is not Hermitian at \[0\.2\+0\.3j"):
-        _rescaled_records(labels, pts, base, jets)
-    good = _rescaled_records(labels[:1], pts, base, jets[:1])
+        _rescaled_records(labels, pts, base, stacked(jets))
+    good = _rescaled_records(labels[:1], pts, base, jets[0])
     assert good.G.shape == (3, 2, 2)

@@ -36,6 +36,14 @@ def test_no_point_store_in_the_package():
     assert not found, f"point store parts in src: {found}"
 
 
+def test_factors_have_one_constructor():
+    # A `FactorAt` is built only by calling it, from what it holds: no
+    # second path sets its fields behind `__init__`.
+    text = (SRC / "conformal.py").read_text(encoding="utf-8")
+    found = [name for name in (r"\b_hold\b", r"FactorAt\.__new__") if re.search(name, text)]
+    assert not found, f"second FactorAt constructor in conformal.py: {found}"
+
+
 def test_suite_checks_run_one_pass_over_their_points():
     # Each suite check works on stacked points; a loop over the sample
     # points would bring back one evaluation, and one fill, per point.
