@@ -336,7 +336,10 @@ def make_chart(spec: dict) -> MetricChart:
     for row in _rows("g", spec["g"], n):
         if not all(isinstance(c, str) for c in _rows("a row of g", row, n)):
             raise InvalidSpec(f"g must hold expression strings, got {row!r}")
-    return inline_chart(n, spec["g"], label=spec.get("label", "inline"))
+    label = spec.get("label", "inline")
+    if not isinstance(label, str):
+        raise InvalidSpec(f"inline label must be a string, got {label!r}")
+    return inline_chart(n, spec["g"], label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
-                         _MetricData, _PointData, _fill, _frame_E, _frame_torsion,
-                         _metric_points, _read_only, _to_frame)
+                         _MetricData, _PointData, _check_points, _fill, _frame_E,
+                         _frame_torsion, _metric_points, _read_only, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
-from .wjet import Const, Exp, Mul, ScalarField, WJet2, as_point, eval_jets
+from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
 
 REAL_TOL = 1e-12
 KAHLER_TOL = 1e-10
@@ -56,8 +56,9 @@ def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalP
     """Build the conformal pair (g, e^2f g).
 
     f must be real-valued on the domain; it is sampled (8 seeded points from
-    the chart's sampler unless `check_points` is given) and
-    NonRealConformalFactor is raised when any imaginary part exceeds 1e-12.
+    the chart's sampler unless `check_points` is given, which are checked as
+    points of the chart) and NonRealConformalFactor is raised when any
+    imaginary part exceeds 1e-12.
     """
     if check_points is None:
         if chart.sampler is not None:
@@ -66,7 +67,7 @@ def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalP
         else:
             check_points = []
     if len(check_points):
-        v = f._value(np.array([as_point(pt) for pt in check_points]))
+        v = f._value(_check_points(chart, check_points))
         bad = np.flatnonzero(np.abs(v.imag) > REAL_TOL * np.maximum(1.0, np.abs(v)))
         if bad.size:
             raise NonRealConformalFactor(f"conformal factor has imaginary part "
@@ -250,7 +251,7 @@ def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorA
     """The factor f on `chart` at the points, with no rescaled side: one
     `eval_jets` walk of f and one fill of the base, in the points' Cholesky
     frames, or in the explicit `frame` of a one-point call."""
-    points = np.array([as_point(p) for p in points])
+    points = _check_points(chart, points)
     [jet] = eval_jets([f], points)
     data = _metric_points(chart, points)
     E = data.E if frame is None else _frame_E(frame)[None]
@@ -295,7 +296,7 @@ def _factors_at(pairs, points, data: _PointData) -> FactorAt:
     factor, the base torsion once, and every rescaled record from one
     `_rescaled_records` fill.  Its base rows, frames and torsion are `data`'s,
     tiled."""
-    points = np.array([as_point(p) for p in points])
+    points = _check_points(pairs[0].base, points)
     jets = eval_jets([pair.f for pair in pairs], points)
     jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
     k = len(pairs)

@@ -27,7 +27,7 @@ from .connection import (ConnectionParams, MetricChart, as_params, chern_torsion
                          _basis_stack, _check_points, _chern_stack, _frame_E, _metric_points,
                          _point, _to_frame)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
-from .wjet import as_point, _axis_steps, _first_difference
+from .wjet import _axis_steps, _first_difference
 
 
 @dataclass(eq=False)
@@ -428,7 +428,7 @@ def _real_riemann(chart: MetricChart, z, h: float):
     from 4th-order differences of the metric, whose whole nested stencil is
     one `metric_values` call.  With g_{k lbar} = g(d_k, dbar_l): g(dx_k, dx_l)
     = g(dy_k, dy_l) = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}."""
-    [pt] = _check_points(chart, [as_point(z)])
+    [pt] = _check_points(chart, [z])
     n, m = chart.n, 2 * chart.n
     x = np.concatenate([pt.real, pt.imag])
     eye = np.eye(m)

@@ -45,7 +45,8 @@ class NonRealConformalFactor(GauduchonError):
 
 
 class InvalidSpec(GauduchonError):
-    """A chart or Hopf specification violates its invariants."""
+    """A chart or Hopf specification violates its invariants, or a field
+    expression in one is malformed."""
 
 
 class ConfigError(GauduchonError):

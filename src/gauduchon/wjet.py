@@ -19,12 +19,13 @@ fields need not be holomorphic.  Coordinate indices are 0-based in code and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFinite
+from .errors import DimensionError, DomainError, InvalidSpec, NonFinite
 
 # Arguments of log, 1/x and negative powers must stay this far from 0.
 GUARD = 1e-14
@@ -230,9 +231,15 @@ class ScalarField:
 
     An optional `domain` predicate (point -> bool) can be attached to a root
     field; `eval_jet`/`fd_jet` refuse points outside it.
+
+    An operator node names itself in the grammar as `op`; its arguments are
+    its dataclass fields in order, or two or more folded left if `variadic`.
+    `serialize` and `parse_field` read only these declarations.
     """
 
     domain: Callable[[np.ndarray], bool] | None = None
+    op = ""
+    variadic = False
 
     def __add__(self, other):
         return Add(self, as_field(other))
@@ -278,8 +285,13 @@ class ScalarField:
         raise NotImplementedError
 
     def serialize(self) -> str:
-        """Prefix expression string; see `parse_field` for the grammar."""
-        raise NotImplementedError
+        """Prefix expression string `(op arg ...)`; see `parse_field` for the
+        grammar."""
+        words = [self.op]
+        for f in fields(self):
+            arg = getattr(self, f.name)
+            words.append(arg.serialize() if isinstance(arg, ScalarField) else str(arg))
+        return f"({' '.join(words)})"
 
     def __repr__(self):
         return f"<field {self.serialize()}>"
@@ -311,43 +323,43 @@ class Const(ScalarField):
 
 
 @dataclass(eq=False)
-class Coord(ScalarField):
+class _Coordinate(ScalarField):
+    """A coordinate leaf, written `stem` then its 1-based index."""
+
     i: int   # 0-based
 
-    def _value(self, z):
-        if self.i >= z.shape[-1]:
-            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {z.shape[-1]}")
-        return z[..., self.i]
-
-    def _jet(self, walk):
-        if self.i >= walk.n:
-            raise DimensionError(f"coordinate z{self.i + 1} on a point of dim {walk.n}")
-        return WJet2.coordinate(self.i, walk.Z)
+    def _index(self, n: int) -> int:
+        if self.i >= n:
+            raise DimensionError(f"coordinate {self.serialize()} on a point of dim {n}")
+        return self.i
 
     def serialize(self):
-        return f"z{self.i + 1}"
+        return f"{self.stem}{self.i + 1}"
 
 
-@dataclass(eq=False)
-class CoordBar(ScalarField):
-    i: int
+class Coord(_Coordinate):
+    stem = "z"
 
     def _value(self, z):
-        if self.i >= z.shape[-1]:
-            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {z.shape[-1]}")
-        return np.conj(z[..., self.i])
+        return z[..., self._index(z.shape[-1])]
 
     def _jet(self, walk):
-        if self.i >= walk.n:
-            raise DimensionError(f"coordinate zbar{self.i + 1} on a point of dim {walk.n}")
-        return WJet2.conj_coordinate(self.i, walk.Z)
+        return WJet2.coordinate(self._index(walk.n), walk.Z)
 
-    def serialize(self):
-        return f"zbar{self.i + 1}"
+
+class CoordBar(_Coordinate):
+    stem = "zbar"
+
+    def _value(self, z):
+        return np.conj(z[..., self._index(z.shape[-1])])
+
+    def _jet(self, walk):
+        return WJet2.conj_coordinate(self._index(walk.n), walk.Z)
 
 
 @dataclass(eq=False)
 class Add(ScalarField):
+    op, variadic = "add", True
     a: ScalarField
     b: ScalarField
 
@@ -357,12 +369,10 @@ class Add(ScalarField):
     def _jet(self, walk):
         return walk(self.a) + walk(self.b)
 
-    def serialize(self):
-        return f"(add {self.a.serialize()} {self.b.serialize()})"
-
 
 @dataclass(eq=False)
 class Sub(ScalarField):
+    op = "sub"
     a: ScalarField
     b: ScalarField
 
@@ -372,12 +382,10 @@ class Sub(ScalarField):
     def _jet(self, walk):
         return walk(self.a) - walk(self.b)
 
-    def serialize(self):
-        return f"(sub {self.a.serialize()} {self.b.serialize()})"
-
 
 @dataclass(eq=False)
 class Mul(ScalarField):
+    op, variadic = "mul", True
     a: ScalarField
     b: ScalarField
 
@@ -389,12 +397,10 @@ class Mul(ScalarField):
             return walk(self.b) * self.a.value
         return walk(self.a) * walk(self.b)
 
-    def serialize(self):
-        return f"(mul {self.a.serialize()} {self.b.serialize()})"
-
 
 @dataclass(eq=False)
 class Div(ScalarField):
+    op = "div"
     a: ScalarField
     b: ScalarField
 
@@ -408,12 +414,10 @@ class Div(ScalarField):
             return walk(self.b).reciprocal() * self.a.value
         return walk(self.a) / walk(self.b)
 
-    def serialize(self):
-        return f"(div {self.a.serialize()} {self.b.serialize()})"
-
 
 @dataclass(eq=False)
 class Neg(ScalarField):
+    op = "neg"
     a: ScalarField
 
     def _value(self, z):
@@ -422,12 +426,10 @@ class Neg(ScalarField):
     def _jet(self, walk):
         return -walk(self.a)
 
-    def serialize(self):
-        return f"(neg {self.a.serialize()})"
-
 
 @dataclass(eq=False)
 class Pow(ScalarField):
+    op = "pow"
     a: ScalarField
     k: int
 
@@ -440,12 +442,10 @@ class Pow(ScalarField):
     def _jet(self, walk):
         return walk(self.a) ** self.k
 
-    def serialize(self):
-        return f"(pow {self.a.serialize()} {self.k})"
-
 
 @dataclass(eq=False)
 class Exp(ScalarField):
+    op = "exp"
     a: ScalarField
 
     def _value(self, z):
@@ -454,12 +454,10 @@ class Exp(ScalarField):
     def _jet(self, walk):
         return walk(self.a).exp()
 
-    def serialize(self):
-        return f"(exp {self.a.serialize()})"
-
 
 @dataclass(eq=False)
 class Log(ScalarField):
+    op = "log"
     a: ScalarField
 
     def _value(self, z):
@@ -469,9 +467,6 @@ class Log(ScalarField):
 
     def _jet(self, walk):
         return walk(self.a).log()
-
-    def serialize(self):
-        return f"(log {self.a.serialize()})"
 
 
 # Convenience constructors.
@@ -659,10 +654,12 @@ def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
 # add and mul take >= 2 arguments (folded left-associatively), sub and div
 # exactly 2, neg/exp/log exactly 1, pow takes an expression and an integer.
 # Coordinate indices K are 1-based.  Complex literals are written [re, im].
+# Each operator is its node class's `op`; its arity is its number of fields.
+# A malformed expression raises InvalidSpec.
 
 _TOKEN = re.compile(r"\(|\)|\[|\]|,|[^\s()\[\],]+")
-_COORD = re.compile(r"^z(\d+)$")
-_COORD_BAR = re.compile(r"^zbar(\d+)$")
+_COORD = re.compile(r"^z(bar)?(\d+)$")
+_OPERATORS = {cls.op: cls for cls in (Add, Sub, Mul, Div, Neg, Pow, Exp, Log)}
 
 
 def _num_str(c: complex) -> str:
@@ -683,19 +680,27 @@ class _Parser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ValueError("unexpected end of field expression")
+            raise InvalidSpec("unexpected end of field expression")
         self.pos += 1
         return tok
 
     def expect(self, tok):
         got = self.next()
         if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
+            raise InvalidSpec(f"expected {tok!r}, got {got!r}")
+
+    def literal(self, kind, what: str):
+        """The next token read as a number of type `kind`."""
+        tok = self.next()
+        try:
+            return kind(tok)
+        except ValueError:
+            raise InvalidSpec(f"{what}, got {tok!r}") from None
 
     def parse(self) -> ScalarField:
         expr = self.expr()
         if self.peek() is not None:
-            raise ValueError(f"trailing tokens after field expression: {self.peek()!r}")
+            raise InvalidSpec(f"trailing tokens after field expression: {self.peek()!r}")
         return expr
 
     def expr(self) -> ScalarField:
@@ -703,58 +708,48 @@ class _Parser:
         if tok == "(":
             return self.form()
         if tok == "[":
-            re_part = float(self.next())
+            re_part = self.literal(float, "complex literal parts must be numbers")
             self.expect(",")
-            im_part = float(self.next())
+            im_part = self.literal(float, "complex literal parts must be numbers")
             self.expect("]")
             return Const(complex(re_part, im_part))
-        mo = _COORD_BAR.match(tok)
-        if mo:
-            if int(mo.group(1)) < 1:
-                raise ValueError(f"coordinate indices are 1-based, got {tok!r}")
-            return CoordBar(int(mo.group(1)) - 1)
         mo = _COORD.match(tok)
         if mo:
-            if int(mo.group(1)) < 1:
-                raise ValueError(f"coordinate indices are 1-based, got {tok!r}")
-            return Coord(int(mo.group(1)) - 1)
+            if int(mo.group(2)) < 1:
+                raise InvalidSpec(f"coordinate indices are 1-based, got {tok!r}")
+            return (CoordBar if mo.group(1) else Coord)(int(mo.group(2)) - 1)
         try:
             return Const(float(tok))
         except ValueError:
-            raise ValueError(f"unrecognized token {tok!r} in field expression") from None
+            raise InvalidSpec(f"unrecognized token {tok!r} in field expression") from None
 
     def form(self) -> ScalarField:
         op = self.next()
-        if op == "pow":
+        if op == Pow.op:
             base = self.expr()
-            k = int(self.next())
+            k = self.literal(int, "pow exponent must be an integer")
             self.expect(")")
             return Pow(base, k)
         args = []
         while self.peek() != ")":
             if self.peek() is None:
-                raise ValueError("unterminated field expression")
+                raise InvalidSpec("unterminated field expression")
             args.append(self.expr())
         self.expect(")")
-        if op in ("add", "mul"):
-            if len(args) < 2:
-                raise ValueError(f"{op} needs at least 2 arguments")
-            node = args[0]
-            cls = Add if op == "add" else Mul
-            for arg in args[1:]:
-                node = cls(node, arg)
-            return node
-        if op in ("sub", "div"):
-            if len(args) != 2:
-                raise ValueError(f"{op} needs exactly 2 arguments")
-            return (Sub if op == "sub" else Div)(args[0], args[1])
-        if op in ("neg", "exp", "log"):
-            if len(args) != 1:
-                raise ValueError(f"{op} needs exactly 1 argument")
-            return {"neg": Neg, "exp": Exp, "log": Log}[op](args[0])
-        raise ValueError(f"unknown operator {op!r} in field expression")
+        cls = _OPERATORS.get(op)
+        if cls is None:
+            raise InvalidSpec(f"unknown operator {op!r} in field expression")
+        arity = len(fields(cls))
+        if cls.variadic:
+            if len(args) < arity:
+                raise InvalidSpec(f"{op} needs at least {arity} arguments")
+            return reduce(cls, args)
+        if len(args) != arity:
+            raise InvalidSpec(f"{op} needs exactly {arity} argument{'s' * (arity > 1)}")
+        return cls(*args)
 
 
 def parse_field(text: str) -> ScalarField:
-    """Parse a prefix expression string into a ScalarField."""
+    """Parse a prefix expression string into a ScalarField; a malformed one
+    raises InvalidSpec."""
     return _Parser(text).parse()

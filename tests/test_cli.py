@@ -270,6 +270,9 @@ def test_cli_bad_tol_exit_2(tmp_path, item):
     assert not (tmp_path / "r.json").exists()
 
 
+# An inline chart whose g has an unterminated field expression.
+UNTERMINATED = {"chart": "inline", "n": 2, "g": [["(add 1 (mul z1 zbar1)", "0"], ["0", "1"]]}
+
 BAD_INPUTS = [
     ("scan", ["--t=a:1:2", "--s=0:1:2"]),
     ("scan", ["--t=0:b:2", "--s=0:1:2"]),
@@ -301,6 +304,8 @@ BAD_INPUTS = [
     ("suite", {"checks": [["constancy"]]}),
     ("suite", {"tolerances": {"constancy": True}}),
     ("suite", {"params_grid": [[True, False]]}),
+    ("suite", {"chart": {"chart": "nope"}}),
+    ("suite", {"chart": UNTERMINATED}),
 ]
 
 
@@ -334,6 +339,11 @@ BAD_SPECS = [
     {"chart": "inline", "n": 2, "g": [[1, 0], [0, 1]]},
     {"chart": "inline", "n": 2, "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     {"chart": "conformal", "base": {"chart": "euclidean", "n": 2}, "f": 3},
+    UNTERMINATED,
+    {"chart": "conformal", "base": {"chart": "euclidean", "n": 2}, "f": "(foo z1)"},
+    {"chart": "inline", "n": 2, "g": [["(pow z1 1.5)", "0"], ["0", "1"]]},
+    {"chart": "inline", "n": 2, "g": [["1", "0"], ["0", "1"]], "label": 5},
+    {"chart": "inline", "n": 2, "g": [["1", "0"], ["0", "1"]], "label": ["x"]},
 ]
 
 
@@ -348,6 +358,17 @@ def test_malformed_chart_spec_exits_2(tmp_path, capsys, spec):
     argv = ["hsc", "--chart", chart, "--t", "1", "--samples", "1", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["scan", "--t=0:1:2", "--s=0:1:2"],
+                                     ["curv", "--t=1", "--point", "0.5,0;0.5,0"]])
+def test_malformed_expression_exits_2_from_scan_and_curv(tmp_path, capsys, command):
+    chart = write_json(tmp_path, "chart.json", UNTERMINATED)
+    out = tmp_path / "out"
+    assert main([*command, "--chart", chart, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and "unterminated field expression" in err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import gauduchon.curvature as curvature
 from gauduchon.cli import _conformal_factors
 from gauduchon.conformal import frame_gradient
 from gauduchon.connection import metric_values
-from gauduchon.errors import BaseNotKahler, NonRealConformalFactor
+from gauduchon.errors import BaseNotKahler, DomainError, NonRealConformalFactor
 
 from conftest import pts_of
 
@@ -55,6 +55,21 @@ def test_rescale_flat_to_admissible(flat, adm, adm_spec):
 def test_rescale_rejects_non_real_factor(flat):
     with pytest.raises(NonRealConformalFactor):
         gd.rescale(flat, gd.z(0))
+
+
+@pytest.mark.parametrize("point", [[0.5, 0.5, 0.5], [0.5], [0.0, 0.0]])
+def test_rescale_checks_its_points_against_the_chart(hopf, point):
+    # A point of the wrong dimension, or the origin outside the Hopf
+    # domain, is refused before f is evaluated there.
+    with pytest.raises(DomainError, match="chart of dim 2|outside domain"):
+        gd.rescale(hopf, 0.1 * (gd.z(0) + gd.zbar(0)), check_points=[[0.5, 0.5], point])
+
+
+@pytest.mark.parametrize("f", [0.1 * (gd.z(0) + gd.zbar(0)), 0.1 * (gd.z(1) + gd.zbar(1))])
+def test_factor_at_a_point_off_the_chart_is_the_charts_domain_error(hopf, f):
+    # Whichever coordinates f reads, the chart refuses the point first.
+    with pytest.raises(DomainError, match="point of dim 1 on chart of dim 2"):
+        gd.f_covariant_hessians(hopf, f, 1.0, [0.5])
 
 
 def test_paired_frames_are_unitary(flat):

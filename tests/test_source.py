@@ -61,6 +61,24 @@ def test_suite_checks_run_one_pass_over_their_points():
     assert not found, f"_Suite methods loop over sample points: {found}"
 
 
+def test_field_grammar_is_declared_once():
+    # Each operator names itself once, as its node class's `op`: in wjet.py
+    # only ScalarField's one `serialize` and the leaves' write a text, the
+    # parser names no operator but `pow`, and the coordinate leaves share
+    # one dimension check.
+    text = (SRC / "wjet.py").read_text(encoding="utf-8")
+    classes = {node.name: node for node in ast.parse(text).body if isinstance(node, ast.ClassDef)}
+    found = [f"{name}.serialize" for name, cls in classes.items()
+             if name not in ("ScalarField", "Const", "_Coordinate")
+             and any(isinstance(f, ast.FunctionDef) and f.name == "serialize" for f in cls.body)]
+    found += [f"_Parser: {node.value!r}" for node in ast.walk(classes["_Parser"])
+              if isinstance(node, ast.Constant)
+              and node.value in ("add", "sub", "mul", "div", "neg", "exp", "log")]
+    if text.count('raise DimensionError(f"coordinate') != 1:
+        found.append("coordinate dimension check written more than once")
+    assert not found, f"field grammar written twice in wjet.py: {found}"
+
+
 def einsum_calls(tree):
     """The `einsum(...)` calls under an AST node."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

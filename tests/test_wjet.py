@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
-from gauduchon.errors import DimensionError, DomainError
-from gauduchon.wjet import Div, WJet2, as_field
+from gauduchon.errors import DimensionError, DomainError, InvalidSpec
+from gauduchon.wjet import (Add, Const, Coord, CoordBar, Div, Mul, Neg, Pow, Sub, WJet2,
+                            as_field)
 
 
 def rel_jet_err(f, pt, h=1e-4):
@@ -216,11 +217,27 @@ def test_parse_variadic_add_mul():
     assert f([2.0, 0.0]) == pytest.approx(6 + 8)
 
 
+# A tree over every operator, a complex constant, z, zbar and a negative power.
+GOLDEN = "(sub (add (mul [1.5, -0.25] z1) (div (neg zbar2) 2)) (log (exp (pow z2 -2))))"
+
+
+def test_serialize_golden_text():
+    f = Sub(Add(Mul(Const(1.5 - 0.25j), gd.z(0)), Div(Neg(gd.zbar(1)), Const(2))),
+            gd.log(gd.exp(Pow(gd.z(1), -2))))
+    assert f.serialize() == GOLDEN
+    assert gd.parse_field(GOLDEN).serialize() == GOLDEN
+    # add and mul take two or more arguments, folded left.
+    assert (gd.parse_field("(add 1 z1 (mul 2 zbar1 z2))").serialize()
+            == "(add (add 1 z1) (mul (mul 2 zbar1) z2))")
+    assert not isinstance(CoordBar(0), Coord)
+
+
 @pytest.mark.parametrize("bad", [
     "(frob z1 z2)", "(add 1)", "z0", "(pow z1 z2)", "(add 1 2", "1 2",
+    "(pow z1 1.5)", "[1, x]",
 ])
 def test_parse_errors(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         gd.parse_field(bad)
 
 
