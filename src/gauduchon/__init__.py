@@ -26,7 +26,7 @@ from .curvature import (Curv4, canonical_bases, canonical_basis,
                         canonical_curvature, canonical_weights, chern_curvature,
                         connection_curvature_oracle, constancy_residual,
                         constancy_table, curv4_rows, gauduchon_curvature,
-                        hsc, lc_curvature, lc_curvature_fd, lc_full,
+                        hsc, lc_curvature, lc_curvature_fd, lc_full, qline_weights,
                         scalar_curvature, scalar_curvature_fd, selfdual_residual,
                         symmetrize, weyl_minus)
 from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,

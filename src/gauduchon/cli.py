@@ -31,11 +31,11 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, FactorAt, rescale, _factors_at
-from .connection import (JET_PARTS, MetricChart, _PointData, _check_points, _chern_stack,
-                         _component_jets, _fill, _frame_torsion, _rows)
-from .curvature import (canonical_bases, canonical_curvature, canonical_weights,
-                        constancy_table, curv4_rows, hsc, symmetrize, _constancy_of_bases,
-                        _curvature_oracle, _selfdual, _weyl_minus)
+from .connection import (JET_PARTS, MetricChart, _MetricData, _basis_stack, _check_points,
+                         _chern_stack, _component_jets, _fill, _frame_torsion, _rows)
+from .curvature import (canonical_curvature, canonical_weights, constancy_table, curv4_rows,
+                        hsc, qline_weights, symmetrize, _constancy_fit, _curvature_oracle,
+                        _qline_pair, _qline_points, _selfdual, _weyl_minus)
 from .errors import ConfigError, GauduchonError, _as_float, _as_int
 from .wjet import WJet2, abs2, fd_jets, z, zbar
 
@@ -208,8 +208,9 @@ class _Suite:
 
     Every check is one pass over its stacked points: the points are checked
     once and their metric components walked once (`jets`); the data of all
-    the points, their bases among it, is one record filled from that walk
-    (`data`, `small_data` its first 10 points), built once per run."""
+    the points is one record filled from that walk (`data`, `small_data` its
+    first 10 points), their Chern curvature and torsion built once (`chern`);
+    bases are built for the first 10 points only (`bases`)."""
 
     def __init__(self, config: SuiteConfig, chart: MetricChart):
         self.chart = chart
@@ -229,22 +230,33 @@ class _Suite:
         return _component_jets(self.chart, self.Z)
 
     @cached_property
-    def data(self) -> _PointData:
+    def data(self) -> _MetricData:
         """Data of every point, one record with a leading point axis, filled
         from `jets` (see `connection._fill`)."""
         return _fill((self.chart.label,) * len(self.Z), self.Z, *self.jets)
 
     @cached_property
-    def small_data(self) -> _PointData:
+    def small_data(self) -> _MetricData:
         """The first 10 points of `data`, as views."""
-        return _rows(self.data, 0, len(self.small))
+        return _rows(self.data, slice(len(self.small)))
+
+    @cached_property
+    def chern(self) -> tuple:
+        """(R^C, T) of every point in its Cholesky frame."""
+        return _chern_stack(self.data, self.data.E), _frame_torsion(self.data, self.data.E)
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        """The first 10 points' `canonical_basis`, from their rows of `chern`."""
+        b = self.small_data
+        return _basis_stack(b, b.E, *(a[:len(b.E)] for a in self.chern))
 
     @cached_property
     def gauduchon(self) -> np.ndarray:
         """Gauduchon curvatures R[p, m] of the first 10 points at the m-th t
-        of HERMITIAN_T, from one weighted sum of their bases in `data`."""
+        of HERMITIAN_T, from one weighted sum of their `bases`."""
         W = canonical_weights([(t, 0.0) for t in HERMITIAN_T])
-        return np.tensordot(W, self.small_data.basis, (1, 1)).swapaxes(0, 1)
+        return np.tensordot(W, self.bases, (1, 1)).swapaxes(0, 1)
 
     @cached_property
     def factors(self) -> FactorAt:
@@ -254,15 +266,13 @@ class _Suite:
         as their base record, and the rescaled records from one fill."""
         pairs = [rescale(self.chart, f, check_points=self.cpts)
                  for f in _conformal_factors(self.chart.n)]
-        return _factors_at(pairs, self.cpts, _rows(self.data, 0, len(self.cpts)))
+        k = len(self.cpts)
+        return _factors_at(pairs, self.Z[:k], _rows(self.data, slice(k)))
 
-    def _by_factor(self, res: np.ndarray, factors: int | None = None,
-                   points: int | None = None) -> np.ndarray:
-        """Residuals res[cell, row] of the stacked factors, rows (factor,
-        point), in (factor, cell, point) order, for the first `factors`
-        factors and `points` points (all by default)."""
-        res = res.reshape(len(res), -1, len(self.cpts))[:, :factors, :points]
-        return res.transpose(1, 0, 2).ravel()
+    def _by_factor(self, res: np.ndarray, points: int | None = None) -> np.ndarray:
+        """Residuals res[cell, row] of rows (factor, point), `points` per factor
+        (all 5 by default), in (factor, cell, point) order."""
+        return res.reshape(len(res), -1, points or len(self.cpts)).transpose(1, 0, 2).ravel()
 
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
@@ -291,8 +301,7 @@ class _Suite:
         return [dict(residuals=res, points=len(self.pts))]
 
     def torsion_antisymmetry(self) -> list:
-        b = self.data
-        T = _frame_torsion(b, b.E)
+        T = self.chern[1]
         res = np.max(np.abs(T + T.transpose(0, 1, 3, 2)), axis=(1, 2, 3))
         return [dict(residuals=res, points=len(self.pts))]
 
@@ -315,9 +324,8 @@ class _Suite:
         # Chern is t = 1 on the Gauduchon line; at each ORACLE_PARAMS cell the
         # basis combination meets the curvature of D^t_s from its own
         # Christoffel symbols.
-        b = self.small_data
-        B = b.basis
-        chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - _chern_stack(b, b.E)
+        b, B = self.small_data, self.bases
+        chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - self.chern[0][:len(B)]
         W = canonical_weights(ORACLE_PARAMS)
         oracle = np.tensordot(W, B, (1, 1)) - _curvature_oracle(ORACLE_PARAMS, b)
         res = [np.max(np.abs(chern), axis=(1, 2, 3, 4)),
@@ -326,7 +334,7 @@ class _Suite:
 
     def hsc_symmetrize(self) -> list:
         n = self.chart.n
-        C = np.tensordot(canonical_weights((2.0, 0.5)), self.small_data.basis, (0, 1))[:, None]
+        C = np.tensordot(canonical_weights((2.0, 0.5)), self.bases, (0, 1))[:, None]
         draws = self.rng.standard_normal((len(self.small), 4, 2, n))
         eta = draws[:, :, 0] + 1j * draws[:, :, 1]
         res = np.abs(hsc(C, eta) - hsc(symmetrize(C), eta))
@@ -335,7 +343,7 @@ class _Suite:
     def constancy(self) -> list:
         if not self.grid:
             return []
-        cs, res = _constancy_of_bases(canonical_weights(self.grid), self.data.basis)
+        cs, res = _constancy_fit(qline_weights(self.grid), _qline_pair(*self.chern))
         return [dict(residuals=r, points=len(self.pts), params=(t, s),
                      value=float(np.mean(c)),
                      detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
@@ -343,10 +351,10 @@ class _Suite:
                 for (t, s), c, r in zip(self.grid, cs, res)]
 
     def kahler_families(self) -> list:
-        b = self.small_data
-        if not np.max(np.abs(_frame_torsion(b, b.E))) < KAHLER_TOL:
+        RC, T = (a[:len(self.small)] for a in self.chern)
+        if not np.max(np.abs(T)) < KAHLER_TOL:
             return []
-        res = np.max(np.abs(self.gauduchon - _chern_stack(b, b.E)[:, None]), axis=(2, 3, 4, 5))
+        res = np.max(np.abs(self.gauduchon - RC[:, None]), axis=(2, 3, 4, 5))
         return [dict(residuals=res.ravel(), points=len(self.small),
                      detail="all Gauduchon curvatures equal Chern")]
 
@@ -359,17 +367,19 @@ class _Suite:
 
     def conformal_delta(self) -> list:
         # The law is checked for the first 2 shared factors at the first 3
-        # of their 5 points.
+        # of their 5 points: only those rows' bases are built.
         k = len(self.pts[:3])
         at, cells = self.factors, [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]
-        res = np.max(np.abs(at.delta_predicted(cells) - at.delta_direct(cells)), axis=(2, 3, 4, 5))
-        return [dict(residuals=self._by_factor(res, 2, k), points=k)]
+        rows = np.arange(len(at.points)).reshape(-1, len(self.cpts))[:2, :k].ravel()
+        res = np.max(np.abs(at.delta_predicted(cells)[:, rows] - at.delta_direct(cells, rows)),
+                     axis=(2, 3, 4, 5))
+        return [dict(residuals=self._by_factor(res, k), points=k)]
 
     def selfdual_weyl(self) -> list:
         if self.chart.n != 2:
             return []
         limit = self.tol["selfdual_weyl"]
-        R = self.small_data.basis[:, 0]
+        R = self.bases[:, 0]
         sd = np.max(_selfdual(R), axis=1)
         w = np.linalg.norm(_weyl_minus(R), 2, axis=(1, 2))
         res = np.where((sd < 1e-8) == (w < limit), 0.0, 1.0)
@@ -524,10 +534,10 @@ def hsc_payload(chart_spec: dict, t: float, s: float, samples: int, seed: int) -
     _check_finite("t and s", t, s)
     rng = np.random.default_rng(seed)
     pts = sample_points(chart, samples, rng)
-    B = canonical_bases(chart, pts)
-    W = canonical_weights([(t, s)])
-    cs, residuals = _constancy_of_bases(W, B)
-    C = np.tensordot(W[0], B, (0, 1))
+    Rh = _qline_points(chart, pts)      # sym R^D has the HSC of R^D
+    W = qline_weights([(t, s)])
+    cs, residuals = _constancy_fit(W, Rh)
+    C = np.tensordot(W[0], Rh, (0, 1))
     draws = rng.standard_normal((len(pts), HSC_DIRECTIONS, 2, chart.n))
     eta = draws[:, :, 0] + 1j * draws[:, :, 1]
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)     # uniform on the unit sphere

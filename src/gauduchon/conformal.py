@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
-                         _MetricData, _PointData, _check_points, _fill, _frame_E,
-                         _frame_torsion, _metric_points, _read_only, _to_frame)
+                         _MetricData, _basis_stack, _chart_fill, _check_points, _fill,
+                         _frame_E, _frame_torsion, _read_only, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
@@ -49,7 +49,8 @@ class ConformalPair:
 
     def at(self, points) -> "FactorAt":
         """The pair's factor at the points, in their Cholesky frames."""
-        return _factors_at([self], points, _metric_points(self.base, points))
+        Z = _check_points(self.base, points)
+        return _factors_at([self], Z, _chart_fill(self.base, Z))
 
 
 def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalPair:
@@ -104,8 +105,8 @@ class FactorAt:
     does not depend on (t, s), the Hessian parts, the commutation parts and
     the five delta parts, is built once and weighed per (t, s)."""
 
-    def __init__(self, chart: MetricChart, points: np.ndarray, jet: WJet2, data: _PointData,
-                 E: np.ndarray, T: np.ndarray, rescaled_data: _PointData | None):
+    def __init__(self, chart: MetricChart, points: np.ndarray, jet: WJet2, data: _MetricData,
+                 E: np.ndarray, T: np.ndarray, rescaled_data: _MetricData | None):
         self.chart, self.points, self.jet = chart, points, jet
         self.data, self.E, self.T, self.rescaled_data = data, E, T, rescaled_data
         self.value = jet.value.real
@@ -226,13 +227,15 @@ class FactorAt:
                        - self.grad2 * np.einsum("kl,ij->klij", eye, eye))
         return _symmetrized(X)
 
-    def delta_direct(self, params) -> np.ndarray:
-        """`delta_direct` at each point, from the records' bases of the base
-        and the rescaled chart in their (paired) Cholesky frames; for m
-        (t, s) pairs, one `canonical_weights` matrix gives shape (m, P, ...)."""
+    def delta_direct(self, params, rows=slice(None)) -> np.ndarray:
+        """`delta_direct` at the `rows` (all by default), from one basis stack
+        of those rows of the base and rescaled records in their (paired)
+        Cholesky frames; m (t, s) pairs give shape (m, rows, ...)."""
         w = canonical_weights(params)
-        base, resc = self.data.basis, self.rescaled_data.basis
-        e2f = np.exp(2 * self.value)[:, None, None, None, None]
+        both = _MetricData(*(np.concatenate([a[rows], r[rows]]) for a, r in
+                             zip(vars(self.data).values(), vars(self.rescaled_data).values())))
+        base, resc = np.split(_basis_stack(both, both.E), 2)
+        e2f = np.exp(2 * self.value[rows])[:, None, None, None, None]
         return e2f * np.tensordot(w, resc, (-1, 1)) - np.tensordot(w, base, (-1, 1))
 
 
@@ -249,16 +252,16 @@ def delta_weights(params) -> np.ndarray:
 
 def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorAt:
     """The factor f on `chart` at the points, with no rescaled side: one
-    `eval_jets` walk of f and one fill of the base, in the points' Cholesky
-    frames, or in the explicit `frame` of a one-point call."""
+    check, one `eval_jets` walk of f and one fill of the base, in the points'
+    Cholesky frames, or in the explicit `frame` of a one-point call."""
     points = _check_points(chart, points)
     [jet] = eval_jets([f], points)
-    data = _metric_points(chart, points)
+    data = _chart_fill(chart, points)
     E = data.E if frame is None else _frame_E(frame)[None]
     return FactorAt(chart, points, jet, data, E, _frame_torsion(data, E), None)
 
 
-def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _PointData:
+def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _MetricData:
     """Records of the charts e^2f g at the points Z of the base record b, one
     block of len(Z) rows per label, built in one `_fill`: J is the factors'
     jet at Z, block-major, and block k's rows carry labels[k].  Each
@@ -289,14 +292,12 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _Point
                    for a in parts))
 
 
-def _factors_at(pairs, points, data: _PointData) -> FactorAt:
-    """The factors of conformal pairs on one base chart at the P points of
-    its record `data`, in their Cholesky frames, as one stacked `FactorAt`
-    whose rows run (pair, point), pair-major: one `eval_jets` walk of every
-    factor, the base torsion once, and every rescaled record from one
-    `_rescaled_records` fill.  Its base rows, frames and torsion are `data`'s,
-    tiled."""
-    points = _check_points(pairs[0].base, points)
+def _factors_at(pairs, points: np.ndarray, data: _MetricData) -> FactorAt:
+    """The factors of conformal pairs on one base chart at the P checked
+    points of its record `data`, in their Cholesky frames, as one stacked
+    `FactorAt` whose rows run (pair, point), pair-major: one `eval_jets` walk
+    of every factor, the base torsion once, and every rescaled record from
+    one `_rescaled_records` fill.  Its base rows are `data`'s, tiled."""
     jets = eval_jets([pair.f for pair in pairs], points)
     jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
     k = len(pairs)
@@ -304,7 +305,7 @@ def _factors_at(pairs, points, data: _PointData) -> FactorAt:
     def tiled(a):
         return _read_only(np.concatenate([a] * k))
 
-    base = _PointData(*map(tiled, vars(data).values()))
+    base = _MetricData(*map(tiled, vars(data).values()))
     return FactorAt(pairs[0].base, np.concatenate([points] * k), jet, base, base.E,
                     tiled(_frame_torsion(data, data.E)),
                     _rescaled_records([pair.rescaled.label for pair in pairs], points, data, jet))

@@ -92,7 +92,8 @@ class _MetricData:
     """Read-only metric data at stacked points, every array with a leading
     point axis.  Each jet part is stacked derivative axes first and the
     component pair last: dG[p, a, i, j] = d_a g_{i jbar}, ddbarG[p, a, b, i, j]
-    = d_a dbar_b g_{i jbar}, and so on.  E[p] is the point's Cholesky frame."""
+    = d_a dbar_b g_{i jbar}, and so on.  E[p] is the point's Cholesky frame.
+    A fill's record, built whole in one pass and never written after it."""
 
     G: np.ndarray
     dG: np.ndarray
@@ -104,23 +105,18 @@ class _MetricData:
     E: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _PointData(_MetricData):
-    """`_MetricData` with the points' `canonical_basis` in their Cholesky
-    frames, B[p, m, k, l, i, j]: a fill's record, built whole in one pass
-    and never written after it."""
-
-    basis: np.ndarray
-
-
-def _metric_points(chart: MetricChart, points) -> _PointData:
+def _metric_points(chart: MetricChart, points) -> _MetricData:
     """The fill: point data of `chart` at the points, one read-only record
-    with a leading point axis.  The points are checked (`_check_points`),
-    their jets taken in one walk (`_component_jets`) and the record built
-    from them (`_fill`).  If any point fails (outside the domain, at an
-    expression guard, not Hermitian positive definite), its error is raised.
-    Nothing is kept: each call fills afresh."""
-    Z = _check_points(chart, points)
+    with a leading point axis, checked (`_check_points`), then filled
+    (`_chart_fill`).  A failing point (outside the domain, at an expression
+    guard, not Hermitian positive definite) raises its error.  Nothing is
+    kept: each call fills afresh."""
+    return _chart_fill(chart, _check_points(chart, points))
+
+
+def _chart_fill(chart: MetricChart, Z: np.ndarray) -> _MetricData:
+    """The fill of points Z that `_check_points` has passed: one walk
+    (`_component_jets`), then the record (`_fill`)."""
     return _fill((chart.label,) * len(Z), Z, *_component_jets(chart, Z))
 
 
@@ -135,7 +131,7 @@ def _frame_E(frame) -> np.ndarray:
     return frame.E if isinstance(frame, FrameAtPoint) else np.asarray(frame, dtype=complex)
 
 
-def _point(chart: MetricChart, z, frame=None) -> tuple[_PointData, np.ndarray]:
+def _point(chart: MetricChart, z, frame=None) -> tuple[_MetricData, np.ndarray]:
     """Point data of `chart` at z, a record of one point from a one-point
     fill, and the matrix of `frame` there with the same point axis: the
     point's Cholesky frame when frame is None."""
@@ -178,12 +174,12 @@ def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
         (P,) + getattr(jets[0], part).shape[1:] + (n, n)) for part in JET_PARTS)
 
 
-def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _PointData:
+def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _MetricData:
     """The array stage of a fill: from stacked jets (the `_MetricData`
     layout) of the points Z, check each row Hermitian positive definite,
-    build its inverse, Cholesky frame and canonical basis, and freeze the
-    record.  Row p belongs to the chart labelled labels[p]; a failing row's
-    error names that label and Z[p]."""
+    build its inverse and Cholesky frame (no basis), and freeze the record.
+    Row p belongs to the chart labelled labels[p]; a failing row's error
+    names that label and Z[p]."""
     n = G.shape[-1]
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
@@ -212,14 +208,13 @@ def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _Point
             f"Cholesky frame of {labels[p]} at {Z[p]} has unitarity defect {defects[p]:.3e}"
             f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
             f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
-    data = _MetricData(G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
-    parts = (*vars(data).values(), _basis_stack(data, E))
-    return _PointData(*map(_read_only, parts))   # its `_rows` views are read-only too
+    parts = (G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
+    return _MetricData(*map(_read_only, parts))   # its `_rows` views are read-only too
 
 
-def _rows(b: _PointData, start: int, stop: int) -> _PointData:
-    """Rows start:stop of a record, as views."""
-    return _PointData(*(a[start:stop] for a in vars(b).values()))
+def _rows(b: _MetricData, index) -> _MetricData:
+    """Rows `index` of a record, as views for a slice."""
+    return _MetricData(*(a[index] for a in vars(b).values()))
 
 
 def metric_jet(chart: MetricChart, z):
@@ -315,27 +310,34 @@ def _chern_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
     return _to_frame(R, E, E.conj(), E, E.conj())
 
 
-def _basis_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
+def _torsion_products(T: np.ndarray) -> np.ndarray:
+    """N[p, a, b, c, d] = sum_r T^a_br conj(T^c_dr), one matmul over r: the
+    basis's quadratic torsion terms and the q-line's X come from it."""
+    P, n = T.shape[:2]
+    last = T.reshape(P, n * n, n)                                        # [p, (a, b), r]
+    return (last @ last.conj().transpose(0, 2, 1)).reshape(P, n, n, n, n)
+
+
+def _basis_stack(b: _MetricData, E: np.ndarray, RC=None, T=None) -> np.ndarray:
     """`curvature.canonical_basis` B[p] of stacked points in the frames E[p]:
     the four tensors of every point from one pass with a leading point axis.
-    B[0] is the Chern curvature less the torsion terms, whose weights at
-    Chern are (1, -1, -1)."""
+    B[0] is the Chern curvature RC (`_chern_stack`) less the torsion terms,
+    whose weights at Chern are (1, -1, -1); RC and T may be passed in."""
     up = _upper(E)
-    T = _frame_torsion(b, E, up)
+    T = _frame_torsion(b, E, up) if T is None else T
     TD = _frame_torsion_dbar(b, E, up)
     P, n = T.shape[:2]
     term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
     # The quadratic terms are matmuls over the summed index r.  T is exactly
     # antisymmetric in its lower pair, so T^j_rk conj(T^i_rl) = T^j_kr
     # conj(T^i_lr) and conj(T^k_rj) T^l_ir = -conj(T^k_jr T^l_ir) exactly:
-    # both come from N[p, (a, b), (c, d)] = sum_r T^a_br conj(T^c_dr).
+    # both come from N (`_torsion_products`).
     first = T.reshape(P, n, n * n)                                       # [p, r, (i, k)]
     A = (first.transpose(0, 2, 1) @ first.conj()).reshape(P, n, n, n, n)    # [p, i, k, j, l]
-    last = T.reshape(P, n * n, n)                                        # [p, (a, b), r]
-    N = (last @ last.conj().transpose(0, 2, 1)).reshape(P, n, n, n, n)      # [p, a, b, c, d]
+    N = _torsion_products(T)
     term2 = A.transpose(0, 2, 4, 1, 3) - N.transpose(0, 2, 4, 3, 1)
     term3 = -np.conj(N.transpose(0, 1, 3, 4, 2))
-    lc = _chern_stack(b, E) - term1 + term2 + term3
+    lc = (_chern_stack(b, E) if RC is None else RC) - term1 + term2 + term3
     return np.stack([lc, term1, term2, term3], axis=1)
 
 

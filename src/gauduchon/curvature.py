@@ -9,10 +9,14 @@ Component convention (Curv4): R[k, l, i, j] = R_{k lbar i jbar}
 Every curvature of the canonical plane D^t_s, Levi-Civita (s = 1) included,
 combines the four `canonical_basis` tensors, built in n-index form from the
 Chern curvature and torsion; the scalar curvature follows by the first
-Bianchi identity.  `connection_curvature_oracle` checks them against the
-connection's own Christoffel symbols in the 2n Wirtinger coordinates (0..n-1
-unbarred, n..2n-1 barred); `lc_curvature_fd` and `scalar_curvature_fd` redo
-the Levi-Civita side by finite differences in the 2n real coordinates.
+Bianchi identity.  Symmetrized, the plane is a line: sym R^D = sym R^C + q X,
+q = (1 - p)^2 + s^2 and X = -sym(T^j_rk conj(T^i_rl)), so HSC and constancy
+(`constancy_table`, the CLI's `scan` and `hsc`) read only the Chern
+curvature and torsion.  `connection_curvature_oracle` checks the basis
+against the connection's own Christoffel symbols in the 2n Wirtinger
+coordinates (0..n-1 unbarred, n..2n-1 barred); `lc_curvature_fd` and
+`scalar_curvature_fd` redo the Levi-Civita side by finite differences in
+the 2n real coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 # chern_torsion is re-exported: code outside the package (the benchmark's
 # tracer tests) reaches it through this module.
 from .connection import (ConnectionParams, MetricChart, as_params, chern_torsion, metric_values,
-                         _basis_stack, _check_points, _chern_stack, _frame_E, _metric_points,
-                         _point, _to_frame)
+                         _basis_stack, _check_points, _chern_stack, _frame_E, _frame_torsion,
+                         _metric_points, _point, _read_only, _to_frame, _torsion_products)
 from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
 from .wjet import _axis_steps, _first_difference
 
@@ -86,10 +90,19 @@ def canonical_weights(params) -> np.ndarray:
     return np.stack([np.ones_like(p), p, p * p - 2 * p, s * s - 1], axis=-1)
 
 
+def qline_weights(params) -> np.ndarray:
+    """Weights (1, q), q = (1 - p)^2 + s^2, of the pair (sym R^C, X) in
+    sym R^D (`_qline_pair`), shaped as `canonical_weights` shapes its rows."""
+    t, s = _ts_pairs(params, "qline_weights")
+    q = (1 - (t - t * s)) ** 2 + s * s
+    return np.stack([np.ones_like(q), q], axis=-1)
+
+
 def canonical_bases(chart: MetricChart, points) -> np.ndarray:
     """`canonical_basis(chart, p)` of every point p, one read-only array
-    B[p, m, k, l, i, j]: the bases of one fill of the points' data."""
-    return _metric_points(chart, points).basis
+    B[p, m, k, l, i, j]: `_basis_stack` of one fill of the points."""
+    b = _metric_points(chart, points)
+    return _read_only(_basis_stack(b, b.E))
 
 
 def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -102,12 +115,11 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
 
-    In the Cholesky frame (frame=None) this is the basis of the point's
-    one-point fill, read-only; in an explicit frame the fill's code builds
-    it from the same record in that frame.  Each call fills afresh.
+    `_basis_stack` of a one-point fill, in the Cholesky frame (frame=None) or
+    the explicit one, read-only; each call fills afresh.  Symmetrized: sym
+    B[1] = 0, sym B[2] = sym B[3] = X and sym B[0] = sym R^C + 2X.
     """
-    b, E = _point(chart, z, frame)
-    return b.basis[0] if frame is None else _basis_stack(b, E)[0]
+    return _read_only(_basis_stack(*_point(chart, z, frame))[0])
 
 
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
@@ -195,7 +207,7 @@ def hsc(C, eta):
 
 
 # The most complex entries (cells x points x n^4) one `_constancy_fit` pass
-# of `constancy_table` holds, 16 MB; more points are fitted in blocks.
+# holds, 16 MB; more points are fitted in blocks.
 FIT_ENTRIES = 1 << 20
 
 
@@ -207,8 +219,10 @@ def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
     (exact whenever constancy holds), the target is c/2 (delta delta
     + delta delta) and the residual is the max-norm of Rhat - target.  All
     three are linear in Rh, so c comes from the stack's diagonal sums and
-    every row needs one pass over the n^4 components.  Returns (c, residual),
-    each of shape (r, P).
+    every row needs one pass over the n^4 components: the cost grows with
+    the points, not with cells x points.  The residuals are taken in blocks
+    of points when r x P x n^4 would exceed `FIT_ENTRIES`.  Returns (c,
+    residual), each of shape (r, P).
     """
     n = Rh.shape[-1]
     flat = Rh.reshape(Rh.shape[:2] + (-1,))
@@ -216,7 +230,9 @@ def _constancy_fit(W: np.ndarray, Rh: np.ndarray):
     dd = np.einsum("kl,ij->klij", eye, eye).ravel()
     unit = 0.5 * (dd + np.einsum("kj,il->klij", eye, eye).ravel())
     c = (W @ (flat.real @ dd)[..., None])[..., 0] * (2.0 / (n * (n + 1)))
-    residual = np.max(np.abs(W @ flat - c[..., None] * unit), axis=-1)
+    step = max(1, FIT_ENTRIES // max(1, len(W) * flat.shape[-1]))
+    residual = np.concatenate([np.max(np.abs(W @ flat[i:i + step] - c[i:i + step, :, None] * unit),
+                                      axis=-1) for i in range(0, len(flat), step)])
     return c.T, residual.T
 
 
@@ -227,33 +243,32 @@ def constancy_residual(C) -> tuple[float, float]:
     return float(c[0, 0]), float(residual[0, 0])
 
 
+def _qline_pair(RC: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The symmetrized pair Rh[p] = (sym R^C, X) of stacked Chern curvatures
+    RC[p] and torsions T[p] in one frame, X = -sym(T^j_rk conj(T^i_rl)) from
+    `_torsion_products`: sym R^D = `qline_weights` @ Rh[p].  The weights (1, p,
+    p^2 - 2p, s^2 - 1) on sym B = (sym R^C + 2X, 0, X, X) sum to (1, q)."""
+    return _symmetrized(np.stack([RC, -_torsion_products(T).transpose(0, 2, 4, 3, 1)], axis=1))
+
+
+def _qline_points(chart: MetricChart, points) -> np.ndarray:
+    """`_qline_pair` of the points in their Cholesky frames, from one fill."""
+    b = _metric_points(chart, points)
+    return _qline_pair(_chern_stack(b, b.E), _frame_torsion(b, b.E))
+
+
 def constancy_table(chart: MetricChart, params_list, points):
     """Constancy estimates of D^t_s for every (t, s) in params_list at every
     point: arrays c[cell, point] and residual[cell, point].
 
-    The points' bases come from one `canonical_bases` fill, and
-    `_constancy_of_bases` fits them.  An empty params_list gives empty arrays;
-    an empty point list raises ConfigError.
+    sym R^D depends on (t, s) only through q: `_constancy_fit` weighs the
+    points' pairs (sym R^C, X) from one fill (`_qline_points`) with
+    `qline_weights`, and builds no basis.  An empty params_list gives empty
+    arrays; an empty point list raises ConfigError.
     """
     if len(points) == 0:
         raise ConfigError("constancy_table needs at least one point; the point list is empty")
-    return _constancy_of_bases(canonical_weights(params_list), canonical_bases(chart, points))
-
-
-def _constancy_of_bases(W: np.ndarray, B: np.ndarray):
-    """Constancy estimates c[cell, point] and residual[cell, point] of the
-    tensors W[cell] @ B[point], W an (r, 4) `canonical_weights` matrix and B
-    a stack of P bases (P, 4, n, n, n, n).
-
-    The bases are symmetrized together; every cell is then one row of W
-    applied to a point's symmetrized basis, so the cost grows with the
-    points, not with cells x points.  The points are fitted in one pass, or
-    in blocks when cells x points x n^4 would exceed `FIT_ENTRIES`.
-    """
-    Rh = _symmetrized(B)
-    step = max(1, FIT_ENTRIES // max(1, len(W) * Rh[0, 0].size))
-    c, residual = zip(*(_constancy_fit(W, Rh[i:i + step]) for i in range(0, len(Rh), step)))
-    return np.concatenate(c, axis=1), np.concatenate(residual, axis=1)
+    return _constancy_fit(qline_weights(params_list), _qline_points(chart, points))
 
 
 # ---------------------------------------------------------------------------

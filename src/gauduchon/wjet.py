@@ -654,6 +654,7 @@ def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
 # add and mul take >= 2 arguments (folded left-associatively), sub and div
 # exactly 2, neg/exp/log exactly 1, pow takes an expression and an integer.
 # Coordinate indices K are 1-based.  Complex literals are written [re, im].
+# Every number must be finite: inf, nan and 1e999 are refused.
 # Each operator is its node class's `op`; its arity is its number of fields.
 # A malformed expression raises InvalidSpec.
 
@@ -689,13 +690,17 @@ class _Parser:
         if got != tok:
             raise InvalidSpec(f"expected {tok!r}, got {got!r}")
 
-    def literal(self, kind, what: str):
-        """The next token read as a number of type `kind`."""
-        tok = self.next()
+    def literal(self, kind, what: str, tok: str | None = None):
+        """The token tok (the next by default) read as a finite number of type
+        `kind`; `what % repr(tok)` is the error for a token that is not one."""
+        tok = self.next() if tok is None else tok
         try:
-            return kind(tok)
+            value = kind(tok)
         except ValueError:
-            raise InvalidSpec(f"{what}, got {tok!r}") from None
+            raise InvalidSpec(what % repr(tok)) from None
+        if not abs(value) < np.inf:         # inf, nan, 1e999
+            raise InvalidSpec(f"number {tok!r} in field expression is not finite")
+        return value
 
     def parse(self) -> ScalarField:
         expr = self.expr()
@@ -708,9 +713,9 @@ class _Parser:
         if tok == "(":
             return self.form()
         if tok == "[":
-            re_part = self.literal(float, "complex literal parts must be numbers")
+            re_part = self.literal(float, "complex literal parts must be numbers, got %s")
             self.expect(",")
-            im_part = self.literal(float, "complex literal parts must be numbers")
+            im_part = self.literal(float, "complex literal parts must be numbers, got %s")
             self.expect("]")
             return Const(complex(re_part, im_part))
         mo = _COORD.match(tok)
@@ -718,16 +723,13 @@ class _Parser:
             if int(mo.group(2)) < 1:
                 raise InvalidSpec(f"coordinate indices are 1-based, got {tok!r}")
             return (CoordBar if mo.group(1) else Coord)(int(mo.group(2)) - 1)
-        try:
-            return Const(float(tok))
-        except ValueError:
-            raise InvalidSpec(f"unrecognized token {tok!r} in field expression") from None
+        return Const(self.literal(float, "unrecognized token %s in field expression", tok))
 
     def form(self) -> ScalarField:
         op = self.next()
         if op == Pow.op:
             base = self.expr()
-            k = self.literal(int, "pow exponent must be an integer")
+            k = self.literal(int, "pow exponent must be an integer, got %s")
             self.expect(")")
             return Pow(base, k)
         args = []

@@ -38,7 +38,7 @@ def direct_terms(chart, z):
     einsums from one fill of z: R, T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
     T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl) and conj(T^k_rj) T^l_ir."""
     b = connection._metric_points(chart, [z])
-    R = b.basis[0, 0]
+    R = connection._basis_stack(b, b.E)[0, 0]
     T = connection._frame_torsion(b, b.E)[0]
     TD = connection._frame_torsion_dbar(b, b.E)[0]
     term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))

@@ -1,7 +1,7 @@
-"""The fill's records: each point's data, its canonical basis among it,
-built in one stacked fill, bit-equal to a per-point build and to a
-one-point fill, read-only, and filled afresh on every call; and the fills
-each command makes."""
+"""The fill's records: each point's data, built in one stacked fill,
+bit-equal to a one-point fill, read-only, and filled afresh on every call;
+the canonical bases its readers build from it, bit-equal to a per-point
+build; and the fills and basis builds each command makes."""
 
 import json
 from collections import Counter
@@ -86,7 +86,7 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     np.testing.assert_array_equal(gd.canonical_basis(chart, pts[0], fr), bases[0])
 
 
-FIELDS = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E", "basis")
+FIELDS = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E")
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -96,8 +96,8 @@ FIELDS = ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG", "ginv", "E", "basis"
 def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, read, bad):
     """Any list of points, with repeats and in any order, given as arrays or
     as lists, fills to one stacked record whose rows equal, bit for bit,
-    one-point fills of its points on a fresh chart; its basis is
-    `_basis_stack` of the record, and no array of either is writeable.  A
+    one-point fills of its points on a fresh chart, and no array of either
+    is writeable; `canonical_bases` is `_basis_stack` of the record.  A
     list with a point outside the domain raises its typed error."""
     chart = gd.make_chart(SPECS[name])
     pts = gd.sample_points(chart, 6, np.random.default_rng(seed))
@@ -117,14 +117,16 @@ def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, read, bad):
             assert got.shape[0] == len(points) and want.shape[0] == 1
             np.testing.assert_array_equal(got[k], want[0])
             assert not got.flags.writeable and not want.flags.writeable
-    np.testing.assert_array_equal(b.basis, connection._basis_stack(b, b.E))
+    np.testing.assert_array_equal(gd.canonical_bases(chart, points),
+                                  connection._basis_stack(b, b.E))
 
 
 def test_per_point_basis_is_read_only_and_filled_per_call(monkeypatch):
     """Each per-point call fills its point afresh, and its basis is
-    read-only; a basis in an explicit frame is built from a fill's record
-    outside the fill, and the reference is computed afresh on each call."""
-    builds = counting(monkeypatch)
+    read-only; every basis, in the Cholesky frame or an explicit one, is
+    built from a fill's record outside the fill, and the reference is
+    computed afresh on each call."""
+    builds, fills = counting(monkeypatch)
     chart = gd.make_chart(ADM_SPEC)
     pts = gd.sample_points(chart, 3, np.random.default_rng(2))
     bases = gd.canonical_bases(chart, pts)
@@ -139,36 +141,38 @@ def test_per_point_basis_is_read_only_and_filled_per_call(monkeypatch):
         kept = R.copy()
         R += 1.0
         np.testing.assert_array_equal(gd.lc_full(chart, p), kept)
-    assert builds == [(3, True)] + [(1, True)] * 9      # three one-point fills per point
+    # three one-point fills per point, and a basis for two of them
+    assert fills == [3] + [1] * 9 and builds == [(3, False)] + [(1, False)] * 3
     fr = gd.unitary_frame(chart, pts[1])
     builds.clear()
     np.testing.assert_array_equal(gd.canonical_basis(chart, pts[1], fr), bases[1])
-    assert builds == [(1, True), (1, False)]
+    assert builds == [(1, False)]
 
 
 def counting(monkeypatch):
     """Record the row count of every basis build, and whether it ran in a
     fill's array stage (`_fill`, which `_metric_points`, the suite's fill
-    and the rescaled records share) or outside it, in an explicit frame."""
-    builds, filling = [], [False]
+    and the rescaled records share), and the row count of every `_fill`."""
+    builds, fills, filling = [], [], [False]
     build, fill = connection._basis_stack, connection._fill
 
-    def counted(b, E):
+    def counted(b, E, *chern):
         builds.append((len(E), filling[0]))
-        return build(b, E)
+        return build(b, E, *chern)
 
-    def counted_fill(*args):
+    def counted_fill(labels, *args):
+        fills.append(len(labels))
         filling[0] = True
         try:
-            return fill(*args)
+            return fill(labels, *args)
         finally:
             filling[0] = False
 
-    monkeypatch.setattr(connection, "_basis_stack", counted)
-    monkeypatch.setattr(curvature, "_basis_stack", counted)
+    for module in (connection, curvature, conformal, cli):
+        monkeypatch.setattr(module, "_basis_stack", counted)
     for module in (connection, conformal, cli):
         monkeypatch.setattr(module, "_fill", counted_fill)
-    return builds
+    return builds, fills
 
 
 def suite_adm2_config():
@@ -178,15 +182,19 @@ def suite_adm2_config():
         "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
 
 
-def test_suite_builds_bases_only_in_its_fills(monkeypatch):
-    """The bench's suite_adm2 config: bases are built only inside fills, 2
-    of them over 55 rows: the suite's own fill of the 40 sample points from
-    its walk, and one fill of the 15 rescaled rows, the first 5 points on
-    each of the three rescaled charts, whose Cholesky frames are the paired
-    frames the conformal laws compare in."""
-    builds = counting(monkeypatch)
+def test_suite_builds_bases_only_for_the_rows_it_reads(monkeypatch):
+    """The bench's suite_adm2 config: 2 fills, the suite's own of the 40
+    sample points from its walk and one of the 15 rescaled rows (the first
+    5 points on each of the three rescaled charts), and no basis in either.
+    Bases are built for 10 + 12 rows: the first 10 points, which
+    `gauduchon`, `interpolation`, `hsc_symmetrize`, `selfdual_weyl` and
+    `kahler_families` read, then, in one stack, the 6 base and 6 rescaled
+    rows `conformal_delta` compares (2 factors x 3 points).  `constancy` reads
+    the 40 points' q-line pairs, no basis."""
+    builds, fills = counting(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert builds == [(40, True), (15, True)]
+    assert fills == [40, 15]
+    assert builds == [(10, False), (12, False)]
 
 
 def counting_fills(monkeypatch):
@@ -218,18 +226,26 @@ FRAMED_READERS = {
 }
 
 
+# The per-point readers that read a basis: one row each.
+BASIS_READERS = {"canonical_basis", "canonical_curvature", "gauduchon_curvature",
+                 "lc_curvature", "scalar_curvature"}
+
+
 @pytest.mark.parametrize("name", sorted(FRAMED_READERS))
 @pytest.mark.parametrize("frame", ["cholesky", "explicit"])
 def test_per_point_reader_makes_one_store_lookup(monkeypatch, name, frame):
     """Each per-point reader fills its point once (one `_metric_points`
     call), in the Cholesky frame and in an explicit one; the
-    finite-difference oracle needs no fill for an explicit frame."""
+    finite-difference oracle needs no fill for an explicit frame.  Only
+    the readers of a basis build one, of one row."""
     chart = gd.make_chart(ADM_SPEC)
     p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
     fr = gd.unitary_frame(chart, p) if frame == "explicit" else None
+    builds, _ = counting(monkeypatch)
     fills = counting_fills(monkeypatch)
     FRAMED_READERS[name](chart, p, fr)
     assert fills == ([] if name == "lc_curvature_fd" and fr is not None else [1])
+    assert builds == ([(1, False)] if name in BASIS_READERS else [])
 
 
 @pytest.mark.parametrize("reader", [gd.metric_jet, gd.unitary_frame, gd.lc_full,
@@ -237,26 +253,28 @@ def test_per_point_reader_makes_one_store_lookup(monkeypatch, name, frame):
 def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
     chart = gd.make_chart(ADM_SPEC)
     p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
+    builds, _ = counting(monkeypatch)
     fills = counting_fills(monkeypatch)
     reader(chart, p)
     assert fills == [1]
+    assert builds == ([(1, False)] if reader.__name__ in BASIS_READERS else [])
 
 
 def test_kahler_delta_makes_one_fill(monkeypatch):
     """`delta_kahler_predicted` reads no rescaled record, so its factor has
-    none: one fill of the base at the point, and no rescaled fill."""
+    none: one fill of the base at the point, no rescaled fill and no
+    basis."""
     pair = gd.rescale(gd.euclidean_chart(2), 0.1 * gd.abs2(2))
-    builds = counting(monkeypatch)
-    fills = counting_fills(monkeypatch)
+    builds, fills = counting(monkeypatch)
     gd.delta_kahler_predicted(pair, (2.0, 0.5), [0.1, 0.2j])
-    assert fills == [1] and builds == [(1, True)]
+    assert fills == [1] and builds == []
 
 
 def test_suite_makes_no_store_lookup(monkeypatch):
     """The bench's suite_adm2 config: no `_metric_points` fill.  The run
-    fills its points' data, their bases among it, once from its own walk,
-    as one stacked record, which `interpolation`'s oracle, `constancy` and
-    the conformal checks read too; the conformal checks' rescaled records
+    fills its points' data once from its own walk, as one stacked record,
+    which `interpolation`'s oracle, `constancy` and the conformal checks
+    read too; the conformal checks' rescaled records
     are built from it, not filled again from the charts."""
     fills = counting_fills(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
@@ -265,10 +283,12 @@ def test_suite_makes_no_store_lookup(monkeypatch):
 
 def test_scan_hsc_and_curv_fill_their_points_once(monkeypatch, tmp_path):
     """The bench's scan and hsc commands and a curv dump, counted in `_fill`
-    calls and their rows: scan and hsc fill their sample points once, curv
-    its one point once.  `test_suite_builds_bases_only_in_its_fills` counts
-    the suite's two."""
-    builds = counting(monkeypatch)
+    calls and their rows, and in rows passed to `_basis_stack`: scan and hsc
+    fill their sample points once and build no basis, as they read only the
+    q-line pair; curv fills its one point once and builds its one basis
+    outside the fill.  `test_suite_builds_bases_only_for_the_rows_it_reads`
+    counts the suite's."""
+    builds, fills = counting(monkeypatch)
     adm = tmp_path / "adm.json"
     adm.write_text(json.dumps(ADM_SPEC))
     hopf6 = tmp_path / "hopf6.json"
@@ -276,14 +296,15 @@ def test_scan_hsc_and_curv_fill_their_points_once(monkeypatch, tmp_path):
     out = str(tmp_path / "out")
     for argv, want in (
             (["scan", "--chart", str(adm), "--t=-2:4:13", "--s=-2.5:2.5:11", "--samples", "4"],
-             [(4, True)]),
+             ([4], [])),
             (["hsc", "--chart", str(hopf6), "--t", "3", "--s", "0", "--samples", "3"],
-             [(3, True)]),
+             ([3], [])),
             (["curv", "--chart", str(adm), "--t", "0", "--s", "1", "--point", "0.3,0.1;0,0.2"],
-             [(1, True)])):
+             ([1], [(1, False)]))):
         builds.clear()
+        fills.clear()
         assert cli.main(argv + ["--out", out]) == 0
-        assert builds == want, argv[0]
+        assert (fills, builds) == want, argv[0]
 
 
 def test_no_command_but_the_suite_builds_complexified_arrays(monkeypatch, tmp_path):
@@ -406,3 +427,39 @@ def test_suite_oracle_takes_one_fd_jets_walk_per_tree(monkeypatch):
                     for p in pts for f in fields])
     assert (rec.points, rec.residual_max, rec.residual_mean, rec.passed) == \
         (10, float(res.max()), float(res.mean()), True)
+
+
+def counting_checks(monkeypatch):
+    """Record the point count of every `_check_points` call, in every module
+    that makes one."""
+    checks = []
+    check = connection._check_points
+
+    def counted(chart, points):
+        checks.append(len(points))
+        return check(chart, points)
+
+    for module in (connection, curvature, conformal, cli):
+        if getattr(module, "_check_points", None) is check:
+            monkeypatch.setattr(module, "_check_points", counted)
+    return checks
+
+
+def test_each_point_is_checked_once(monkeypatch):
+    """The bench's suite_adm2 config checks its 40 sample points once, and
+    each of the three `rescale` calls checks the 5 conformal points its
+    factor's realness is sampled at; `_factors_at` checks none again.  A
+    per-point conformal function checks its point once, before its walk and
+    its fill."""
+    checks = counting_checks(monkeypatch)
+    assert run_suite(suite_adm2_config()).all_passed
+    assert checks == [40, 5, 5, 5]
+    chart = gd.make_chart(ADM_SPEC)
+    p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
+    pair = gd.rescale(chart, 0.1 * gd.abs2(2), check_points=[p])
+    for call in (lambda: gd.commutation_residual(chart, pair.f, 2.0, p),
+                 lambda: gd.torsion_transform_residual(pair, p),
+                 lambda: gd.delta_canonical_predicted(pair, (2.0, 0.5), p)):
+        checks.clear()
+        call()
+        assert checks == [1]

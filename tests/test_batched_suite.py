@@ -101,7 +101,7 @@ def test_interpolation_equals_the_per_point_loop(spec):
     records = [connection._point(run.chart, p)[0] for p in run.small]
 
     def curvature_of(ts, b):
-        return np.tensordot(gd.canonical_weights(ts), b.basis[0], 1)
+        return np.tensordot(gd.canonical_weights(ts), connection._basis_stack(b, b.E)[0], 1)
 
     res = [maxabs(curvature_of((1.0, 0.0), b) - connection._chern_stack(b, b.E)[0])
            for b in records]
@@ -112,7 +112,7 @@ def test_interpolation_equals_the_per_point_loop(spec):
 
 
 def test_a_one_point_mutation_shows_on_that_point_only(monkeypatch):
-    """0.1i B[3] added to the filled B[1] of the 7th point only: both
+    """0.1i B[3] added to the suite's B[1] of the 7th point only: both
     `hermitian_symmetry` (B[3] is Hermitian-symmetric, i B[3] is not) and
     `interpolation` (the Chern cell and every cell with p != 0) fail, and
     only on that point's residuals, so a batched reduction or broadcast
@@ -122,13 +122,13 @@ def test_a_one_point_mutation_shows_on_that_point_only(monkeypatch):
     target = connection._metric_points(run.chart, [run.small[6]]).G[0]
     build = connection._basis_stack
 
-    def mutated(b, E):
-        B = build(b, E)
+    def mutated(b, E, *chern):
+        B = build(b, E, *chern)
         for k in np.flatnonzero(np.all(b.G == target, axis=(1, 2))):
             B[k, 1] += 0.1j * B[k, 3]
         return B
 
-    monkeypatch.setattr(connection, "_basis_stack", mutated)
+    monkeypatch.setattr(cli, "_basis_stack", mutated)
     P = len(run.small)
     for name, point_of in (("hermitian_symmetry", lambda i: i // len(cli.HERMITIAN_T)),
                            ("interpolation", lambda i: i % P)):

@@ -372,6 +372,21 @@ def test_malformed_expression_exits_2_from_scan_and_curv(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["hsc", "--t=1", "--samples", "1"],
+                                     ["scan", "--t=0:1:2", "--s=0:1:2"],
+                                     ["curv", "--t=1", "--point", "0.5,0;0.5,0"]])
+def test_non_finite_literal_exits_2_naming_the_token(tmp_path, capsys, command):
+    """An inline `g` with `inf` in it is refused as a malformed spec that
+    names the token, before any point is evaluated."""
+    spec = {"chart": "inline", "n": 2, "g": [["(add 1 (mul inf 0))", "0"], ["0", "1"]]}
+    chart = write_json(tmp_path, "chart.json", spec)
+    out = tmp_path / "out"
+    assert main([*command, "--chart", chart, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and "number 'inf' in field expression is not finite" in err
+    assert "RuntimeWarning" not in err and not out.exists()
+
+
 UNREAD_KEYS = [
     ({"chart": "admissible", "n": 2, "a": 0.5, "multiplier": [[0.3, 0], [0.3, 0]]},
      "does not take 'multiplier'; its keys are 'chart', 'n', 'a', 'multipliers', 'A', 'c0'"),
@@ -515,10 +530,11 @@ def test_cli_hsc_matches_reference(tmp_path, capsys):
 
 
 def test_hsc_payload_builds_each_curvature_once(monkeypatch):
-    """Every point's basis is built once, in one fill of the points,
-    and its tensor is one weighted sum of it: no per-point
-    `canonical_curvature` call.  The HSC extremes are those of the
-    per-point tensors and the same direction draws."""
+    """No basis is built and no `canonical_curvature` called: every point's
+    HSC tensor is sym R^C + q X, one weighted sum of its q-line pair.  The
+    HSC extremes are those of the per-point canonical curvatures and the
+    same direction draws, to rounding (a tensor's HSC is its
+    symmetrization's)."""
     import gauduchon.cli as cli
     import gauduchon.connection as connection
     import gauduchon.curvature as curvature
@@ -529,16 +545,17 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
         calls.append(args)
         return curv(*args, **kwargs)
 
-    def counted(b, E):
+    def counted(b, E, *chern):
         builds.append(len(E))
-        return build(b, E)
+        return build(b, E, *chern)
 
-    # Both modules bind the name; count calls made through either.
+    # Each module binds the names; count calls made through any of them.
     monkeypatch.setattr(cli, "canonical_curvature", counting)
     monkeypatch.setattr(curvature, "canonical_curvature", counting)
-    monkeypatch.setattr(connection, "_basis_stack", counted)
+    for module in (cli, connection, curvature):
+        monkeypatch.setattr(module, "_basis_stack", counted)
     payload = cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
-    assert calls == [] and builds == [4] and len(payload["per_point"]) == 4
+    assert calls == [] and builds == [] and len(payload["per_point"]) == 4
     chart = gd.make_chart(ADM_SPEC)
     rng = np.random.default_rng(2)
     for p, rec in zip(gd.sample_points(chart, 4, rng), payload["per_point"]):
@@ -546,12 +563,14 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
         eta = draws[:, 0] + 1j * draws[:, 1]
         eta /= np.linalg.norm(eta, axis=1, keepdims=True)
         hs = gd.hsc(curv(chart, (3.0, 0.0), p), eta)
-        assert (rec["hsc_min"], rec["hsc_max"]) == (float(hs.min()), float(hs.max()))
+        np.testing.assert_allclose([rec["hsc_min"], rec["hsc_max"]], [hs.min(), hs.max()],
+                                   rtol=0, atol=1e-14)
 
 
 def test_hsc_payload_reads_its_points_once(monkeypatch):
     """One fill of the sample points feeds c, the residual and the HSC
-    tensor."""
+    tensor, and its Chern curvature and torsion are built once, with no
+    torsion derivative."""
     import gauduchon.cli as cli
     import gauduchon.connection as connection
     import gauduchon.curvature as curvature
@@ -566,8 +585,19 @@ def test_hsc_payload_reads_its_points_once(monkeypatch):
     for module in (cli, connection, curvature):
         if getattr(module, "_metric_points", None) is read:
             monkeypatch.setattr(module, "_metric_points", counting)
+    kernels = []
+    for name in ("_chern_stack", "_frame_torsion", "_frame_torsion_dbar"):
+        kernel = getattr(connection, name)
+
+        def counted(*args, func=kernel, name=name):
+            kernels.append((name, len(args[1])))
+            return func(*args)
+        for module in (cli, connection, curvature):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted)
     cli.hsc_payload(ADM_SPEC, 3.0, 0.0, samples=4, seed=2)
     assert reads == [4]
+    assert sorted(kernels) == [("_chern_stack", 4), ("_frame_torsion", 4)]
 
 
 def test_direction_stack_draws_the_per_direction_stream():

@@ -344,7 +344,7 @@ def per_point_laws(pair, t, params, z):
     w = gd.canonical_weights(pr)
     rescaled_basis = connection._basis_stack(rb, (c * E)[None])[0]
     direct = (np.exp(2 * f(z).real) * np.tensordot(w, rescaled_basis, 1)
-              - np.tensordot(w, b.basis[0], 1))
+              - np.tensordot(w, connection._basis_stack(b, b.E)[0], 1))
     return [fr, frbar, H1, H2, torsion, commutation, D, direct]
 
 

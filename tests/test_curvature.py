@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
-from gauduchon import connection, curvature
+from gauduchon import cli, connection, curvature
 from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
@@ -118,7 +118,7 @@ def test_lc_contractions_match_einsum_reference(n):
         pts = pts_of(chart, 2, n)
         at = _at_point(chart, gd.const(0.0), pts)
         for k, (p, C) in enumerate(zip(pts, at.C)):
-            b, E = _rows(at.data, k, k + 1), at.data.E[k]
+            b, E = _rows(at.data, slice(k, k + 1)), at.data.E[k]
             Gamma, Riem, s_g = _seed_lc(point_record(b, 0), n)
             scale = maxabs(Riem)
             assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
@@ -186,7 +186,8 @@ def test_gauduchon_t1_is_chern(catalog_charts):
     for chart in catalog_charts:
         pts = pts_of(chart, 10, 8)
         b = connection._metric_points(chart, pts)
-        d = maxabs(curvatures(b.basis, [(1.0, 0.0)])[0] - connection._chern_stack(b, b.E))
+        d = maxabs(curvatures(connection._basis_stack(b, b.E), [(1.0, 0.0)])[0]
+                   - connection._chern_stack(b, b.E))
         assert d < 1e-9, chart.label
         d = maxabs(gd.gauduchon_curvature(chart, 1.0, pts[0]).R
                    - gd.chern_curvature(chart, pts[0]).R)
@@ -258,16 +259,17 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
     0.1 (p^2 - p) B[3]: nothing at p = 0 or 1, so the t = 1 Chern comparison
     and every s = 1 identity pass it, but the oracle sees it at (3, 0) on each
     non-Kahler chart, and the suite's interpolation check fails.  The
-    mutation goes into the fill, the one code that builds the records'
-    bases."""
+    mutation goes into `_basis_stack`, the one code that builds bases, in
+    every module that calls it."""
     build = connection._basis_stack
 
-    def mutated(b, E):
-        B = build(b, E)
+    def mutated(b, E, *chern):
+        B = build(b, E, *chern)
         B[:, 1:3] += 0.1 * B[:, 3:4]
         return B
 
-    monkeypatch.setattr(connection, "_basis_stack", mutated)
+    for module in (connection, curvature, cli):
+        monkeypatch.setattr(module, "_basis_stack", mutated)
     for name in ("hopf2", "hopf3", "admissible", "generic"):
         chart = ORACLE_CHARTS[name]()
         pts = gd.sample_points(chart, 3, np.random.default_rng(41))

@@ -75,7 +75,7 @@ def stacked_factors(spec: int, count: int, seed: int):
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
-    return _factors_at(pairs, pts, connection._metric_points(chart, pts))
+    return _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts))
 
 
 def maxabs(x) -> float:

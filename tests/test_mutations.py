@@ -1,6 +1,6 @@
 """Mutations with teeth: the bench's suite_adm2 config with one term of a
-conformal law or of the fill scaled by 1.01 (or its sign flipped), applied
-by monkeypatch, must fail the checks that read it.  A check that a 1% error
+conformal law, of the fill or of a curvature kernel scaled by 1.01 (or its
+sign flipped), applied by monkeypatch, must fail the checks that read it.  A check that a 1% error
 in one of its terms leaves passing would check nothing of that term.
 
 Two terms vanish identically, so scaling them changes nothing and no check
@@ -115,8 +115,8 @@ def test_unmutated_fill_checks_pass():
 def test_a_scaled_record_field_fails(monkeypatch, field, check):
     """The inverse metric `ginv` or the Cholesky frame `E` scaled by 1.01
     as `_fill` makes its record, after the frame's unitarity check: the
-    basis is built from the scaled `ginv`, and from the frame `_fill`
-    checked."""
+    suite's Chern curvature, torsion and bases are built from the scaled
+    `ginv`, and from the frame `_fill` checked."""
     make = connection._MetricData
 
     def mutated(*parts):
@@ -131,7 +131,7 @@ def test_a_scaled_record_field_fails(monkeypatch, field, check):
 def test_a_flipped_chern_quadratic_term_fails(monkeypatch, check):
     """`_chern_stack` with the sign of its quadratic term flipped:
     -d dbar g - g^-1 dg dbar g, that is twice the framed -d dbar g less the
-    true curvature.  The fill's basis B[0] is built from it."""
+    true curvature.  The suite's q-line pair and its bases' B[0] read it."""
     chern = connection._chern_stack
 
     def flipped(b, E):
@@ -139,4 +139,42 @@ def test_a_flipped_chern_quadratic_term_fails(monkeypatch, check):
 
     for module in (connection, cli):
         monkeypatch.setattr(module, "_chern_stack", flipped)
+    assert not passed(check)
+
+
+# The curvature kernels' mutations: (mutation, check that must fail).  The
+# suite's Chern curvature and torsion (`_Suite.chern`) feed `constancy`'s
+# q-line pair and the first 10 points' bases, which `interpolation`
+# compares with the connection's own curvature.
+KERNEL_ROWS = [("X", "constancy"), ("q", "constancy"), ("torsion", "constancy"),
+               ("torsion_dbar", "interpolation")] \
+    + [(f"basis[{m}]", "interpolation") for m in range(4)] \
+    + [(f"canonical_weights[{k}]", "interpolation") for k in range(4)]
+
+
+def mutate_kernel(monkeypatch, mutation: str):
+    """Apply one KERNEL_ROWS mutation, in every module that binds the name."""
+    if mutation == "X":
+        pair = cli._qline_pair
+        monkeypatch.setattr(cli, "_qline_pair", lambda RC, T: scaled(pair(RC, T), 1, 1))
+    elif mutation == "q":
+        weights = cli.qline_weights
+        monkeypatch.setattr(cli, "qline_weights", lambda params: scaled(weights(params), 1, -1))
+    elif mutation.startswith("torsion"):
+        name = "_frame_torsion_dbar" if mutation == "torsion_dbar" else "_frame_torsion"
+        kernel = getattr(connection, name)
+        for module in (connection, cli):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, lambda *args: 1.01 * kernel(*args))
+    elif mutation.startswith("basis"):
+        build, m = connection._basis_stack, int(mutation[-2])
+        monkeypatch.setattr(cli, "_basis_stack", lambda *args: scaled(build(*args), m, 1))
+    else:
+        weights, k = cli.canonical_weights, int(mutation[-2])
+        monkeypatch.setattr(cli, "canonical_weights", lambda params: scaled(weights(params), k, -1))
+
+
+@pytest.mark.parametrize("mutation,check", KERNEL_ROWS)
+def test_a_scaled_kernel_term_fails(monkeypatch, mutation, check):
+    mutate_kernel(monkeypatch, mutation)
     assert not passed(check)

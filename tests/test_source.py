@@ -20,8 +20,7 @@ def test_no_assert_statements_in_package():
 def test_no_point_store_in_the_package():
     # `_metric_points` is the fill: no module keeps point records between
     # calls, so none names the store's parts or the second name of the fill,
-    # or holds records by weak reference.  Only connection.py's fill builds
-    # a record, basis included, so no other module writes a basis into one.
+    # or holds records by weak reference.
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -31,9 +30,25 @@ def test_no_point_store_in_the_package():
                 found.append(f"{path.name}: {name}")
         if re.search(r"^\s*(import weakref|from weakref import)", text, re.MULTILINE):
             found.append(f"{path.name}: weakref")
-        if path.name != "connection.py" and re.search(r"\.basis\s*=(?!=)", text):
-            found.append(f"{path.name}: .basis =")
     assert not found, f"point store parts in src: {found}"
+
+
+def test_the_fill_builds_no_basis():
+    # The fill's stages make a record of jets, `ginv` and `E` only: none of
+    # them names `_basis_stack`, whose readers call it on the record, and no
+    # record type with a basis field is left in the package.
+    tree = ast.parse((SRC / "connection.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [f"connection.{name} names _basis_stack"
+             for name in ("_metric_points", "_chart_fill", "_check_points", "_component_jets",
+                          "_fill")
+             if any(isinstance(node, ast.Name) and node.id == "_basis_stack"
+                    for node in ast.walk(funcs[name]))]
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: {name}" for name in (r"\b_PointData\b", r"\.basis\b")
+                  if re.search(name, text)]
+    assert not found, f"the fill builds a basis: {found}"
 
 
 def test_factors_have_one_constructor():

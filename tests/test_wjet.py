@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,19 @@ def test_serialize_golden_text():
 def test_parse_errors(bad):
     with pytest.raises(InvalidSpec):
         gd.parse_field(bad)
+
+
+@pytest.mark.parametrize("text,token", [
+    ("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("1e999", "1e999"),
+    ("(add 1 (mul inf 0))", "inf"), ("[1e999, 0]", "1e999"), ("[0, nan]", "nan"),
+])
+def test_non_finite_numbers_are_refused_by_name(text, token):
+    """A number that reads as inf or nan is a malformed spec, named by its
+    token, not a constant whose failure shows later at some point."""
+    with pytest.raises(InvalidSpec, match=rf"number '{re.escape(token)}' in field expression "
+                                          r"is not finite"):
+        gd.parse_field(text)
+    assert gd.parse_field("1e300").serialize() == "1e+300"
 
 
 def test_as_field_lifts_numbers():
