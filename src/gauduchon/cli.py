@@ -248,8 +248,7 @@ class _Suite:
     @cached_property
     def bases(self) -> np.ndarray:
         """The first 10 points' `canonical_basis`, from their rows of `chern`."""
-        b = self.small_data
-        return _basis_stack(b, b.E, *(a[:len(b.E)] for a in self.chern))
+        return _basis_stack(*(a[:len(self.small)] for a in self.chern))
 
     @cached_property
     def gauduchon(self) -> np.ndarray:

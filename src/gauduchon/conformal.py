@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
-                         _MetricData, _basis_stack, _chart_fill, _check_points, _fill,
-                         _frame_E, _frame_torsion, _read_only, _to_frame)
+                         _MetricData, _basis_stack, _chart_fill, _check_points, _chern_stack,
+                         _fill, _frame_E, _frame_torsion, _read_only, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
@@ -234,7 +234,8 @@ class FactorAt:
         w = canonical_weights(params)
         both = _MetricData(*(np.concatenate([a[rows], r[rows]]) for a, r in
                              zip(vars(self.data).values(), vars(self.rescaled_data).values())))
-        base, resc = np.split(_basis_stack(both, both.E), 2)
+        base, resc = np.split(_basis_stack(_chern_stack(both, both.E),
+                                           _frame_torsion(both, both.E)), 2)
         e2f = np.exp(2 * self.value[rows])[:, None, None, None, None]
         return e2f * np.tensordot(w, resc, (-1, 1)) - np.tensordot(w, base, (-1, 1))
 

@@ -261,41 +261,15 @@ def _to_frame(X: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     return X
 
 
-def _upper(E: np.ndarray) -> np.ndarray:
-    """The matrices inv(E[p])^T that move upper slots into the frames E[p]."""
-    return np.linalg.inv(E).transpose(0, 2, 1)
-
-
-def _frame_torsion(b: _MetricData, E: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
+def _frame_torsion(b: _MetricData, E: np.ndarray) -> np.ndarray:
     """Chern torsion T[p, i, j, k] = T^i_jk of stacked points in the frames
     E[p], from the coordinate torsion of
-    Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k).
-    up is `_upper(E)`, when the caller already has it."""
+    Gamma[k, i, j] = g^{k lbar} d_i g_{j lbar}; exactly antisymmetric in (j, k)."""
     P, n = b.ginv.shape[:2]
     Gamma = (b.ginv @ b.dG.reshape(P, n * n, n).transpose(0, 2, 1)).reshape(P, n, n, n)
     T = _to_frame(0.5 * (Gamma - Gamma.transpose(0, 1, 3, 2)),
-                  _upper(E) if up is None else up, E, E)
+                  np.linalg.inv(E).transpose(0, 2, 1), E, E)
     return 0.5 * (T - T.transpose(0, 1, 3, 2))
-
-
-def _frame_torsion_dbar(b: _MetricData, E: np.ndarray,
-                        up: np.ndarray | None = None) -> np.ndarray:
-    """TD[p, j, i, k, l] = T^j_{ik,lbar} of stacked points in the frames E[p].
-    The Chern connection has no mixed coordinate Christoffel symbols, so in
-    coordinates this is dbar_l of the torsion, transformed as a (1,3)-tensor.
-    up is `_upper(E)`, when the caller already has it."""
-    P, n = b.ginv.shape[:2]
-    ginv = b.ginv[:, None]
-    # dbar_l g^{k qbar} = - g^{k bbar} (dbar_l g_{a bbar}) g^{a qbar}: dginv[p, l, k, q]
-    dginv = -(ginv @ b.dbarG.transpose(0, 1, 3, 2) @ ginv)
-    # dbar_l Gamma^k_ij = (dbar_l g^{k qbar}) d_i g_{j qbar} + g^{k qbar} d_i dbar_l g_{j qbar}
-    dG = b.dG.reshape(P, n * n, n).transpose(0, 2, 1)
-    dGamma = (dginv.reshape(P, n * n, n) @ dG).reshape(P, n, n, n, n).transpose(0, 2, 3, 4, 1) \
-        + (b.ginv @ b.ddbarG.reshape(P, n ** 3, n).transpose(0, 2, 1)) \
-        .reshape(P, n, n, n, n).transpose(0, 1, 2, 4, 3)
-    TD = _to_frame(0.5 * (dGamma - dGamma.transpose(0, 1, 3, 2, 4)),
-                   _upper(E) if up is None else up, E, E, E.conj())
-    return 0.5 * (TD - TD.transpose(0, 1, 3, 2, 4))
 
 
 def _chern_stack(b: _MetricData, E: np.ndarray) -> np.ndarray:
@@ -318,16 +292,14 @@ def _torsion_products(T: np.ndarray) -> np.ndarray:
     return (last @ last.conj().transpose(0, 2, 1)).reshape(P, n, n, n, n)
 
 
-def _basis_stack(b: _MetricData, E: np.ndarray, RC=None, T=None) -> np.ndarray:
-    """`curvature.canonical_basis` B[p] of stacked points in the frames E[p]:
-    the four tensors of every point from one pass with a leading point axis.
-    B[0] is the Chern curvature RC (`_chern_stack`) less the torsion terms,
-    whose weights at Chern are (1, -1, -1); RC and T may be passed in."""
-    up = _upper(E)
-    T = _frame_torsion(b, E, up) if T is None else T
-    TD = _frame_torsion_dbar(b, E, up)
+def _basis_stack(RC: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """`curvature.canonical_basis` B[p] of stacked points from their Chern
+    curvatures RC[p] and torsions T[p] in one unitary frame, with a leading
+    point axis.  The torsion's dbar derivative is RC's by the first Bianchi
+    identity (`torsion_cov_deriv`), so B[1] = RC - H and B[0] = H + B[2]
+    + B[3], H[k, l, i, j] = (RC[i, l, k, j] + RC[k, j, i, l]) / 2."""
     P, n = T.shape[:2]
-    term1 = np.einsum("...jikl->...klij", TD) + np.einsum("...ijlk->...klij", np.conj(TD))
+    H = 0.5 * (RC.swapaxes(-4, -2) + RC.swapaxes(-3, -1))
     # The quadratic terms are matmuls over the summed index r.  T is exactly
     # antisymmetric in its lower pair, so T^j_rk conj(T^i_rl) = T^j_kr
     # conj(T^i_lr) and conj(T^k_rj) T^l_ir = -conj(T^k_jr T^l_ir) exactly:
@@ -337,8 +309,7 @@ def _basis_stack(b: _MetricData, E: np.ndarray, RC=None, T=None) -> np.ndarray:
     N = _torsion_products(T)
     term2 = A.transpose(0, 2, 4, 1, 3) - N.transpose(0, 2, 4, 3, 1)
     term3 = -np.conj(N.transpose(0, 1, 3, 4, 2))
-    lc = (_chern_stack(b, E) if RC is None else RC) - term1 + term2 + term3
-    return np.stack([lc, term1, term2, term3], axis=1)
+    return np.stack([H + term2 + term3, RC - H, term2, term3], axis=1)
 
 
 def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -351,8 +322,11 @@ def chern_torsion(chart: MetricChart, z, frame=None) -> np.ndarray:
 
 def torsion_cov_deriv(chart: MetricChart, z, frame=None) -> np.ndarray:
     """Chern-covariant dbar derivative TD[j, i, k, l] = T^j_{ik, lbar} of the
-    torsion in the given unitary frame (see `_frame_torsion_dbar`)."""
-    return _frame_torsion_dbar(*_point(chart, z, frame))[0]
+    torsion in the given unitary frame, from the Chern curvature alone by the
+    Chern connection's first Bianchi identity, T^j_{ik, lbar} = (R^C_{k lbar
+    i jbar} - R^C_{i lbar k jbar}) / 2: exactly antisymmetric in (i, k)."""
+    RC = _chern_stack(*_point(chart, z, frame))[0]
+    return np.einsum("klij->jikl", 0.5 * (RC - RC.swapaxes(0, 2)))
 
 
 def gamma_theta2(chart: MetricChart, z, frame=None):

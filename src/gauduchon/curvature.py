@@ -8,12 +8,13 @@ Component convention (Curv4): R[k, l, i, j] = R_{k lbar i jbar}
 
 Every curvature of the canonical plane D^t_s, Levi-Civita (s = 1) included,
 combines the four `canonical_basis` tensors, built in n-index form from the
-Chern curvature and torsion; the scalar curvature follows by the first
-Bianchi identity.  Symmetrized, the plane is a line: sym R^D = sym R^C + q X,
-q = (1 - p)^2 + s^2 and X = -sym(T^j_rk conj(T^i_rl)), so HSC and constancy
-(`constancy_table`, the CLI's `scan` and `hsc`) read only the Chern
-curvature and torsion.  `connection_curvature_oracle` checks the basis
-against the connection's own Christoffel symbols in the 2n Wirtinger
+Chern curvature R^C and torsion T alone: the first Bianchi identity of the
+Chern connection gives the torsion's dbar derivative from R^C, and that of
+Levi-Civita the scalar curvature.  Symmetrized, the plane is a line:
+sym R^D = sym R^C + q X, q = (1 - p)^2 + s^2 and X = -sym(T^j_rk
+conj(T^i_rl)), so HSC and constancy (`constancy_table`, the CLI's `scan`
+and `hsc`) read only R^C and T.  `connection_curvature_oracle` checks the
+basis against the connection's own Christoffel symbols in the 2n Wirtinger
 coordinates (0..n-1 unbarred, n..2n-1 barred); `lc_curvature_fd` and
 `scalar_curvature_fd` redo the Levi-Civita side by finite differences in
 the 2n real coordinates.
@@ -30,7 +31,7 @@ import numpy as np
 from .connection import (ConnectionParams, MetricChart, as_params, chern_torsion, metric_values,
                          _basis_stack, _check_points, _chern_stack, _frame_E, _frame_torsion,
                          _metric_points, _point, _read_only, _to_frame, _torsion_products)
-from .errors import ConfigError, DimensionError, NotHermitian, ZeroVector
+from .errors import ConfigError, DimensionError, DomainError, NotHermitian, ZeroVector
 from .wjet import _axis_steps, _first_difference
 
 
@@ -100,9 +101,9 @@ def qline_weights(params) -> np.ndarray:
 
 def canonical_bases(chart: MetricChart, points) -> np.ndarray:
     """`canonical_basis(chart, p)` of every point p, one read-only array
-    B[p, m, k, l, i, j]: `_basis_stack` of one fill of the points."""
+    B[p, m, k, l, i, j]: `_basis_stack` of one fill's Chern pair (R^C, T)."""
     b = _metric_points(chart, points)
-    return _read_only(_basis_stack(b, b.E))
+    return _read_only(_basis_stack(_chern_stack(b, b.E), _frame_torsion(b, b.E)))
 
 
 def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
@@ -111,15 +112,18 @@ def canonical_basis(chart: MetricChart, z, frame=None) -> np.ndarray:
 
     B[0] = R_{k lbar i jbar} (Levi-Civita) = R^C_{k lbar i jbar} - B[1]
            + B[2] + B[3], R^C the Chern curvature,
-    B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
+    B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar})
+         = R^C_{k lbar i jbar} - (R^C_{i lbar k jbar} + R^C_{k jbar i lbar}) / 2,
     B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl),
     B[3] = conj(T^k_rj) T^l_ir.
 
-    `_basis_stack` of a one-point fill, in the Cholesky frame (frame=None) or
-    the explicit one, read-only; each call fills afresh.  Symmetrized: sym
-    B[1] = 0, sym B[2] = sym B[3] = X and sym B[0] = sym R^C + 2X.
+    `_basis_stack` of a one-point fill's R^C and T (B[1] by the first Bianchi
+    identity, `torsion_cov_deriv`), in the Cholesky frame (frame=None) or the
+    explicit unitary one, read-only; each call fills afresh.  Symmetrized:
+    sym B[1] = 0, sym B[2] = sym B[3] = X and sym B[0] = sym R^C + 2X.
     """
-    return _read_only(_basis_stack(*_point(chart, z, frame))[0])
+    b, E = _point(chart, z, frame)
+    return _read_only(_basis_stack(_chern_stack(b, E), _frame_torsion(b, E))[0])
 
 
 def canonical_curvature(chart: MetricChart, params, z, frame=None) -> Curv4:
@@ -442,14 +446,21 @@ def _real_riemann(chart: MetricChart, z, h: float):
     differences of the Christoffel symbols at x +- h along each axis, these
     from 4th-order differences of the metric, whose whole nested stencil is
     one `metric_values` call.  With g_{k lbar} = g(d_k, dbar_l): g(dx_k, dx_l)
-    = g(dy_k, dy_l) = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}."""
+    = g(dy_k, dy_l) = 2 Re g_{k lbar} and g(dx_k, dy_l) = 2 Im g_{k lbar}.
+    A stencil point off the domain raises DomainError naming it and z."""
     [pt] = _check_points(chart, [z])
     n, m = chart.n, 2 * chart.n
     x = np.concatenate([pt.real, pt.imag])
     eye = np.eye(m)
     centres = x + h * np.concatenate([np.zeros((1, m)), eye, -eye])
     xs = centres[:, None] + h * _axis_steps(m)            # (2m + 1, 1 + 4m, m)
-    G = metric_values(chart, xs[..., :n] + 1j * xs[..., n:])
+    Z = xs[..., :n] + 1j * xs[..., n:]
+    try:
+        G = metric_values(chart, Z)
+    except DomainError:
+        q = next(q for q in Z.reshape(-1, n) if not chart.domain(q))
+        raise DomainError(f"finite-difference stencil point {q} of point {pt} "
+                          "exits domain") from None
     re, im = 2.0 * G.real, 2.0 * G.imag
     M = np.block([[re, im], [im.swapaxes(-1, -2), re]])  # M[centre, step]
     dM = _first_difference(M.swapaxes(0, 1), h)          # dM[c, centre] = d_c M

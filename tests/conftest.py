@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
+import gauduchon.connection as connection
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +62,15 @@ def non_selfdual():
     return gd.inline_chart(2, [[g11, zero], [zero, g22]], label="unbalanced_product")
 
 
+def make_generic_chart():
+    """Non-diagonal, non-Kahler Hermitian metric: the hardest input class."""
+    g11 = gd.parse_field("(add 1 (mul z1 zbar1) (mul 0.5 z2 zbar2))")
+    g22 = gd.parse_field("(add 1 (mul z1 zbar1))")
+    g12 = gd.parse_field("(mul 0.1 z2 zbar1)")
+    g21 = gd.parse_field("(mul 0.1 zbar2 z1)")
+    return gd.inline_chart(2, [[g11, g12], [g21, g22]], label="generic")
+
+
 def pts_of(chart, count, seed):
     return gd.sample_points(chart, count, np.random.default_rng(seed))
 
@@ -89,3 +99,27 @@ def jet_rel_err(je, jf) -> float:
         num = max(num, float(np.max(np.abs(a - b))))
         scale = max(scale, float(np.max(np.abs(a))))
     return num / scale
+
+
+def bases_of(b, E=None):
+    """`connection._basis_stack` of a fill record's Chern curvature and
+    torsion, in its Cholesky frames or the unitary frames E[p]."""
+    E = b.E if E is None else E
+    return connection._basis_stack(connection._chern_stack(b, E), connection._frame_torsion(b, E))
+
+
+def torsion_dbar_reference(pd):
+    """TD[j, i, k, l] = T^j_{ik,lbar} of one point's metric data `pd` (a
+    `point_record`) in its Cholesky frame, from the coordinate formula: the
+    Chern connection has no mixed coordinate Christoffel symbols, so this is
+    dbar_l of the coordinate torsion (1/2)(Gamma^j_ik - Gamma^j_ki),
+    Gamma^j_ik = g^{j qbar} d_i g_{k qbar}, moved to the frame as a
+    (1,3)-tensor.  The production code reads it off the Chern curvature by
+    the first Bianchi identity instead."""
+    ginv, E = pd.ginv, pd.E
+    # dbar_l g^{j qbar} = -g^{j bbar} (dbar_l g_{a bbar}) g^{a qbar}
+    dginv = -np.einsum("jb,lab,aq->ljq", ginv, pd.dbarG, ginv)
+    dGamma = np.einsum("ljq,ikq->jikl", dginv, pd.dG) \
+        + np.einsum("jq,ilkq->jikl", ginv, pd.ddbarG)
+    TDc = 0.5 * (dGamma - dGamma.transpose(0, 2, 1, 3))
+    return np.einsum("aj,jikl,ib,kc,ld->abcd", np.linalg.inv(E), TDc, E, E, E.conj())

@@ -11,7 +11,7 @@ import gauduchon as gd
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 
-from conftest import curvatures, pts_of
+from conftest import bases_of, curvatures, pts_of
 
 
 def emit(num, ok, text):
@@ -163,7 +163,7 @@ def chern_and_line(chart, pts):
     """The Chern curvature R[p] and the Gauduchon line's curvatures R[t, p]
     at the points, from one fill."""
     b = connection._metric_points(chart, pts)
-    B = connection._basis_stack(b, b.E)
+    B = bases_of(b)
     return connection._chern_stack(b, b.E), curvatures(B, GAUDUCHON_LINE), B
 
 
@@ -204,7 +204,7 @@ def test_criterion_09_oracle_agreement(hopf, fsb, catalog_charts):
     for chart in (hopf, fsb):
         pts = pts_of(chart, 20, 37)
         b = connection._metric_points(chart, pts)
-        for p, R, E in zip(pts, connection._basis_stack(b, b.E)[:, 0], b.E):
+        for p, R, E in zip(pts, bases_of(b)[:, 0], b.E):
             worst_lc = max(worst_lc, maxabs(R - gd.lc_curvature_fd(chart, p, E).R))
     worst_jet = 0.0
     for chart in catalog_charts:

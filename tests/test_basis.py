@@ -12,6 +12,8 @@ import gauduchon as gd
 import gauduchon.connection as connection
 from gauduchon.cli import SuiteConfig, hsc_payload, run_suite, scan_ts
 
+from conftest import point_record, torsion_dbar_reference
+
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
@@ -35,17 +37,20 @@ def random_unitary(rng, n):
 
 def direct_terms(chart, z):
     """The four weighted terms of R^{D^t_s}, each spelled out with its own
-    einsums from one fill of z: R, T^j_{ik,lbar} + conj(T^i_{jl,kbar}),
-    T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl) and conj(T^k_rj) T^l_ir."""
+    einsums from one fill of z: R = R^C - B[1] + B[2] + B[3],
+    B[1] = T^j_{ik,lbar} + conj(T^i_{jl,kbar}) with the torsion's dbar
+    derivative from its coordinate formula (`torsion_dbar_reference`),
+    B[2] = T^r_ik conj(T^r_jl) - T^j_rk conj(T^i_rl) and
+    B[3] = conj(T^k_rj) T^l_ir."""
     b = connection._metric_points(chart, [z])
-    R = connection._basis_stack(b, b.E)[0, 0]
+    RC = connection._chern_stack(b, b.E)[0]
     T = connection._frame_torsion(b, b.E)[0]
-    TD = connection._frame_torsion_dbar(b, b.E)[0]
+    TD = torsion_dbar_reference(point_record(b, 0))
     term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
     term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
         - np.einsum("jrk,irl->klij", T, np.conj(T))
     term3 = np.einsum("krj,lir->klij", np.conj(T), T)
-    return R, term1, term2, term3
+    return RC - term1 + term2 + term3, term1, term2, term3
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -21,7 +21,7 @@ import gauduchon.wjet as wjet
 from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.errors import DomainError
 
-from conftest import jet_rel_err, point_record
+from conftest import bases_of, jet_rel_err, point_record
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
@@ -40,31 +40,25 @@ def to_frame(X, *mats):
 
 def per_point_basis(pd):
     """One point's four basis tensors from its metric data in plain 2-D
-    numpy: the operations of the batched build, point by point, B[0] the
-    Chern curvature less the torsion terms, every contraction a 2-D
-    matmul."""
+    numpy: the operations of the batched build, point by point, from the
+    Chern curvature and torsion alone, B[1] = R^C - H and B[0] = H + B[2]
+    + B[3], every contraction a 2-D matmul."""
     n = pd.G.shape[0]
     E = pd.E
-    up = np.linalg.inv(E).T
     Gc = (pd.ginv @ pd.dG.reshape(n * n, n).T).reshape(n, n, n)
-    T = to_frame(0.5 * (Gc - Gc.transpose(0, 2, 1)), up, E, E)
+    T = to_frame(0.5 * (Gc - Gc.transpose(0, 2, 1)), np.linalg.inv(E).T, E, E)
     T = 0.5 * (T - T.transpose(0, 2, 1))
-    dginv = -(pd.ginv @ pd.dbarG.transpose(0, 2, 1) @ pd.ginv)
-    dGc = (dginv.reshape(n * n, n) @ pd.dG.reshape(n * n, n).T) \
-        .reshape(n, n, n, n).transpose(1, 2, 3, 0) \
-        + (pd.ginv @ pd.ddbarG.reshape(n ** 3, n).T).reshape(n, n, n, n).transpose(0, 1, 3, 2)
-    TD = to_frame(0.5 * (dGc - dGc.transpose(0, 2, 1, 3)), up, E, E, E.conj())
-    TD = 0.5 * (TD - TD.transpose(0, 2, 1, 3))
+    Q = (pd.dG.reshape(n * n, n) @ pd.ginv.T) @ pd.dbarG.transpose(1, 0, 2).reshape(n, n * n)
+    chern = to_frame(-pd.ddbarG + Q.reshape(n, n, n, n).transpose(0, 2, 1, 3),
+                     E, E.conj(), E, E.conj())
+    # H[k, l, i, j] = (R^C[i, l, k, j] + R^C[k, j, i, l]) / 2
+    H = 0.5 * (chern.transpose(2, 1, 0, 3) + chern.transpose(0, 3, 2, 1))
     # A[i, k, j, l] = T^r_ik conj(T^r_jl); N[a, b, c, d] = T^a_br conj(T^c_dr)
     A = (T.reshape(n, n * n).T @ T.reshape(n, n * n).conj()).reshape(n, n, n, n)
     N = (T.reshape(n * n, n) @ T.reshape(n * n, n).conj().T).reshape(n, n, n, n)
-    terms = [TD.transpose(2, 3, 1, 0) + np.conj(TD).transpose(3, 2, 0, 1),
-             A.transpose(1, 3, 0, 2) - N.transpose(1, 3, 2, 0),
-             -np.conj(N.transpose(0, 2, 3, 1))]
-    Q = (pd.dG.reshape(n * n, n) @ pd.ginv.T) @ pd.dbarG.transpose(1, 0, 2).reshape(n, n * n)
-    chern = -pd.ddbarG + Q.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    lc = to_frame(chern, E, E.conj(), E, E.conj()) - terms[0] + terms[1] + terms[2]
-    return np.stack([lc, *terms])
+    term2 = A.transpose(1, 3, 0, 2) - N.transpose(1, 3, 2, 0)
+    term3 = -np.conj(N.transpose(0, 2, 3, 1))
+    return np.stack([H + term2 + term3, chern - H, term2, term3])
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -118,7 +112,7 @@ def test_stacked_read_equals_a_fresh_one_batch_fill(name, seed, read, bad):
             np.testing.assert_array_equal(got[k], want[0])
             assert not got.flags.writeable and not want.flags.writeable
     np.testing.assert_array_equal(gd.canonical_bases(chart, points),
-                                  connection._basis_stack(b, b.E))
+                                  bases_of(b))
 
 
 def test_per_point_basis_is_read_only_and_filled_per_call(monkeypatch):
@@ -156,9 +150,9 @@ def counting(monkeypatch):
     builds, fills, filling = [], [], [False]
     build, fill = connection._basis_stack, connection._fill
 
-    def counted(b, E, *chern):
-        builds.append((len(E), filling[0]))
-        return build(b, E, *chern)
+    def counted(RC, T):
+        builds.append((len(T), filling[0]))
+        return build(RC, T)
 
     def counted_fill(labels, *args):
         fills.append(len(labels))

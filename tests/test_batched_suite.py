@@ -13,6 +13,8 @@ import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig
 from gauduchon.errors import DomainError
 
+from conftest import bases_of
+
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
@@ -101,7 +103,7 @@ def test_interpolation_equals_the_per_point_loop(spec):
     records = [connection._point(run.chart, p)[0] for p in run.small]
 
     def curvature_of(ts, b):
-        return np.tensordot(gd.canonical_weights(ts), connection._basis_stack(b, b.E)[0], 1)
+        return np.tensordot(gd.canonical_weights(ts), bases_of(b)[0], 1)
 
     res = [maxabs(curvature_of((1.0, 0.0), b) - connection._chern_stack(b, b.E)[0])
            for b in records]
@@ -118,13 +120,13 @@ def test_a_one_point_mutation_shows_on_that_point_only(monkeypatch):
     only on that point's residuals, so a batched reduction or broadcast
     over the wrong axis shows."""
     run = suite()
-    # The point's metric value, bit for bit what the run's fill computes.
-    target = connection._metric_points(run.chart, [run.small[6]]).G[0]
+    # The point's torsion, bit for bit what the run passes to the basis.
+    target = run.chern[1][6]
     build = connection._basis_stack
 
-    def mutated(b, E, *chern):
-        B = build(b, E, *chern)
-        for k in np.flatnonzero(np.all(b.G == target, axis=(1, 2))):
+    def mutated(RC, T):
+        B = build(RC, T)
+        for k in np.flatnonzero(np.all(T == target, axis=(1, 2, 3))):
             B[k, 1] += 0.1j * B[k, 3]
         return B
 

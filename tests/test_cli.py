@@ -545,9 +545,9 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
         calls.append(args)
         return curv(*args, **kwargs)
 
-    def counted(b, E, *chern):
-        builds.append(len(E))
-        return build(b, E, *chern)
+    def counted(RC, T):
+        builds.append(len(T))
+        return build(RC, T)
 
     # Each module binds the names; count calls made through any of them.
     monkeypatch.setattr(cli, "canonical_curvature", counting)
@@ -569,8 +569,7 @@ def test_hsc_payload_builds_each_curvature_once(monkeypatch):
 
 def test_hsc_payload_reads_its_points_once(monkeypatch):
     """One fill of the sample points feeds c, the residual and the HSC
-    tensor, and its Chern curvature and torsion are built once, with no
-    torsion derivative."""
+    tensor, and its Chern curvature and torsion are built once."""
     import gauduchon.cli as cli
     import gauduchon.connection as connection
     import gauduchon.curvature as curvature
@@ -586,7 +585,7 @@ def test_hsc_payload_reads_its_points_once(monkeypatch):
         if getattr(module, "_metric_points", None) is read:
             monkeypatch.setattr(module, "_metric_points", counting)
     kernels = []
-    for name in ("_chern_stack", "_frame_torsion", "_frame_torsion_dbar"):
+    for name in ("_chern_stack", "_frame_torsion"):
         kernel = getattr(connection, name)
 
         def counted(*args, func=kernel, name=name):

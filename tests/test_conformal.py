@@ -10,7 +10,7 @@ from gauduchon.conformal import frame_gradient
 from gauduchon.connection import metric_values
 from gauduchon.errors import BaseNotKahler, DomainError, NonRealConformalFactor
 
-from conftest import pts_of
+from conftest import bases_of, pts_of
 
 TS_GRID = [(-1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (2.0, 0.0),
            (3.0, 0.0), (-1.0, 2.0), (0.0, np.sqrt(3.0)), (2.0, 1.0),
@@ -342,9 +342,9 @@ def per_point_laws(pair, t, params, z):
                  - np.einsum("r,lri,jk->klij", frbar, T, eye)
                  - np.einsum("r,krj,il->klij", fr, Tc, eye)))
     w = gd.canonical_weights(pr)
-    rescaled_basis = connection._basis_stack(rb, (c * E)[None])[0]
+    rescaled_basis = bases_of(rb, (c * E)[None])[0]
     direct = (np.exp(2 * f(z).real) * np.tensordot(w, rescaled_basis, 1)
-              - np.tensordot(w, connection._basis_stack(b, b.E)[0], 1))
+              - np.tensordot(w, bases_of(b)[0], 1))
     return [fr, frbar, H1, H2, torsion, commutation, D, direct]
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 import gauduchon as gd
+import gauduchon.connection as connection
 from gauduchon.connection import ConnectionParams, metric_values
 from gauduchon.errors import DimensionError, DomainError, NonFinite, NotPositiveDefinite
 
-from conftest import pts_of
+from conftest import make_generic_chart, point_record, pts_of, torsion_dbar_reference
 
 
 def frame_defect(chart, p):
@@ -270,11 +273,46 @@ def _fd_cov_deriv(chart, p, h=1e-4):
     return np.einsum("ak,kijl,ib,jc,ld->abcd", Einv, TDc, E, E, E.conj())
 
 
-def test_cov_deriv_hopf_against_fd_oracle(hopf):
-    for p in pts_of(hopf, 4, 6):
-        TD = gd.torsion_cov_deriv(hopf, p)
-        TD_fd = _fd_cov_deriv(hopf, p)
-        assert np.max(np.abs(TD - TD_fd)) < 1e-5
+def test_cov_deriv_hopf_against_fd_oracle(hopf, adm):
+    """The Chern side of the identity against finite differences of the
+    torsion, on Hopf, the admissible chart and a generic inline chart."""
+    for chart in (hopf, adm, make_generic_chart()):
+        for p in pts_of(chart, 4, 6):
+            TD = gd.torsion_cov_deriv(chart, p)
+            TD_fd = _fd_cov_deriv(chart, p)
+            assert np.max(np.abs(TD - TD_fd)) < 1e-5, chart.label
+
+
+# The catalog charts, a generic inline chart and a conformal chart at n = 3.
+TD_CHARTS = {
+    "euclidean": gd.euclidean_chart(2),
+    "hopf2": gd.hopf_chart(2),
+    "hopf3": gd.hopf_chart(3),
+    "hopf6": gd.hopf_chart(6),
+    "admissible": gd.admissible_chart(gd.hopf_spec(2, 0.5, A=[[0.2, 0.0], [0.0, 0.1]])),
+    "fubini_study": gd.fubini_study_chart(2),
+    "fs_bergman": gd.fs_bergman_chart(),
+    "complex_hyperbolic": gd.complex_hyperbolic_chart(2),
+    "generic": make_generic_chart(),
+    "conformal_fubini_study3": gd.make_chart({
+        "chart": "conformal", "base": {"chart": "fubini_study", "n": 3},
+        "f": "(add (mul 0.1 (add z1 zbar1)) (mul 0.05 z2 zbar2))"}),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(TD_CHARTS)), seed=st.integers(0, 2**32 - 1))
+def test_cov_deriv_is_the_dbar_of_the_coordinate_torsion(name, seed):
+    """The first Bianchi identity: `torsion_cov_deriv`, read off the Chern
+    curvature R^C, equals dbar of the coordinate torsion moved to the frame
+    (`torsion_dbar_reference`) to rounding, 2e-15 of max(1, max|R^C|), the
+    scale it is read from."""
+    chart = TD_CHARTS[name]
+    z = gd.sample_points(chart, 1, np.random.default_rng(seed))[0]
+    TD = gd.torsion_cov_deriv(chart, z)
+    ref = torsion_dbar_reference(point_record(connection._metric_points(chart, [z]), 0))
+    scale = max(1.0, np.max(np.abs(gd.chern_curvature(chart, z).R)))
+    assert np.max(np.abs(TD - ref)) <= 2e-15 * scale
 
 
 def test_cov_deriv_antisymmetry(hopf):

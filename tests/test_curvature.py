@@ -6,9 +6,9 @@ import gauduchon as gd
 from gauduchon import cli, connection, curvature
 from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
-from gauduchon.errors import DimensionError, NotHermitian, ZeroVector
+from gauduchon.errors import DimensionError, DomainError, NotHermitian, ZeroVector
 
-from conftest import curvatures, point_record, pts_of
+from conftest import bases_of, curvatures, make_generic_chart, point_record, pts_of
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -170,6 +170,18 @@ def test_lc_oracle_values_its_stencil_in_one_call(monkeypatch, hopf, oracle):
     assert calls == [(9, 17, 2)]
 
 
+@pytest.mark.parametrize("oracle", [gd.lc_curvature_fd, gd.scalar_curvature_fd])
+def test_lc_oracle_stencil_error_names_the_callers_point(chyp, oracle):
+    """Near the ball's boundary the caller's point is in the domain but a
+    stencil point is not: the DomainError names both, as `fd_jets` does."""
+    p = 0.9999 * np.array([1.0, 1.0]) / np.sqrt(2.0)
+    stencil = p + np.array([2e-4, 0.0])
+    with pytest.raises(DomainError) as err:
+        oracle(chyp, p)
+    assert str(err.value) == (f"finite-difference stencil point {stencil.astype(complex)} "
+                              f"of point {p.astype(complex)} exits domain")
+
+
 def test_scalar_curvature_fd_oracle(hopf, fsb):
     for chart in (hopf, fsb):
         p = pts_of(chart, 1, 7)[0]
@@ -186,7 +198,7 @@ def test_gauduchon_t1_is_chern(catalog_charts):
     for chart in catalog_charts:
         pts = pts_of(chart, 10, 8)
         b = connection._metric_points(chart, pts)
-        d = maxabs(curvatures(connection._basis_stack(b, b.E), [(1.0, 0.0)])[0]
+        d = maxabs(curvatures(bases_of(b), [(1.0, 0.0)])[0]
                    - connection._chern_stack(b, b.E))
         assert d < 1e-9, chart.label
         d = maxabs(gd.gauduchon_curvature(chart, 1.0, pts[0]).R
@@ -230,7 +242,7 @@ ORACLE_CHARTS = {
     "fubini_study3": lambda: gd.fubini_study_chart(3),
     "fs_bergman": gd.fs_bergman_chart,
     "complex_hyperbolic": lambda: gd.complex_hyperbolic_chart(2),
-    "generic": lambda: make_generic_chart(),
+    "generic": make_generic_chart,
 }
 
 
@@ -263,8 +275,8 @@ def test_oracle_catches_a_torsion_term_mutation(monkeypatch):
     every module that calls it."""
     build = connection._basis_stack
 
-    def mutated(b, E, *chern):
-        B = build(b, E, *chern)
+    def mutated(RC, T):
+        B = build(RC, T)
         B[:, 1:3] += 0.1 * B[:, 3:4]
         return B
 
@@ -589,15 +601,6 @@ def test_constancy_implies_selfdual(adm):
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def make_generic_chart():
-    """Non-diagonal, non-Kahler Hermitian metric: the hardest input class."""
-    g11 = gd.parse_field("(add 1 (mul z1 zbar1) (mul 0.5 z2 zbar2))")
-    g22 = gd.parse_field("(add 1 (mul z1 zbar1))")
-    g12 = gd.parse_field("(mul 0.1 z2 zbar1)")
-    g21 = gd.parse_field("(mul 0.1 zbar2 z1)")
-    return gd.inline_chart(2, [[g11, g12], [g21, g22]], label="generic")
 
 
 @pytest.fixture(scope="module")

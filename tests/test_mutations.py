@@ -145,9 +145,11 @@ def test_a_flipped_chern_quadratic_term_fails(monkeypatch, check):
 # The curvature kernels' mutations: (mutation, check that must fail).  The
 # suite's Chern curvature and torsion (`_Suite.chern`) feed `constancy`'s
 # q-line pair and the first 10 points' bases, which `interpolation`
-# compares with the connection's own curvature.
+# compares with the connection's own curvature.  "H" is the Chern side of
+# the torsion's dbar derivative in `_basis_stack`, B[0] = H + B[2] + B[3]
+# and B[1] = R^C - H.
 KERNEL_ROWS = [("X", "constancy"), ("q", "constancy"), ("torsion", "constancy"),
-               ("torsion_dbar", "interpolation")] \
+               ("H", "interpolation")] \
     + [(f"basis[{m}]", "interpolation") for m in range(4)] \
     + [(f"canonical_weights[{k}]", "interpolation") for k in range(4)]
 
@@ -160,12 +162,21 @@ def mutate_kernel(monkeypatch, mutation: str):
     elif mutation == "q":
         weights = cli.qline_weights
         monkeypatch.setattr(cli, "qline_weights", lambda params: scaled(weights(params), 1, -1))
-    elif mutation.startswith("torsion"):
-        name = "_frame_torsion_dbar" if mutation == "torsion_dbar" else "_frame_torsion"
-        kernel = getattr(connection, name)
+    elif mutation == "torsion":
+        kernel = connection._frame_torsion
         for module in (connection, cli):
-            if getattr(module, name, None) is kernel:
-                monkeypatch.setattr(module, name, lambda *args: 1.01 * kernel(*args))
+            monkeypatch.setattr(module, "_frame_torsion", lambda *args: 1.01 * kernel(*args))
+    elif mutation == "H":
+        build = connection._basis_stack
+
+        def mutated(RC, T):
+            # H scaled by 1.01: B[0] gains 0.01 H and B[1] loses it.
+            H = 0.5 * (RC.swapaxes(-4, -2) + RC.swapaxes(-3, -1))
+            B = build(RC, T)
+            B[:, 0] += 0.01 * H
+            B[:, 1] -= 0.01 * H
+            return B
+        monkeypatch.setattr(cli, "_basis_stack", mutated)
     elif mutation.startswith("basis"):
         build, m = connection._basis_stack, int(mutation[-2])
         monkeypatch.setattr(cli, "_basis_stack", lambda *args: scaled(build(*args), m, 1))

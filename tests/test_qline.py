@@ -13,6 +13,8 @@ import gauduchon as gd
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 
+from conftest import bases_of
+
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
@@ -38,10 +40,10 @@ def test_symmetrized_basis_is_the_qline_pair(name, count, seed):
     """sym B[1] = 0, sym B[2] = sym B[3] = X and sym B[0] = sym R^C + 2X,
     each to 1e-15 of max|B|, with (sym R^C, X) the production pair."""
     _, b = record(name, count, seed)
-    B = curvature._symmetrized(connection._basis_stack(b, b.E))
+    B = curvature._symmetrized(bases_of(b))
     S, X = np.moveaxis(curvature._qline_pair(connection._chern_stack(b, b.E),
                                              connection._frame_torsion(b, b.E)), 1, 0)
-    tol = 1e-15 * max(1.0, np.max(np.abs(connection._basis_stack(b, b.E))))
+    tol = 1e-15 * max(1.0, np.max(np.abs(bases_of(b))))
     for got, want in ((B[:, 1], 0.0), (B[:, 2], X), (B[:, 3], X), (B[:, 0], S + 2 * X)):
         assert np.max(np.abs(got - want)) <= tol
 

@@ -13,6 +13,8 @@ from gauduchon.cli import _conformal_factors, _jet_rel_err
 from gauduchon.conformal import _factors_at, _rescaled_records
 from gauduchon.errors import NonFinite, NotPositiveDefinite
 
+from conftest import bases_of
+
 # One spec of every catalog chart tag.
 CATALOG = [
     {"chart": "euclidean", "n": 2},
@@ -47,7 +49,7 @@ def assert_same_record(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     for name in ("E", "ginv"):
         assert_rel(getattr(got, name), getattr(want, name))
-    assert_rel(*(connection._basis_stack(r, r.E) for r in (got, want)))
+    assert_rel(*(bases_of(r) for r in (got, want)))
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -51,6 +51,23 @@ def test_the_fill_builds_no_basis():
     assert not found, f"the fill builds a basis: {found}"
 
 
+def test_the_basis_reads_the_chern_pair_alone():
+    # The torsion's dbar derivative is the Chern curvature's by the first
+    # Bianchi identity: no kernel computes it, the basis takes exactly the
+    # Chern curvature and torsion, and the torsion kernel takes no shared
+    # upper-slot matrix.
+    found = [f"{path.name}: _frame_torsion_dbar" for path in sorted(SRC.glob("*.py"))
+             if re.search(r"\b_frame_torsion_dbar\b", path.read_text(encoding="utf-8"))]
+    tree = ast.parse((SRC / "connection.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, want in (("_basis_stack", ["RC", "T"]), ("_frame_torsion", ["b", "E"])):
+        args = funcs[name].args
+        got = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        if got != want or args.vararg or args.kwarg:
+            found.append(f"connection.{name} takes {got}")
+    assert not found, f"the basis reads more than the Chern pair: {found}"
+
+
 def test_factors_have_one_constructor():
     # A `FactorAt` is built only by calling it, from what it holds: no
     # second path sets its fields behind `__init__`.
