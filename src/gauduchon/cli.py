@@ -224,9 +224,9 @@ class _Suite:
 
     @cached_property
     def jets(self) -> tuple:
-        """Jets of the metric components at every point from one walk,
-        stacked in the record's layout (see `connection._component_jets`);
-        the walk checks nothing of the metric."""
+        """Jets of the metric components at every point from one walk, the
+        packed parts (G, grad, hess) that `connection._component_jets`
+        stacks; the walk checks nothing of the metric."""
         return _component_jets(self.chart, self.Z)
 
     @cached_property
@@ -471,11 +471,13 @@ def scan_ts(chart_spec: dict, t_range, s_range, samples: int = 20, seed: int = 0
     if int(tn) < 2 or int(sn) < 2:
         raise ConfigError("scan resolution must be >= 2 per axis")
     pts = sample_points(chart, samples, np.random.default_rng(seed))
-    s_grid = np.linspace(sa, sb, sn)
-    cells = [(t, s) for t in np.linspace(ta, tb, tn) for s in s_grid]
+    # Python floats: the same doubles, with no numpy-scalar arithmetic per
+    # cell.
+    s_grid = np.linspace(sa, sb, sn).tolist()
+    cells = [(t, s) for t in np.linspace(ta, tb, tn).tolist() for s in s_grid]
     _, res = constancy_table(chart, cells, pts)
-    rows = [(float(t), float(s), float(worst), float(circle_residual(t, s)))
-            for (t, s), worst in zip(cells, res.max(axis=1))]
+    rows = [(t, s, worst, circle_residual(t, s))
+            for (t, s), worst in zip(cells, res.max(axis=1).tolist())]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 

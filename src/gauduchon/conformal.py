@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import (JET_PARTS, FrameAtPoint, MetricChart, as_params, unitary_frame,
-                         _MetricData, _basis_stack, _chart_fill, _check_points, _chern_stack,
-                         _fill, _frame_E, _frame_torsion, _read_only, _to_frame)
+from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _MetricData,
+                         _basis_stack, _chart_fill, _check_points, _chern_stack, _fill,
+                         _frame_E, _frame_torsion, _read_only, _record_jets, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
@@ -275,12 +275,9 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _Metri
     # The scale's parts as [factor, 1, 1, point, derivative axes] times the
     # base's as [i, j, point, derivative axes].
     scale = (J * 2.0).exp()
-    S = WJet2(*(a.reshape((k, 1, 1, P) + a.shape[1:])
-                for a in (getattr(scale, part) for part in JET_PARTS)))
-    g = WJet2(*(np.moveaxis(a, (-2, -1), (0, 1))
-                for a in (b.G, b.dG, b.dbarG, b.ddG, b.ddbarG, b.dbardbarG)))
-    R = S * g
-    parts = [getattr(R, part) for part in JET_PARTS]
+    S = WJet2(*(a.reshape((k, 1, 1, P) + a.shape[1:]) for a in vars(scale).values()))
+    g = WJet2(*(np.moveaxis(a, (-2, -1), (0, 1)) for a in _record_jets(b)))
+    parts = list(vars(S * g).values())
     if not all(np.isfinite(a).all() for a in parts):
         # The walk checks each rescaled chart's components in turn.
         for q, i, j in np.ndindex(k, n, n):
@@ -300,7 +297,7 @@ def _factors_at(pairs, points: np.ndarray, data: _MetricData) -> FactorAt:
     of every factor, the base torsion once, and every rescaled record from
     one `_rescaled_records` fill.  Its base rows are `data`'s, tiled."""
     jets = eval_jets([pair.f for pair in pairs], points)
-    jet = WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
+    jet = WJet2(*map(np.concatenate, zip(*(vars(j).values() for j in jets))))
     k = len(pairs)
 
     def tiled(a):

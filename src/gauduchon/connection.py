@@ -26,7 +26,7 @@ from .wjet import WJet2, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
-# The parts of a jet, in the order `_MetricData` stacks them.
+# The parts of a jet by name, in the order `_MetricData` stacks them.
 JET_PARTS = ("value", "d", "dbar", "dd", "ddbar", "dbardbar")
 
 
@@ -160,26 +160,37 @@ def _check_points(chart: MetricChart, points) -> np.ndarray:
 
 def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
     """The jet stage of a fill: the jets of every component g_{i jbar} at the
-    checked points Z from one `eval_jets` walk, stacked in the `_MetricData`
-    layout (G, dG, dbarG, ddG, ddbarG, dbardbarG).  It checks nothing of the
-    metric: `_fill` does."""
-    n, P = chart.n, len(Z)
+    checked points Z from one `eval_jets` walk, stacked as the packed parts
+    (G, grad, hess) of `WJet2` with the point axis first and the component
+    pair (i, j) last.  It checks nothing of the metric: `_fill` does."""
+    n = chart.n
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
-    # Stack each jet part over the distinct component jets once, then spread
-    # it to the n^2 components, component pair (i, j) last.
+    # Stack each part over the distinct component jets once, then spread it
+    # to the n^2 components.
     slot = {}
     spread = [slot.setdefault(id(J), len(slot)) for J in jets]
     distinct = list({id(J): J for J in jets}.values())
-    return tuple(np.stack([getattr(J, part) for J in distinct], axis=-1)[..., spread].reshape(
-        (P,) + getattr(jets[0], part).shape[1:] + (n, n)) for part in JET_PARTS)
+    return tuple(np.stack(part, axis=-1)[..., spread].reshape(part[0].shape + (n, n))
+                 for part in zip(*(vars(J).values() for J in distinct)))
 
 
-def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _MetricData:
-    """The array stage of a fill: from stacked jets (the `_MetricData`
-    layout) of the points Z, check each row Hermitian positive definite,
-    build its inverse and Cholesky frame (no basis), and freeze the record.
-    Row p belongs to the chart labelled labels[p]; a failing row's error
-    names that label and Z[p]."""
+def _record_jets(b: _MetricData) -> tuple:
+    """The record's jets packed again as `_component_jets` stacks them,
+    (G, grad, hess); hess's lower mixed block is ddbarG transposed, which is
+    the walk's bit for bit, as a jet's Hessian is exactly symmetric."""
+    hess = np.concatenate([np.concatenate([b.ddG, b.ddbarG], axis=2),
+                           np.concatenate([b.ddbarG.swapaxes(1, 2), b.dbardbarG], axis=2)],
+                          axis=1)
+    return b.G, np.concatenate([b.dG, b.dbarG], axis=1), hess
+
+
+def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
+    """The array stage of a fill: from the packed jets (G, grad, hess) of the
+    points Z, stacked as `_component_jets` stacks them, check each row
+    Hermitian positive definite, build its inverse and Cholesky frame (no
+    basis), and freeze the record, its six jet arrays views of the packed
+    ones.  Row p belongs to the chart labelled labels[p]; a failing row's
+    error names that label and Z[p]."""
     n = G.shape[-1]
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
@@ -208,7 +219,9 @@ def _fill(labels, Z: np.ndarray, G, dG, dbarG, ddG, ddbarG, dbardbarG) -> _Metri
             f"Cholesky frame of {labels[p]} at {Z[p]} has unitarity defect {defects[p]:.3e}"
             f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
             f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
-    parts = (G, dG, dbarG, ddG, ddbarG, dbardbarG, ginv, E)
+    grad, hess = _read_only(grad), _read_only(hess)     # so no holder writes the views
+    parts = (G, grad[:, :n], grad[:, n:], hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:],
+             ginv, E)
     return _MetricData(*map(_read_only, parts))   # its `_rows` views are read-only too
 
 
@@ -220,12 +233,12 @@ def _rows(b: _MetricData, index) -> _MetricData:
 def metric_jet(chart: MetricChart, z):
     """Jets of every g_{i jbar} at z, plus the inverse metric there.
 
-    Returns (jets, ginv), read-only views of a one-point fill's record, with
+    Returns (jets, ginv), read-only, from a one-point fill's record, with
     jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
     NotPositiveDefinite if the value matrix fails the PD check."""
     b, _ = _point(chart, z)
-    parts = (b.dG[0], b.dbarG[0], b.ddG[0], b.ddbarG[0], b.dbardbarG[0])
-    jets = [[WJet2(complex(b.G[0, i, j]), *(a[..., i, j] for a in parts))
+    G, grad, hess = (_read_only(a[0]) for a in _record_jets(b))
+    jets = [[WJet2(complex(G[i, j]), grad[..., i, j], hess[..., i, j])
              for j in range(chart.n)] for i in range(chart.n)]
     return jets, b.ginv[0]
 

@@ -2,13 +2,15 @@
 
 Fields are immutable expression trees over the primitives {constant, z_i,
 zbar_i}, closed under +, -, *, /, integer powers, exp and log.  `eval_jet`
-propagates the full second-order Wirtinger jet (value, d, dbar, dd, ddbar,
-dbardbar) exactly through the tree; `eval_jets` does the same for several
-trees at a batch of points in one walk, evaluating each shared node once.
-Jet arithmetic happens only in that walk, on jets of one batch.  `fd_jets`
-is an independent central finite-difference oracle in the 2n underlying
-real coordinates, at a batch of points in one walk; `fd_jet` is its
-one-point call.
+propagates the full second-order Wirtinger jet exactly through the tree;
+`eval_jets` does the same for several trees at a batch of points in one
+walk, evaluating each shared node once.  A jet `WJet2` is packed over the
+2n variables (z, zbar): its value, its gradient (d, dbar) and one exactly
+symmetric Hessian whose blocks are dd, ddbar, ddbar^T and dbardbar, so each
+operation is one formula on three arrays.  Jet arithmetic happens only in
+that walk, on jets of one batch.  `fd_jets` is an independent central
+finite-difference oracle in the 2n underlying real coordinates, at a batch
+of points in one walk; `fd_jet` is its one-point call.
 
 Conventions: z_i = x_i + 1j*y_i, d_i = (d/dx_i - 1j d/dy_i)/2 and
 dbar_i = (d/dx_i + 1j d/dy_i)/2.  z and zbar are independent variables, so
@@ -47,11 +49,6 @@ def _col(a) -> np.ndarray:
     return np.asarray(a)[..., None]
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Outer product over the last axis, rowwise over any batch axis."""
-    return x[..., None] * y[..., None, :]
-
-
 def _first_row(bad) -> int | None:
     """First batch row where the mask `bad` (batch axis first) holds; None
     for an unbatched mask."""
@@ -79,60 +76,51 @@ def _guard(u, what: str):
 
 @dataclass(eq=False)
 class WJet2:
-    """Value of a scalar field plus all Wirtinger partials through order 2.
+    """Value of a scalar field plus all Wirtinger partials through order 2,
+    packed over the 2n variables (z, zbar).
 
+    grad = (d, dbar) and hess = [[dd, ddbar], [ddbar^T, dbardbar]], with
     d[i] = d_i f, dbar[i] = dbar_i f, dd[i,j] = d_i d_j f,
-    ddbar[i,j] = d_i dbar_j f, dbardbar[i,j] = dbar_i dbar_j f.
-    dd and dbardbar are exactly symmetric by construction.
+    ddbar[i,j] = d_i dbar_j f, dbardbar[i,j] = dbar_i dbar_j f.  The five
+    block names are read-only properties, views of grad and hess.
 
-    A jet may carry a leading batch axis of P points: value (P,), d and
-    dbar (P, n), the second-order parts (P, n, n).  The arithmetic is
-    rowwise: it combines two jets of one walk, or scales a jet by a number.
+    hess is exactly symmetric: each operation scales symmetric Hessians
+    entrywise and adds its outer products as X + X^T, whose entries [i, j]
+    and [j, i] are one float sum, as addition commutes.  So dd and dbardbar
+    are exactly symmetric and the lower mixed block is ddbar transposed bit
+    for bit.
+
+    A jet may carry a leading batch axis of P points: value (P,), grad
+    (P, 2n), hess (P, 2n, 2n).  The arithmetic is rowwise: it combines two
+    jets of one walk, or scales a jet by a number.  Inside the walk a leaf
+    keeps an unbatched gradient and a scalar 0 Hessian, which broadcast.
     """
 
     value: complex
-    d: np.ndarray
-    dbar: np.ndarray
-    dd: np.ndarray
-    ddbar: np.ndarray
-    dbardbar: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.d.shape[-1]
+        return self.grad.shape[-1] // 2
+
+    d = property(lambda self: self.grad[..., :self.n])
+    dbar = property(lambda self: self.grad[..., self.n:])
+    dd = property(lambda self: self.hess[..., :self.n, :self.n])
+    ddbar = property(lambda self: self.hess[..., :self.n, self.n:])
+    dbardbar = property(lambda self: self.hess[..., self.n:, self.n:])
 
     @staticmethod
     def constant(c: complex, n: int, batch: tuple = ()) -> "WJet2":
         value = np.full(batch, complex(c)) if batch else complex(c)
-        return WJet2(value, np.zeros(batch + (n,), complex),
-                     np.zeros(batch + (n,), complex),
-                     np.zeros(batch + (n, n), complex),
-                     np.zeros(batch + (n, n), complex),
-                     np.zeros(batch + (n, n), complex))
-
-    @staticmethod
-    def coordinate(i: int, z: np.ndarray) -> "WJet2":
-        """Jet of z_i at the point z, or rowwise at a batch z of shape (P, n)."""
-        j = WJet2.constant(0.0, z.shape[-1], z.shape[:-1])
-        j.value = z[..., i]
-        j.d[..., i] = 1.0
-        return j
-
-    @staticmethod
-    def conj_coordinate(i: int, z: np.ndarray) -> "WJet2":
-        j = WJet2.constant(0.0, z.shape[-1], z.shape[:-1])
-        j.value = np.conj(z[..., i])
-        j.dbar[..., i] = 1.0
-        return j
+        return WJet2(value, np.zeros(batch + (2 * n,), complex),
+                     np.zeros(batch + (2 * n, 2 * n), complex))
 
     def __add__(self, o):
-        return WJet2(self.value + o.value, self.d + o.d, self.dbar + o.dbar,
-                     self.dd + o.dd, self.ddbar + o.ddbar,
-                     self.dbardbar + o.dbardbar)
+        return WJet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
     def __neg__(self):
-        return WJet2(-self.value, -self.d, -self.dbar, -self.dd, -self.ddbar,
-                     -self.dbardbar)
+        return WJet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, o):
         return self + (-o)
@@ -141,41 +129,23 @@ class WJet2:
         if not isinstance(o, WJet2):
             # A constant factor has no derivatives: scale every part.
             c = complex(o)
-            return WJet2(c * self.value, c * self.d, c * self.dbar, c * self.dd,
-                         c * self.ddbar, c * self.dbardbar)
+            return WJet2(c * self.value, c * self.grad, c * self.hess)
         a, b = _col(self.value), _col(o.value)
-        A, B = a[..., None], b[..., None]
-        # dd/dbardbar stay exactly symmetric: cross terms are added as
-        # X + X.T so the float sums commute entrywise.
-        cross = _outer(self.d, o.d)
-        crossb = _outer(self.dbar, o.dbar)
-        return WJet2(
-            self.value * o.value,
-            self.d * b + a * o.d,
-            self.dbar * b + a * o.dbar,
-            (self.dd * B + A * o.dd) + (cross + cross.swapaxes(-1, -2)),
-            self.ddbar * B + _outer(self.d, o.dbar) + _outer(o.d, self.dbar)
-            + A * o.ddbar,
-            (self.dbardbar * B + A * o.dbardbar) + (crossb + crossb.swapaxes(-1, -2)),
-        )
+        X = self.grad[..., :, None] * o.grad[..., None, :]
+        return WJet2(self.value * o.value, self.grad * b + a * o.grad,
+                     (self.hess * b[..., None] + a[..., None] * o.hess)
+                     + (X + X.swapaxes(-1, -2)))
 
     def compose(self, h0: complex, h1: complex, h2: complex) -> "WJet2":
         """Chain rule for a scalar function h applied to this jet, given
         h(value), h'(value), h''(value) (rowwise in a batch)."""
-        # Vectorized complex multiply is not bit-commutative, so outer(d, d)
-        # needs explicit symmetrization to keep dd exactly symmetric.
-        X = _outer(self.d, self.d)
-        Xb = _outer(self.dbar, self.dbar)
+        # Vectorized complex multiply is not bit-commutative, so outer(g, g)
+        # needs explicit symmetrization to keep hess exactly symmetric.
+        X = self.grad[..., :, None] * self.grad[..., None, :]
         g1 = _col(h1)
-        G1, G2 = g1[..., None], _col(h2)[..., None]
-        return WJet2(
-            h0,
-            g1 * self.d,
-            g1 * self.dbar,
-            G2 * (0.5 * (X + X.swapaxes(-1, -2))) + G1 * self.dd,
-            G2 * _outer(self.d, self.dbar) + G1 * self.ddbar,
-            G2 * (0.5 * (Xb + Xb.swapaxes(-1, -2))) + G1 * self.dbardbar,
-        )
+        return WJet2(h0, g1 * self.grad,
+                     _col(h2)[..., None] * (0.5 * (X + X.swapaxes(-1, -2)))
+                     + g1[..., None] * self.hess)
 
     def reciprocal(self) -> "WJet2":
         u = self.value
@@ -207,7 +177,7 @@ class WJet2:
         return self.compose(u**k, k * u ** (k - 1), h2)
 
     def check_finite(self) -> "WJet2":
-        for block in (self.d, self.dbar, self.dd, self.ddbar, self.dbardbar):
+        for block in (self.grad, self.hess):
             if not np.all(np.isfinite(block)):
                 _refuse(NonFinite("jet component overflowed"),
                         _first_row(~np.isfinite(block)))
@@ -218,8 +188,7 @@ class WJet2:
 
     def row(self, p: int) -> "WJet2":
         """The unbatched jet of batch row p (views)."""
-        return WJet2(self.value[p], self.d[p], self.dbar[p], self.dd[p],
-                     self.ddbar[p], self.dbardbar[p])
+        return WJet2(self.value[p], self.grad[p], self.hess[p])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +285,7 @@ class Const(ScalarField):
         return np.full(z.shape[:-1], self.value)
 
     def _jet(self, walk):
-        return WJet2.constant(self.value, walk.n, walk.batch)
+        return WJet2(np.full(walk.batch, self.value), np.zeros(2 * walk.n, complex), 0j)
 
     def serialize(self):
         return _num_str(self.value)
@@ -344,7 +313,8 @@ class Coord(_Coordinate):
         return z[..., self._index(z.shape[-1])]
 
     def _jet(self, walk):
-        return WJet2.coordinate(self._index(walk.n), walk.Z)
+        i = self._index(walk.n)
+        return WJet2(walk.Z[:, i], walk.eye[i], 0j)
 
 
 class CoordBar(_Coordinate):
@@ -354,7 +324,8 @@ class CoordBar(_Coordinate):
         return np.conj(z[..., self._index(z.shape[-1])])
 
     def _jet(self, walk):
-        return WJet2.conj_coordinate(self._index(walk.n), walk.Z)
+        i = self._index(walk.n)
+        return WJet2(np.conj(walk.Z[:, i]), walk.eye[walk.n + i], 0j)
 
 
 @dataclass(eq=False)
@@ -521,12 +492,14 @@ class _BatchWalk:
     """One walk over expression trees at a batch of points Z (P, n).  Each
     distinct node, matched by identity, is evaluated once: the catalog
     charts share one tree across the diagonal and one Const(0) across the
-    off-diagonal entries."""
+    off-diagonal entries.  A leaf's jet is unbatched but for its value: its
+    gradient a row of `eye` (or zeros), its Hessian a scalar 0."""
 
     def __init__(self, Z: np.ndarray):
         self.Z = Z
         self.n = Z.shape[1]
         self.batch = Z.shape[:1]
+        self.eye = np.eye(2 * self.n, dtype=complex)
         self._memo: dict[int, WJet2] = {}
 
     def __call__(self, node: ScalarField) -> WJet2:
@@ -536,12 +509,23 @@ class _BatchWalk:
         return jet
 
 
+def _batched(jet: WJet2, P: int) -> WJet2:
+    """jet with each part broadcast to the batch shape of P points; a part
+    already of that shape is kept as it is."""
+    m = 2 * jet.n
+    shapes = ((P,), (P, m), (P, m, m))
+    return WJet2(*(a if np.shape(a) == shape else np.broadcast_to(a, shape)
+                   for a, shape in zip(vars(jet).values(), shapes)))
+
+
 def eval_jets(fields, points) -> list[WJet2]:
     """Exact jets of each field at each of P points, from one walk over the
     fields' trees.  Every returned jet carries the batch axis: value (P,),
-    d (P, n), dd (P, n, n) and so on; a field listed twice gets the same
-    jet object.  The domain, guard and finiteness checks hold per point;
-    their errors name the offending point."""
+    grad (P, 2n), hess (P, 2n, 2n), so d (P, n), dd (P, n, n) and so on;
+    a field listed twice gets the same jet object.  A part the walk kept
+    unbatched (a leaf's) is a read-only broadcast view.  The domain, guard
+    and finiteness checks hold per point; their errors name the offending
+    point."""
     Z = _as_points(points)
     for field in fields:
         if field.domain is not None:
@@ -551,14 +535,14 @@ def eval_jets(fields, points) -> list[WJet2]:
     walk = _BatchWalk(Z)
     try:
         jets = [walk(field) for field in fields]
-        for jet in {id(j): j for j in jets}.values():
-            jet.check_finite()
+        distinct = {id(j): j for j in jets}
+        full = {key: _batched(j, len(Z)).check_finite() for key, j in distinct.items()}
     except (DomainError, NonFinite) as exc:
         row = getattr(exc, "row", None)
         if row is None:
             raise
         raise type(exc)(f"{exc} at point {Z[row]}") from None
-    return jets
+    return [full[id(j)] for j in jets]
 
 
 def eval_jet(field: ScalarField, z) -> WJet2:
@@ -589,7 +573,7 @@ def _first_difference(F: np.ndarray, h: float) -> np.ndarray:
 
 def fd_jets(field: ScalarField, points, h: float = 1e-4) -> WJet2:
     """Finite-difference jet oracle at each of P points, batched like
-    `eval_jets`: value (P,), d (P, n), dd (P, n, n) and so on.
+    `eval_jets`: value (P,), grad (P, 2n), hess (P, 2n, 2n).
 
     Central differences in the 2n real coordinates (4th-order first and pure
     second derivatives on a 5-point stencil, 2nd-order cross stencil for mixed
@@ -630,13 +614,12 @@ def fd_jets(field: ScalarField, points, h: float = 1e-4) -> WJet2:
     hess[:, np.arange(m), np.arange(m)] = ((-dp2 + 16 * dp1 + 16 * dm1 - dm2) / (12 * h * h)).T
     hess[:, a, b] = hess[:, b, a] = ((pp - pm - mp + mm) / (4 * h * h)).T
 
-    # Row i of w is d_i = (d/dx_i - 1j d/dy_i)/2 on the real coordinates;
-    # its conjugate wb is dbar_i.
+    # Row i of w is d_i = (d/dx_i - 1j d/dy_i)/2 on the real coordinates,
+    # its conjugate dbar_i: M = [w; conj(w)] maps them to (z, zbar).
     w = 0.5 * np.concatenate([np.eye(n), -1j * np.eye(n)], axis=1)
-    wb = w.conj()
-    dd, dbardbar = w @ hess @ w.T, wb @ hess @ wb.T
-    return WJet2(f0, first @ w.T, first @ wb.T, 0.5 * (dd + dd.swapaxes(1, 2)),
-                 w @ hess @ wb.T, 0.5 * (dbardbar + dbardbar.swapaxes(1, 2)))
+    M = np.concatenate([w, w.conj()])
+    H = M @ hess @ M.T
+    return WJet2(f0, first @ M.T, 0.5 * (H + H.swapaxes(1, 2)))
 
 
 def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:

@@ -123,3 +123,42 @@ def torsion_dbar_reference(pd):
         + np.einsum("jq,ilkq->jikl", ginv, pd.ddbarG)
     TDc = 0.5 * (dGamma - dGamma.transpose(0, 2, 1, 3))
     return np.einsum("aj,jikl,ib,kc,ld->abcd", np.linalg.inv(E), TDc, E, E, E.conj())
+
+
+def jet_blocks(jet):
+    """The six parts of a jet by name (`connection.JET_PARTS`), as the
+    six-block references below take and return them."""
+    return SimpleNamespace(**{name: getattr(jet, name) for name in connection.JET_PARTS})
+
+
+def _outer(x, y):
+    """Outer product over the last axis, rowwise over any batch axis."""
+    return x[..., None] * y[..., None, :]
+
+
+def mul_reference(s, o):
+    """The Leibniz rule on six-block jets (`jet_blocks`), one formula per
+    block: the reference for the packed `WJet2.__mul__`."""
+    a, b = s.value[..., None], o.value[..., None]
+    A, B = a[..., None], b[..., None]
+    cross, crossb = _outer(s.d, o.d), _outer(s.dbar, o.dbar)
+    return SimpleNamespace(
+        value=s.value * o.value,
+        d=s.d * b + a * o.d,
+        dbar=s.dbar * b + a * o.dbar,
+        dd=(s.dd * B + A * o.dd) + (cross + cross.swapaxes(-1, -2)),
+        ddbar=s.ddbar * B + _outer(s.d, o.dbar) + _outer(o.d, s.dbar) + A * o.ddbar,
+        dbardbar=(s.dbardbar * B + A * o.dbardbar) + (crossb + crossb.swapaxes(-1, -2)))
+
+
+def compose_reference(s, h0, h1, h2):
+    """The chain rule for h(f) on a six-block jet, given h(value), h'(value)
+    and h''(value): the reference for the packed `WJet2.compose`."""
+    X, Xb = _outer(s.d, s.d), _outer(s.dbar, s.dbar)
+    g1 = np.asarray(h1)[..., None]
+    G1, G2 = g1[..., None], np.asarray(h2)[..., None, None]
+    return SimpleNamespace(
+        value=h0, d=g1 * s.d, dbar=g1 * s.dbar,
+        dd=G2 * (0.5 * (X + X.swapaxes(-1, -2))) + G1 * s.dd,
+        ddbar=G2 * _outer(s.d, s.dbar) + G1 * s.ddbar,
+        dbardbar=G2 * (0.5 * (Xb + Xb.swapaxes(-1, -2))) + G1 * s.dbardbar)

@@ -11,6 +11,7 @@ import gauduchon.cli as cli
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig
+from gauduchon.connection import JET_PARTS
 from gauduchon.errors import DomainError
 
 from conftest import bases_of
@@ -18,7 +19,6 @@ from conftest import bases_of
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
-JET_PARTS = ("value", "d", "dbar", "dd", "ddbar", "dbardbar")
 
 
 def maxabs(x):

@@ -121,11 +121,13 @@ def test_ill_conditioned_frame_error_names_the_conditioning():
 def test_batch_filled_point_data_is_read_only(adm):
     """Every record, from a fill, a one-point fill (`_point`), `_rows` views
     of a fill, or `_factors_at`'s tiled base rows and rescaled records, has
-    its 8 arrays read-only, and no field can be set."""
+    its 8 arrays read-only, and no field can be set.  The packed jets a fill
+    took its jet arrays from are read-only after it too."""
     from dataclasses import FrozenInstanceError
 
     from gauduchon.conformal import _factors_at
-    from gauduchon.connection import _metric_points, _point, _rows
+    from gauduchon.connection import (_check_points, _component_jets, _fill, _metric_points,
+                                      _point, _rows)
 
     pts = pts_of(adm, 3, 11)
     whole = _metric_points(adm, pts)
@@ -139,6 +141,10 @@ def test_batch_filled_point_data_is_read_only(adm):
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(FrozenInstanceError):
             b.E = None
+    Z = _check_points(adm, pts)
+    packed = _component_jets(adm, Z)
+    _fill((adm.label,) * len(Z), Z, *packed)
+    assert not any(a.flags.writeable for a in packed)
 
 
 def test_not_positive_definite_is_structured():

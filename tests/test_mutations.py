@@ -86,15 +86,19 @@ def test_a_scaled_base_torsion_fails(monkeypatch, check):
 
 
 def test_a_scaled_mixed_product_term_fails_conformal_delta(monkeypatch):
-    """`WJet2.__mul__`'s mixed term outer(o.d, self.dbar) scaled by 1.01.
-    The rescaled records are the scale jet times the base's jets under this
-    product, so the delta's direct side reads the mutated term."""
+    """`WJet2.__mul__`'s mixed term outer(o.d, self.dbar) scaled by 1.01,
+    in the Hessian's mixed block and its transpose, so the Hessian stays
+    symmetric.  The rescaled records are the scale jet times the base's jets
+    under this product, so the delta's direct side reads the mutated term."""
     mul = wjet.WJet2.__mul__
 
     def mutated(self, o):
         out = mul(self, o)
         if isinstance(o, wjet.WJet2):
-            out.ddbar = out.ddbar + 0.01 * wjet._outer(o.d, self.dbar)
+            n = out.n
+            term = np.zeros(out.hess.shape, complex)
+            term[..., :n, n:] = 0.01 * o.d[..., :, None] * self.dbar[..., None, :]
+            out = wjet.WJet2(out.value, out.grad, out.hess + (term + term.swapaxes(-1, -2)))
         return out
 
     monkeypatch.setattr(wjet.WJet2, "__mul__", mutated)

@@ -29,12 +29,11 @@ CATALOG = [
      "f": "(mul 0.1 (add z1 zbar1))"},
     {"chart": "inline", "n": 2, "g": [["(add 1 (mul z1 zbar1))", "0"], ["0", "1"]]},
 ]
-JET_PARTS = connection.JET_PARTS
 
 
 def stacked(jets):
     """One jet of the jets' rows, block after block."""
-    return gd.WJet2(*(np.concatenate([getattr(j, part) for j in jets]) for part in JET_PARTS))
+    return gd.WJet2(*map(np.concatenate, zip(*(vars(j).values() for j in jets))))
 
 
 def assert_rel(got, want, rtol=1e-15):
@@ -79,7 +78,7 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
     pts = gd.sample_points(chart, 3, np.random.default_rng(5))
     pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
     records = _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts)).rescaled_data
-    jets = [getattr(records, name) for name in ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG")]
+    jets = connection._record_jets(records)
     P = len(pts)
     for k, pair in enumerate(pairs):
         for i, j in np.ndindex(chart.n, chart.n):

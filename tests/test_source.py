@@ -1,8 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gauduchon import wjet
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gauduchon"
 
@@ -109,6 +115,17 @@ def test_field_grammar_is_declared_once():
     if text.count('raise DimensionError(f"coordinate') != 1:
         found.append("coordinate dimension check written more than once")
     assert not found, f"field grammar written twice in wjet.py: {found}"
+
+
+def test_jets_store_three_packed_parts():
+    # A jet stores its value, its gradient over (z, zbar) and one symmetric
+    # Hessian; the five block names are read-only views, and no six-block
+    # outer-product helper is left.
+    assert [f.name for f in dataclasses.fields(wjet.WJet2)] == ["value", "grad", "hess"]
+    jet = wjet.WJet2.constant(1.0, 2)
+    with pytest.raises(AttributeError):
+        jet.ddbar = np.zeros((2, 2))
+    assert not hasattr(wjet, "_outer")
 
 
 def einsum_calls(tree):
