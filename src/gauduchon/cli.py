@@ -31,7 +31,7 @@ import numpy as np
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, FactorAt, rescale, _factors_at
-from .connection import (JET_PARTS, MetricChart, _MetricData, _basis_stack, _check_points,
+from .connection import (MetricChart, _MetricData, _basis_stack, _check_points,
                          _chern_stack, _component_jets, _fill, _frame_torsion, _rows)
 from .curvature import (canonical_curvature, canonical_weights, constancy_table, curv4_rows,
                         hsc, qline_weights, symmetrize, _constancy_fit, _curvature_oracle,
@@ -124,6 +124,11 @@ class SuiteConfig:
                            tolerances=tol, checks=checks)
 
 
+def _json_text(payload: dict) -> str:
+    """A report or payload as every command writes JSON: sorted, indent 2."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass
 class Record:
     name: str
@@ -177,7 +182,7 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.as_dict())
 
 
 def _conformal_factors(n: int):
@@ -191,9 +196,8 @@ def _jet_rel_err(je, jf) -> np.ndarray:
     """Relative difference, point by point, of the exact jets je of a field
     at P points from its finite-difference jets jf there (both batched)."""
     num, scale = 0.0, 1.0
-    for name in JET_PARTS:
-        a = getattr(je, name).reshape(len(je.value), -1)
-        b = getattr(jf, name).reshape(len(jf.value), -1)
+    for a, b in zip(vars(je).values(), vars(jf).values()):
+        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
         num = np.maximum(num, np.max(np.abs(a - b), axis=1))
         scale = np.maximum(scale, np.max(np.abs(a), axis=1))
     return num / scale
@@ -226,7 +230,7 @@ class _Suite:
     def jets(self) -> tuple:
         """Jets of the metric components at every point from one walk, the
         packed parts (G, grad, hess) that `connection._component_jets`
-        stacks; the walk checks nothing of the metric."""
+        stacks and `data` keeps; the walk checks nothing of the metric."""
         return _component_jets(self.chart, self.Z)
 
     @cached_property
@@ -650,15 +654,13 @@ def main(argv=None) -> int:
         if args.command == "curv":
             payload = curv_payload(_load_json(args.chart), args.t, args.s,
                                    parse_point(args.point))
-            text = (json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                    if args.format == "json" else curv_csv(payload))
+            text = _json_text(payload) if args.format == "json" else curv_csv(payload)
             _write_out(text, args.out)
             return 0
         if args.command == "hsc":
             payload = hsc_payload(_load_json(args.chart), args.t, args.s,
                                   args.samples, args.seed)
-            _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       args.out)
+            _write_out(_json_text(payload), args.out)
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _MetricData,
                          _basis_stack, _chart_fill, _check_points, _chern_stack, _fill,
-                         _frame_E, _frame_torsion, _read_only, _record_jets, _to_frame)
+                         _frame_E, _frame_torsion, _read_only, _to_frame)
 from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
@@ -267,16 +267,16 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _Metri
     block of len(Z) rows per label, built in one `_fill`: J is the factors'
     jet at Z, block-major, and block k's rows carry labels[k].  Each
     component's jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see
-    `rescale`), the scale jet (J * 2.0).exp() times the base jet by
-    `WJet2.__mul__`, so the record is the one a fill of the rescaled chart's
-    trees gives.  As in that walk's `eval_jets`, a non-finite jet raises
-    NonFinite naming its point."""
+    `rescale`), the scale jet (J * 2.0).exp() times the base record's packed
+    jets (G, grad, hess) by `WJet2.__mul__`, so the record is the one a fill
+    of the rescaled chart's trees gives.  As in that walk's `eval_jets`, a
+    non-finite jet raises NonFinite naming its point."""
     k, P, n = len(labels), len(Z), Z.shape[-1]
     # The scale's parts as [factor, 1, 1, point, derivative axes] times the
     # base's as [i, j, point, derivative axes].
     scale = (J * 2.0).exp()
     S = WJet2(*(a.reshape((k, 1, 1, P) + a.shape[1:]) for a in vars(scale).values()))
-    g = WJet2(*(np.moveaxis(a, (-2, -1), (0, 1)) for a in _record_jets(b)))
+    g = WJet2(*(np.moveaxis(a, (-2, -1), (0, 1)) for a in (b.G, b.grad, b.hess)))
     parts = list(vars(S * g).values())
     if not all(np.isfinite(a).all() for a in parts):
         # The walk checks each rescaled chart's components in turn.

@@ -26,8 +26,6 @@ from .wjet import WJet2, eval_jets
 
 HERMITIAN_TOL = 1e-9
 FRAME_TOL = 1e-12
-# The parts of a jet by name, in the order `_MetricData` stacks them.
-JET_PARTS = ("value", "d", "dbar", "dd", "ddbar", "dbardbar")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,19 +88,24 @@ class FrameAtPoint:
 @dataclass(frozen=True, eq=False)
 class _MetricData:
     """Read-only metric data at stacked points, every array with a leading
-    point axis.  Each jet part is stacked derivative axes first and the
-    component pair last: dG[p, a, i, j] = d_a g_{i jbar}, ddbarG[p, a, b, i, j]
-    = d_a dbar_b g_{i jbar}, and so on.  E[p] is the point's Cholesky frame.
-    A fill's record, built whole in one pass and never written after it."""
+    point axis.  The jets are packed over (z, zbar) as `_component_jets`
+    stacks them: grad[p, a, i, j] = d_a g_{i jbar} and hess[p, a, b, i, j],
+    exactly symmetric in (a, b); dG, ..., dbardbarG name its blocks as
+    views, with or without the point axis.  E[p] is the point's Cholesky
+    frame.  A fill's record, built whole in one pass and never written."""
 
     G: np.ndarray
-    dG: np.ndarray
-    dbarG: np.ndarray
-    ddG: np.ndarray
-    ddbarG: np.ndarray
-    dbardbarG: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
     ginv: np.ndarray      # ginv[p,k,j] = g^{k jbar},  sum_j g_{i jbar} g^{k jbar} = delta_ik
     E: np.ndarray
+
+    n = property(lambda self: self.G.shape[-1])
+    dG = property(lambda self: self.grad[..., :self.n, :, :])
+    dbarG = property(lambda self: self.grad[..., self.n:, :, :])
+    ddG = property(lambda self: self.hess[..., :self.n, :self.n, :, :])
+    ddbarG = property(lambda self: self.hess[..., :self.n, self.n:, :, :])
+    dbardbarG = property(lambda self: self.hess[..., self.n:, self.n:, :, :])
 
 
 def _metric_points(chart: MetricChart, points) -> _MetricData:
@@ -162,7 +165,8 @@ def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
     """The jet stage of a fill: the jets of every component g_{i jbar} at the
     checked points Z from one `eval_jets` walk, stacked as the packed parts
     (G, grad, hess) of `WJet2` with the point axis first and the component
-    pair (i, j) last.  It checks nothing of the metric: `_fill` does."""
+    pair (i, j) last, as `_MetricData` keeps them.  It checks nothing of the
+    metric: `_fill` does."""
     n = chart.n
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
     # Stack each part over the distinct component jets once, then spread it
@@ -174,23 +178,13 @@ def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
                  for part in zip(*(vars(J).values() for J in distinct)))
 
 
-def _record_jets(b: _MetricData) -> tuple:
-    """The record's jets packed again as `_component_jets` stacks them,
-    (G, grad, hess); hess's lower mixed block is ddbarG transposed, which is
-    the walk's bit for bit, as a jet's Hessian is exactly symmetric."""
-    hess = np.concatenate([np.concatenate([b.ddG, b.ddbarG], axis=2),
-                           np.concatenate([b.ddbarG.swapaxes(1, 2), b.dbardbarG], axis=2)],
-                          axis=1)
-    return b.G, np.concatenate([b.dG, b.dbarG], axis=1), hess
-
-
 def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
     """The array stage of a fill: from the packed jets (G, grad, hess) of the
     points Z, stacked as `_component_jets` stacks them, check each row
     Hermitian positive definite, build its inverse and Cholesky frame (no
-    basis), and freeze the record, its six jet arrays views of the packed
-    ones.  Row p belongs to the chart labelled labels[p]; a failing row's
-    error names that label and Z[p]."""
+    basis), and freeze the record, which keeps the packed jets as they are.
+    Row p belongs to the chart labelled labels[p]; a failing row's error
+    names that label and Z[p]."""
     n = G.shape[-1]
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
@@ -219,10 +213,7 @@ def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
             f"Cholesky frame of {labels[p]} at {Z[p]} has unitarity defect {defects[p]:.3e}"
             f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
             f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
-    grad, hess = _read_only(grad), _read_only(hess)     # so no holder writes the views
-    parts = (G, grad[:, :n], grad[:, n:], hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:],
-             ginv, E)
-    return _MetricData(*map(_read_only, parts))   # its `_rows` views are read-only too
+    return _MetricData(*map(_read_only, (G, grad, hess, ginv, E)))   # and so its views
 
 
 def _rows(b: _MetricData, index) -> _MetricData:
@@ -237,8 +228,7 @@ def metric_jet(chart: MetricChart, z):
     jets[i][j] a WJet2 and ginv[k,j] = g^{k jbar}.  Raises
     NotPositiveDefinite if the value matrix fails the PD check."""
     b, _ = _point(chart, z)
-    G, grad, hess = (_read_only(a[0]) for a in _record_jets(b))
-    jets = [[WJet2(complex(G[i, j]), grad[..., i, j], hess[..., i, j])
+    jets = [[WJet2(complex(b.G[0, i, j]), b.grad[0, ..., i, j], b.hess[0, ..., i, j])
              for j in range(chart.n)] for i in range(chart.n)]
     return jets, b.ginv[0]
 

@@ -366,11 +366,8 @@ def _christoffel_parts(b):
     dM = np.zeros((P, N, N, N), dtype=complex)     # dM[p, a, b, c] = d_a M[b, c]
     ddM = np.zeros((P, N, N, N, N), dtype=complex)
     M[:, :n, n:] = b.G
-    dM[:, :, :n, n:] = np.concatenate([b.dG, b.dbarG], axis=1)    # d_a, then dbar_a
-    ddM[:, :n, :n, :n, n:] = b.ddG
-    ddM[:, :n, n:, :n, n:] = b.ddbarG
-    ddM[:, n:, :n, :n, n:] = b.ddbarG.transpose(0, 2, 1, 3, 4)
-    ddM[:, n:, n:, :n, n:] = b.dbardbarG
+    dM[:, :, :n, n:] = b.grad                 # d_a, then dbar_a
+    ddM[:, :, :, :n, n:] = b.hess
     # The metric tensor is symmetric: mirror the (unbarred, barred) block.
     M = M + M.transpose(0, 2, 1)
     dM = dM + dM.transpose(0, 1, 3, 2)

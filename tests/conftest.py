@@ -6,6 +6,10 @@ import pytest
 import gauduchon as gd
 import gauduchon.connection as connection
 
+# A jet's value and its five Hessian and gradient blocks by name: the six
+# parts the tests' block-by-block references read.
+JET_PARTS = ("value", "d", "dbar", "dd", "ddbar", "dbardbar")
+
 
 @pytest.fixture(scope="session")
 def flat():
@@ -75,12 +79,6 @@ def pts_of(chart, count, seed):
     return gd.sample_points(chart, count, np.random.default_rng(seed))
 
 
-def point_record(b, k):
-    """Point k of a stacked fill record, its arrays without the point
-    axis: the input of the tests' per-point reference formulas."""
-    return SimpleNamespace(**{name: a[k] for name, a in vars(b).items()})
-
-
 def curvatures(bases, params_list):
     """R[cell, p] of D^t_s for every (t, s) of params_list at every point of
     a `canonical_bases` stack: one `canonical_weights` row per cell, the
@@ -93,7 +91,7 @@ def jet_rel_err(je, jf) -> float:
     finite-difference jet jf: the suite's `wjet_oracle` formula, point by
     point, the reference for its batched form."""
     num, scale = 0.0, 1.0
-    for name in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
+    for name in JET_PARTS:
         a = np.atleast_1d(getattr(je, name))
         b = np.atleast_1d(getattr(jf, name))
         num = max(num, float(np.max(np.abs(a - b))))
@@ -110,8 +108,9 @@ def bases_of(b, E=None):
 
 def torsion_dbar_reference(pd):
     """TD[j, i, k, l] = T^j_{ik,lbar} of one point's metric data `pd` (a
-    `point_record`) in its Cholesky frame, from the coordinate formula: the
-    Chern connection has no mixed coordinate Christoffel symbols, so this is
+    record row without its point axis, `connection._rows(b, k)`) in its
+    Cholesky frame, from the coordinate formula: the Chern connection has
+    no mixed coordinate Christoffel symbols, so this is
     dbar_l of the coordinate torsion (1/2)(Gamma^j_ik - Gamma^j_ki),
     Gamma^j_ik = g^{j qbar} d_i g_{k qbar}, moved to the frame as a
     (1,3)-tensor.  The production code reads it off the Chern curvature by
@@ -126,9 +125,9 @@ def torsion_dbar_reference(pd):
 
 
 def jet_blocks(jet):
-    """The six parts of a jet by name (`connection.JET_PARTS`), as the
-    six-block references below take and return them."""
-    return SimpleNamespace(**{name: getattr(jet, name) for name in connection.JET_PARTS})
+    """The six parts of a jet by name (`JET_PARTS`), as the six-block
+    references below take and return them."""
+    return SimpleNamespace(**{name: getattr(jet, name) for name in JET_PARTS})
 
 
 def _outer(x, y):

@@ -12,7 +12,7 @@ import gauduchon as gd
 import gauduchon.connection as connection
 from gauduchon.cli import SuiteConfig, hsc_payload, run_suite, scan_ts
 
-from conftest import point_record, torsion_dbar_reference
+from conftest import torsion_dbar_reference
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
@@ -45,7 +45,7 @@ def direct_terms(chart, z):
     b = connection._metric_points(chart, [z])
     RC = connection._chern_stack(b, b.E)[0]
     T = connection._frame_torsion(b, b.E)[0]
-    TD = torsion_dbar_reference(point_record(b, 0))
+    TD = torsion_dbar_reference(connection._rows(b, 0))
     term1 = np.einsum("jikl->klij", TD) + np.einsum("ijlk->klij", np.conj(TD))
     term2 = np.einsum("rik,rjl->klij", T, np.conj(T)) \
         - np.einsum("jrk,irl->klij", T, np.conj(T))

@@ -11,10 +11,9 @@ import gauduchon.cli as cli
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig
-from gauduchon.connection import JET_PARTS
 from gauduchon.errors import DomainError
 
-from conftest import bases_of
+from conftest import JET_PARTS, bases_of
 
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],

@@ -8,7 +8,7 @@ import gauduchon.connection as connection
 from gauduchon.connection import ConnectionParams, metric_values
 from gauduchon.errors import DimensionError, DomainError, NonFinite, NotPositiveDefinite
 
-from conftest import make_generic_chart, point_record, pts_of, torsion_dbar_reference
+from conftest import make_generic_chart, pts_of, torsion_dbar_reference
 
 
 def frame_defect(chart, p):
@@ -121,8 +121,8 @@ def test_ill_conditioned_frame_error_names_the_conditioning():
 def test_batch_filled_point_data_is_read_only(adm):
     """Every record, from a fill, a one-point fill (`_point`), `_rows` views
     of a fill, or `_factors_at`'s tiled base rows and rescaled records, has
-    its 8 arrays read-only, and no field can be set.  The packed jets a fill
-    took its jet arrays from are read-only after it too."""
+    its 5 arrays read-only, and no field can be set.  The packed jets a fill
+    took are read-only after it too."""
     from dataclasses import FrozenInstanceError
 
     from gauduchon.conformal import _factors_at
@@ -137,7 +137,7 @@ def test_batch_filled_point_data_is_read_only(adm):
              _rows(whole, slice(1, 3)), factors.data, factors.rescaled_data]
     for b in reads:
         arrays = list(vars(b).values())
-        assert len(arrays) == 8 and all(isinstance(a, np.ndarray) for a in arrays)
+        assert len(arrays) == 5 and all(isinstance(a, np.ndarray) for a in arrays)
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(FrozenInstanceError):
             b.E = None
@@ -316,7 +316,7 @@ def test_cov_deriv_is_the_dbar_of_the_coordinate_torsion(name, seed):
     chart = TD_CHARTS[name]
     z = gd.sample_points(chart, 1, np.random.default_rng(seed))[0]
     TD = gd.torsion_cov_deriv(chart, z)
-    ref = torsion_dbar_reference(point_record(connection._metric_points(chart, [z]), 0))
+    ref = torsion_dbar_reference(connection._rows(connection._metric_points(chart, [z]), 0))
     scale = max(1.0, np.max(np.abs(gd.chern_curvature(chart, z).R)))
     assert np.max(np.abs(TD - ref)) <= 2e-15 * scale
 

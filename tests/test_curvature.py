@@ -8,7 +8,7 @@ from gauduchon.cli import SuiteConfig, run_suite
 from gauduchon.curvature import Curv4, curv4_rows, lc_full, tensor_of
 from gauduchon.errors import DimensionError, DomainError, NotHermitian, ZeroVector
 
-from conftest import bases_of, curvatures, make_generic_chart, point_record, pts_of
+from conftest import bases_of, curvatures, make_generic_chart, pts_of
 
 T_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -119,7 +119,7 @@ def test_lc_contractions_match_einsum_reference(n):
         at = _at_point(chart, gd.const(0.0), pts)
         for k, (p, C) in enumerate(zip(pts, at.C)):
             b, E = _rows(at.data, slice(k, k + 1)), at.data.E[k]
-            Gamma, Riem, s_g = _seed_lc(point_record(b, 0), n)
+            Gamma, Riem, s_g = _seed_lc(connection._rows(b, 0), n)
             scale = maxabs(Riem)
             assert maxabs(lc_full(chart, p) - Riem) <= 1e-13 * scale
             parts = curvature._christoffel_parts(b)

@@ -131,6 +131,25 @@ def test_a_scaled_record_field_fails(monkeypatch, field, check):
     assert not passed(check)
 
 
+def test_a_scaled_lower_mixed_hessian_fails_interpolation(monkeypatch):
+    """The record's lower mixed Hessian block hess[:, n:, :n], dbar_a d_b g,
+    scaled by 1.01 as `_fill` takes the packed jets.  The Chern side reads
+    only the upper block (`ddbarG`); `_christoffel_parts` reads the Hessian
+    whole, so the connection's own curvature, which `interpolation`
+    compares with the bases, carries the error."""
+    fill = connection._fill
+
+    def mutated(labels, Z, G, grad, hess):
+        n = G.shape[-1]
+        hess = np.array(hess)
+        hess[:, n:, :n] *= 1.01
+        return fill(labels, Z, G, grad, hess)
+
+    for module in (connection, cli, conformal):
+        monkeypatch.setattr(module, "_fill", mutated)
+    assert not passed("interpolation")
+
+
 @pytest.mark.parametrize("check", ["interpolation", "constancy"])
 def test_a_flipped_chern_quadratic_term_fails(monkeypatch, check):
     """`_chern_stack` with the sign of its quadratic term flipped:

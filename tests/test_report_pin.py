@@ -1,5 +1,5 @@
-"""Committed outputs of the benchmark's three commands at seed 0, so a
-change that moves a reported number beyond rounding shows here:
+"""Committed outputs of the four commands, the benchmark's three at seed
+0, so a change that moves a reported number beyond rounding shows here:
 
 - `suite_adm2_seed0.json`: the `--no-timestamp` suite report of the
   suite_adm2 config (admissible n=2 chart, the four circle points, 40
@@ -7,7 +7,9 @@ change that moves a reported number beyond rounding shows here:
 - `scan_adm2_seed0.csv`: the scan of that chart over the 13 x 11 grid
   t in [-2, 4], s in [-2.5, 2.5] with 4 samples;
 - `hsc_hopf6_seed0.json`: the hsc payload of the standard Hopf chart at
-  n=6, (t, s) = (3, 0), with 3 samples.
+  n=6, (t, s) = (3, 0), with 3 samples;
+- `curv_adm2.json`: the curv payload of the admissible chart at
+  (t, s) = (0.5, 0.5) and the point (0.3 + 0.1i, -0.2 + 0.25i).
 
 Each output is regenerated from its own command.  Every non-numeric field
 must match exactly and every number within 1e-12 absolute plus 1e-12
@@ -20,6 +22,8 @@ relative.  A deliberate change regenerates the files with
         --out tests/data/scan_adm2_seed0.csv
     PYTHONPATH=src python -m gauduchon.cli hsc --chart HOPF6_CHART --t 3 \
         --s 0 --samples 3 --seed 0 --out tests/data/hsc_hopf6_seed0.json
+    PYTHONPATH=src python -m gauduchon.cli curv --chart ADM_CHART --t 0.5 \
+        --s 0.5 --point "0.3,0.1;-0.2,0.25" --out tests/data/curv_adm2.json
 
 and says so in CHANGES.md.
 """
@@ -34,6 +38,8 @@ DATA = Path(__file__).parent / "data"
 PINNED = DATA / "suite_adm2_seed0.json"
 SCAN_PINNED = DATA / "scan_adm2_seed0.csv"
 HSC_PINNED = DATA / "hsc_hopf6_seed0.json"
+CURV_PINNED = DATA / "curv_adm2.json"
+CURV_PARAMS = ("0.5", "0.5")
 SCAN_ARGS = ["--t=-2:4:13", "--s=-2.5:2.5:11", "--samples", "4", "--seed", "0"]
 
 
@@ -96,3 +102,15 @@ def test_hsc_output_matches_the_pinned_one(tmp_path):
                  "--samples", str(pinned["samples"]), "--seed", str(pinned["seed"]),
                  "--out", str(out)]) == 0
     assert mismatches(pinned, json.loads(out.read_text()), "hsc") == []
+
+
+def test_curv_output_matches_the_pinned_one(tmp_path):
+    pinned = json.loads(CURV_PINNED.read_text())
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(pinned["chart"]))
+    out = tmp_path / "curv.json"
+    t, s = CURV_PARAMS
+    point = ";".join(f"{re!r},{im!r}" for re, im in pinned["point"])
+    assert main(["curv", "--chart", str(chart), "--t", t, "--s", s, "--point", point,
+                 "--out", str(out)]) == 0
+    assert mismatches(pinned, json.loads(out.read_text()), "curv") == []

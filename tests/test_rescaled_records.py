@@ -1,7 +1,9 @@
 """The rescaled records the conformal laws read: the scale jet times the
 base record's jets under `WJet2.__mul__`, bit for bit the jets a fill of
 the rescaled chart's trees gives, within the finite-difference oracle's
-tolerance of the rescaled trees' jets, and failing as that fill fails."""
+tolerance of the rescaled trees' jets, and failing as that fill fails.
+Every record, base or rescaled, keeps an exactly symmetric packed Hessian,
+and its five block names are views of its gradient and Hessian."""
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from gauduchon.cli import _conformal_factors, _jet_rel_err
 from gauduchon.conformal import _factors_at, _rescaled_records
 from gauduchon.errors import NonFinite, NotPositiveDefinite
 
-from conftest import bases_of
+from conftest import bases_of, make_generic_chart
 
 # One spec of every catalog chart tag.
 CATALOG = [
@@ -44,11 +46,44 @@ def assert_rel(got, want, rtol=1e-15):
 def assert_same_record(got, want):
     """Jets bit for bit; E, ginv and the bases built from the records
     within 1e-15 of their size."""
-    for name in ("G", "dG", "dbarG", "ddG", "ddbarG", "dbardbarG"):
+    for name in ("G", "grad", "hess"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     for name in ("E", "ginv"):
         assert_rel(getattr(got, name), getattr(want, name))
     assert_rel(*(bases_of(r) for r in (got, want)))
+
+
+def assert_packed_record(b):
+    """b's Hessian equal bit for bit to its transpose over the derivative
+    pair, and its block names the cuts of grad and hess, read-only, also in
+    a row without the point axis (`connection._rows`)."""
+    n = b.G.shape[-1]
+    np.testing.assert_array_equal(b.hess, b.hess.swapaxes(1, 2))
+    cuts = {"dG": b.grad[:, :n], "dbarG": b.grad[:, n:], "ddG": b.hess[:, :n, :n],
+            "ddbarG": b.hess[:, :n, n:], "dbardbarG": b.hess[:, n:, n:]}
+    row = connection._rows(b, len(b.G) - 1)
+    for name, cut in cuts.items():
+        view = getattr(b, name)
+        np.testing.assert_array_equal(view, cut, err_msg=name)
+        assert np.shares_memory(view, cut) and not view.flags.writeable, name
+        np.testing.assert_array_equal(getattr(row, name), cut[-1], err_msg=name)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=st.sampled_from(range(len(CATALOG) + 1)), count=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_records_keep_an_exactly_symmetric_packed_hessian(spec, count, seed):
+    """On the fill of a catalog chart or the generic one, and on the
+    rescaled records of the suite's conformal factors there: the lower mixed
+    block the oracle's Christoffel symbols read is ddbarG transposed."""
+    chart = gd.make_chart(CATALOG[spec]) if spec < len(CATALOG) else make_generic_chart()
+    pts = gd.sample_points(chart, count, np.random.default_rng(seed))
+    b = connection._metric_points(chart, pts)
+    assert_packed_record(b)
+    factors = _conformal_factors(chart.n)
+    Z = np.array(pts)
+    jet = stacked(gd.eval_jets(factors, Z))
+    assert_packed_record(_rescaled_records([f"f{k}" for k in range(len(factors))], Z, b, jet))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -78,7 +113,7 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
     pts = gd.sample_points(chart, 3, np.random.default_rng(5))
     pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
     records = _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts)).rescaled_data
-    jets = connection._record_jets(records)
+    jets = (records.G, records.grad, records.hess)
     P = len(pts)
     for k, pair in enumerate(pairs):
         for i, j in np.ndindex(chart.n, chart.n):

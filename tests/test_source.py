@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gauduchon import wjet
+import gauduchon as gd
+from gauduchon import connection, wjet
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gauduchon"
 
@@ -126,6 +127,24 @@ def test_jets_store_three_packed_parts():
     with pytest.raises(AttributeError):
         jet.ddbar = np.zeros((2, 2))
     assert not hasattr(wjet, "_outer")
+
+
+def test_records_store_the_packed_jets():
+    # A fill's record keeps the walk's packed jets: its fields are the value,
+    # gradient and Hessian, then ginv and E; the five block names are
+    # read-only views, and neither the repacking helper nor the six-part
+    # name list is left in the package.
+    assert [f.name for f in dataclasses.fields(connection._MetricData)] == \
+        ["G", "grad", "hess", "ginv", "E"]
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in ("_record_jets", "JET_PARTS")
+             if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))]
+    assert not found, f"the jet layout is decided twice: {found}"
+    b = connection._metric_points(gd.hopf_chart(2), [[0.3, 0.1j]])
+    with pytest.raises(ValueError):
+        b.ddbarG[...] = 0
+    with pytest.raises(AttributeError):
+        b.dG = np.zeros_like(b.dG)
 
 
 def einsum_calls(tree):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gauduchon as gd
-from gauduchon.connection import JET_PARTS
 from gauduchon.errors import DimensionError, DomainError, InvalidSpec
 from gauduchon.wjet import (Add, Const, Coord, CoordBar, Div, Mul, Neg, Pow, Sub, WJet2,
                             as_field)
 
-from conftest import compose_reference, jet_blocks, mul_reference
+from conftest import JET_PARTS, compose_reference, jet_blocks, mul_reference
 
 
 def rel_jet_err(f, pt, h=1e-4):
