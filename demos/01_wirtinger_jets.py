@@ -10,7 +10,9 @@ import numpy as np
 import gauduchon as gd
 
 # |z|^2 on C^2 and its jet at (1, 0): gradient (zbar_1, zbar_2), complex
-# Hessian = identity.
+# Hessian = identity.  It is a quadratic form (1/2) w^T H w over
+# w = (z, zbar), one leaf whose jet is exact in closed form; its text lists
+# the upper triangle of H.
 f = gd.abs2(2)
 jet = gd.eval_jet(f, [1, 0])
 print("field:", f.serialize())

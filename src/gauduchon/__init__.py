@@ -33,5 +33,5 @@ from .errors import (BaseNotKahler, ConfigError, DimensionError, DomainError,
                      GauduchonError, InvalidSpec, NonFinite,
                      NonRealConformalFactor, NotHermitian, NotPositiveDefinite,
                      ZeroPoint, ZeroVector)
-from .wjet import (ScalarField, WJet2, abs2, const, eval_jet, eval_jets, exp, fd_jet,
-                   fd_jets, log, parse_field, z, zbar)
+from .wjet import (Quadratic, ScalarField, WJet2, abs2, const, eval_jet, eval_jets, exp,
+                   fd_jet, fd_jets, log, parse_field, z, zbar)

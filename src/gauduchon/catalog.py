@@ -21,7 +21,7 @@ from .connection import MetricChart
 from .conformal import rescale
 from .curvature import Curv4
 from .errors import ConfigError, DomainError, InvalidSpec, ZeroPoint, _as_int
-from .wjet import Const, ScalarField, abs2, parse_field, z, zbar
+from .wjet import Const, Quadratic, abs2, parse_field, z, zbar
 
 ISO_TOL = 1e-12
 
@@ -128,22 +128,22 @@ def validate_admissible(spec: HopfSpec) -> list[str]:
     return out
 
 
-def xi_field(spec: HopfSpec) -> ScalarField:
-    """xi_A = |z|^2 + tz A z + conj(tz A z) as an expression tree."""
-    n = spec.n
+def xi_field(spec: HopfSpec) -> Quadratic:
+    """xi_A = |z|^2 + tz A z + conj(tz A z) as one quadratic form over
+    (z, zbar): its H has the blocks dd = A + A^T, ddbar = I and
+    dbardbar = conj(A + A^T), so its jet is exact in closed form."""
     A = spec.matrix()
-    expr: ScalarField = abs2(n)
-    for i in range(n):
-        for j in range(n):
-            a = A[i, j]
-            if a != 0:
-                expr = expr + Const(a) * z(i) * z(j)
-                expr = expr + Const(np.conj(a)) * zbar(i) * zbar(j)
-    return expr
+    S, eye = A + A.T, np.eye(spec.n)
+    return Quadratic(np.block([[S, eye], [eye, S.conj()]]))
 
 
 # ---------------------------------------------------------------------------
 # Chart constructors
+
+
+def _off_origin(Z: np.ndarray) -> np.ndarray:
+    """The Hopf charts' domain, C^n minus the origin, on a stack of points."""
+    return np.linalg.norm(Z, axis=-1) > 1e-8
 
 
 def _diag_chart(n: int, comps, label, domain, sampler) -> MetricChart:
@@ -163,8 +163,7 @@ def hopf_chart(n: int = 2, a: float = 0.5) -> MetricChart:
     comp = Const(1.0) / abs2(n)
     return _diag_chart(
         n, [comp] * n, f"hopf_standard({n})",
-        lambda p: bool(np.linalg.norm(p) > 1e-8),
-        _annulus_sampler(n, a))
+        _off_origin, _annulus_sampler(n, a))
 
 
 def admissible_chart(spec: HopfSpec) -> MetricChart:
@@ -175,8 +174,7 @@ def admissible_chart(spec: HopfSpec) -> MetricChart:
     comp = Const(spec.c0) / xi_field(spec)
     return _diag_chart(
         spec.n, [comp] * spec.n, f"admissible(n={spec.n})",
-        lambda p: bool(np.linalg.norm(p) > 1e-8),
-        _annulus_sampler(spec.n, spec.a))
+        _off_origin, _annulus_sampler(spec.n, spec.a))
 
 
 def fs_bergman_chart() -> MetricChart:
@@ -186,7 +184,7 @@ def fs_bergman_chart() -> MetricChart:
     g22 = Const(2.0) / (Const(1.0) + z(1) * zbar(1)) ** 2
     return _diag_chart(
         2, [g11, g22], "fs_bergman",
-        lambda p: bool(abs(p[0]) < 1.0),
+        lambda Z: np.abs(Z[..., 0]) < 1.0,
         _polydisk_sampler(2, 0.9))
 
 
@@ -209,7 +207,7 @@ def complex_hyperbolic_chart(n: int = 2) -> MetricChart:
         for j in range(n)) for i in range(n))
     return MetricChart(
         n, g, label=f"complex_hyperbolic({n})",
-        domain=lambda p: bool(np.linalg.norm(p) < 1.0),
+        domain=lambda Z: np.linalg.norm(Z, axis=-1) < 1.0,
         sampler=_ball_sampler(n))
 
 

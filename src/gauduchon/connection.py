@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFinite, NotPositiveDefinite
+from .errors import DimensionError, DomainError, InvalidSpec, NonFinite, NotPositiveDefinite
 from .wjet import WJet2, eval_jets
 
 HERMITIAN_TOL = 1e-9
@@ -58,8 +58,10 @@ class MetricChart:
 
     g is an n x n nested tuple of ScalarField with g[i][j] = g_{i jbar};
     it must be Hermitian (g[j][i] evaluates to conj(g[i][j])) and positive
-    definite on the domain.  `sampler(rng) -> point` draws from the chart's
-    safe sampling region.
+    definite on the domain.  `domain(Z)` takes a (P, n) stack of points and
+    returns (P,) booleans, one per point, true inside; it is called once per
+    stack, not once per point.  `sampler(rng) -> point` draws from the
+    chart's safe sampling region.
     """
 
     n: int
@@ -145,7 +147,8 @@ def _point(chart: MetricChart, z, frame=None) -> tuple[_MetricData, np.ndarray]:
 def _check_points(chart: MetricChart, points) -> np.ndarray:
     """The points, each a sequence of coordinates, as a (P, n) complex array,
     after checking that each is 1-D (DimensionError), has the chart's
-    dimension and finite coordinates and lies in its domain."""
+    dimension and finite coordinates and lies in its domain (one call of
+    `_outside`, naming the first point outside it)."""
     for z in points:
         if np.ndim(z) != 1:
             raise DimensionError(f"chart point must be a 1-D array, got shape {np.shape(z)}")
@@ -154,11 +157,24 @@ def _check_points(chart: MetricChart, points) -> np.ndarray:
     Z = np.array(points, dtype=complex).reshape(-1, chart.n)
     if not np.all(np.isfinite(Z)):
         raise NonFinite("chart point has non-finite coordinates")
-    if chart.domain is not None:
-        for z in Z:
-            if not chart.domain(z):
-                raise DomainError(f"point {z} outside domain of {chart.label}")
+    k = _outside(chart, Z)
+    if k is not None:
+        raise DomainError(f"point {Z[k]} outside domain of {chart.label}")
     return Z
+
+
+def _outside(chart: MetricChart, Z: np.ndarray) -> int | None:
+    """Index of the first of the points Z (P, n) outside the chart's domain,
+    or None, from one call of `chart.domain` on the stack; a predicate that
+    does not return one bool per point raises InvalidSpec."""
+    if chart.domain is None:
+        return None
+    inside = np.asarray(chart.domain(Z))
+    if inside.dtype != bool or inside.shape != Z.shape[:1]:
+        raise InvalidSpec(f"domain of {chart.label} must return one bool per point: "
+                          f"got {inside.dtype} of shape {inside.shape} for {len(Z)} points")
+    bad = np.flatnonzero(~inside)
+    return int(bad[0]) if bad.size else None
 
 
 def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
@@ -170,11 +186,12 @@ def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
     n = chart.n
     jets = eval_jets([chart.g[i][j] for i in range(n) for j in range(n)], Z)
     # Stack each part over the distinct component jets once, then spread it
-    # to the n^2 components.
+    # to the n^2 components; `take` writes the spread C-contiguous, where
+    # fancy indexing would leave the component axis strided for every reader.
     slot = {}
     spread = [slot.setdefault(id(J), len(slot)) for J in jets]
     distinct = list({id(J): J for J in jets}.values())
-    return tuple(np.stack(part, axis=-1)[..., spread].reshape(part[0].shape + (n, n))
+    return tuple(np.take(np.stack(part, axis=-1), spread, axis=-1).reshape(part[0].shape + (n, n))
                  for part in zip(*(vars(J).values() for J in distinct)))
 
 

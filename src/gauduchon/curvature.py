@@ -30,7 +30,8 @@ import numpy as np
 # tracer tests) reaches it through this module.
 from .connection import (ConnectionParams, MetricChart, as_params, chern_torsion, metric_values,
                          _basis_stack, _check_points, _chern_stack, _frame_E, _frame_torsion,
-                         _metric_points, _point, _read_only, _to_frame, _torsion_products)
+                         _metric_points, _outside, _point, _read_only, _to_frame,
+                         _torsion_products)
 from .errors import ConfigError, DimensionError, DomainError, NotHermitian, ZeroVector
 from .wjet import _axis_steps, _first_difference
 
@@ -173,7 +174,9 @@ def _symmetrized(R: np.ndarray) -> np.ndarray:
     # Two nested pair-symmetrizations keep the i<->k and j<->l symmetries
     # exact (a flat 4-term sum would round differently across permutations).
     S = R + np.einsum("...kjil->...ijkl", R)
-    return 0.25 * (S + np.einsum("...ilkj->...ijkl", S))
+    S = S + np.einsum("...ilkj->...ijkl", S)
+    S *= 0.25           # in place: one temporary fewer, the same bits
+    return S
 
 
 def symmetrize(C) -> Curv4:
@@ -252,13 +255,21 @@ def _qline_pair(RC: np.ndarray, T: np.ndarray) -> np.ndarray:
     RC[p] and torsions T[p] in one frame, X = -sym(T^j_rk conj(T^i_rl)) from
     `_torsion_products`: sym R^D = `qline_weights` @ Rh[p].  The weights (1, p,
     p^2 - 2p, s^2 - 1) on sym B = (sym R^C + 2X, 0, X, X) sum to (1, q)."""
-    return _symmetrized(np.stack([RC, -_torsion_products(T).transpose(0, 2, 4, 3, 1)], axis=1))
+    # Each half is symmetrized on its own, entrywise as on the stack, so the
+    # symmetrization's temporaries are half the size.
+    X = -_torsion_products(T).transpose(0, 2, 4, 3, 1)
+    return np.stack([_symmetrized(RC), _symmetrized(X)], axis=1)
 
 
 def _qline_points(chart: MetricChart, points) -> np.ndarray:
     """`_qline_pair` of the points in their Cholesky frames, from one fill."""
     b = _metric_points(chart, points)
-    return _qline_pair(_chern_stack(b, b.E), _frame_torsion(b, b.E))
+    RC, T = _chern_stack(b, b.E), _frame_torsion(b, b.E)
+    # The record's Hessians, P (2n)^2 n^2 entries, are the largest array of
+    # the fill and the pair reads none of it: freed first, they do not add
+    # to the pair's peak memory.
+    del b
+    return _qline_pair(RC, T)
 
 
 def constancy_table(chart: MetricChart, params_list, points):
@@ -455,8 +466,11 @@ def _real_riemann(chart: MetricChart, z, h: float):
     try:
         G = metric_values(chart, Z)
     except DomainError:
-        q = next(q for q in Z.reshape(-1, n) if not chart.domain(q))
-        raise DomainError(f"finite-difference stencil point {q} of point {pt} "
+        stencil = Z.reshape(-1, n)
+        k = _outside(chart, stencil)
+        if k is None:
+            raise
+        raise DomainError(f"finite-difference stencil point {stencil[k]} of point {pt} "
                           "exits domain") from None
     re, im = 2.0 * G.real, 2.0 * G.imag
     M = np.block([[re, im], [im.swapaxes(-1, -2), re]])  # M[centre, step]

@@ -1,7 +1,9 @@
 """Scalar fields on chart domains of C^n with exact Wirtinger jets through order 2.
 
 Fields are immutable expression trees over the primitives {constant, z_i,
-zbar_i}, closed under +, -, *, /, integer powers, exp and log.  `eval_jet`
+zbar_i, quadratic form}, closed under +, -, *, /, integer powers, exp and
+log.  A quadratic form `Quadratic` is (1/2) w^T H w over w = (z, zbar), a
+leaf whose jet is exact in closed form; `abs2` is one.  `eval_jet`
 propagates the full second-order Wirtinger jet exactly through the tree;
 `eval_jets` does the same for several trees at a batch of points in one
 walk, evaluating each shared node once.  A jet `WJet2` is packed over the
@@ -20,6 +22,7 @@ fields need not be holomorphic.  Coordinate indices are 0-based in code and
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -440,6 +443,67 @@ class Log(ScalarField):
         return walk(self.a).log()
 
 
+@dataclass(eq=False)
+class Quadratic(ScalarField):
+    """q(z) = (1/2) w^T H w over w = (z, zbar) in C^2n, H a read-only, exactly
+    symmetric (2n, 2n) complex matrix: a leaf whose jet is exact in closed
+    form, value (1/2) w^T H w, gradient H w and the constant Hessian H,
+    unbatched like a leaf's.  The blocks of H are dd q, ddbar q and
+    dbardbar q, so |z|^2 has mixed blocks I and the others 0.  Written
+    `(quad h...)`, the upper triangle of H row by row."""
+
+    op = "quad"
+    H: np.ndarray
+
+    def __post_init__(self):
+        # Adding +0.0 turns every -0.0 into +0.0, which `serialize` writes
+        # as 0: so the text reads back to H bit for bit.
+        H = np.array(self.H, dtype=complex) + 0.0
+        m = len(H)
+        if H.shape != (m, m) or m % 2 or not m:
+            raise DimensionError(f"quadratic form needs a (2n, 2n) matrix, got shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise NonFinite("quadratic form has non-finite entries")
+        if not (H == H.T).all():
+            raise InvalidSpec("quadratic form needs an exactly symmetric matrix")
+        H.setflags(write=False)
+        self.H = H
+
+    @classmethod
+    def from_upper(cls, upper) -> "Quadratic":
+        """The form whose H has the upper triangle `upper`, row by row; a
+        count that is not m(m + 1)/2 for an even m raises InvalidSpec."""
+        k = len(upper)
+        m = (math.isqrt(8 * k + 1) - 1) // 2
+        if m * (m + 1) // 2 != k or m % 2 or not m:
+            raise InvalidSpec(f"{cls.op} takes the upper triangle of a (2n, 2n) matrix, "
+                              f"m(m + 1)/2 numbers for an even m, got {k}")
+        H = np.zeros((m, m), complex)
+        H[np.triu_indices(m)] = upper
+        H.T[np.triu_indices(m)] = upper
+        return cls(H)
+
+    def _value_and_grad(self, z):
+        """(1/2) w^T H w and H w at the points z, rowwise: einsum sums each
+        row alike at any stack size, where a matmul need not."""
+        n = len(self.H) // 2
+        if z.shape[-1] != n:
+            raise DimensionError(f"quadratic form on C^{n} at a point of dim {z.shape[-1]}")
+        w = np.concatenate([z, z.conj()], axis=-1)
+        Hw = np.einsum("...a,ab->...b", w, self.H)
+        return 0.5 * np.einsum("...a,...a->...", w, Hw), Hw
+
+    def _value(self, z):
+        return self._value_and_grad(z)[0]
+
+    def _jet(self, walk):
+        return WJet2(*self._value_and_grad(walk.Z), self.H)
+
+    def serialize(self):
+        upper = self.H[np.triu_indices(len(self.H))]
+        return f"({self.op} {' '.join(_num_str(complex(h)) for h in upper)})"
+
+
 # Convenience constructors.
 
 def z(i: int) -> ScalarField:
@@ -464,12 +528,10 @@ def log(f) -> ScalarField:
     return Log(as_field(f))
 
 
-def abs2(n: int) -> ScalarField:
-    """|z|^2 = sum_i z_i zbar_i on C^n."""
-    total: ScalarField = Mul(Coord(0), CoordBar(0))
-    for i in range(1, n):
-        total = Add(total, Mul(Coord(i), CoordBar(i)))
-    return total
+def abs2(n: int) -> Quadratic:
+    """|z|^2 = sum_i z_i zbar_i on C^n, the quadratic form whose mixed blocks
+    are I: one leaf with a closed-form jet, not a tree of n products."""
+    return Quadratic(np.eye(2 * n, k=n) + np.eye(2 * n, k=-n))
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +695,11 @@ def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
 #
 # Grammar (whitespace-separated prefix notation):
 #   expr    := NUMBER | '[' RE ',' IM ']' | zK | zbarK | '(' op expr... ')'
-#   op      := add | sub | mul | div | neg | exp | log | pow
+#   op      := add | sub | mul | div | neg | exp | log | pow | quad
 # add and mul take >= 2 arguments (folded left-associatively), sub and div
 # exactly 2, neg/exp/log exactly 1, pow takes an expression and an integer.
+# quad takes m(m + 1)/2 numbers for an even m = 2n: the upper triangle, row
+# by row, of the symmetric H of (1/2) w^T H w over w = (z1..zn, zbar1..zbarn).
 # Coordinate indices K are 1-based.  Complex literals are written [re, im].
 # Every number must be finite: inf, nan and 1e999 are refused.
 # Each operator is its node class's `op`; its arity is its number of fields.
@@ -643,7 +707,7 @@ def fd_jet(field: ScalarField, z, h: float = 1e-4) -> WJet2:
 
 _TOKEN = re.compile(r"\(|\)|\[|\]|,|[^\s()\[\],]+")
 _COORD = re.compile(r"^z(bar)?(\d+)$")
-_OPERATORS = {cls.op: cls for cls in (Add, Sub, Mul, Div, Neg, Pow, Exp, Log)}
+_OPERATORS = {cls.op: cls for cls in (Add, Sub, Mul, Div, Neg, Pow, Exp, Log, Quadratic)}
 
 
 def _num_str(c: complex) -> str:
@@ -724,6 +788,11 @@ class _Parser:
         cls = _OPERATORS.get(op)
         if cls is None:
             raise InvalidSpec(f"unknown operator {op!r} in field expression")
+        if cls is Quadratic:
+            words = [a.serialize() for a in args if not isinstance(a, Const)]
+            if words:
+                raise InvalidSpec(f"{op} arguments must be numbers, got {words[0]}")
+            return Quadratic.from_upper([a.value for a in args])
         arity = len(fields(cls))
         if cls.variadic:
             if len(args) < arity:

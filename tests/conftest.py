@@ -161,3 +161,34 @@ def compose_reference(s, h0, h1, h2):
         dd=G2 * (0.5 * (X + X.swapaxes(-1, -2))) + G1 * s.dd,
         ddbar=G2 * _outer(s.d, s.dbar) + G1 * s.ddbar,
         dbardbar=G2 * (0.5 * (Xb + Xb.swapaxes(-1, -2))) + G1 * s.dbardbar)
+
+
+def quadratic_tree(H):
+    """(1/2) w^T H w over w = (z, zbar) as a left-folded `Add` of `Mul`
+    terms over `Coord`/`CoordBar` leaves, one per entry a <= b of the upper
+    triangle: the tree form of `wjet.Quadratic`, its reference."""
+    H = np.asarray(H, dtype=complex)
+    n = len(H) // 2
+    leaf = [gd.z(i) for i in range(n)] + [gd.zbar(i) for i in range(n)]
+    terms = [gd.const(H[a, b] * (0.5 if a == b else 1.0)) * leaf[a] * leaf[b]
+             for a, b in zip(*np.triu_indices(2 * n))]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def xi_tree_reference(spec):
+    """xi_A = |z|^2 + tz A z + conj(tz A z) as the expression tree that
+    `catalog.xi_field` built before its closed form: the reference for the
+    `Quadratic` it returns now."""
+    n, A = spec.n, spec.matrix()
+    expr = gd.z(0) * gd.zbar(0)
+    for i in range(1, n):
+        expr = expr + gd.z(i) * gd.zbar(i)
+    for i in range(n):
+        for j in range(n):
+            if A[i, j] != 0:
+                expr = expr + gd.const(A[i, j]) * gd.z(i) * gd.z(j)
+                expr = expr + gd.const(np.conj(A[i, j])) * gd.zbar(i) * gd.zbar(j)
+    return expr

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import gauduchon as gd
 from gauduchon.catalog import SPEC_KEYS
-from gauduchon.connection import metric_values
-from gauduchon.errors import InvalidSpec, ZeroPoint
+from gauduchon.connection import MetricChart, _check_points, metric_values
+from gauduchon.errors import DomainError, InvalidSpec, ZeroPoint
+from gauduchon.wjet import Const, Div, Quadratic
 
 from conftest import pts_of
 
@@ -87,6 +90,18 @@ def test_serialized_components_parse_back_to_the_same_field(spec):
     for jf, jg in zip(gd.eval_jets(fields, Z), gd.eval_jets(parsed, Z)):
         for part in ("value", "d", "dbar", "dd", "ddbar", "dbardbar"):
             np.testing.assert_array_equal(getattr(jg, part), getattr(jf, part))
+
+
+@pytest.mark.parametrize("spec", [spec for spec in CATALOG_SPECS
+                                  if spec["chart"] in ("hopf_standard", "admissible")]
+                         + [{"chart": "hopf_standard", "n": 6}], ids=lambda spec: spec["chart"])
+def test_hopf_family_components_are_one_quadratic_form(spec):
+    """The diagonal components of the Hopf-family charts are c0 over one
+    closed-form quadratic form, shared by every diagonal entry."""
+    chart = gd.make_chart(spec)
+    [comp] = {id(chart.g[i][i]): chart.g[i][i] for i in range(chart.n)}.values()
+    assert isinstance(comp, Div) and isinstance(comp.a, Const) and isinstance(comp.b, Quadratic)
+    assert comp.a.value == spec.get("c0", 1.0)
 
 
 def test_make_chart_admissible_matches_constructor(adm, adm_spec):
@@ -301,3 +316,67 @@ def test_sampler_respects_safe_regions(catalog_charts):
                 assert r <= 0.9 + 1e-12
             if chart.label == "fs_bergman":
                 assert abs(p[0]) <= 0.9 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stacked domains
+
+# Each catalog domain as the per-point predicate the charts carried before
+# domains took stacks; a conformal chart has its base's.
+POINT_DOMAINS = {
+    "hopf_standard": lambda p: bool(np.linalg.norm(p) > 1e-8),
+    "admissible": lambda p: bool(np.linalg.norm(p) > 1e-8),
+    "fs_bergman": lambda p: bool(abs(p[0]) < 1.0),
+    "complex_hyperbolic": lambda p: bool(np.linalg.norm(p) < 1.0),
+}
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + [
+    {"chart": "conformal", "base": {"chart": "hopf_standard", "n": 2}, "f": "(mul 0.1 z1 zbar1)"},
+    {"chart": "hopf_standard", "n": 3}, {"chart": "complex_hyperbolic", "n": 1}],
+    ids=lambda spec: spec["chart"])
+def test_catalog_domains_take_stacks(spec):
+    """Every catalog domain, on a stack of points inside and outside it,
+    returns one bool per point: the values of the points one at a time and
+    of the per-point predicate it replaced."""
+    chart = gd.make_chart(spec)
+    tag = spec["base"]["chart"] if spec["chart"] == "conformal" else spec["chart"]
+    if tag not in POINT_DOMAINS:
+        assert chart.domain is None
+        return
+    n = chart.n
+    rng = np.random.default_rng(3)
+    Z = np.concatenate([
+        np.array(pts_of(chart, 6, 1)),
+        np.zeros((1, n)), np.full((1, n), 1e-9), np.full((1, n), 0.999 / np.sqrt(n)),
+        1.5 * np.eye(n), np.eye(n), 0.99 * np.eye(n),
+        2 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))]).astype(complex)
+    inside = chart.domain(Z)
+    assert inside.dtype == bool and inside.shape == (len(Z),)
+    want = [POINT_DOMAINS[tag](z) for z in Z]
+    assert inside.tolist() == want == [bool(chart.domain(z[None])[0]) for z in Z]
+    assert 0 < sum(want) < len(want)
+
+
+def test_stacked_check_names_the_first_point_outside():
+    chart = gd.complex_hyperbolic_chart(2)
+    pts = [[0.1, 0.2], [1.5, 0.0], [0.3, 0.0], [0.0, 2.0]]
+    # The per-point loop's choice: the first point outside.
+    first = next(z for z in np.array(pts, complex) if not POINT_DOMAINS["complex_hyperbolic"](z))
+    with pytest.raises(DomainError, match=rf"^point {re.escape(str(first))} outside domain of "):
+        _check_points(chart, pts)
+    with pytest.raises(DomainError, match="outside domain"):
+        metric_values(chart, np.array(pts))
+    np.testing.assert_array_equal(_check_points(chart, pts[::2]), np.array(pts[::2], complex))
+
+
+@pytest.mark.parametrize("domain", [
+    lambda p: bool(np.linalg.norm(p) > 0.5),          # one bool for the stack
+    lambda Z: np.linalg.norm(Z, axis=-1),              # numbers, not bools
+    lambda Z: np.ones((len(Z), 1), bool),              # not one per point
+])
+def test_a_domain_that_is_not_one_bool_per_point_is_refused(domain):
+    flat = gd.euclidean_chart(2)
+    chart = MetricChart(2, flat.g, label="odd", domain=domain)
+    with pytest.raises(InvalidSpec, match="domain of odd must return one bool per point"):
+        _check_points(chart, [[0.7, 0.1], [0.2, 0.9]])

@@ -1,7 +1,8 @@
 """Mutations with teeth: the bench's suite_adm2 config with one term of a
-conformal law, of the fill or of a curvature kernel scaled by 1.01 (or its
-sign flipped), applied by monkeypatch, must fail the checks that read it.  A check that a 1% error
-in one of its terms leaves passing would check nothing of that term.
+conformal law, of the fill, of a quadratic form's jet or of a curvature
+kernel scaled by 1.01 (or its sign flipped), applied by monkeypatch, must
+fail the checks that read it.  A check that a 1% error in one of its terms
+leaves passing would check nothing of that term.
 
 Two terms vanish identically, so scaling them changes nothing and no check
 can see it: the delta's second part Y(V) + F (V = -f_r conj(T^k_rl) in the
@@ -212,3 +213,22 @@ def mutate_kernel(monkeypatch, mutation: str):
 def test_a_scaled_kernel_term_fails(monkeypatch, mutation, check):
     mutate_kernel(monkeypatch, mutation)
     assert not passed(check)
+
+
+@pytest.mark.parametrize("part", ["grad", "hess"])
+def test_a_scaled_quadratic_jet_part_fails_wjet_oracle(monkeypatch, part):
+    """`Quadratic._jet`'s gradient H w or its Hessian H scaled by 1.01: the
+    chart's xi_A is one quadratic form, so every component's exact jet
+    carries the error, and its finite differences, from `_value`, do not."""
+    jet = wjet.Quadratic._jet
+
+    def mutated(self, walk):
+        out = vars(jet(self, walk))
+        return wjet.WJet2(**(out | {part: 1.01 * out[part]}))
+
+    monkeypatch.setattr(wjet.Quadratic, "_jet", mutated)
+    assert not passed("wjet_oracle")
+
+
+def test_unmutated_wjet_oracle_passes():
+    assert passed("wjet_oracle")

@@ -102,13 +102,13 @@ def test_suite_checks_run_one_pass_over_their_points():
 
 def test_field_grammar_is_declared_once():
     # Each operator names itself once, as its node class's `op`: in wjet.py
-    # only ScalarField's one `serialize` and the leaves' write a text, the
-    # parser names no operator but `pow`, and the coordinate leaves share
-    # one dimension check.
+    # only ScalarField's one `serialize` and the leaves' (constant,
+    # coordinate, quadratic form) write a text, the parser names no operator
+    # but `pow`, and the coordinate leaves share one dimension check.
     text = (SRC / "wjet.py").read_text(encoding="utf-8")
     classes = {node.name: node for node in ast.parse(text).body if isinstance(node, ast.ClassDef)}
     found = [f"{name}.serialize" for name, cls in classes.items()
-             if name not in ("ScalarField", "Const", "_Coordinate")
+             if name not in ("ScalarField", "Const", "_Coordinate", "Quadratic")
              and any(isinstance(f, ast.FunctionDef) and f.name == "serialize" for f in cls.body)]
     found += [f"_Parser: {node.value!r}" for node in ast.walk(classes["_Parser"])
               if isinstance(node, ast.Constant)
@@ -190,3 +190,32 @@ def test_transposing_einsums_are_told_from_contractions():
         'np.einsum("...jikl->...klij", X)', 'np.einsum("...abcd,...af->...cdbf", X, M)',
         'np.einsum("ii->i", X)', 'np.einsum("ab->a", X)', "np.einsum(spec, X)")}
     assert [is_transposing(c) for c in calls.values()] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("chart", [gd.hopf_chart(6), gd.admissible_chart(
+    gd.hopf_spec(2, 0.5, A=[[0.2, 0.0], [0.0, 0.1]]))], ids=lambda chart: chart.label)
+def test_hopf_family_walks_three_nodes(chart):
+    # The components are c0 over one closed-form quadratic form: a walk of
+    # them all evaluates the quotient, the form and the off-diagonal zero,
+    # where the trees of |z|^2 and xi_A took 25 to 29 nodes.
+    Z = np.array(gd.sample_points(chart, 3, 0))
+    walk = wjet._BatchWalk(Z)
+    for row in chart.g:
+        for f in row:
+            walk(f)
+    assert len(walk._memo) <= 3
+
+
+def test_abs2_and_xi_build_no_tree():
+    # |z|^2 and xi_A are one `Quadratic` each: their constructors name no
+    # `Add` or `Mul` node and no coordinate leaf.
+    found = []
+    for path, name in ((SRC / "wjet.py", "abs2"), (SRC / "catalog.py", "xi_field")):
+        [func] = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+        found += [f"{name}: {node.id}" for node in ast.walk(func) if isinstance(node, ast.Name)
+                  and node.id in ("Add", "Mul", "Coord", "CoordBar", "z", "zbar")]
+    assert not found, f"quadratic forms built as trees: {found}"
+    assert isinstance(gd.abs2(3), wjet.Quadratic)
+    assert isinstance(gd.xi_field(gd.hopf_spec(2, 0.5, A=[[0.2, 0.0], [0.0, 0.1]])),
+                      wjet.Quadratic)

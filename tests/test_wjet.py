@@ -10,7 +10,10 @@ from gauduchon.errors import DimensionError, DomainError, InvalidSpec
 from gauduchon.wjet import (Add, Const, Coord, CoordBar, Div, Mul, Neg, Pow, Sub, WJet2,
                             as_field)
 
-from conftest import JET_PARTS, compose_reference, jet_blocks, mul_reference
+from gauduchon.cli import CHECKS, _jet_rel_err
+
+from conftest import (JET_PARTS, compose_reference, jet_blocks, mul_reference, quadratic_tree,
+                      xi_tree_reference)
 
 
 def rel_jet_err(f, pt, h=1e-4):
@@ -318,3 +321,97 @@ def test_packed_algebra_equals_the_six_block_formulas(n, P, k, seed):
         np.testing.assert_array_equal(got.dd, got.dd.swapaxes(-1, -2))
         np.testing.assert_array_equal(got.dbardbar, got.dbardbar.swapaxes(-1, -2))
         np.testing.assert_array_equal(got.hess[..., n:, :n], got.ddbar.swapaxes(-1, -2))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form quadratic field
+
+
+def random_symmetric(rng, n: int) -> np.ndarray:
+    H = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    return H + H.T
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 4), P=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_jets_equal_its_tree_and_finite_differences(n, P, seed):
+    """A `Quadratic` over a random symmetric H at a random stack: its jets
+    equal the equivalent `Coord`/`CoordBar`/`Mul`/`Add` tree's to 1e-14 of
+    the parts' size and its finite-difference jets within `wjet_oracle`'s
+    tolerance, and its `_value` is rowwise, bit for bit."""
+    rng = np.random.default_rng(seed)
+    H = random_symmetric(rng, n)
+    Z = 0.7 * (rng.standard_normal((P, n)) + 1j * rng.standard_normal((P, n)))
+    q = gd.Quadratic(H)
+    [got, want] = gd.eval_jets([q, quadratic_tree(H)], Z)
+    scale = max(1.0, *(np.max(np.abs(getattr(want, name))) for name in JET_PARTS))
+    for name in JET_PARTS:
+        err = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+        assert err <= 1e-14 * scale, (name, err / scale)
+    assert np.max(_jet_rel_err(got, gd.fd_jets(q, Z))) <= CHECKS["wjet_oracle"][0]
+    values = q._value(Z)
+    np.testing.assert_array_equal(values, got.value)
+    np.testing.assert_array_equal(values, [q._value(z) for z in Z])
+    np.testing.assert_array_equal(q._value(np.stack([Z, Z[::-1]])), [values, values[::-1]])
+
+
+def test_quadratic_reads_back_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        H = random_symmetric(rng, n)
+        H[0, 1] = H[1, 0] = 0.0        # written as 0
+        H[0, 0] = complex(-0.0, 2.0)   # a signed zero part
+        q = gd.Quadratic(H)
+        text = q.serialize()
+        assert text.startswith("(quad ")
+        back = gd.parse_field(text)
+        assert isinstance(back, gd.Quadratic) and back.serialize() == text
+        assert back.H.tobytes() == q.H.tobytes()
+    assert gd.abs2(2).serialize() == "(quad 0 0 1 0 0 0 1 0 0 0)"
+    assert gd.parse_field("(quad [0, 1] 2 3)").H.tolist() == [[1j, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("text", [
+    "(quad)", "(quad 1)", "(quad 1 2)", "(quad 1 2 3 4)", "(quad 1 2 3 4 5 6)",
+    "(quad 1 2 z1)", "(quad 1 (add 1 2) 3)", "(quad 1 2 x)", "(quad 1 2 inf)",
+])
+def test_malformed_quad_is_refused(text):
+    with pytest.raises(InvalidSpec):
+        gd.parse_field(text)
+
+
+def test_quadratic_refuses_a_point_of_another_dimension():
+    q = gd.abs2(2)
+    for z in ([1.0], [1.0, 0.0, 0.5]):
+        with pytest.raises(DimensionError):
+            gd.eval_jet(q, z)
+        with pytest.raises(DimensionError):
+            q(z)
+    with pytest.raises(DimensionError):
+        gd.Quadratic(np.eye(3))
+    with pytest.raises(InvalidSpec):
+        gd.Quadratic(np.triu(np.ones((2, 2))))
+
+
+def test_quadratic_matrix_is_read_only():
+    q = gd.Quadratic(np.eye(4))
+    with pytest.raises(ValueError):
+        q.H[0, 0] = 2.0
+    jet = gd.eval_jets([q], [[0.3, 0.1j]])[0]
+    with pytest.raises(ValueError):
+        jet.hess[0, 0, 0] = 2.0
+
+
+def test_abs2_and_xi_are_their_trees(adm_spec):
+    """`abs2` and `catalog.xi_field` against the trees they replaced, on a
+    real and a complex symmetric A."""
+    rng = np.random.default_rng(11)
+    Z = 0.5 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    complex_spec = gd.hopf_spec(2, 0.5, A=[[0.2 + 0.1j, 0.05], [0.05, 0.1]])
+    for q, tree in [(gd.abs2(2), gd.z(0) * gd.zbar(0) + gd.z(1) * gd.zbar(1)),
+                    (gd.xi_field(adm_spec), xi_tree_reference(adm_spec)),
+                    (gd.xi_field(complex_spec), xi_tree_reference(complex_spec))]:
+        got, want = gd.eval_jets([q, tree], Z)
+        for name in JET_PARTS:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-15)
