@@ -159,7 +159,10 @@ def euclidean_chart(n: int = 2) -> MetricChart:
 
 def hopf_chart(n: int = 2, a: float = 0.5) -> MetricChart:
     """Standard Hopf metric |z|^-2 (Euclidean) on C^n minus 0; sampling stays
-    in the fundamental annulus a < |z| < 1."""
+    in the fundamental annulus a < |z| < 1, so the modulus a must lie in
+    (0, 1)."""
+    if not 0.0 < a < 1.0:
+        raise InvalidSpec(f"modulus: a = {a} not in (0, 1)")
     comp = Const(1.0) / abs2(n)
     return _diag_chart(
         n, [comp] * n, f"hopf_standard({n})",

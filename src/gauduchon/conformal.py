@@ -1,7 +1,7 @@
 """Conformal rescaling gtilde = e^2f g and predicted-vs-direct verification
 of the transformation laws: the torsion law, the commutation rule for
 covariant derivatives of f, and the curvature deltas of the Gauduchon and
-canonical families (plus their symmetrized Kahler-base forms).
+canonical families, whose symmetrized form is a q-line on any base.
 
 All predicted formulas are assembled from base-chart data in a unitary frame
 e_a; the rescaled chart is compared in the paired frame
@@ -30,7 +30,7 @@ import numpy as np
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _MetricData,
                          _basis_stack, _chart_fill, _check_points, _chern_stack, _fill,
                          _frame_E, _frame_torsion, _read_only, _to_frame)
-from .curvature import Curv4, canonical_weights, symmetrize, _symmetrized, _ts_pairs
+from .curvature import Curv4, canonical_weights, qline_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
 
@@ -103,7 +103,7 @@ class FactorAt:
     `_factors_at` build it; the latter stacks several factors on one base,
     one block of rows per factor.  Each law is one pass over the rows: what
     does not depend on (t, s), the Hessian parts, the commutation parts and
-    the five delta parts, is built once and weighed per (t, s)."""
+    the four delta parts, is built once and weighed per (t, s)."""
 
     def __init__(self, chart: MetricChart, points: np.ndarray, jet: WJet2, data: _MetricData,
                  E: np.ndarray, T: np.ndarray, rescaled_data: _MetricData | None):
@@ -169,24 +169,21 @@ class FactorAt:
     @cached_property
     def delta_parts(self) -> np.ndarray:
         """The (t, s)-free parts D[p, m, k, l, i, j] of `delta_predicted`, the
-        five tensors that `delta_weights` weighs.  With H1 = U - (1 - p) V
+        four tensors that `delta_weights` weighs.  With H1 = U - (1 - p) V
         (`hessian_parts`), Y(X) = X_{k lbar} d_ij and Z(X) = X_{i lbar} d_jk
-        + X_{k jbar} d_il, they are [Y(U), Y(V) + F, Z(U), Z(V) + Q, S]:
-        F = f_r conj(T^k_rl) d_ij, Q the (1 - p)^2 bracket and S both s^2
-        brackets of `delta_canonical_predicted`."""
+        + X_{k jbar} d_il, they are [Y(U), Z(U), Z(V) + Q, S]: Q the
+        (1 - p)^2 bracket and S both s^2 brackets of
+        `delta_canonical_predicted`.  Its 2p(1 - p) term has no part: in the
+        frames V_{k lbar} = -f_r conj(T^k_rl), so Y(V) cancels it."""
         U, V, _, _ = self.hessian_parts
         T, fr, frbar, grad2 = self.T, self.fr, self.frbar, self.grad2
         Tc = np.conj(T)
         eye = np.eye(self.chart.n)
         dd = np.einsum("jk,il->klij", eye, eye)
 
-        def Y(X):
-            return np.einsum("pkl,ij->pklij", X, eye)
-
         def Z(X):
             return np.einsum("pil,jk->pklij", X, eye) + np.einsum("pkj,il->pklij", X, eye)
 
-        F = np.einsum("pr,pkrl,ij->pklij", fr, Tc, eye)
         Q = (np.einsum("pi,pkjl->pklij", fr, Tc)
              - np.einsum("pr,pjrk,il->pklij", frbar, T, eye)
              + np.einsum("pr,pkrj,il->pklij", fr, Tc, eye)
@@ -201,7 +198,7 @@ class FactorAt:
                - np.einsum("pj,plik->pklij", frbar, T)
                - np.einsum("pr,plri,jk->pklij", frbar, T, eye)
                - np.einsum("pr,pkrj,il->pklij", fr, Tc, eye))
-        return np.stack([Y(U), Y(V) + F, Z(U), Z(V) + Q, S], axis=1)
+        return np.stack([np.einsum("pkl,ij->pklij", U, eye), Z(U), Z(V) + Q, S], axis=1)
 
     def delta_predicted(self, params) -> np.ndarray:
         """`delta_canonical_predicted` at each point, shape (P, n, n, n, n)
@@ -209,23 +206,15 @@ class FactorAt:
         `delta_weights` combination of `delta_parts`."""
         return np.tensordot(delta_weights(params), self.delta_parts, (-1, 1))
 
-    def delta_kahler(self, params) -> np.ndarray:
-        """`delta_kahler_predicted` at each point.  Its sums are 4 sym(f_{k lbar}
-        d_ij), 4 sym(f_i f_jbar d_kl) and 2 sym(d_kl d_ij), so the delta is
-        sym(-2 f_{k lbar} d_ij + C f_i f_jbar d_kl - C f_r f_rbar d_kl d_ij)."""
-        tors = np.max(np.abs(self.T), axis=(1, 2, 3))
-        bad = np.flatnonzero(tors > KAHLER_TOL)
-        if bad.size:
-            raise BaseNotKahler(f"base chart {self.chart.label} has torsion "
-                                f"{tors[bad[0]]:.2e} at {self.points[bad[0]]}")
-        pr = as_params(params)
-        coeff = (pr.p - 1.0) ** 2 + pr.s**2
-        H1, _ = self.hessians(pr.p)
-        eye = np.eye(self.chart.n)
-        X = -2 * np.einsum("pkl,ij->pklij", H1, eye) \
-            + coeff * (np.einsum("pi,pj,kl->pklij", self.fr, self.frbar, eye)
-                       - self.grad2 * np.einsum("kl,ij->klij", eye, eye))
-        return _symmetrized(X)
+    def delta_symmetrized(self, params) -> np.ndarray:
+        """The symmetrized `delta_predicted`, shaped as it is, on any base,
+        torsion included: sym Z(U) = 2 sym Y(U) and sym(Z(V) + Q) = sym S
+        (`delta_parts`), so the weights (-2p, -(1 - p), (1 - p)^2, s^2) fold
+        to the q-line sym(-2 Y(U)) + q sym(S), q = (1 - p)^2 + s^2
+        (`qline_weights`)."""
+        D = self.delta_parts
+        return np.tensordot(qline_weights(params),
+                            _symmetrized(np.stack([-2 * D[:, 0], D[:, 3]], axis=1)), (-1, 1))
 
     def delta_direct(self, params, rows=slice(None)) -> np.ndarray:
         """`delta_direct` at the `rows` (all by default), from one basis stack
@@ -241,14 +230,14 @@ class FactorAt:
 
 
 def delta_weights(params) -> np.ndarray:
-    """Weights (-2p, 2p(1 - p), -(1 - p), (1 - p)^2, s^2), p = t - t s, of
-    the five `FactorAt.delta_parts` in the predicted curvature delta of
-    D^t_s: shape (5,) for one (t, s) pair and (m, 5) for m pairs, as
+    """Weights (-2p, -(1 - p), (1 - p)^2, s^2), p = t - t s, of the four
+    `FactorAt.delta_parts` in the predicted curvature delta of D^t_s:
+    shape (4,) for one (t, s) pair and (m, 4) for m pairs, as
     `canonical_weights` takes them."""
     t, s = _ts_pairs(params, "delta_weights")
     p = t - t * s
-    q = 1 - p
-    return np.stack([-2 * p, 2 * p * q, -q, q * q, s * s], axis=-1)
+    r = 1 - p
+    return np.stack([-2 * p, -r, r * r, s * s], axis=-1)
 
 
 def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorAt:
@@ -391,12 +380,18 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
       -(f_{i lbar} d_jk + f_{k lbar} d_ij + f_{i jbar} d_kl + f_{k jbar} d_il)/2
       + C/4 (f_i f_jbar d_kl + f_k f_jbar d_il + f_i f_lbar d_kj
              + f_k f_lbar d_ij)
-      - C/2 f_r f_rbar (d_kl d_ij + d_jk d_il),   C = (p-1)^2 + s^2.
+      - C/2 f_r f_rbar (d_kl d_ij + d_jk d_il),   C = (p-1)^2 + s^2,
 
-    Raises BaseNotKahler when the base torsion at z exceeds 1e-10.
+    the row of `FactorAt.delta_symmetrized` at z.  Raises BaseNotKahler when
+    the base torsion at z exceeds 1e-10.
     """
     pr = as_params(params)
-    return Curv4(_at_point(pair.base, pair.f, [z]).delta_kahler(pr)[0],
+    at = _at_point(pair.base, pair.f, [z])
+    tors = float(np.max(np.abs(at.T)))
+    if tors > KAHLER_TOL:
+        raise BaseNotKahler(f"base chart {pair.base.label} has torsion "
+                            f"{tors:.2e} at {at.points[0]}")
+    return Curv4(at.delta_symmetrized(pr)[0],
                  connection=f"delta kahler sym(t={pr.t:g}, s={pr.s:g})")
 
 

@@ -7,8 +7,8 @@ class GauduchonError(Exception):
 
 
 class DomainError(GauduchonError):
-    """A point lies outside a field's or chart's declared domain,
-    or an expression guard failed (log or division near zero)."""
+    """A point lies outside a chart's declared domain, or an expression
+    guard failed (log or division near zero)."""
 
 
 class NonFinite(GauduchonError):

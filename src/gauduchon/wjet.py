@@ -26,7 +26,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -201,15 +200,11 @@ class WJet2:
 class ScalarField:
     """Immutable expression tree; build with +, -, *, /, ** and exp/log.
 
-    An optional `domain` predicate (point -> bool) can be attached to a root
-    field; `eval_jet`/`fd_jet` refuse points outside it.
-
     An operator node names itself in the grammar as `op`; its arguments are
     its dataclass fields in order, or two or more folded left if `variadic`.
     `serialize` and `parse_field` read only these declarations.
     """
 
-    domain: Callable[[np.ndarray], bool] | None = None
     op = ""
     variadic = False
 
@@ -585,15 +580,11 @@ def eval_jets(fields, points) -> list[WJet2]:
     fields' trees.  Every returned jet carries the batch axis: value (P,),
     grad (P, 2n), hess (P, 2n, 2n), so d (P, n), dd (P, n, n) and so on;
     a field listed twice gets the same jet object.  A part the walk kept
-    unbatched (a leaf's) is a read-only broadcast view.  The domain, guard
-    and finiteness checks hold per point; their errors name the offending
-    point."""
+    unbatched (a leaf's) is a read-only broadcast view.  The guard and
+    finiteness checks hold per point; their errors name the offending
+    point.  A field has no domain of its own: the chart's is checked by
+    the chart's readers."""
     Z = _as_points(points)
-    for field in fields:
-        if field.domain is not None:
-            for pt in Z:
-                if not field.domain(pt):
-                    raise DomainError(f"point {pt} outside field domain")
     walk = _BatchWalk(Z)
     try:
         jets = [walk(field) for field in fields]
@@ -641,8 +632,8 @@ def fd_jets(field: ScalarField, points, h: float = 1e-4) -> WJet2:
     second derivatives on a 5-point stencil, 2nd-order cross stencil for mixed
     seconds), converted to Wirtinger form.  The stencils of all the points
     are valued in one `_value` walk; it shares nothing with `eval_jets` and
-    `WJet2` arithmetic.  A stencil point outside the field's domain raises
-    DomainError naming it and the point it belongs to.
+    `WJet2` arithmetic.  It checks no domain: a stencil point where an
+    expression guard fails (log or 1/x near zero) raises DomainError.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
@@ -659,11 +650,6 @@ def fd_jets(field: ScalarField, points, h: float = 1e-4) -> WJet2:
     steps = np.concatenate([_axis_steps(m), cross.reshape(-1, m)])
     X = (x0[:, None] + h * steps).reshape(-1, m)        # point-major rows
     Z = X[:, :n] + 1j * X[:, n:]
-    if field.domain is not None:
-        for k, q in enumerate(Z):
-            if not field.domain(q):
-                raise DomainError(f"finite-difference stencil point {q} of point "
-                                  f"{Z0[k // len(steps)]} exits domain")
     F = field._value(Z).reshape(P, -1).T                  # F[stencil step, point]
 
     # Work with differences from the center value so constant fields give

@@ -11,7 +11,6 @@ import gauduchon.cli as cli
 import gauduchon.connection as connection
 import gauduchon.curvature as curvature
 from gauduchon.cli import SuiteConfig
-from gauduchon.errors import DomainError
 
 from conftest import JET_PARTS, bases_of
 
@@ -44,15 +43,6 @@ def test_fd_jets_rows_equal_fd_jet(spec):
                     a, b = getattr(jets.row(j), name), getattr(single, name)
                     assert np.shape(a) == np.shape(b)
                     assert maxabs(a - b) <= 1e-15 * max(1.0, maxabs(b)), (spec, name)
-
-
-def test_fd_jets_names_the_point_whose_stencil_exits_the_domain():
-    f = gd.log(gd.abs2(2))
-    f.domain = lambda p: bool(np.linalg.norm(p) > 0.5)
-    pts = np.array([[1.0, 0.0], [0.500004, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(DomainError, match=r"of point \[0\.500004"):
-        gd.fd_jets(f, pts)
-    gd.fd_jets(f, pts[[0, 2]])
 
 
 def test_stacked_selfduality_equals_the_per_point_values(fs, chyp, hopf, non_selfdual):

@@ -124,6 +124,23 @@ def test_make_chart_rejects_bad_specs(bad):
         gd.make_chart(bad)
 
 
+@pytest.mark.parametrize("a", [-3.0, 0.0, 1.0, float("nan")])
+def test_hopf_modulus_outside_the_unit_interval_is_refused(a):
+    """As `admissible` does, `hopf_standard` refuses a modulus outside
+    (0, 1), NaN included: its sampler would leave the fundamental annulus
+    and reach the origin.  make_chart refuses a NaN as a non-finite
+    number before the chart sees it."""
+    with pytest.raises(InvalidSpec, match=re.escape(f"modulus: a = {a} not in (0, 1)")):
+        gd.hopf_chart(2, a)
+    with pytest.raises(InvalidSpec, match="finite number" if np.isnan(a) else "modulus"):
+        gd.make_chart({"chart": "hopf_standard", "n": 2, "a": a})
+
+
+def test_hopf_modulus_near_one_leaves_no_sampling_region():
+    with pytest.raises(InvalidSpec, match="no safe sampling region"):
+        gd.make_chart({"chart": "hopf_standard", "n": 2, "a": 0.92})
+
+
 # ---------------------------------------------------------------------------
 # validate_admissible
 

@@ -387,6 +387,17 @@ def test_non_finite_literal_exits_2_naming_the_token(tmp_path, capsys, command):
     assert "RuntimeWarning" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("a", [-3, 0, 1])
+def test_hopf_modulus_outside_the_unit_interval_exits_2(tmp_path, capsys, a):
+    chart = write_json(tmp_path, "chart.json", {"chart": "hopf_standard", "n": 2, "a": a})
+    out = tmp_path / "out"
+    argv = ["hsc", "--chart", chart, "--t", "1", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and f"modulus: a = {float(a)} not in (0, 1)" in err
+    assert not out.exists()
+
+
 UNREAD_KEYS = [
     ({"chart": "admissible", "n": 2, "a": 0.5, "multiplier": [[0.3, 0], [0.3, 0]]},
      "does not take 'multiplier'; its keys are 'chart', 'n', 'a', 'multipliers', 'A', 'c0'"),

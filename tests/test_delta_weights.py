@@ -1,9 +1,10 @@
 """The conformal laws as weight rows: `FactorAt.delta_predicted` is the
-`delta_weights` combination of five (t, s)-free parts, and the Hessians and
-the commutation residuals come from parts built once.  The reference here is
+`delta_weights` combination of four (t, s)-free parts, its symmetrized form
+the `qline_weights` line of two of them, and the Hessians and the
+commutation residuals come from parts built once.  The reference here is
 the direct form the rows replaced, kept verbatim: the Hessians framed from
 coordinates at each t, and the delta assembled at each (t, s) from about 15
-einsums."""
+einsums, the paper's five terms."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import gauduchon.conformal as conformal
 import gauduchon.connection as connection
 from gauduchon.cli import _conformal_factors
 from gauduchon.conformal import _factors_at, delta_weights
+from gauduchon.curvature import _symmetrized
 from gauduchon.connection import _to_frame, as_params
 from gauduchon.errors import ConfigError
 
@@ -113,28 +115,55 @@ def test_weight_rows_equal_the_reference(spec, count, cells, seed):
 @given(spec=st.sampled_from(range(len(CATALOG))), count=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_the_two_silent_terms_vanish(spec, count, seed):
-    """The delta's second part Y(V) + F and the commutation part b vanish
-    identically: in the frames the Lichnerowicz share of the Hessian is
-    V_{k lbar} = -f_r conj(T^k_rl), and b is the defect of the commutation
-    rule.  A mutation of either alone is invisible to the suite, so the
+    """The paper's 2p(1 - p) term less the Lichnerowicz share of -2p Y(H1),
+    Y(V) + F with F = f_r conj(T^k_rl) d_ij, and the commutation part b
+    vanish identically: in the frames V_{k lbar} = -f_r conj(T^k_rl), and b
+    is the defect of the commutation rule.  So the delta has no part for
+    the former, and a mutation of b alone is invisible to the suite; the
     mutation tests scale V and the torsion instead."""
     at = stacked_factors(spec, count, seed)
-    parts = at.delta_parts
+    U, V, _, _ = at.hessian_parts
+    eye = np.eye(at.chart.n)
+    silent = np.einsum("pkl,ij->pklij", V, eye) \
+        + np.einsum("pr,pkrl,ij->pklij", at.fr, np.conj(at.T), eye)
     a, b = at.commutation_parts
-    assert maxabs(parts[:, 1]) <= 1e-14 * max(maxabs(parts), 1.0)
-    assert maxabs(a) <= 1e-14 * max(maxabs(at.hessian_parts[0]), 1.0)
-    assert maxabs(b) <= 1e-14 * max(maxabs(at.hessian_parts[1]), 1.0)
+    assert maxabs(silent) <= 1e-14 * max(maxabs(at.delta_parts), 1.0)
+    assert maxabs(a) <= 1e-14 * max(maxabs(U), 1.0)
+    assert maxabs(b) <= 1e-14 * max(maxabs(V), 1.0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=st.sampled_from(range(len(CATALOG))), count=st.integers(1, 4),
+       cells=st.lists(CELL, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_the_symmetrized_delta_is_a_qline(spec, count, cells, seed):
+    """Symmetrized, the parts [Y(U), Z(U), Z(V) + Q, S] fold in pairs:
+    sym Z(U) = 2 sym Y(U) bit for bit and sym(Z(V) + Q) = sym S, so on every
+    base, torsion included, the weights (-2p, -(1 - p), (1 - p)^2, s^2)
+    give the q-line sym(-2 Y(U)) + q sym S, which `delta_symmetrized`
+    weighs, many cells in one call."""
+    at = stacked_factors(spec, count, seed)
+    sym = _symmetrized(at.delta_parts)
+    scale = max(maxabs(at.delta_parts), 1.0)
+    np.testing.assert_array_equal(sym[:, 1], 2 * sym[:, 0])
+    assert maxabs(sym[:, 2] - sym[:, 3]) <= 1e-14 * scale
+    many = at.delta_symmetrized(cells)
+    want = _symmetrized(at.delta_predicted(cells))
+    assert many.shape == want.shape
+    assert maxabs(many - want) <= 1e-13 * max(maxabs(want), 1e-300)
+    for m, cell in enumerate(cells):
+        assert maxabs(at.delta_symmetrized(cell) - many[m]) <= 1e-13 * max(maxabs(many[m]),
+                                                                          1e-300)
 
 
 def test_delta_weights_take_pairs_as_canonical_weights_does():
     w = delta_weights((3.0, 0.5))
     p, q = 1.5, -0.5
-    np.testing.assert_array_equal(w, [-2 * p, 2 * p * q, -q, q * q, 0.25])
+    np.testing.assert_array_equal(w, [-2 * p, -q, q * q, 0.25])
     np.testing.assert_array_equal(delta_weights(gd.ConnectionParams(3.0, 0.5)), w)
     rows = delta_weights([(3.0, 0.5), (-1.0, 2.0)])
-    assert rows.shape == (2, 5)
+    assert rows.shape == (2, 4)
     np.testing.assert_array_equal(rows[0], w)
-    assert delta_weights([]).shape == (0, 5)
+    assert delta_weights([]).shape == (0, 4)
     with pytest.raises(ConfigError, match="delta_weights"):
         delta_weights((1.0, 2.0, 3.0))
 

@@ -4,12 +4,11 @@ kernel scaled by 1.01 (or its sign flipped), applied by monkeypatch, must
 fail the checks that read it.  A check that a 1% error in one of its terms
 leaves passing would check nothing of that term.
 
-Two terms vanish identically, so scaling them changes nothing and no check
-can see it: the delta's second part Y(V) + F (V = -f_r conj(T^k_rl) in the
-frames), with its weight 2p(1 - p), and the commutation rule's part b, the
-defect of the law itself.  `test_delta_weights.py` holds both identities;
-here their terms are mutated instead: V through `hessian_parts`, and the
-torsion the laws read."""
+One term vanishes identically, so scaling it changes nothing and no check
+can see it: the commutation rule's part b, the defect of the law itself.
+`test_delta_weights.py` holds that identity; here its terms are mutated
+instead: V = C df through `hessian_parts`, and the torsion the laws read.
+Every part and weight of the delta is live."""
 
 import numpy as np
 import pytest
@@ -23,8 +22,11 @@ from gauduchon.cli import SuiteConfig, run_suite
 ADM_SPEC = {"chart": "admissible", "n": 2, "a": 0.5,
             "multipliers": [[0.5, 0], [0.5, 0]],
             "A": [[[0.2, 0], [0, 0]], [[0, 0], [0.1, 0]]], "c0": 1.0}
-# The parts and weights of the delta that do not vanish identically.
-LIVE = [0, 2, 3, 4]
+# The weights of `delta_canonical_predicted`'s formula, numbered in order
+# (-2p, 2p(1 - p), -(1 - p), (1 - p)^2, s^2), each mapped to the index of its
+# part and weight in `delta_parts` and `delta_weights`.  Term 1 has none: in
+# the frames it cancels against Y(V), so every part the check reads is live.
+PART_OF_TERM = {0: 0, 2: 1, 3: 2, 4: 3}
 
 
 def passed(check: str) -> bool:
@@ -56,14 +58,16 @@ def test_unmutated_conformal_checks_pass():
     assert passed("conformal_delta") and passed("commutation")
 
 
-@pytest.mark.parametrize("k", LIVE)
-def test_a_scaled_delta_part_fails_conformal_delta(monkeypatch, k):
+@pytest.mark.parametrize("term", PART_OF_TERM)
+def test_a_scaled_delta_part_fails_conformal_delta(monkeypatch, term):
+    k = PART_OF_TERM[term]
     patch_property(monkeypatch, "delta_parts", lambda parts: scaled(parts, k, 1))
     assert not passed("conformal_delta")
 
 
-@pytest.mark.parametrize("k", LIVE)
-def test_a_scaled_delta_weight_fails_conformal_delta(monkeypatch, k):
+@pytest.mark.parametrize("term", PART_OF_TERM)
+def test_a_scaled_delta_weight_fails_conformal_delta(monkeypatch, term):
+    k = PART_OF_TERM[term]
     weights = conformal.delta_weights
     monkeypatch.setattr(conformal, "delta_weights", lambda params: scaled(weights(params), k, -1))
     assert not passed("conformal_delta")
@@ -72,7 +76,7 @@ def test_a_scaled_delta_weight_fails_conformal_delta(monkeypatch, k):
 @pytest.mark.parametrize("check", ["conformal_delta", "commutation"])
 def test_a_scaled_lichnerowicz_hessian_part_fails(monkeypatch, check):
     """V = C df in the frames, the (1 - t) share of the Hessians, which the
-    delta's second and fourth parts and the commutation part b read."""
+    delta's third part and the commutation part b read."""
     patch_property(monkeypatch, "hessian_parts", lambda UVs: (UVs[0], 1.01 * UVs[1], *UVs[2:]))
     assert not passed(check)
 

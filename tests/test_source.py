@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gauduchon as gd
-from gauduchon import connection, wjet
+from gauduchon import conformal, connection, wjet
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gauduchon"
 
@@ -22,6 +22,48 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src: {found}"
+
+
+# Imported to be re-exported: the bench reads `curvature.chern_torsion`.
+REEXPORTS = {("curvature", "chern_torsion")}
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports (not from __future__) that it never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    # A name a module imports and never reads is left over from code that
+    # has gone; `__init__` imports to export.
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"
+             for name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.stem, name) not in REEXPORTS]
+    assert not found, f"imported and never read: {found}"
+
+
+def test_unread_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from typing import Callable\nimport numpy as np\nimport os.path\n"
+                     "x = np.zeros(1)\n")
+    assert unread_imports(tree) == ["Callable", "os"]
+
+
+def test_conformal_delta_has_four_parts_and_fields_no_domain():
+    # The delta is four weighed parts, its symmetrized form their q-line on
+    # every base, and a field has no domain of its own.
+    assert not hasattr(conformal.FactorAt, "delta_kahler")
+    assert conformal.delta_weights([(1.0, 0.5)] * 3).shape == (3, 4)
+    assert not hasattr(wjet.ScalarField, "domain")
 
 
 def test_no_point_store_in_the_package():

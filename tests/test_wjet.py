@@ -171,17 +171,6 @@ def test_division_guard_raises():
         gd.eval_jet(gd.const(1.0) / gd.abs2(2), [0, 0])
 
 
-def test_field_domain_predicate():
-    f = gd.log(gd.abs2(2))
-    f.domain = lambda p: bool(np.linalg.norm(p) > 0.5)
-    with pytest.raises(DomainError):
-        gd.eval_jet(f, [0.1, 0.0])
-    gd.eval_jet(f, [1.0, 0.0])
-    # fd stencil must also respect the domain
-    with pytest.raises(DomainError):
-        gd.fd_jet(f, [0.500004, 0.0], h=1e-4)
-
-
 def test_fd_jet_values_its_stencil_in_one_walk(monkeypatch):
     """The whole stencil at n = 2, 1 + 4m + 2m(m - 1) = 41 points for the
     m = 4 real coordinates, is one `_value` call at the root."""
