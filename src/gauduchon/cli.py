@@ -30,7 +30,7 @@ import numpy as np
 
 from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
-from .conformal import KAHLER_TOL, FactorAt, rescale, _factors_at
+from .conformal import KAHLER_TOL, FactorAt
 from .connection import (MetricChart, _MetricData, _basis_stack, _check_points,
                          _chern_stack, _component_jets, _fill, _frame_torsion, _rows)
 from .curvature import (canonical_curvature, canonical_weights, constancy_table, curv4_rows,
@@ -214,7 +214,8 @@ class _Suite:
     once and their metric components walked once (`jets`); the data of all
     the points is one record filled from that walk (`data`, `small_data` its
     first 10 points), their Chern curvature and torsion built once (`chern`);
-    bases are built for the first 10 points only (`bases`)."""
+    bases for the first 10 points only (`bases`), rescaled conformal rows
+    only if a check reads them (`factors`)."""
 
     def __init__(self, config: SuiteConfig, chart: MetricChart):
         self.chart = chart
@@ -263,14 +264,13 @@ class _Suite:
 
     @cached_property
     def factors(self) -> FactorAt:
-        """The conformal pairs' factors at the first 5 points, one stacked
+        """The conformal factors on the first 5 rows of `data`, one stacked
         `FactorAt` whose rows run (factor, point), shared by the three
-        conformal checks: one walk of the factors, the first 5 rows of `data`
-        as their base record, and the rescaled records from one fill."""
-        pairs = [rescale(self.chart, f, check_points=self.cpts)
-                 for f in _conformal_factors(self.chart.n)]
+        conformal checks: one walk of the factors, no second point check, and
+        the rescaled records from one fill when a check first reads them."""
         k = len(self.cpts)
-        return _factors_at(pairs, self.Z[:k], _rows(self.data, slice(k)))
+        return FactorAt(self.chart, _conformal_factors(self.chart.n), self.Z[:k],
+                        _rows(self.data, slice(k)))
 
     def _by_factor(self, res: np.ndarray, points: int | None = None) -> np.ndarray:
         """Residuals res[cell, row] of rows (factor, point), `points` per factor

@@ -11,9 +11,9 @@ base at the parameter the formula dictates (t for the t-family delta, p for
 the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
-The laws run on stacked points (`FactorAt`), built one of two ways: with
-no rescaled side (`_at_point`), or for several pairs on one base at once
-with one jet walk of their factors (`_factors_at`).  The rescaled side is
+The laws run on stacked points (`FactorAt`), one constructor for one
+factor or several on one base: one jet walk of the factors, the base rows
+tiled per factor.  The rescaled side, built when a law first reads it, is
 the rescaled chart's record, its jets the products of the scale jet and
 the base's jets under `WJet2.__mul__`, then through `_fill`
 (`_rescaled_records`); its Cholesky frames are the paired ones,
@@ -29,13 +29,14 @@ import numpy as np
 
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _MetricData,
                          _basis_stack, _chart_fill, _check_points, _chern_stack, _fill,
-                         _frame_E, _frame_torsion, _read_only, _to_frame)
+                         _frame_E, _frame_torsion, _read_only, _rows, _to_frame)
 from .curvature import Curv4, canonical_weights, qline_weights, symmetrize, _symmetrized, _ts_pairs
-from .errors import BaseNotKahler, NonFinite, NonRealConformalFactor
+from .errors import BaseNotKahler, GauduchonError, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
 
 REAL_TOL = 1e-12
 KAHLER_TOL = 1e-10
+RESCALED_LABEL = "{}*exp(2f)"           # the label of the chart e^2f g, whatever f
 
 
 @dataclass(eq=False)
@@ -49,36 +50,36 @@ class ConformalPair:
 
     def at(self, points) -> "FactorAt":
         """The pair's factor at the points, in their Cholesky frames."""
-        Z = _check_points(self.base, points)
-        return _factors_at([self], Z, _chart_fill(self.base, Z))
+        return _at_point(self.base, self.f, points)
 
 
 def rescale(chart: MetricChart, f: ScalarField, check_points=None) -> ConformalPair:
     """Build the conformal pair (g, e^2f g).
 
-    f must be real-valued on the domain; it is sampled (8 seeded points from
-    the chart's sampler unless `check_points` is given, which are checked as
-    points of the chart) and NonRealConformalFactor is raised when any
-    imaginary part exceeds 1e-12.
+    f must be real-valued on the domain: it is sampled at 8 seeded points of
+    the chart's sampler, or at `check_points`, checked as points of the
+    chart, under the realness rule (`_require_real`) that a `FactorAt` also
+    runs on the rows it rescales.
     """
-    if check_points is None:
-        if chart.sampler is not None:
-            rng = np.random.default_rng(20240)
-            check_points = [chart.sampler(rng) for _ in range(8)]
-        else:
-            check_points = []
-    if len(check_points):
-        v = f._value(_check_points(chart, check_points))
-        bad = np.flatnonzero(np.abs(v.imag) > REAL_TOL * np.maximum(1.0, np.abs(v)))
-        if bad.size:
-            raise NonRealConformalFactor(f"conformal factor has imaginary part "
-                                         f"{v[bad[0]].imag:.3e} at {check_points[bad[0]]}")
+    if check_points is None and chart.sampler is not None:
+        rng = np.random.default_rng(20240)
+        check_points = [chart.sampler(rng) for _ in range(8)]
+    if check_points is not None and len(check_points):
+        _require_real(f._value(_check_points(chart, check_points)), check_points)
     scale = Exp(Mul(Const(2.0), f))
     g = tuple(tuple(Mul(scale, chart.g[i][j]) for j in range(chart.n))
               for i in range(chart.n))
-    rescaled = MetricChart(chart.n, g, label=f"{chart.label}*exp(2f)",
+    rescaled = MetricChart(chart.n, g, label=RESCALED_LABEL.format(chart.label),
                            domain=chart.domain, sampler=chart.sampler)
     return ConformalPair(chart, f, rescaled)
+
+
+def _require_real(v: np.ndarray, points) -> None:
+    """Raise NonRealConformalFactor at the first point where v is not real."""
+    bad = np.flatnonzero(np.abs(v.imag) > REAL_TOL * np.maximum(1.0, np.abs(v)))
+    if bad.size:
+        raise NonRealConformalFactor(f"conformal factor has imaginary part "
+                                     f"{v[bad[0]].imag:.3e} at {points[bad[0]]}")
 
 
 def paired_frames(pair: ConformalPair, z, base_frame=None):
@@ -92,28 +93,46 @@ def paired_frames(pair: ConformalPair, z, base_frame=None):
 
 
 class FactorAt:
-    """A real conformal factor f on `chart` at the (P, n) array `points` in
-    unitary frames E[p], every array with a leading point axis: `jet` is f's
-    jet at the points, `value` its value, fr[p, a] = e_a f and
-    frbar[p, a] = ebar_a f its frame gradient and grad2 = f_r f_rbar; `data`
-    is the base's record at the points and T its Chern torsion in the
-    frames.  `rescaled_data` is the record of the chart e^2f g at the points,
-    read in its own Cholesky frames, the paired frames e^-f E of the base's
-    Cholesky frames, or None when no law compares with it.  `_at_point` and
-    `_factors_at` build it; the latter stacks several factors on one base,
-    one block of rows per factor.  Each law is one pass over the rows: what
-    does not depend on (t, s), the Hessian parts, the commutation parts and
-    the four delta parts, is built once and weighed per (t, s)."""
+    """Real conformal factors `fs` on `chart` at the checked (P, n) array
+    `points` of its record `data`, stacked in rows (factor, point),
+    factor-major: one `eval_jets` walk gives `jet`, `value` its value,
+    fr[p, a] = e_a f, frbar[p, a] = ebar_a f and grad2 = f_r f_rbar, and the
+    base rows, their frames E (Cholesky, or the explicit `frame` of one
+    point) and the base torsion T in them are tiled.  Each law is one pass
+    over the rows: what does not depend on (t, s), the Hessian parts, the
+    commutation parts and the four delta parts, is built once and weighed
+    per (t, s)."""
 
-    def __init__(self, chart: MetricChart, points: np.ndarray, jet: WJet2, data: _MetricData,
-                 E: np.ndarray, T: np.ndarray, rescaled_data: _MetricData | None):
-        self.chart, self.points, self.jet = chart, points, jet
-        self.data, self.E, self.T, self.rescaled_data = data, E, T, rescaled_data
-        self.value = jet.value.real
-        self.fr = np.einsum("pia,pi->pa", E, jet.d)
-        self.frbar = np.einsum("pia,pi->pa", E.conj(), jet.dbar)
+    def __init__(self, chart: MetricChart, fs, points: np.ndarray, data: _MetricData,
+                 frame=None):
+        def tiled(a):
+            return _read_only(np.concatenate([a] * len(fs)))
+
+        E = data.E if frame is None else _frame_E(frame)[None]
+        self.chart, self.fs, self.frame = chart, fs, frame
+        self.points = tiled(points)
+        self.jet = WJet2(*map(np.concatenate, zip(*(vars(j).values()
+                                                    for j in eval_jets(fs, points)))))
+        self.data = _MetricData(*map(tiled, vars(data).values()))
+        self.E, self.T = tiled(E), tiled(_frame_torsion(data, E))
+        self.value = self.jet.value.real
+        self.fr = np.einsum("pia,pi->pa", self.E, self.jet.d)
+        self.frbar = np.einsum("pia,pi->pa", self.E.conj(), self.jet.dbar)
         # (P, 1, 1, 1, 1), to scale stacked four-tensors; matmul rounds as np.dot
         self.grad2 = np.real(self.fr[:, None] @ self.frbar[..., None])[..., None, None]
+
+    @cached_property
+    def rescaled_data(self) -> _MetricData:
+        """The record of the charts e^2f g at the rows, in their own Cholesky
+        frames, the paired frames e^-f E, from one `_rescaled_records` fill
+        after the realness check of its rows; built when a law first reads
+        it, and refused in an explicit frame."""
+        if self.frame is not None:
+            raise GauduchonError("a factor stack in an explicit frame has no rescaled side")
+        _require_real(self.jet.value, self.points)
+        P = len(self.points) // len(self.fs)
+        return _rescaled_records([RESCALED_LABEL.format(self.chart.label)] * len(self.fs),
+                                 self.points[:P], _rows(self.data, slice(P)), self.jet)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -241,14 +260,11 @@ def delta_weights(params) -> np.ndarray:
 
 
 def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorAt:
-    """The factor f on `chart` at the points, with no rescaled side: one
-    check, one `eval_jets` walk of f and one fill of the base, in the points'
-    Cholesky frames, or in the explicit `frame` of a one-point call."""
-    points = _check_points(chart, points)
-    [jet] = eval_jets([f], points)
-    data = _chart_fill(chart, points)
-    E = data.E if frame is None else _frame_E(frame)[None]
-    return FactorAt(chart, points, jet, data, E, _frame_torsion(data, E), None)
+    """The factor f on `chart` at the points: one check, one fill of the
+    base, then its `FactorAt`, in the points' Cholesky frames, or in the
+    explicit `frame` of a one-point call."""
+    Z = _check_points(chart, points)
+    return FactorAt(chart, [f], Z, _chart_fill(chart, Z), frame)
 
 
 def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _MetricData:
@@ -277,25 +293,6 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _Metri
     return _fill(np.repeat(labels, P), np.tile(Z, (k, 1)),
                  *(np.moveaxis(a, (1, 2), (-2, -1)).reshape((k * P,) + a.shape[4:] + (n, n))
                    for a in parts))
-
-
-def _factors_at(pairs, points: np.ndarray, data: _MetricData) -> FactorAt:
-    """The factors of conformal pairs on one base chart at the P checked
-    points of its record `data`, in their Cholesky frames, as one stacked
-    `FactorAt` whose rows run (pair, point), pair-major: one `eval_jets` walk
-    of every factor, the base torsion once, and every rescaled record from
-    one `_rescaled_records` fill.  Its base rows are `data`'s, tiled."""
-    jets = eval_jets([pair.f for pair in pairs], points)
-    jet = WJet2(*map(np.concatenate, zip(*(vars(j).values() for j in jets))))
-    k = len(pairs)
-
-    def tiled(a):
-        return _read_only(np.concatenate([a] * k))
-
-    base = _MetricData(*map(tiled, vars(data).values()))
-    return FactorAt(pairs[0].base, np.concatenate([points] * k), jet, base, base.E,
-                    tiled(_frame_torsion(data, data.E)),
-                    _rescaled_records([pair.rescaled.label for pair in pairs], points, data, jet))
 
 
 def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):

@@ -169,11 +169,11 @@ def counting(monkeypatch):
     return builds, fills
 
 
-def suite_adm2_config():
-    """The bench's suite_adm2 config."""
+def suite_adm2_config(**keys):
+    """The bench's suite_adm2 config, with any other config `keys`."""
     return SuiteConfig.from_dict({
         "chart": ADM_SPEC, "sample_count": 40,
-        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]]})
+        "params_grid": [[-1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [0.0, 3.0 ** 0.5]], **keys})
 
 
 def test_suite_builds_bases_only_for_the_rows_it_reads(monkeypatch):
@@ -189,6 +189,15 @@ def test_suite_builds_bases_only_for_the_rows_it_reads(monkeypatch):
     assert run_suite(suite_adm2_config()).all_passed
     assert fills == [40, 15]
     assert builds == [(10, False), (12, False)]
+
+
+def test_a_run_that_reads_no_rescaled_side_fills_none(monkeypatch):
+    """`commutation` alone reads the base rows of the conformal factors and
+    not their rescaled records, so the run's one fill is its own of the 40
+    sample points."""
+    _, fills = counting(monkeypatch)
+    assert run_suite(suite_adm2_config(checks=["commutation"])).all_passed
+    assert fills == [40]
 
 
 def counting_fills(monkeypatch):
@@ -255,8 +264,8 @@ def test_frameless_reader_makes_one_store_lookup(monkeypatch, reader):
 
 
 def test_kahler_delta_makes_one_fill(monkeypatch):
-    """`delta_kahler_predicted` reads no rescaled record, so its factor has
-    none: one fill of the base at the point, no rescaled fill and no
+    """`delta_kahler_predicted` reads no rescaled record, so its factor
+    builds none: one fill of the base at the point, no rescaled fill and no
     basis."""
     pair = gd.rescale(gd.euclidean_chart(2), 0.1 * gd.abs2(2))
     builds, fills = counting(monkeypatch)
@@ -366,15 +375,15 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
     """The bench's suite_adm2 config: 2 `eval_jets` walks in all: the run's
     walk of the metric components over the 40 points, which both its fill
     and `wjet_oracle` read, and one of the three conformal factors over the
-    first 5; the run makes no `_metric_points` fill, and no walk touches a
-    rescaled chart, whose records come from the base record."""
-    rescaled, walks, filled = [], [], []
-    pair_of, walk, fill = cli.rescale, wjet.eval_jets, connection._metric_points
+    first 5; the run makes no `_metric_points` fill and no `rescale` call,
+    so no rescaled chart's trees exist: the rescaled records come from the
+    base record."""
+    rescales, walks, filled = [], [], []
+    pair_of, walk, fill = conformal.rescale, wjet.eval_jets, connection._metric_points
 
     def recording_rescale(chart, f, **kwargs):
-        pair = pair_of(chart, f, **kwargs)
-        rescaled.append(pair.rescaled)
-        return pair
+        rescales.append(f)
+        return pair_of(chart, f, **kwargs)
 
     def counted_walk(fields, points):
         walks.append((fields, len(points)))
@@ -384,7 +393,9 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
         filled.append(chart)
         return fill(chart, points)
 
-    monkeypatch.setattr(cli, "rescale", recording_rescale)
+    assert not hasattr(cli, "rescale")
+    for module in (gd, gd.catalog, conformal):
+        monkeypatch.setattr(module, "rescale", recording_rescale)
     for module in (wjet, connection, conformal):
         monkeypatch.setattr(module, "eval_jets", counted_walk)
     for module in (connection, curvature, conformal, cli):
@@ -392,9 +403,7 @@ def test_suite_walks_no_rescaled_tree(monkeypatch):
             monkeypatch.setattr(module, "_metric_points", counted_fill)
     assert run_suite(suite_adm2_config()).all_passed
     assert [(len(fields), count) for fields, count in walks] == [(4, 40), (3, 5)]
-    assert len(rescaled) == 3 and filled == []
-    trees = {id(g) for chart in rescaled for row in chart.g for g in row}
-    assert not any(id(f) in trees for fields, _ in walks for f in fields)
+    assert rescales == [] and filled == []
 
 
 def test_suite_oracle_takes_one_fd_jets_walk_per_tree(monkeypatch):
@@ -440,14 +449,13 @@ def counting_checks(monkeypatch):
 
 
 def test_each_point_is_checked_once(monkeypatch):
-    """The bench's suite_adm2 config checks its 40 sample points once, and
-    each of the three `rescale` calls checks the 5 conformal points its
-    factor's realness is sampled at; `_factors_at` checks none again.  A
-    per-point conformal function checks its point once, before its walk and
-    its fill."""
+    """The bench's suite_adm2 config checks its 40 sample points once; its
+    conformal factors are stacked on 5 of those points, which no `rescale`
+    call checks again.  A per-point conformal function checks its point
+    once, before its walk and its fill."""
     checks = counting_checks(monkeypatch)
     assert run_suite(suite_adm2_config()).all_passed
-    assert checks == [40, 5, 5, 5]
+    assert checks == [40]
     chart = gd.make_chart(ADM_SPEC)
     p = gd.sample_points(chart, 1, np.random.default_rng(8))[0]
     pair = gd.rescale(chart, 0.1 * gd.abs2(2), check_points=[p])

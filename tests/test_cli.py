@@ -105,19 +105,23 @@ def test_conformal_delta_counts_the_points_it_uses():
 
 
 def test_suite_rescales_each_conformal_factor_once(monkeypatch):
-    import gauduchon.cli as cli
-    factors = []
+    # The two checks that read the rescaled side share one build of it: one
+    # `_rescaled_records` fill, one block of rows per factor.
+    import gauduchon.conformal as conformal
+    fills = []
+    rescaled_records = conformal._rescaled_records
 
-    def counting(chart, f, **kwargs):
-        factors.append(f)
-        return gd.rescale(chart, f, **kwargs)
+    def counting(labels, *args):
+        fills.append(list(labels))
+        return rescaled_records(labels, *args)
 
-    monkeypatch.setattr(cli, "rescale", counting)
+    monkeypatch.setattr(conformal, "_rescaled_records", counting)
     config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 5,
                                     "checks": ["conformal_torsion", "conformal_delta"]})
-    assert [r.name for r in run_suite(config).records] == ["conformal_torsion",
-                                                             "conformal_delta"]
-    assert len(factors) == 3          # n = 2: three factors, each rescaled once
+    report = run_suite(config)
+    assert [r.name for r in report.records] == ["conformal_torsion", "conformal_delta"]
+    chart = report.records[0].chart
+    assert fills == [[f"{chart}*exp(2f)"] * 3]     # n = 2: three factors, each rescaled once
 
 
 def test_suite_config_validation_errors():

@@ -57,6 +57,32 @@ def test_rescale_rejects_non_real_factor(flat):
         gd.rescale(flat, gd.z(0))
 
 
+@pytest.mark.parametrize("imag, shown", [(1e-10j, "3.000e-11"), (1e-6j, "3.000e-07")])
+def test_a_non_real_factor_on_a_chart_with_no_sampler_is_named_at_its_point(imag, shown):
+    # With no sampler `rescale` checks no point, so the factor's realness is
+    # first checked at the rows the law rescales, before their fill: neither
+    # an ill-conditioned frame (the small imaginary part) nor a non-Hermitian
+    # metric (the larger one) of the rescaled chart is blamed.
+    chart = gd.MetricChart(2, gd.euclidean_chart(2).g, label="bare")
+    pair = gd.rescale(chart, imag * gd.z(0) + 0.1 * gd.z(0) * gd.zbar(0))
+    for law in (lambda: gd.torsion_transform_residual(pair, [0.3, 0.2]),
+                lambda: gd.delta_direct(pair, (1.0, 0.0), [0.3, 0.2])):
+        with pytest.raises(NonRealConformalFactor,
+                           match=rf"^conformal factor has imaginary part {shown} at "
+                                 rf"\[0\.3\+0\.j 0\.2\+0\.j\]$"):
+            law()
+
+
+def test_a_factor_stack_in_an_explicit_frame_has_no_rescaled_side(flat):
+    # The rescaled records are read in Cholesky frames, which an explicit
+    # frame of the base does not pair with: the stack refuses them.
+    p = [0.1, 0.2j]
+    at = gd.FactorAt(flat, [0.1 * gd.abs2(2)], np.array([p], dtype=complex),
+                     connection._metric_points(flat, [p]), frame=gd.unitary_frame(flat, p))
+    with pytest.raises(gd.GauduchonError, match="explicit frame has no rescaled side"):
+        at.rescaled_data
+
+
 @pytest.mark.parametrize("point", [[0.5, 0.5, 0.5], [0.5], [0.0, 0.0]])
 def test_rescale_checks_its_points_against_the_chart(hopf, point):
     # A point of the wrong dimension, or the origin outside the Hopf

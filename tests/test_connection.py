@@ -120,19 +120,18 @@ def test_ill_conditioned_frame_error_names_the_conditioning():
 
 def test_batch_filled_point_data_is_read_only(adm):
     """Every record, from a fill, a one-point fill (`_point`), `_rows` views
-    of a fill, or `_factors_at`'s tiled base rows and rescaled records, has
+    of a fill, or a `FactorAt`'s tiled base rows and rescaled records, has
     its 5 arrays read-only, and no field can be set.  The packed jets a fill
     took are read-only after it too."""
     from dataclasses import FrozenInstanceError
 
-    from gauduchon.conformal import _factors_at
+    from gauduchon.conformal import FactorAt
     from gauduchon.connection import (_check_points, _component_jets, _fill, _metric_points,
                                       _point, _rows)
 
     pts = pts_of(adm, 3, 11)
     whole = _metric_points(adm, pts)
-    pairs = [gd.rescale(adm, 0.1 * gd.abs2(2), check_points=pts)] * 2
-    factors = _factors_at(pairs, np.array(pts), whole)
+    factors = FactorAt(adm, [0.1 * gd.abs2(2)] * 2, np.array(pts), whole)
     reads = [whole, _metric_points(adm, [pts[2], pts[0], pts[2]]), _point(adm, pts[1])[0],
              _rows(whole, slice(1, 3)), factors.data, factors.rescaled_data]
     for b in reads:

@@ -14,7 +14,7 @@ import gauduchon as gd
 import gauduchon.conformal as conformal
 import gauduchon.connection as connection
 from gauduchon.cli import _conformal_factors
-from gauduchon.conformal import _factors_at, delta_weights
+from gauduchon.conformal import FactorAt, delta_weights
 from gauduchon.curvature import _symmetrized
 from gauduchon.connection import _to_frame, as_params
 from gauduchon.errors import ConfigError
@@ -76,8 +76,8 @@ def stacked_factors(spec: int, count: int, seed: int):
     points, as the suite stacks them."""
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
-    pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
-    return _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts))
+    return FactorAt(chart, _conformal_factors(chart.n), np.array(pts),
+                    connection._metric_points(chart, pts))
 
 
 def maxabs(x) -> float:

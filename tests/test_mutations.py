@@ -83,7 +83,7 @@ def test_a_scaled_lichnerowicz_hessian_part_fails(monkeypatch, check):
 
 @pytest.mark.parametrize("check", ["conformal_delta", "commutation"])
 def test_a_scaled_base_torsion_fails(monkeypatch, check):
-    """The base torsion T the conformal laws read, which `_factors_at` takes
+    """The base torsion T the conformal laws read, which `FactorAt` takes
     from `_frame_torsion`."""
     torsion = conformal._frame_torsion
     monkeypatch.setattr(conformal, "_frame_torsion", lambda *args: 1.01 * torsion(*args))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import gauduchon as gd
 import gauduchon.connection as connection
 from gauduchon.cli import _conformal_factors, _jet_rel_err
-from gauduchon.conformal import _factors_at, _rescaled_records
+from gauduchon.conformal import FactorAt, _rescaled_records
 from gauduchon.errors import NonFinite, NotPositiveDefinite
 
 from conftest import bases_of, make_generic_chart
@@ -111,8 +111,10 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
     rule that does not run it."""
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, 3, np.random.default_rng(5))
-    pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
-    records = _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts)).rescaled_data
+    fs = _conformal_factors(chart.n)
+    pairs = [gd.rescale(chart, f, check_points=pts) for f in fs]
+    records = FactorAt(chart, fs, np.array(pts),
+                       connection._metric_points(chart, pts)).rescaled_data
     jets = (records.G, records.grad, records.hess)
     P = len(pts)
     for k, pair in enumerate(pairs):
@@ -124,14 +126,15 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
 
 @pytest.mark.parametrize("spec", [0, 2, 6])
 def test_stacked_factors_equal_each_pair_on_its_own(spec):
-    """`_factors_at` walks every factor once and fills all the rescaled
-    rows together into one `FactorAt` whose rows run (factor, point); each
-    factor's block of rows is its pair's own `FactorAt`."""
+    """A `FactorAt` of several factors walks them once and fills all the
+    rescaled rows together; its rows run (factor, point), and each factor's
+    block of rows is its pair's own `FactorAt`."""
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, 5, np.random.default_rng(4))
     P = len(pts)
-    pairs = [gd.rescale(chart, f, check_points=pts) for f in _conformal_factors(chart.n)]
-    stacked = _factors_at(pairs, np.array(pts), connection._metric_points(chart, pts))
+    fs = _conformal_factors(chart.n)
+    pairs = [gd.rescale(chart, f, check_points=pts) for f in fs]
+    stacked = FactorAt(chart, fs, np.array(pts), connection._metric_points(chart, pts))
     assert stacked.E.shape[0] == len(pairs) * P
     torsion = stacked.torsion_residuals()
     direct = stacked.delta_direct((3.0, 0.0))
@@ -166,9 +169,10 @@ def test_overflowing_scale_raises_as_the_trees_fill_does():
     with pytest.raises(NonFinite) as built, np.errstate(over="ignore", invalid="ignore"):
         pair.at(pts).rescaled_data
     assert str(built.value) == str(walked.value)
-    ok = gd.rescale(chart, 0.1 * gd.abs2(2))
+    ok = 0.1 * gd.abs2(2)
+    stack = FactorAt(chart, [ok, pair.f, ok], pts, connection._metric_points(chart, pts))
     with pytest.raises(NonFinite) as stacked, np.errstate(over="ignore", invalid="ignore"):
-        _factors_at([ok, pair, ok], pts, connection._metric_points(chart, pts))
+        stack.rescaled_data
     assert str(stacked.value) == str(walked.value)
 
 

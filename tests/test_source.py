@@ -125,6 +125,33 @@ def test_factors_have_one_constructor():
     assert not found, f"second FactorAt constructor in conformal.py: {found}"
 
 
+def test_factor_stacks_are_built_one_way():
+    # `FactorAt.__init__` walks, tiles and rescales on its own: no second
+    # stacking function is left, the suite builds no conformal pair, and the
+    # rescaled label and the realness rule are each written once.
+    found = [f"{path.name}: _factors_at" for path in sorted(SRC.glob("*.py"))
+             if re.search(r"\b_factors_at\b", path.read_text(encoding="utf-8"))]
+    if re.search(r"\brescale\b", (SRC / "cli.py").read_text(encoding="utf-8")):
+        found.append("cli.py names rescale")
+    tree = ast.parse((SRC / "conformal.py").read_text(encoding="utf-8"))
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "FactorAt"]
+    [init] = [node for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    args = init.args
+    got = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    if got != ["self", "chart", "fs", "points", "data", "frame"] or args.vararg or args.kwarg:
+        found.append(f"FactorAt.__init__ takes {got}")
+    labels = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and "*exp(2f)" in node.value]
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+              and node.exc.func.id == "NonRealConformalFactor"]
+    if (len(labels), len(raises)) != (1, 1):
+        found.append(f"{len(labels)} exp(2f) labels and {len(raises)} realness raises")
+    assert not found, f"factor stacks built more than one way: {found}"
+
+
 def test_suite_checks_run_one_pass_over_their_points():
     # Each suite check works on stacked points; a loop over the sample
     # points would bring back one evaluation, and one fill, per point.
