@@ -206,9 +206,11 @@ def _jet_rel_err(je, jf) -> np.ndarray:
 class _Suite:
     """One suite run: the chart, its sample points (`small` and `cpts` are
     the first 10 and 5), the RNG the checks draw from in table order, the
-    tolerances and the (t, s) grid.  A check returns one row per record:
-    residuals and point count, plus `params`, `value`, `detail` or a record
-    `tolerance` where those vary; none where the check does not apply.
+    tolerances and the (t, s) grid.  A check returns one row per record: its
+    residual array, `axes` naming each axis (("point",) if not given), plus
+    `params`, `value`, `detail` or a record `tolerance` where those vary;
+    none where the check does not apply.  `run_suite` ravels the array in C
+    order for the residual statistics; `points` is its point axis's length.
 
     Every check is one pass over its stacked points: the points are checked
     once and their metric components walked once (`jets`); the data of all
@@ -272,11 +274,6 @@ class _Suite:
         return FactorAt(self.chart, _conformal_factors(self.chart.n), self.Z[:k],
                         _rows(self.data, slice(k)))
 
-    def _by_factor(self, res: np.ndarray, points: int | None = None) -> np.ndarray:
-        """Residuals res[cell, row] of rows (factor, point), `points` per factor
-        (all 5 by default), in (factor, cell, point) order."""
-        return res.reshape(len(res), -1, points or len(self.cpts)).transpose(1, 0, 2).ravel()
-
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
         # tree gets one finite-difference walk over the points, and its exact
@@ -288,52 +285,48 @@ class _Suite:
         err = {key: _jet_rel_err(WJet2(*(a[:k, ..., i, j] for a in self.jets)),
                                  fd_jets(g[i][j], self.small))
                for key, (i, j) in first.items()}
-        res = np.stack([err[id(f)] for row in g for f in row], axis=1)     # [point, component]
-        return [dict(residuals=res.ravel(), points=k,
+        return [dict(residuals=np.stack([err[id(f)] for row in g for f in row], axis=1),
+                     axes=("point", "component"),
                      detail="eval_jet vs fd_jet on metric components, relative")]
 
     def metric_inverse(self) -> list:
         b = self.data
         res = np.max(np.abs(b.ginv @ b.G.swapaxes(1, 2) - np.eye(self.chart.n)), axis=(1, 2))
-        return [dict(residuals=res, points=len(self.pts))]
+        return [dict(residuals=res)]
 
     def frame_unitarity(self) -> list:
         b = self.data
         res = np.max(np.abs(b.E.swapaxes(1, 2) @ b.G @ b.E.conj() - np.eye(self.chart.n)),
                      axis=(1, 2))
-        return [dict(residuals=res, points=len(self.pts))]
+        return [dict(residuals=res)]
 
     def torsion_antisymmetry(self) -> list:
         T = self.chern[1]
         res = np.max(np.abs(T + T.transpose(0, 1, 3, 2)), axis=(1, 2, 3))
-        return [dict(residuals=res, points=len(self.pts))]
+        return [dict(residuals=res)]
 
     def torsion_tensoriality(self) -> list:
         n, b = self.chart.n, self.small_data
         draws = self.rng.standard_normal((len(self.small), 2, n, n))
         Q, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
-        T = _frame_torsion(b, b.E)
         Trot = _frame_torsion(b, b.E @ Q)
-        pred = np.einsum("pkc,pkij,pia,pjb->pcab", Q.conj(), T, Q, Q)
-        return [dict(residuals=np.max(np.abs(Trot - pred), axis=(1, 2, 3)),
-                     points=len(self.small))]
+        pred = np.einsum("pkc,pkij,pia,pjb->pcab", Q.conj(), self.chern[1][:len(Q)], Q, Q)
+        return [dict(residuals=np.max(np.abs(Trot - pred), axis=(1, 2, 3)))]
 
     def hermitian_symmetry(self) -> list:
         R = self.gauduchon
         res = np.max(np.abs(R - np.conj(np.einsum("...lkji->...klij", R))), axis=(2, 3, 4, 5))
-        return [dict(residuals=res.ravel(), points=len(self.small))]
+        return [dict(residuals=res, axes=("point", "cell"))]
 
     def interpolation(self) -> list:
-        # Chern is t = 1 on the Gauduchon line; at each ORACLE_PARAMS cell the
-        # basis combination meets the curvature of D^t_s from its own
-        # Christoffel symbols.
-        b, B = self.small_data, self.bases
-        chern = np.tensordot(canonical_weights((1.0, 0.0)), B, (0, 1)) - self.chern[0][:len(B)]
-        W = canonical_weights(ORACLE_PARAMS)
-        oracle = np.tensordot(W, B, (1, 1)) - _curvature_oracle(ORACLE_PARAMS, b)
-        res = [np.max(np.abs(chern), axis=(1, 2, 3, 4)),
-               np.max(np.abs(oracle), axis=(2, 3, 4, 5)).ravel()]
-        return [dict(residuals=np.concatenate(res), points=len(self.small))]
+        # Cell 0: Chern is t = 1 on the Gauduchon line; at each ORACLE_PARAMS
+        # cell after it the basis combination meets the curvature of D^t_s
+        # from its own Christoffel symbols.
+        B = self.bases
+        R = np.tensordot(canonical_weights(((1.0, 0.0),) + ORACLE_PARAMS), B, (1, 1))
+        R[0] -= self.chern[0][:len(B)]
+        R[1:] -= _curvature_oracle(ORACLE_PARAMS, self.small_data)
+        return [dict(residuals=np.max(np.abs(R), axis=(2, 3, 4, 5)), axes=("cell", "point"))]
 
     def hsc_symmetrize(self) -> list:
         n = self.chart.n
@@ -341,14 +334,13 @@ class _Suite:
         draws = self.rng.standard_normal((len(self.small), 4, 2, n))
         eta = draws[:, :, 0] + 1j * draws[:, :, 1]
         res = np.abs(hsc(C, eta) - hsc(symmetrize(C), eta))
-        return [dict(residuals=res.ravel(), points=len(self.small))]
+        return [dict(residuals=res, axes=("point", "direction"))]
 
     def constancy(self) -> list:
         if not self.grid:
             return []
         cs, res = _constancy_fit(qline_weights(self.grid), _qline_pair(*self.chern))
-        return [dict(residuals=r, points=len(self.pts), params=(t, s),
-                     value=float(np.mean(c)),
+        return [dict(residuals=r, params=(t, s), value=float(np.mean(c)),
                      detail=f"c in [{min(c):.6g}, {max(c):.6g}]; "
                             f"circle_residual={circle_residual(t, s):.6g}")
                 for (t, s), c, r in zip(self.grid, cs, res)]
@@ -358,15 +350,19 @@ class _Suite:
         if not np.max(np.abs(T)) < KAHLER_TOL:
             return []
         res = np.max(np.abs(self.gauduchon - RC[:, None]), axis=(2, 3, 4, 5))
-        return [dict(residuals=res.ravel(), points=len(self.small),
+        return [dict(residuals=res, axes=("point", "cell"),
                      detail="all Gauduchon curvatures equal Chern")]
 
     def conformal_torsion(self) -> list:
-        return [dict(residuals=self.factors.torsion_residuals(), points=len(self.cpts))]
+        at = self.factors
+        return [dict(residuals=at.torsion_residuals().reshape(len(at.fs), -1),
+                     axes=("factor", "point"))]
 
     def commutation(self) -> list:
-        res = self.factors.commutation_residuals(np.array([1.0, 3.0]))
-        return [dict(residuals=self._by_factor(res), points=len(self.cpts))]
+        at = self.factors
+        res = at.commutation_residuals(np.array([1.0, 3.0]))      # [cell, (factor, point)]
+        return [dict(residuals=res.reshape(len(res), len(at.fs), -1).transpose(1, 0, 2),
+                     axes=("factor", "cell", "point"))]
 
     def conformal_delta(self) -> list:
         # The law is checked for the first 2 shared factors at the first 3
@@ -376,7 +372,8 @@ class _Suite:
         rows = np.arange(len(at.points)).reshape(-1, len(self.cpts))[:2, :k].ravel()
         res = np.max(np.abs(at.delta_predicted(cells)[:, rows] - at.delta_direct(cells, rows)),
                      axis=(2, 3, 4, 5))
-        return [dict(residuals=self._by_factor(res, k), points=k)]
+        return [dict(residuals=res.reshape(len(cells), 2, k).transpose(1, 0, 2),
+                     axes=("factor", "cell", "point"))]
 
     def selfdual_weyl(self) -> list:
         if self.chart.n != 2:
@@ -386,7 +383,7 @@ class _Suite:
         sd = np.max(_selfdual(R), axis=1)
         w = np.linalg.norm(_weyl_minus(R), 2, axis=(1, 2))
         res = np.where((sd < 1e-8) == (w < limit), 0.0, 1.0)
-        return [dict(residuals=res, points=len(self.small), tolerance=0.0,
+        return [dict(residuals=res, tolerance=0.0,
                      detail=f"disagreements between component self-duality residuals "
                             f"< 1e-8 and ||W_-|| < {limit:g}")]
 
@@ -433,8 +430,10 @@ def run_suite(config: SuiteConfig) -> Report:
         share = (time.perf_counter() - t0) / max(len(rows), 1)
         for row in rows:
             res = np.asarray(row.pop("residuals"), dtype=float)
+            points = res.shape[row.pop("axes", ("point",)).index("point")]
+            res = np.ravel(res)         # C order of the declared axes
             tolerance = row.pop("tolerance", run.tol[name])
-            records.append(Record(name=name, chart=chart.label,
+            records.append(Record(name=name, chart=chart.label, points=points,
                                   residual_max=float(res.max()),
                                   residual_mean=float(res.mean()), tolerance=tolerance,
                                   passed=bool(res.max() <= tolerance), wall_time_s=share,

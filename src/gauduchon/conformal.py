@@ -131,8 +131,8 @@ class FactorAt:
             raise GauduchonError("a factor stack in an explicit frame has no rescaled side")
         _require_real(self.jet.value, self.points)
         P = len(self.points) // len(self.fs)
-        return _rescaled_records([RESCALED_LABEL.format(self.chart.label)] * len(self.fs),
-                                 self.points[:P], _rows(self.data, slice(P)), self.jet)
+        return _rescaled_records(RESCALED_LABEL.format(self.chart.label), self.points[:P],
+                                 _rows(self.data, slice(P)), self.jet)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -267,16 +267,16 @@ def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorA
     return FactorAt(chart, [f], Z, _chart_fill(chart, Z), frame)
 
 
-def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _MetricData:
+def _rescaled_records(label: str, Z: np.ndarray, b: _MetricData, J: WJet2) -> _MetricData:
     """Records of the charts e^2f g at the points Z of the base record b, one
-    block of len(Z) rows per label, built in one `_fill`: J is the factors'
-    jet at Z, block-major, and block k's rows carry labels[k].  Each
+    block of len(Z) rows per factor, built in one `_fill`: J is the factors'
+    jet at Z, block-major, and every row carries `label`.  Each
     component's jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see
     `rescale`), the scale jet (J * 2.0).exp() times the base record's packed
     jets (G, grad, hess) by `WJet2.__mul__`, so the record is the one a fill
     of the rescaled chart's trees gives.  As in that walk's `eval_jets`, a
     non-finite jet raises NonFinite naming its point."""
-    k, P, n = len(labels), len(Z), Z.shape[-1]
+    k, (P, n) = len(J.value) // len(Z), Z.shape
     # The scale's parts as [factor, 1, 1, point, derivative axes] times the
     # base's as [i, j, point, derivative axes].
     scale = (J * 2.0).exp()
@@ -290,7 +290,7 @@ def _rescaled_records(labels, Z: np.ndarray, b: _MetricData, J: WJet2) -> _Metri
                 WJet2(*(a[q, i, j] for a in parts)).check_finite()
             except NonFinite as exc:
                 raise NonFinite(f"{exc} at point {Z[exc.row]}") from None
-    return _fill(np.repeat(labels, P), np.tile(Z, (k, 1)),
+    return _fill((label,) * (k * P), np.tile(Z, (k, 1)),
                  *(np.moveaxis(a, (1, 2), (-2, -1)).reshape((k * P,) + a.shape[4:] + (n, n))
                    for a in parts))
 

@@ -493,8 +493,7 @@ def lc_curvature_fd(chart: MetricChart, z, frame=None, h: float = 1e-4) -> Curv4
     w[:n] = 0.5 * E
     w[n:] = -0.5j * E
     v = np.conj(w)
-    Rf = np.einsum("pa,qb,rc,sd,pqrs->abcd", w, v, w, v, Riem)
-    return Curv4(Rf, connection="levi-civita (fd oracle)")
+    return Curv4(_to_frame(Riem, w, v, w, v), connection="levi-civita (fd oracle)")
 
 
 def scalar_curvature_fd(chart: MetricChart, z, h: float = 1e-4) -> float:

@@ -200,6 +200,26 @@ def test_a_run_that_reads_no_rescaled_side_fills_none(monkeypatch):
     assert fills == [40]
 
 
+def test_suite_frames_each_rows_torsion_once(monkeypatch):
+    """The bench's suite_adm2 config: `_frame_torsion` runs on the 40 points
+    (`_Suite.chern`, whose first 10 rows `torsion_tensoriality` reads), the
+    10 rotated frames, the 5 conformal base rows, the 15 rescaled rows and
+    the 12 rows `conformal_delta` compares; no call builds the first 10
+    points' torsion a second time."""
+    rows = []
+    kernel = connection._frame_torsion
+
+    def counted(b, E):
+        rows.append(len(E))
+        return kernel(b, E)
+
+    for module in (connection, curvature, conformal, cli):
+        if getattr(module, "_frame_torsion", None) is kernel:
+            monkeypatch.setattr(module, "_frame_torsion", counted)
+    assert run_suite(suite_adm2_config()).all_passed
+    assert rows == [40, 10, 5, 15, 12]
+
+
 def counting_fills(monkeypatch):
     """Record the points of every `_metric_points` fill, in every module
     that makes one."""

@@ -111,9 +111,9 @@ def test_suite_rescales_each_conformal_factor_once(monkeypatch):
     fills = []
     rescaled_records = conformal._rescaled_records
 
-    def counting(labels, *args):
-        fills.append(list(labels))
-        return rescaled_records(labels, *args)
+    def counting(label, Z, b, J):
+        fills.append((label, len(J.value) // len(Z)))
+        return rescaled_records(label, Z, b, J)
 
     monkeypatch.setattr(conformal, "_rescaled_records", counting)
     config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 5,
@@ -121,7 +121,7 @@ def test_suite_rescales_each_conformal_factor_once(monkeypatch):
     report = run_suite(config)
     assert [r.name for r in report.records] == ["conformal_torsion", "conformal_delta"]
     chart = report.records[0].chart
-    assert fills == [[f"{chart}*exp(2f)"] * 3]     # n = 2: three factors, each rescaled once
+    assert fills == [(f"{chart}*exp(2f)", 3)]     # n = 2: three factors, each rescaled once
 
 
 def test_suite_config_validation_errors():

@@ -83,7 +83,7 @@ def test_records_keep_an_exactly_symmetric_packed_hessian(spec, count, seed):
     factors = _conformal_factors(chart.n)
     Z = np.array(pts)
     jet = stacked(gd.eval_jets(factors, Z))
-    assert_packed_record(_rescaled_records([f"f{k}" for k in range(len(factors))], Z, b, jet))
+    assert_packed_record(_rescaled_records("f*exp(2f)", Z, b, jet))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -98,7 +98,7 @@ def test_leibniz_record_equals_the_rescaled_trees_fill(spec, which, count, seed)
     want = connection._metric_points(pair.rescaled, pts)
     Z = np.array(pts)
     [jet] = gd.eval_jets([f], Z)
-    got = _rescaled_records([pair.rescaled.label], Z, connection._metric_points(chart, pts), jet)
+    got = _rescaled_records(pair.rescaled.label, Z, connection._metric_points(chart, pts), jet)
     assert_same_record(got, want)
     assert_same_record(pair.at(pts).rescaled_data, want)
     assert all(not a.flags.writeable for a in vars(got).values())
@@ -177,16 +177,16 @@ def test_overflowing_scale_raises_as_the_trees_fill_does():
 
 
 def test_a_bad_row_of_the_stacked_fill_names_its_own_chart_and_point():
-    """Three factor blocks on one base: the second factor's scale is not
-    real at the third point only, so its rescaled metric is not Hermitian
-    there, and the error names that block's label and that point."""
+    """Three factor blocks on one base, all rows under the one rescaled
+    label: the second factor's scale is not real at the third point only, so
+    its rescaled metric is not Hermitian there, and the error names the
+    label and that point; the other two blocks fill."""
     chart = gd.euclidean_chart(2)
     pts = np.array([[0.1, 0.2], [0.3, 0.0], [0.2 + 0.3j, 0.1]], dtype=complex)
     jets = gd.eval_jets([0.1 * gd.abs2(2), gd.z(0) - gd.zbar(0), 0.1 * gd.abs2(2)], pts)
     base = connection._metric_points(chart, pts)
-    labels = ["A*exp(2f)", "B*exp(2f)", "C*exp(2f)"]
     with pytest.raises(NotPositiveDefinite,
                        match=r"^metric of B\*exp\(2f\) is not Hermitian at \[0\.2\+0\.3j"):
-        _rescaled_records(labels, pts, base, stacked(jets))
-    good = _rescaled_records(labels[:1], pts, base, jets[0])
-    assert good.G.shape == (3, 2, 2)
+        _rescaled_records("B*exp(2f)", pts, base, stacked(jets))
+    good = _rescaled_records("B*exp(2f)", pts, base, stacked([jets[0], jets[2]]))
+    assert good.G.shape == (6, 2, 2)

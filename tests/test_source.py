@@ -169,6 +169,63 @@ def test_suite_checks_run_one_pass_over_their_points():
     assert not found, f"_Suite methods loop over sample points: {found}"
 
 
+def is_ravel(node) -> bool:
+    """Whether an AST node is a `.ravel()` or `np.ravel(...)` call."""
+    return isinstance(node, ast.Call) and (getattr(node.func, "attr", None) == "ravel"
+                                           or getattr(node.func, "id", None) == "ravel")
+
+
+def flattened_residuals(cls: ast.ClassDef) -> list[str]:
+    """The methods of a suite class that count their own points (a `points=`
+    keyword) or ravel their residuals: a `ravel` call in a `residuals=`
+    value, or in an assignment to a name that value reads (not further: an
+    index raveled to pick rows is not a residual)."""
+    found = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        kws = [kw for node in ast.walk(method) if isinstance(node, ast.Call)
+               for kw in node.keywords]
+        found += [f"{method.name}: points=" for kw in kws if kw.arg == "points"]
+        values = [kw.value for kw in kws if kw.arg == "residuals"]
+        read = {node.id for value in values for node in ast.walk(value)
+                if isinstance(node, ast.Name)}
+        values += [node.value for node in ast.walk(method) if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id in read
+                           for target in node.targets for t in ast.walk(target))]
+        found += [f"{method.name}: ravel" for value in values for node in ast.walk(value)
+                  if is_ravel(node)]
+    return found
+
+
+def test_suite_checks_leave_flattening_and_counting_to_run_suite():
+    # A check returns its residuals with their axes: `run_suite` alone
+    # ravels them and reads the point count off the point axis, so no check
+    # writes `points=` or ravels, and no per-check reshaping helper is left.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    [suite] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Suite"]
+    found = flattened_residuals(suite)
+    found += [f"{path.name}: _by_factor" for path in sorted(SRC.glob("*.py"))
+              if re.search(r"\b_by_factor\b", path.read_text(encoding="utf-8"))]
+    tree = ast.parse((SRC / "conformal.py").read_text(encoding="utf-8"))
+    [records] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_rescaled_records"]
+    if records.args.args[0].arg != "label":
+        found.append(f"_rescaled_records takes {records.args.args[0].arg}")
+    assert not found, f"suite checks that flatten or count: {found}"
+
+
+def test_flattened_residuals_are_found():
+    tree = ast.parse(
+        "class S:\n"
+        "    def a(self):\n        return [dict(residuals=x.ravel(), points=3)]\n"
+        "    def b(self):\n        res = np.ravel(x)\n        return [dict(residuals=res)]\n"
+        "    def c(self):\n        rows = idx.ravel()\n        res = x[rows]\n"
+        "        return [dict(residuals=res, axes=('point',))]\n")
+    assert flattened_residuals(tree.body[0]) == ["a: points=", "a: ravel", "b: ravel"]
+
+
 def test_field_grammar_is_declared_once():
     # Each operator names itself once, as its node class's `op`: in wjet.py
     # only ScalarField's one `serialize` and the leaves' (constant,
