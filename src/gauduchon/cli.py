@@ -32,7 +32,8 @@ from . import SCHEMA_VERSION, CONVENTIONS_VERSION
 from .catalog import circle_residual, make_chart, sample_points
 from .conformal import KAHLER_TOL, FactorAt
 from .connection import (MetricChart, _MetricData, _basis_stack, _check_points,
-                         _chern_stack, _component_jets, _fill, _frame_torsion, _rows)
+                         _chern_stack, _component_jets, _fill, _frame_torsion, _rows,
+                         _to_frame)
 from .curvature import (canonical_curvature, canonical_weights, constancy_table, curv4_rows,
                         hsc, qline_weights, symmetrize, _constancy_fit, _curvature_oracle,
                         _qline_pair, _qline_points, _selfdual, _weyl_minus)
@@ -204,18 +205,19 @@ def _jet_rel_err(je, jf) -> np.ndarray:
 
 
 class _Suite:
-    """One suite run: the chart, its sample points (`small` and `cpts` are
-    the first 10 and 5), the RNG the checks draw from in table order, the
-    tolerances and the (t, s) grid.  A check returns one row per record: its
-    residual array, `axes` naming each axis (("point",) if not given), plus
-    `params`, `value`, `detail` or a record `tolerance` where those vary;
-    none where the check does not apply.  `run_suite` ravels the array in C
-    order for the residual statistics; `points` is its point axis's length.
+    """One suite run: the chart, its checked sample points `Z` (`small` and
+    `cpts` are views of the first 10 and 5), the RNG the checks draw from
+    in table order, the tolerances and the (t, s) grid.  A check returns one
+    row per record: its residual array, `axes` naming each axis (("point",)
+    if not given), plus `params`, `value`, `detail` or a record `tolerance`
+    where those vary; none where the check does not apply.  `run_suite`
+    ravels the array in C order for the residual statistics; `points` is
+    its point axis's length.
 
     Every check is one pass over its stacked points: the points are checked
     once and their metric components walked once (`jets`); the data of all
     the points is one record filled from that walk (`data`, `small_data` its
-    first 10 points), their Chern curvature and torsion built once (`chern`);
+    first 10 rows), their Chern curvature and torsion built once (`chern`);
     bases for the first 10 points only (`bases`), rescaled conformal rows
     only if a check reads them (`factors`)."""
 
@@ -224,10 +226,8 @@ class _Suite:
         self.grid = config.params_grid
         self.tol = {name: tol for name, (tol, _) in CHECKS.items()} | config.tolerances
         self.rng = np.random.default_rng(config.seed)
-        self.pts = sample_points(chart, config.sample_count, self.rng)
-        self.small = self.pts[:10]
-        self.cpts = self.pts[:5]
-        self.Z = _check_points(chart, self.pts)
+        self.Z = _check_points(chart, sample_points(chart, config.sample_count, self.rng))
+        self.small, self.cpts = self.Z[:10], self.Z[:5]
 
     @cached_property
     def jets(self) -> tuple:
@@ -240,7 +240,7 @@ class _Suite:
     def data(self) -> _MetricData:
         """Data of every point, one record with a leading point axis, filled
         from `jets` (see `connection._fill`)."""
-        return _fill((self.chart.label,) * len(self.Z), self.Z, *self.jets)
+        return _fill(self.chart.label, self.Z, *self.jets)
 
     @cached_property
     def small_data(self) -> _MetricData:
@@ -270,9 +270,8 @@ class _Suite:
         `FactorAt` whose rows run (factor, point), shared by the three
         conformal checks: one walk of the factors, no second point check, and
         the rescaled records from one fill when a check first reads them."""
-        k = len(self.cpts)
-        return FactorAt(self.chart, _conformal_factors(self.chart.n), self.Z[:k],
-                        _rows(self.data, slice(k)))
+        return FactorAt(self.chart, _conformal_factors(self.chart.n),
+                        _rows(self.data, slice(len(self.cpts))))
 
     def wjet_oracle(self) -> list:
         # The catalog charts share trees between components: each distinct
@@ -310,7 +309,7 @@ class _Suite:
         draws = self.rng.standard_normal((len(self.small), 2, n, n))
         Q, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
         Trot = _frame_torsion(b, b.E @ Q)
-        pred = np.einsum("pkc,pkij,pia,pjb->pcab", Q.conj(), self.chern[1][:len(Q)], Q, Q)
+        pred = _to_frame(self.chern[1][:len(Q)], Q.conj(), Q, Q)
         return [dict(residuals=np.max(np.abs(Trot - pred), axis=(1, 2, 3)))]
 
     def hermitian_symmetry(self) -> list:
@@ -367,9 +366,9 @@ class _Suite:
     def conformal_delta(self) -> list:
         # The law is checked for the first 2 shared factors at the first 3
         # of their 5 points: only those rows' bases are built.
-        k = len(self.pts[:3])
+        k = len(self.Z[:3])
         at, cells = self.factors, [(1.0, 0.0), (3.0, 0.0), (-1.0, 2.0)]
-        rows = np.arange(len(at.points)).reshape(-1, len(self.cpts))[:2, :k].ravel()
+        rows = np.arange(len(at.data.Z)).reshape(-1, len(self.cpts))[:2, :k].ravel()
         res = np.max(np.abs(at.delta_predicted(cells)[:, rows] - at.delta_direct(cells, rows)),
                      axis=(2, 3, 4, 5))
         return [dict(residuals=res.reshape(len(cells), 2, k).transpose(1, 0, 2),

@@ -11,12 +11,13 @@ base at the parameter the formula dictates (t for the t-family delta, p for
 the (t, s)-family delta); both orderings f_{k lbar} and f_{lbar k} are
 exposed, related by the commutation rule.
 
-The laws run on stacked points (`FactorAt`), one constructor for one
-factor or several on one base: one jet walk of the factors, the base rows
+The laws run on the stacked rows of a base record (`FactorAt`), one
+constructor for one factor or several on one base: one jet walk of the
+factors at the record's points, the base rows, each with its point,
 tiled per factor.  The rescaled side, built when a law first reads it, is
-the rescaled chart's record, its jets the products of the scale jet and
-the base's jets under `WJet2.__mul__`, then through `_fill`
-(`_rescaled_records`); its Cholesky frames are the paired ones,
+the rescaled chart's record at the same points, its jets the products of
+the scale jet and the base's jets under `WJet2.__mul__`, then through
+`_fill` (`_rescaled_records`); its Cholesky frames are the paired ones,
 chol(e^2f G) = e^f chol(G).  The per-point functions are P = 1 calls.
 """
 
@@ -28,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (FrameAtPoint, MetricChart, as_params, unitary_frame, _MetricData,
-                         _basis_stack, _chart_fill, _check_points, _chern_stack, _fill,
-                         _frame_E, _frame_torsion, _read_only, _rows, _to_frame)
+                         _basis_stack, _check_points, _chern_stack, _fill, _frame_E,
+                         _frame_torsion, _metric_points, _read_only, _rows, _to_frame)
 from .curvature import Curv4, canonical_weights, qline_weights, symmetrize, _symmetrized, _ts_pairs
 from .errors import BaseNotKahler, GauduchonError, NonFinite, NonRealConformalFactor
 from .wjet import Const, Exp, Mul, ScalarField, WJet2, eval_jets
@@ -93,26 +94,24 @@ def paired_frames(pair: ConformalPair, z, base_frame=None):
 
 
 class FactorAt:
-    """Real conformal factors `fs` on `chart` at the checked (P, n) array
-    `points` of its record `data`, stacked in rows (factor, point),
-    factor-major: one `eval_jets` walk gives `jet`, `value` its value,
+    """Real conformal factors `fs` on `chart` at the rows of its record
+    `data`, stacked in rows (factor, point), factor-major: one `eval_jets`
+    walk at the points data.Z gives `jet`, `value` its value,
     fr[p, a] = e_a f, frbar[p, a] = ebar_a f and grad2 = f_r f_rbar, and the
-    base rows, their frames E (Cholesky, or the explicit `frame` of one
-    point) and the base torsion T in them are tiled.  Each law is one pass
-    over the rows: what does not depend on (t, s), the Hessian parts, the
-    commutation parts and the four delta parts, is built once and weighed
-    per (t, s)."""
+    base rows with their points, their frames E (Cholesky, or the explicit
+    `frame` of one point) and the base torsion T in them are tiled.  Each
+    law is one pass over the rows: what does not depend on (t, s), the
+    Hessian parts, the commutation parts and the four delta parts, is built
+    once and weighed per (t, s)."""
 
-    def __init__(self, chart: MetricChart, fs, points: np.ndarray, data: _MetricData,
-                 frame=None):
+    def __init__(self, chart: MetricChart, fs, data: _MetricData, frame=None):
         def tiled(a):
             return _read_only(np.concatenate([a] * len(fs)))
 
         E = data.E if frame is None else _frame_E(frame)[None]
         self.chart, self.fs, self.frame = chart, fs, frame
-        self.points = tiled(points)
         self.jet = WJet2(*map(np.concatenate, zip(*(vars(j).values()
-                                                    for j in eval_jets(fs, points)))))
+                                                    for j in eval_jets(fs, data.Z)))))
         self.data = _MetricData(*map(tiled, vars(data).values()))
         self.E, self.T = tiled(E), tiled(_frame_torsion(data, E))
         self.value = self.jet.value.real
@@ -129,9 +128,9 @@ class FactorAt:
         it, and refused in an explicit frame."""
         if self.frame is not None:
             raise GauduchonError("a factor stack in an explicit frame has no rescaled side")
-        _require_real(self.jet.value, self.points)
-        P = len(self.points) // len(self.fs)
-        return _rescaled_records(RESCALED_LABEL.format(self.chart.label), self.points[:P],
+        _require_real(self.jet.value, self.data.Z)
+        P = len(self.data.Z) // len(self.fs)
+        return _rescaled_records(RESCALED_LABEL.format(self.chart.label),
                                  _rows(self.data, slice(P)), self.jet)
 
     @cached_property
@@ -260,23 +259,22 @@ def delta_weights(params) -> np.ndarray:
 
 
 def _at_point(chart: MetricChart, f: ScalarField, points, frame=None) -> FactorAt:
-    """The factor f on `chart` at the points: one check, one fill of the
-    base, then its `FactorAt`, in the points' Cholesky frames, or in the
-    explicit `frame` of a one-point call."""
-    Z = _check_points(chart, points)
-    return FactorAt(chart, [f], Z, _chart_fill(chart, Z), frame)
+    """The factor f on `chart` at the points: one fill of the base, then its
+    `FactorAt`, in the points' Cholesky frames, or in the explicit `frame`
+    of a one-point call."""
+    return FactorAt(chart, [f], _metric_points(chart, points), frame)
 
 
-def _rescaled_records(label: str, Z: np.ndarray, b: _MetricData, J: WJet2) -> _MetricData:
-    """Records of the charts e^2f g at the points Z of the base record b, one
-    block of len(Z) rows per factor, built in one `_fill`: J is the factors'
-    jet at Z, block-major, and every row carries `label`.  Each
+def _rescaled_records(label: str, b: _MetricData, J: WJet2) -> _MetricData:
+    """Records of the charts e^2f g at the points b.Z of the base record b,
+    one block of len(b.Z) rows per factor, built in one `_fill`: J is the
+    factors' jet at b.Z, block-major, and every row carries `label`.  Each
     component's jet is the tree walk's `Mul(Exp(Mul(Const(2), f)), g)` (see
     `rescale`), the scale jet (J * 2.0).exp() times the base record's packed
     jets (G, grad, hess) by `WJet2.__mul__`, so the record is the one a fill
     of the rescaled chart's trees gives.  As in that walk's `eval_jets`, a
     non-finite jet raises NonFinite naming its point."""
-    k, (P, n) = len(J.value) // len(Z), Z.shape
+    k, (P, n) = len(J.value) // len(b.Z), b.Z.shape
     # The scale's parts as [factor, 1, 1, point, derivative axes] times the
     # base's as [i, j, point, derivative axes].
     scale = (J * 2.0).exp()
@@ -289,16 +287,15 @@ def _rescaled_records(label: str, Z: np.ndarray, b: _MetricData, J: WJet2) -> _M
             try:
                 WJet2(*(a[q, i, j] for a in parts)).check_finite()
             except NonFinite as exc:
-                raise NonFinite(f"{exc} at point {Z[exc.row]}") from None
-    return _fill((label,) * (k * P), np.tile(Z, (k, 1)),
+                raise NonFinite(f"{exc} at point {b.Z[exc.row]}") from None
+    return _fill(label, np.tile(b.Z, (k, 1)),
                  *(np.moveaxis(a, (1, 2), (-2, -1)).reshape((k * P,) + a.shape[4:] + (n, n))
                    for a in parts))
 
 
-def frame_gradient(pair_or_chart, f: ScalarField, z, frame=None):
-    """(f_a, f_abar) = frame components of df: f_a = e_a f,
+def frame_gradient(chart: MetricChart, f: ScalarField, z, frame=None):
+    """(f_a, f_abar) = frame components of df on `chart`: f_a = e_a f,
     f_abar = ebar_a f."""
-    chart = pair_or_chart.base if isinstance(pair_or_chart, ConformalPair) else pair_or_chart
     F = _at_point(chart, f, [z], frame)
     return F.fr[0], F.frbar[0]
 
@@ -387,7 +384,7 @@ def delta_kahler_predicted(pair: ConformalPair, params, z) -> Curv4:
     tors = float(np.max(np.abs(at.T)))
     if tors > KAHLER_TOL:
         raise BaseNotKahler(f"base chart {pair.base.label} has torsion "
-                            f"{tors:.2e} at {at.points[0]}")
+                            f"{tors:.2e} at {at.data.Z[0]}")
     return Curv4(at.delta_symmetrized(pr)[0],
                  connection=f"delta kahler sym(t={pr.t:g}, s={pr.s:g})")
 

@@ -90,12 +90,15 @@ class FrameAtPoint:
 @dataclass(frozen=True, eq=False)
 class _MetricData:
     """Read-only metric data at stacked points, every array with a leading
-    point axis.  The jets are packed over (z, zbar) as `_component_jets`
-    stacks them: grad[p, a, i, j] = d_a g_{i jbar} and hess[p, a, b, i, j],
-    exactly symmetric in (a, b); dG, ..., dbardbarG name its blocks as
-    views, with or without the point axis.  E[p] is the point's Cholesky
-    frame.  A fill's record, built whole in one pass and never written."""
+    point axis: Z[p] is row p's checked point, so slicing, tiling or
+    stacking records carries each row's point along.  The jets are packed
+    over (z, zbar) as `_component_jets` stacks them: grad[p, a, i, j] =
+    d_a g_{i jbar} and hess[p, a, b, i, j], exactly symmetric in (a, b);
+    dG, ..., dbardbarG name its blocks as views, with or without the point
+    axis.  E[p] is the point's Cholesky frame.  A fill's record, built
+    whole in one pass and never written."""
 
+    Z: np.ndarray
     G: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
@@ -112,17 +115,12 @@ class _MetricData:
 
 def _metric_points(chart: MetricChart, points) -> _MetricData:
     """The fill: point data of `chart` at the points, one read-only record
-    with a leading point axis, checked (`_check_points`), then filled
-    (`_chart_fill`).  A failing point (outside the domain, at an expression
-    guard, not Hermitian positive definite) raises its error.  Nothing is
-    kept: each call fills afresh."""
-    return _chart_fill(chart, _check_points(chart, points))
-
-
-def _chart_fill(chart: MetricChart, Z: np.ndarray) -> _MetricData:
-    """The fill of points Z that `_check_points` has passed: one walk
-    (`_component_jets`), then the record (`_fill`)."""
-    return _fill((chart.label,) * len(Z), Z, *_component_jets(chart, Z))
+    with a leading point axis, checked (`_check_points`), walked once
+    (`_component_jets`), then filled (`_fill`).  A failing point (outside
+    the domain, at an expression guard, not Hermitian positive definite)
+    raises its error.  Nothing is kept: each call fills afresh."""
+    Z = _check_points(chart, points)
+    return _fill(chart.label, Z, *_component_jets(chart, Z))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -195,13 +193,13 @@ def _component_jets(chart: MetricChart, Z: np.ndarray) -> tuple:
                  for part in zip(*(vars(J).values() for J in distinct)))
 
 
-def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
+def _fill(label: str, Z: np.ndarray, G, grad, hess) -> _MetricData:
     """The array stage of a fill: from the packed jets (G, grad, hess) of the
-    points Z, stacked as `_component_jets` stacks them, check each row
-    Hermitian positive definite, build its inverse and Cholesky frame (no
-    basis), and freeze the record, which keeps the packed jets as they are.
-    Row p belongs to the chart labelled labels[p]; a failing row's error
-    names that label and Z[p]."""
+    checked points Z, stacked as `_component_jets` stacks them, check each
+    row Hermitian positive definite, build its inverse and Cholesky frame
+    (no basis), and freeze the record, which keeps Z and the packed jets as
+    they are.  The rows belong to the chart labelled `label`; a failing
+    row's error names it and its point Z[p]."""
     n = G.shape[-1]
     GH = G.conj().transpose(0, 2, 1)
     herm_defect = np.max(np.abs(G - GH), axis=(1, 2))
@@ -212,10 +210,10 @@ def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
     if bad.size:
         p = bad[0]
         if not_herm[p]:
-            raise NotPositiveDefinite(f"metric of {labels[p]} is not Hermitian at {Z[p]} "
+            raise NotPositiveDefinite(f"metric of {label} is not Hermitian at {Z[p]} "
                                       f"(defect {herm_defect[p]:.2e})")
         raise NotPositiveDefinite(
-            f"metric of {labels[p]} has smallest eigenvalue {eig[p, 0]:.3e} at {Z[p]}")
+            f"metric of {label} has smallest eigenvalue {eig[p, 0]:.3e} at {Z[p]}")
     ginv = np.linalg.inv(G).transpose(0, 2, 1)
     L = np.linalg.cholesky(Gh)          # G = L L^H, deterministic, no pivoting
     # Unitarity of a (1,0) frame means g(e_a, ebar_b) = (E^T G conj(E))[a,b]
@@ -227,10 +225,10 @@ def _fill(labels, Z: np.ndarray, G, grad, hess) -> _MetricData:
         p = bad[0]
         lam, top = eig[p, [0, -1]]
         raise NotPositiveDefinite(
-            f"Cholesky frame of {labels[p]} at {Z[p]} has unitarity defect {defects[p]:.3e}"
+            f"Cholesky frame of {label} at {Z[p]} has unitarity defect {defects[p]:.3e}"
             f" > {FRAME_TOL:g}: G is positive definite (smallest eigenvalue "
             f"{lam:.3e}) but ill-conditioned (cond(G) = {top / lam:.3e})")
-    return _MetricData(*map(_read_only, (G, grad, hess, ginv, E)))   # and so its views
+    return _MetricData(*map(_read_only, (Z, G, grad, hess, ginv, E)))   # and so its views
 
 
 def _rows(b: _MetricData, index) -> _MetricData:

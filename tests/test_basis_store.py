@@ -80,7 +80,7 @@ def test_batched_bases_equal_per_point_build(name, count, seed):
     np.testing.assert_array_equal(gd.canonical_basis(chart, pts[0], fr), bases[0])
 
 
-FIELDS = ("G", "grad", "hess", "ginv", "E")
+FIELDS = ("Z", "G", "grad", "hess", "ginv", "E")
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -154,11 +154,11 @@ def counting(monkeypatch):
         builds.append((len(T), filling[0]))
         return build(RC, T)
 
-    def counted_fill(labels, *args):
-        fills.append(len(labels))
+    def counted_fill(label, Z, *args):
+        fills.append(len(Z))
         filling[0] = True
         try:
-            return fill(labels, *args)
+            return fill(label, Z, *args)
         finally:
             filling[0] = False
 

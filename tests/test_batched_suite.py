@@ -76,7 +76,7 @@ def test_torsion_tensoriality_equals_the_per_point_loop():
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         T = gd.chern_torsion(chart, p, fr)
         Trot = gd.chern_torsion(chart, p, fr.rotated(Q))
-        res.append(maxabs(Trot - np.einsum("ck,kij,ia,jb->cab", Q.conj().T, T, Q, Q)))
+        res.append(maxabs(Trot - connection._to_frame(T, Q.conj(), Q, Q)))
     np.testing.assert_array_equal(row["residuals"], res)
     assert run.rng.standard_normal() == rng.standard_normal()
 
@@ -171,6 +171,19 @@ def test_conformal_checks_equal_the_per_point_loops(spec):
         [row] = getattr(run, name)()
         assert axes_of(row) == axes, name
         np.testing.assert_array_equal(row["residuals"], res, err_msg=name)
+
+
+def test_the_suites_factor_stack_reads_its_own_first_five_rows():
+    """The conformal checks' stack holds the suite's first 5 rows once per
+    factor, each with its point, bit for bit; `small` and `cpts` are views
+    of the suite's checked points."""
+    run = suite()
+    at, k = run.factors, len(run.cpts)
+    assert k == 5 and np.shares_memory(run.cpts, run.Z) and np.shares_memory(run.small, run.Z)
+    np.testing.assert_array_equal(run.cpts, run.data.Z[:k])
+    for name, a in vars(at.data).items():
+        np.testing.assert_array_equal(a, np.concatenate([getattr(run.data, name)[:k]]
+                                                        * len(at.fs)), err_msg=name)
 
 
 @pytest.mark.parametrize("spec", [ADM_SPEC, {"chart": "fubini_study", "n": 3}])

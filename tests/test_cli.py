@@ -111,9 +111,9 @@ def test_suite_rescales_each_conformal_factor_once(monkeypatch):
     fills = []
     rescaled_records = conformal._rescaled_records
 
-    def counting(label, Z, b, J):
-        fills.append((label, len(J.value) // len(Z)))
-        return rescaled_records(label, Z, b, J)
+    def counting(label, b, J):
+        fills.append((label, len(J.value) // len(b.Z)))
+        return rescaled_records(label, b, J)
 
     monkeypatch.setattr(conformal, "_rescaled_records", counting)
     config = SuiteConfig.from_dict({"chart": ADM_SPEC, "sample_count": 5,

@@ -77,8 +77,8 @@ def test_a_factor_stack_in_an_explicit_frame_has_no_rescaled_side(flat):
     # The rescaled records are read in Cholesky frames, which an explicit
     # frame of the base does not pair with: the stack refuses them.
     p = [0.1, 0.2j]
-    at = gd.FactorAt(flat, [0.1 * gd.abs2(2)], np.array([p], dtype=complex),
-                     connection._metric_points(flat, [p]), frame=gd.unitary_frame(flat, p))
+    at = gd.FactorAt(flat, [0.1 * gd.abs2(2)], connection._metric_points(flat, [p]),
+                     frame=gd.unitary_frame(flat, p))
     with pytest.raises(gd.GauduchonError, match="explicit frame has no rescaled side"):
         at.rescaled_data
 

@@ -118,10 +118,29 @@ def test_ill_conditioned_frame_error_names_the_conditioning():
         gd.unitary_frame(chyp, p)
 
 
+def test_a_record_carries_its_points(catalog_charts):
+    """A fill's record keeps the checked points of its rows, read-only, and
+    its rows keep theirs: `_rows` of a slice are views of them."""
+    from gauduchon.connection import _check_points, _metric_points, _rows
+
+    for chart in catalog_charts:
+        pts = pts_of(chart, 4, 7)
+        points = [pts[2], list(pts[0]), pts[3], pts[2]]
+        b = _metric_points(chart, points)
+        np.testing.assert_array_equal(b.Z, _check_points(chart, points))
+        assert b.Z.dtype == complex and not b.Z.flags.writeable
+        with pytest.raises(ValueError):
+            b.Z[0, 0] = 0.0
+        for index in (slice(1, 3), np.array([3, 0]), 2):
+            np.testing.assert_array_equal(_rows(b, index).Z, b.Z[index])
+        assert np.shares_memory(_rows(b, slice(1, 3)).Z, b.Z)
+        assert _rows(b, 2).Z.shape == (chart.n,)
+
+
 def test_batch_filled_point_data_is_read_only(adm):
     """Every record, from a fill, a one-point fill (`_point`), `_rows` views
     of a fill, or a `FactorAt`'s tiled base rows and rescaled records, has
-    its 5 arrays read-only, and no field can be set.  The packed jets a fill
+    its 6 arrays read-only, and no field can be set.  The packed jets a fill
     took are read-only after it too."""
     from dataclasses import FrozenInstanceError
 
@@ -131,18 +150,18 @@ def test_batch_filled_point_data_is_read_only(adm):
 
     pts = pts_of(adm, 3, 11)
     whole = _metric_points(adm, pts)
-    factors = FactorAt(adm, [0.1 * gd.abs2(2)] * 2, np.array(pts), whole)
+    factors = FactorAt(adm, [0.1 * gd.abs2(2)] * 2, whole)
     reads = [whole, _metric_points(adm, [pts[2], pts[0], pts[2]]), _point(adm, pts[1])[0],
              _rows(whole, slice(1, 3)), factors.data, factors.rescaled_data]
     for b in reads:
         arrays = list(vars(b).values())
-        assert len(arrays) == 5 and all(isinstance(a, np.ndarray) for a in arrays)
+        assert len(arrays) == 6 and all(isinstance(a, np.ndarray) for a in arrays)
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(FrozenInstanceError):
             b.E = None
     Z = _check_points(adm, pts)
     packed = _component_jets(adm, Z)
-    _fill((adm.label,) * len(Z), Z, *packed)
+    _fill(adm.label, Z, *packed)
     assert not any(a.flags.writeable for a in packed)
 
 

@@ -76,8 +76,7 @@ def stacked_factors(spec: int, count: int, seed: int):
     points, as the suite stacks them."""
     chart = gd.make_chart(CATALOG[spec])
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
-    return FactorAt(chart, _conformal_factors(chart.n), np.array(pts),
-                    connection._metric_points(chart, pts))
+    return FactorAt(chart, _conformal_factors(chart.n), connection._metric_points(chart, pts))
 
 
 def maxabs(x) -> float:

@@ -144,11 +144,11 @@ def test_a_scaled_lower_mixed_hessian_fails_interpolation(monkeypatch):
     compares with the bases, carries the error."""
     fill = connection._fill
 
-    def mutated(labels, Z, G, grad, hess):
+    def mutated(label, Z, G, grad, hess):
         n = G.shape[-1]
         hess = np.array(hess)
         hess[:, n:, :n] *= 1.01
-        return fill(labels, Z, G, grad, hess)
+        return fill(label, Z, G, grad, hess)
 
     for module in (connection, cli, conformal):
         monkeypatch.setattr(module, "_fill", mutated)

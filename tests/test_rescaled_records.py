@@ -44,9 +44,9 @@ def assert_rel(got, want, rtol=1e-15):
 
 
 def assert_same_record(got, want):
-    """Jets bit for bit; E, ginv and the bases built from the records
-    within 1e-15 of their size."""
-    for name in ("G", "grad", "hess"):
+    """Points and jets bit for bit; E, ginv and the bases built from the
+    records within 1e-15 of their size."""
+    for name in ("Z", "G", "grad", "hess"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     for name in ("E", "ginv"):
         assert_rel(getattr(got, name), getattr(want, name))
@@ -80,10 +80,8 @@ def test_records_keep_an_exactly_symmetric_packed_hessian(spec, count, seed):
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     b = connection._metric_points(chart, pts)
     assert_packed_record(b)
-    factors = _conformal_factors(chart.n)
-    Z = np.array(pts)
-    jet = stacked(gd.eval_jets(factors, Z))
-    assert_packed_record(_rescaled_records("f*exp(2f)", Z, b, jet))
+    jet = stacked(gd.eval_jets(_conformal_factors(chart.n), b.Z))
+    assert_packed_record(_rescaled_records("f*exp(2f)", b, jet))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -96,9 +94,9 @@ def test_leibniz_record_equals_the_rescaled_trees_fill(spec, which, count, seed)
     pts = gd.sample_points(chart, count, np.random.default_rng(seed))
     pair = gd.rescale(chart, f, check_points=pts)
     want = connection._metric_points(pair.rescaled, pts)
-    Z = np.array(pts)
-    [jet] = gd.eval_jets([f], Z)
-    got = _rescaled_records(pair.rescaled.label, Z, connection._metric_points(chart, pts), jet)
+    b = connection._metric_points(chart, pts)
+    [jet] = gd.eval_jets([f], b.Z)
+    got = _rescaled_records(pair.rescaled.label, b, jet)
     assert_same_record(got, want)
     assert_same_record(pair.at(pts).rescaled_data, want)
     assert all(not a.flags.writeable for a in vars(got).values())
@@ -113,8 +111,7 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
     pts = gd.sample_points(chart, 3, np.random.default_rng(5))
     fs = _conformal_factors(chart.n)
     pairs = [gd.rescale(chart, f, check_points=pts) for f in fs]
-    records = FactorAt(chart, fs, np.array(pts),
-                       connection._metric_points(chart, pts)).rescaled_data
+    records = FactorAt(chart, fs, connection._metric_points(chart, pts)).rescaled_data
     jets = (records.G, records.grad, records.hess)
     P = len(pts)
     for k, pair in enumerate(pairs):
@@ -122,6 +119,26 @@ def test_rescaled_jets_match_the_finite_difference_oracle(spec):
             exact = gd.WJet2(*(a[k * P:(k + 1) * P, ..., i, j] for a in jets))
             err = _jet_rel_err(exact, gd.fd_jets(pair.rescaled.g[i][j], pts))
             assert np.max(err) <= 1e-5, (pair.rescaled.label, k, i, j)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(spec=st.sampled_from(range(len(CATALOG))), count=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_factor_stack_carries_its_points_row_by_row(spec, count, seed):
+    """The rows of a stacked `FactorAt` run (factor, point): its base rows'
+    points tile the record's points factor-major, its rescaled rows sit at
+    the same points, and its factor jet is one `eval_jets` walk at the
+    record's points, bit for bit."""
+    chart = gd.make_chart(CATALOG[spec])
+    pts = gd.sample_points(chart, count, np.random.default_rng(seed))
+    fs = _conformal_factors(chart.n)
+    b = connection._metric_points(chart, pts)
+    at = FactorAt(chart, fs, b)
+    np.testing.assert_array_equal(at.data.Z, np.tile(b.Z, (len(fs), 1)))
+    np.testing.assert_array_equal(at.rescaled_data.Z, at.data.Z)
+    assert not at.data.Z.flags.writeable and not at.rescaled_data.Z.flags.writeable
+    for got, want in zip(vars(at.jet).values(), vars(stacked(gd.eval_jets(fs, b.Z))).values()):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("spec", [0, 2, 6])
@@ -134,13 +151,13 @@ def test_stacked_factors_equal_each_pair_on_its_own(spec):
     P = len(pts)
     fs = _conformal_factors(chart.n)
     pairs = [gd.rescale(chart, f, check_points=pts) for f in fs]
-    stacked = FactorAt(chart, fs, np.array(pts), connection._metric_points(chart, pts))
+    stacked = FactorAt(chart, fs, connection._metric_points(chart, pts))
     assert stacked.E.shape[0] == len(pairs) * P
     torsion = stacked.torsion_residuals()
     direct = stacked.delta_direct((3.0, 0.0))
     for k, pair in enumerate(pairs):
         block, one = slice(k * P, (k + 1) * P), pair.at(pts)
-        for name in ("points", "value", "fr", "frbar", "grad2", "T", "E"):
+        for name in ("value", "fr", "frbar", "grad2", "T", "E"):
             np.testing.assert_array_equal(getattr(stacked, name)[block], getattr(one, name),
                                           err_msg=name)
         for name, a in vars(stacked.data).items():
@@ -170,7 +187,7 @@ def test_overflowing_scale_raises_as_the_trees_fill_does():
         pair.at(pts).rescaled_data
     assert str(built.value) == str(walked.value)
     ok = 0.1 * gd.abs2(2)
-    stack = FactorAt(chart, [ok, pair.f, ok], pts, connection._metric_points(chart, pts))
+    stack = FactorAt(chart, [ok, pair.f, ok], connection._metric_points(chart, pts))
     with pytest.raises(NonFinite) as stacked, np.errstate(over="ignore", invalid="ignore"):
         stack.rescaled_data
     assert str(stacked.value) == str(walked.value)
@@ -187,6 +204,6 @@ def test_a_bad_row_of_the_stacked_fill_names_its_own_chart_and_point():
     base = connection._metric_points(chart, pts)
     with pytest.raises(NotPositiveDefinite,
                        match=r"^metric of B\*exp\(2f\) is not Hermitian at \[0\.2\+0\.3j"):
-        _rescaled_records("B*exp(2f)", pts, base, stacked(jets))
-    good = _rescaled_records("B*exp(2f)", pts, base, stacked([jets[0], jets[2]]))
+        _rescaled_records("B*exp(2f)", base, stacked(jets))
+    good = _rescaled_records("B*exp(2f)", base, stacked([jets[0], jets[2]]))
     assert good.G.shape == (6, 2, 2)

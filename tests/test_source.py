@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -89,8 +90,7 @@ def test_the_fill_builds_no_basis():
     tree = ast.parse((SRC / "connection.py").read_text(encoding="utf-8"))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found = [f"connection.{name} names _basis_stack"
-             for name in ("_metric_points", "_chart_fill", "_check_points", "_component_jets",
-                          "_fill")
+             for name in ("_metric_points", "_check_points", "_component_jets", "_fill")
              if any(isinstance(node, ast.Name) and node.id == "_basis_stack"
                     for node in ast.walk(funcs[name]))]
     for path in sorted(SRC.glob("*.py")):
@@ -140,7 +140,7 @@ def test_factor_stacks_are_built_one_way():
               if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
     args = init.args
     got = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    if got != ["self", "chart", "fs", "points", "data", "frame"] or args.vararg or args.kwarg:
+    if got != ["self", "chart", "fs", "data", "frame"] or args.vararg or args.kwarg:
         found.append(f"FactorAt.__init__ takes {got}")
     labels = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
               and isinstance(node.value, str) and "*exp(2f)" in node.value]
@@ -150,6 +150,54 @@ def test_factor_stacks_are_built_one_way():
     if (len(labels), len(raises)) != (1, 1):
         found.append(f"{len(labels)} exp(2f) labels and {len(raises)} realness raises")
     assert not found, f"factor stacks built more than one way: {found}"
+
+
+def record_readers_taking_points(tree: ast.Module) -> list[str]:
+    """The functions that take a record (a parameter `b` or `data`, or one
+    annotated `_MetricData`) and a points parameter beside it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.arg in ("b", "data") or getattr(a.annotation, "id", None) == "_MetricData"
+                   for a in args):
+                found += [f"{node.name}({a.arg})" for a in args
+                          if a.arg in ("points", "pts", "Z", "z")]
+    return found
+
+
+def test_records_carry_their_points():
+    # A record keeps the point of each row (`_MetricData.Z`): no function
+    # takes points beside a record, the fill of checked points is
+    # `_metric_points` alone, and `_fill` labels all its rows with one chart.
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in record_readers_taking_points(ast.parse(path.read_text(encoding="utf-8")))]
+    found += [f"{path.name}: _chart_fill" for path in sorted(SRC.glob("*.py"))
+              if re.search(r"\b_chart_fill\b", path.read_text(encoding="utf-8"))]
+    tree = ast.parse((SRC / "connection.py").read_text(encoding="utf-8"))
+    [fill] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_fill"]
+    if fill.args.args[0].arg != "label":
+        found.append(f"_fill takes {fill.args.args[0].arg}")
+    assert not found, f"points passed beside a record: {found}"
+
+
+def test_record_readers_taking_points_are_found():
+    tree = ast.parse("def a(label, Z, b):\n    pass\n"
+                     "def c(chart, fs, points, data: _MetricData):\n    pass\n"
+                     "def d(x: _MetricData, pts):\n    pass\n"
+                     "def e(label, Z, G):\n    pass\n")
+    assert record_readers_taking_points(tree) == ["a(Z)", "c(points)", "d(pts)"]
+
+
+def test_frame_readers_of_a_factor_take_a_chart():
+    # `frame_gradient` and `f_covariant_hessians` read the factor they are
+    # given on a chart: neither takes a pair, whose own factor it would
+    # silently pass over.
+    found = [f"{func.__name__} takes {list(inspect.signature(func).parameters)[:2]}"
+             for func in (conformal.frame_gradient, conformal.f_covariant_hessians)
+             if list(inspect.signature(func).parameters)[:2] != ["chart", "f"]]
+    assert not found, f"frame readers that take a pair: {found}"
 
 
 def test_suite_checks_run_one_pass_over_their_points():
@@ -164,7 +212,7 @@ def test_suite_checks_run_one_pass_over_their_points():
             if isinstance(node, (ast.For, ast.comprehension)):
                 for sub in ast.walk(node.iter):
                     if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                            and sub.value.id == "self" and sub.attr in ("pts", "small", "cpts")):
+                            and sub.value.id == "self" and sub.attr in ("Z", "small", "cpts")):
                         found.append(f"{method.name}: self.{sub.attr}")
     assert not found, f"_Suite methods loop over sample points: {found}"
 
@@ -211,8 +259,9 @@ def test_suite_checks_leave_flattening_and_counting_to_run_suite():
     tree = ast.parse((SRC / "conformal.py").read_text(encoding="utf-8"))
     [records] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name == "_rescaled_records"]
-    if records.args.args[0].arg != "label":
-        found.append(f"_rescaled_records takes {records.args.args[0].arg}")
+    got = [a.arg for a in records.args.args]
+    if got != ["label", "b", "J"]:
+        found.append(f"_rescaled_records takes {got}")
     assert not found, f"suite checks that flatten or count: {found}"
 
 
@@ -256,12 +305,12 @@ def test_jets_store_three_packed_parts():
 
 
 def test_records_store_the_packed_jets():
-    # A fill's record keeps the walk's packed jets: its fields are the value,
-    # gradient and Hessian, then ginv and E; the five block names are
-    # read-only views, and neither the repacking helper nor the six-part
-    # name list is left in the package.
+    # A fill's record keeps its points and the walk's packed jets: its fields
+    # are the points, the value, gradient and Hessian, then ginv and E; the
+    # five block names are read-only views, and neither the repacking helper
+    # nor the six-part name list is left in the package.
     assert [f.name for f in dataclasses.fields(connection._MetricData)] == \
-        ["G", "grad", "hess", "ginv", "E"]
+        ["Z", "G", "grad", "hess", "ginv", "E"]
     found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
              for name in ("_record_jets", "JET_PARTS")
              if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))]
